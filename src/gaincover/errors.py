@@ -36,7 +36,8 @@ class InternalConsistencyError(RuntimeError):
 
 
 class NumericError(RuntimeError):
-    """An iterative numeric method failed to converge within its bounds."""
+    """A numeric eigensolve failed: LAPACK did not converge, or the input had
+    a non-finite entry."""
 
 
 class BudgetError(ValueError):

@@ -160,10 +160,10 @@ def write_reproducer(theorem, gain, directory):
 
 
 def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
-                           master_check=True, reproducer_dir=None) -> VerifySummary:
+                           reproducer_dir=None) -> VerifySummary:
     """Walk-regular bases stay walk-regular in every 2ev cover (cyclic and
-    abelian alike); optionally also checks the character block decomposition
-    of every sampled lift against its spectrum.
+    abelian alike); also checks the character block decomposition of every
+    sampled lift against its spectrum.
     """
     for base in bases:
         if not is_walk_regular(base):
@@ -176,12 +176,11 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
             for f in enumerate_gains(spec):
                 cover = lift(f)
                 summary.sampled += 1
-                if master_check:
-                    ok, dev = character_block_check(f, tol, cover)
-                    if not ok:
-                        _fail("block-decomposition",
-                              f"character spectra deviate from lift spectrum by {dev:.3g}",
-                              f, reproducer_dir, summary)
+                ok, dev = character_block_check(f, tol, cover)
+                if not ok:
+                    _fail("block-decomposition",
+                          f"character spectra deviate from lift spectrum by {dev:.3g}",
+                          f, reproducer_dir, summary)
                 cert = classify_two_ev(f, cover)
                 if not cert.is_two_ev:
                     continue

@@ -1,6 +1,10 @@
-"""Exact and numeric spectra: characteristic polynomials over Z, a complex
-Hermitian Jacobi eigensolver, character matrices of abelian gain graphs, the
-two-eigenvalue classifier, and the degree-2 minimal polynomial certificate.
+"""Exact and numeric spectra: characteristic polynomials over Z, Hermitian
+eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
+gain graphs, the two-eigenvalue classifier, and the degree-2 minimal
+polynomial certificate.
+
+Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
+it raises NumericError on LAPACK non-convergence or non-finite input.
 
 The multiset spectral difference of a cover against its base is computed by
 exact integer polynomial division, never by subtracting clustered numeric
@@ -171,94 +175,29 @@ class Spectrum:
         return f"Spectrum({inner})"
 
 
-def _round_robin_rounds(n):
-    """Rounds of disjoint index pairs covering every (p,q) once per sweep."""
-    players = list(range(n)) + ([n] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+def hermitian_eigenvalues(matrix):
+    """Ascending float64 eigenvalues of a Hermitian (or real symmetric) matrix.
 
-
-def jacobi_eigenvalues(matrix, max_sweeps=60):
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps use the round-robin ordering so each round's disjoint complex
-    Givens rotations can be applied together; the angles within a round only
-    read entries that round leaves untouched, so this matches a sequential
-    cyclic sweep rotation for rotation. Raises NumericError if the
-    off-diagonal mass has not reached 1e-11 * max(1, ||A||_F) within
-    max_sweeps sweeps.
+    Validates the input, then calls LAPACK through np.linalg.eigvalsh. Raises
+    ContractViolation for input that is not a square 2-D matrix or is not
+    Hermitian to within 10 * eps * max(1, max absolute row sum), and
+    NumericError for a non-finite entry or when LAPACK does not converge.
     """
-    H = np.asarray(matrix)
-    is_complex = np.iscomplexobj(H) and np.abs(H.imag).max(initial=0.0) > 0.0
-    if np.iscomplexobj(H) and not is_complex:
-        H = H.real
-    A = np.array(H, dtype=np.complex128 if is_complex else np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    A = np.asarray(matrix)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractViolation("matrix must be square")
-    if n == 0:
-        return np.zeros(0)
-    herm_err = np.abs(A - A.conj().T).max()
+    A = A.astype(np.complex128 if np.iscomplexobj(A) else np.float64)
+    # NaN passes the Hermitian comparison below, and eigvalsh returns a
+    # spectrum for it without complaint, so non-finite input is caught first
+    if not np.isfinite(A).all():
+        raise NumericError("matrix has a non-finite entry")
+    herm_err = np.abs(A - A.conj().T).max(initial=0.0)
     if herm_err > 10 * np.finfo(float).eps * max(matrix_scale(A), 1.0):
         raise ContractViolation(f"matrix is not Hermitian (asymmetry {herm_err:.3g})")
-    A = (A + A.conj().T) / 2.0
-    if n == 1:
-        return A.real.diagonal().copy()
-
-    fro = np.linalg.norm(A)
-    stop = 1e-11 * max(fro, 1.0)
-    tiny = 1e-18 * max(fro, 1.0)
-    rounds = _round_robin_rounds(n)
-    old_err = np.seterr(over="ignore", invalid="ignore")
     try:
-        for _ in range(max_sweeps):
-            off2 = np.abs(A) ** 2
-            np.fill_diagonal(off2, 0.0)
-            if math.sqrt(off2.sum()) <= stop:
-                return np.real(A.diagonal()).copy()
-            for ps, qs in rounds:
-                apq = A[ps, qs]
-                aab = np.abs(apq)
-                safe = np.maximum(aab, 1e-300)
-                if is_complex:
-                    beta = apq / safe
-                else:
-                    beta = np.sign(apq) + (apq == 0)
-                zeta = (np.real(A[qs, qs]) - np.real(A[ps, ps])) / (2.0 * safe)
-                az = np.abs(zeta)
-                t = np.sign(zeta) / (az + np.sqrt(zeta * zeta + 1.0))
-                t = np.where(az > 1e12, 1.0 / (2.0 * np.where(zeta == 0, 1.0, zeta)), t)
-                t = np.where(zeta == 0, 1.0, t)
-                t = np.where(aab > tiny, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sb = (t * c) * beta
-                sbc = np.conj(sb)
-                cp = A[:, ps].copy()
-                cq = A[:, qs].copy()
-                A[:, ps] = c * cp - sbc * cq
-                A[:, qs] = sb * cp + c * cq
-                rp = A[ps, :].copy()
-                rq = A[qs, :].copy()
-                A[ps, :] = c[:, None] * rp - sb[:, None] * rq
-                A[qs, :] = sbc[:, None] * rp + c[:, None] * rq
-                A[ps, qs] = 0.0
-                A[qs, ps] = 0.0
-                if is_complex:
-                    A[ps, ps] = np.real(A[ps, ps])
-                    A[qs, qs] = np.real(A[qs, qs])
-    finally:
-        np.seterr(**old_err)
-    raise NumericError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
+        return np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
 def cluster_values(values, tol, scale) -> Spectrum:
@@ -287,7 +226,7 @@ def matrix_scale(matrix):
 
 def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
     """Clustered eigenvalues of a Hermitian (or real symmetric) matrix."""
-    vals = jacobi_eigenvalues(matrix)
+    vals = hermitian_eigenvalues(matrix)
     return cluster_values(vals, tol, matrix_scale(matrix))
 
 
@@ -527,8 +466,8 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | Non
         cover = lift(f)
     union = []
     for j in all_characters(f.group):
-        union.extend(jacobi_eigenvalues(rep_matrix(f, j).entries))
+        union.extend(hermitian_eigenvalues(rep_matrix(f, j).entries))
     union = np.sort(np.asarray(union))
-    cover_vals = np.sort(jacobi_eigenvalues(cover.graph.adjacency(dtype=np.float64)))
+    cover_vals = hermitian_eigenvalues(cover.graph.adjacency(dtype=np.float64))
     dev = float(np.abs(union - cover_vals).max()) if union.size else 0.0
     return dev <= tol * max(1.0, matrix_scale(cover.graph.adjacency())), dev

@@ -27,7 +27,7 @@ from gaincover.regularity import brute_force_walk_regular
 from gaincover.search import (SearchSpec, obstruction_prefilter, search_two_ev,
                               verify_bipartite_cover, verify_drackn,
                               verify_srg_cover, verify_walk_regularity)
-from gaincover.spectral import (cluster_values, jacobi_eigenvalues,
+from gaincover.spectral import (cluster_values, hermitian_eigenvalues,
                                 poly_real_roots)
 
 from conftest import (intersection_array, klein_gf4_gain, poly_from_roots,
@@ -58,7 +58,7 @@ def test_criterion_02_huang_signings():
         if not np.array_equal(s_int @ s_int, n * np.eye(dim, dtype=np.int64)):
             ok, detail = False, f"S^2 != {n}I at n={n}"
             break
-        vals = np.sort(jacobi_eigenvalues(s_int.astype(np.float64)))
+        vals = np.sort(hermitian_eigenvalues(s_int.astype(np.float64)))
         root = math.sqrt(n)
         half = dim // 2
         if (np.abs(vals[:half] + root).max() > 1e-9
@@ -267,7 +267,7 @@ def test_criterion_09_k3n_nonexample():
     detail = "signed K_{3n} spectrum {(2n-1)^2, -1^(3n-3), (-n-1)} within 1e-9; not 2ev; not DRG"
     for n in (2, 3):
         f = k3n_nonexample(n)
-        vals = np.sort(jacobi_eigenvalues(rep_matrix(f, (1,)).entries))
+        vals = np.sort(hermitian_eigenvalues(rep_matrix(f, (1,)).entries))
         expect = np.sort(np.array([2 * n - 1] * 2 + [-1] * (3 * n - 3) + [-n - 1], dtype=float))
         if np.abs(vals - expect).max() > 1e-9:
             ok, detail = False, f"n={n}: signed spectrum off by more than 1e-9"
@@ -286,8 +286,7 @@ def test_criterion_10_walk_regularity_suite():
              cycle(6), hypercube(3)]
     groups = [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4),
               GroupSpec.abelian(2, 2)]
-    summary = verify_walk_regularity(bases, groups, budget=200, seed=20240817,
-                                     master_check=True)
+    summary = verify_walk_regularity(bases, groups, budget=200, seed=20240817)
     ok = (summary.sampled == 4000 and not summary.failures
           and summary.verified == summary.two_ev)
     report(10, ok, f"{summary.sampled} samples, {summary.two_ev} 2ev, "
@@ -306,7 +305,7 @@ def test_criterion_11_infrastructure_oracles():
         checked_wr += 1
         if g.n:
             roots = poly_real_roots(char_poly(g))
-            vals = np.sort(jacobi_eigenvalues(g.adjacency(dtype=np.float64)))
+            vals = np.sort(hermitian_eigenvalues(g.adjacency(dtype=np.float64)))
             worst_root_dev = max(worst_root_dev, float(np.abs(roots - vals).max()))
     ok = worst_root_dev <= 1e-7
     report(11, ok, f"{checked_wr} random graphs: walk-regularity matches brute force; "

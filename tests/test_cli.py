@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gaincover import petersen, write_edge_list, write_gain_file
@@ -176,6 +177,19 @@ def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(["verify", "6.2", "--n", "4", "--r", "2"], capsys)
     assert code == 3
     assert "numeric" in err
+
+
+def test_lapack_failure_through_classify_exit_3(tmp_path, capsys, monkeypatch):
+    # a real numeric path: the report's spectrum reaches LAPACK, which fails
+    def no_convergence(*a, **k):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    gpath = tmp_path / "huang_3.gain"
+    gpath.write_text(write_gain_file(huang_signing(3)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, _, err = run(["classify", str(gpath)], capsys)
+    assert code == 3
+    assert "numeric failure" in err
 
 
 def test_budget_refusal_exit_1(tmp_path, capsys):

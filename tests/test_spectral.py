@@ -8,10 +8,10 @@ from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        character_block_check, classify_two_ev, complete_graph,
                        cycle, hypercube, identity_gains, kneser, lift,
                        minpoly_certificate, petersen, rep_matrix)
-from gaincover.errors import ContractViolation, DisconnectedError
+from gaincover.errors import ContractViolation, DisconnectedError, NumericError
 from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                hermitian_spectrum, jacobi_eigenvalues,
+                                hermitian_eigenvalues, hermitian_spectrum,
                                 spectral_difference_poly)
 
 from conftest import mul_poly, poly_from_roots, random_graph
@@ -72,31 +72,54 @@ def test_char_poly_general_int_matrix():
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi eigensolver
+# the Hermitian eigensolver
 
 
-def test_jacobi_matches_numpy_on_random_hermitian(rng):
+def test_hermitian_eigenvalues_matches_numpy_on_random_hermitian(rng):
     nprng = np.random.default_rng(7)
     for n in (1, 2, 3, 5, 8, 13, 21):
         m = nprng.normal(size=(n, n)) + 1j * nprng.normal(size=(n, n))
         h = (m + m.conj().T) / 2
-        ours = np.sort(jacobi_eigenvalues(h))
-        ref = np.sort(np.linalg.eigvalsh(h))
-        assert np.abs(ours - ref).max() < 1e-9
         hr = h.real + h.real.T
-        assert np.abs(np.sort(jacobi_eigenvalues(hr))
-                      - np.sort(np.linalg.eigvalsh(hr))).max() < 1e-9
+        for mat in (h, hr, hr.astype(np.float32)):
+            ours = hermitian_eigenvalues(mat)
+            assert ours.dtype == np.float64 and ours.shape == (n,)
+            assert np.all(np.diff(ours) >= 0)
+            ref = np.sort(np.linalg.eigvalsh(mat.astype(np.result_type(mat, np.float64))))
+            assert np.abs(ours - ref).max() < 1e-9
+    assert hermitian_eigenvalues(np.array([[-2.5]])).tolist() == [-2.5]
 
 
-def test_jacobi_rejects_non_hermitian():
+def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ContractViolation):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_jacobi_bounded_sweeps_raise():
-    from gaincover.errors import NumericError
+@pytest.mark.parametrize("bad", [np.float64(5.0), np.zeros(3), np.zeros((2, 3)),
+                                 np.zeros((2, 2, 2))])
+def test_hermitian_eigenvalues_rejects_non_square(bad):
+    with pytest.raises(ContractViolation):
+        hermitian_eigenvalues(bad)
+
+
+@pytest.mark.parametrize("bad", [[[0.0, 1.0], [1.0, math.nan]],
+                                 [[0.0, math.inf], [math.inf, 0.0]],
+                                 [[math.inf, 0.0], [0.0, 1.0]],
+                                 [[0.0, complex(0, math.nan)], [0.0, 0.0]]])
+def test_hermitian_eigenvalues_rejects_non_finite(bad):
+    # NaN compares false in the Hermitian test, and eigvalsh itself returns a
+    # spectrum for [[0,1],[1,nan]], so only the finite check stops these
     with pytest.raises(NumericError):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+        hermitian_eigenvalues(np.array(bad))
+
+
+def test_hermitian_eigenvalues_maps_linalg_error(monkeypatch):
+    def no_convergence(*a, **k):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericError, match="did not converge"):
+        hermitian_eigenvalues(np.eye(3))
 
 
 def test_zero_matrix_spectrum():
