@@ -18,8 +18,8 @@ import sys
 import time
 
 from . import __version__
-from .errors import (BudgetError, FalsificationError, NumericError,
-                     ParameterError, ParseError)
+from .errors import (BudgetError, DisconnectedError, FalsificationError,
+                     NumericError, ParameterError, ParseError)
 from .families import (butson_gain, fourier_butson, huang_signing,
                        k3n_nonexample, s3_cover_k5)
 from .gains import (GainGraph, GroupSpec, lift, parse_gain_file,
@@ -235,7 +235,7 @@ def cmd_search(args):
     group = parse_group_spec(args.group)
     spec = SearchSpec(base=base, group=group, mode=args.mode,
                       budget=args.budget, seed=args.seed)
-    hits = search_two_ev(spec, tol=args.tol)
+    hits = search_two_ev(spec)
     total = spec.exhaustive_size() if args.mode == EXHAUSTIVE else args.budget
     payload = {
         "sampled": total,
@@ -380,7 +380,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, ParseError, BudgetError, OSError) as exc:
+    except (ParameterError, ParseError, BudgetError, DisconnectedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

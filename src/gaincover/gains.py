@@ -343,6 +343,8 @@ def parse_gain_file(text: str) -> GainGraph:
                 n = int(fields[1])
             except ValueError:
                 raise ParseError("vertex count is not an integer", ln) from None
+            if n < 1:
+                raise ParseError("vertex count must be positive", ln)
         elif kw == "edge":
             if group is None or n is None:
                 raise ParseError("edge before group/vertices lines", ln)

@@ -331,6 +331,8 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(fields[1])
             except ValueError:
                 raise ParseError("vertex count is not an integer", ln) from None
+            if n < 1:
+                raise ParseError("vertex count must be positive", ln)
         elif fields[0] == "edge":
             if n is None:
                 raise ParseError("edge before graph header", ln)

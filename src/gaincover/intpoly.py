@@ -238,8 +238,8 @@ def squarefree_decomposition(p: IntPoly):
 def integer_roots(p: IntPoly):
     """Integer roots with multiplicities, by divisor trial on the constant term.
 
-    Only used on small-degree factors (the quadratics coming out of the 2ev
-    quotient), so trial division is plenty.
+    Only used on small-degree polynomials (the quadratic x^2 - lambda*x - k of
+    a 2ev verdict), so trial division is plenty.
     """
     roots = {}
     while not p.is_zero and p.coeffs[0] == 0:

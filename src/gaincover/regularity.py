@@ -114,17 +114,17 @@ def _diag_constant(mat):
     return all(x == d[0] for x in d.tolist())
 
 
-def is_walk_regular(g: Graph, force_all_powers=False) -> bool:
+def is_walk_regular(g: Graph) -> bool:
     """True iff every power of the adjacency matrix has constant diagonal.
 
     Checking powers 1..d-1 (d = distinct eigenvalue count, taken from the
     exact square-free part of the characteristic polynomial) suffices: the
     minimal polynomial has degree d, so every higher power is a fixed linear
-    combination of A^0..A^(d-1). force_all_powers checks up to n-1 instead.
+    combination of A^0..A^(d-1).
     """
     if g.n <= 1:
         return True
-    top = g.n - 1 if force_all_powers else distinct_eigenvalue_count(g) - 1
+    top = distinct_eigenvalue_count(g) - 1
     deg = max(g.degrees) if g.n else 0
     a64 = g.adjacency()
     power = a64.copy()

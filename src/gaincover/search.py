@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError, FalsificationError, ParameterError
 from .gains import GainGraph, GroupSpec, lift, write_gain_file
-from .graphs import Graph, bfs_tree
+from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, drackn_parameters,
                          is_distance_regular, is_walk_regular,
-                         regularity_certificate, srg_parameters,
-                         two_ev_divisibility_obstruction)
+                         regularity_certificate, srg_parameters)
 from .spectral import (DEFAULT_TOL, TwoEvCertificate, char_poly,
-                       character_block_check, classify_two_ev)
+                       character_block_check, classify_two_ev, fiber_two_ev)
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -41,7 +40,6 @@ class SearchSpec:
     mode: str = EXHAUSTIVE
     budget: int = 1 << 20
     seed: int = 0
-    tree: tuple | None = None
 
     def __post_init__(self):
         if self.mode not in (EXHAUSTIVE, RANDOM):
@@ -50,7 +48,7 @@ class SearchSpec:
             raise ParameterError("searches enumerate abelian gain groups only")
 
     def spanning_tree(self):
-        return self.tree if self.tree is not None else bfs_tree(self.base, 0)
+        return bfs_tree(self.base, 0)
 
     def cotree_edges(self):
         tree = set(self.spanning_tree())
@@ -125,13 +123,13 @@ def enumerate_gains(spec: SearchSpec):
             yield GainGraph(spec.base, spec.group, gains)
 
 
-def search_two_ev(spec: SearchSpec, tol=DEFAULT_TOL):
+def search_two_ev(spec: SearchSpec):
     """Classify every enumerated gain; return records for the 2ev hits only."""
     hits = []
     for f in enumerate_gains(spec):
         cover = lift(f)
-        cert = classify_two_ev(f, cover)
-        if cert.is_two_ev:
+        cert = fiber_two_ev(f, cover)
+        if cert is not None:
             reg = regularity_certificate(cover, cert)
             hits.append(VerificationRecord(gain=f, two_ev=cert, regularity=reg))
     return hits
@@ -181,8 +179,8 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
                     _fail("block-decomposition",
                           f"character spectra deviate from lift spectrum by {dev:.3g}",
                           f, reproducer_dir, summary)
-                cert = classify_two_ev(f, cover)
-                if not cert.is_two_ev:
+                cert = fiber_two_ev(f, cover)
+                if cert is None:
                     continue
                 summary.two_ev += 1
                 if cert.cover_connected:
@@ -195,39 +193,47 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
     return summary
 
 
-def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
-    """Every connected 2ev cyclic cover of a complete graph must be a
-    distance-regular antipodal cover of it, with consistent parameters."""
-    from .graphs import complete_graph
-    base = complete_graph(n)
+def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
+    """Classify every normalized Z_r gain on base and run `check(cover, cert)`
+    on each connected 2ev lift. check returns a failure detail, or a false
+    value when the theorem holds; a failure aborts with a reproducer.
+    Disconnected 2ev lifts are recorded as not-applicable under `key`."""
     spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
                       budget=budget if budget is not None else r ** base.m)
     summary = VerifySummary()
     for f in enumerate_gains(spec):
         cover = lift(f)
-        cert = classify_two_ev(f, cover)
+        cert = fiber_two_ev(f, cover)
         summary.sampled += 1
-        if not cert.is_two_ev:
+        if cert is None:
             continue
         summary.two_ev += 1
         rec = VerificationRecord(gain=f, two_ev=cert)
+        summary.records.append(rec)
         if not cert.cover_connected:
-            rec.theorem_checks["drackn"] = "not-applicable"
-            summary.records.append(rec)
+            rec.theorem_checks[key] = "not-applicable"
             continue
         summary.connected_two_ev += 1
-        params = drackn_parameters(cover, cert)
-        if params is None:
-            rec.theorem_checks["drackn"] = "fail"
-            summary.records.append(rec)
-            _fail("drackn-cover-of-complete-graph",
-                  "connected 2ev cover of a complete graph is not a drackn",
-                  f, reproducer_dir, summary)
-        rec.theorem_checks["drackn"] = "pass"
+        problem = check(cover, cert)
+        if problem:
+            rec.theorem_checks[key] = "fail"
+            _fail(theorem, problem, f, reproducer_dir, summary)
+        rec.theorem_checks[key] = "pass"
         rec.regularity = regularity_certificate(cover, cert)
-        summary.records.append(rec)
         summary.verified += 1
     return summary
+
+
+def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
+    """Every connected 2ev cyclic cover of a complete graph must be a
+    distance-regular antipodal cover of it, with consistent parameters."""
+
+    def check(cover, cert):
+        if drackn_parameters(cover, cert) is None:
+            return "connected 2ev cover of a complete graph is not a drackn"
+
+    return _verify_exhaustive(complete_graph(n), r, budget, "drackn-cover-of-complete-graph",
+                              "drackn", check, reproducer_dir)
 
 
 def _expected_srg_cover_array(srg, r):
@@ -278,24 +284,8 @@ def verify_srg_cover(f: GainGraph, reproducer_dir=None) -> VerificationRecord:
 def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifySummary:
     """Connected 2ev cyclic covers of complete bipartite graphs force m = n
     and r | n, and the lift is bipartite distance-regular with diameter 4."""
-    from .graphs import complete_bipartite
-    base = complete_bipartite(m, n)
-    spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
-                      budget=budget if budget is not None else r ** base.m)
-    summary = VerifySummary()
-    for f in enumerate_gains(spec):
-        cover = lift(f)
-        cert = classify_two_ev(f, cover)
-        summary.sampled += 1
-        if not cert.is_two_ev:
-            continue
-        summary.two_ev += 1
-        rec = VerificationRecord(gain=f, two_ev=cert)
-        if not cert.cover_connected:
-            rec.theorem_checks["bipartite-drg-cover"] = "not-applicable"
-            summary.records.append(rec)
-            continue
-        summary.connected_two_ev += 1
+
+    def check(cover, cert):
         problems = []
         if m != n:
             problems.append(f"sides differ ({m},{n})")
@@ -306,15 +296,10 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
         arr = is_distance_regular(cover.graph)
         if arr is None or arr.d != 4:
             problems.append("lift is not distance-regular of diameter 4")
-        if problems:
-            rec.theorem_checks["bipartite-drg-cover"] = "fail"
-            summary.records.append(rec)
-            _fail("bipartite-drg-cover", "; ".join(problems), f, reproducer_dir, summary)
-        rec.theorem_checks["bipartite-drg-cover"] = "pass"
-        rec.regularity = regularity_certificate(cover, cert)
-        summary.records.append(rec)
-        summary.verified += 1
-    return summary
+        return "; ".join(problems)
+
+    return _verify_exhaustive(complete_bipartite(m, n), r, budget, "bipartite-drg-cover",
+                              "bipartite-drg-cover", check, reproducer_dir)
 
 
 def _char_poly_symmetric(g: Graph) -> bool:
@@ -323,9 +308,3 @@ def _char_poly_symmetric(g: Graph) -> bool:
     p = char_poly(g)
     deg = p.degree
     return all(c == 0 for i, c in enumerate(p.coeffs) if (i - deg) % 2)
-
-
-def obstruction_prefilter(base: Graph, r) -> bool:
-    """True when the divisibility obstruction alone rules out 2ev gains of
-    order r over this strongly regular base (s = c/r non-integral)."""
-    return two_ev_divisibility_obstruction(base, r)

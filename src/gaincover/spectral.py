@@ -6,10 +6,10 @@ polynomial certificate.
 Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
 it raises NumericError on LAPACK non-convergence or non-finite input.
 
-The multiset spectral difference of a cover against its base is computed by
-exact integer polynomial division, never by subtracting clustered numeric
-spectra; the base polynomial always divides the cover polynomial, and a
-nonzero remainder is reported as an internal consistency error.
+The two-eigenvalue verdict is exact and integer (`fiber_two_ev`). A non-2ev
+cover's count of new distinct eigenvalues comes from the exact quotient of
+the cover's characteristic polynomial by the base's, never from clustered
+numeric spectra; a nonzero remainder is an internal consistency error.
 """
 
 from __future__ import annotations
@@ -341,81 +341,76 @@ def spectral_difference_poly(f: GainGraph, cover: CoverGraph | None = None) -> I
     return quo
 
 
-def _quadratic_multiplicities(q: IntPoly, sf: IntPoly):
-    """Multiplicities of the two roots of sf (degree 2) inside q.
+def fiber_two_ev(f: GainGraph, cover: CoverGraph) -> TwoEvCertificate | None:
+    """Exact two-eigenvalue verdict from the fiber identity; None when not 2ev.
 
-    Integer roots are deflated separately; an irreducible quadratic forces
-    equal multiplicities of its conjugate roots, verified by exact division.
+    A, the lift's adjacency, preserves the space W of vectors that sum to zero
+    on every fiber, and carries the new spectrum there. The diagonal blocks of
+    A^2 are deg(u)*I, so a 2ev lift needs a regular base of valency k; it is
+    2ev iff A^2 - lambda*A - k*I vanishes on W, i.e. every r x r block has
+    constant rows, with lambda read from one edge block. A has zero trace on
+    W, so m_theta*theta + m_tau*tau = 0 fixes the multiplicities in integers.
     """
-    b = sf.coeffs[1]
-    c = sf.coeffs[0]
-    disc = b * b - 4 * c
-    if disc <= 0:
-        # a quotient of a symmetric char poly has real roots; equal roots
-        # cannot appear in a square-free factor
-        raise InternalConsistencyError("degree-2 square-free factor without two real roots")
-    roots = integer_roots(IntPoly(sf.coeffs))
-    if len(roots) == 2:
-        (r1, _), (r2, _) = sorted(roots.items(), reverse=True)
-        m1 = _deflation_count(q, r1)
-        m2 = _deflation_count(q, r2)
-        if m1 + m2 != q.degree:
-            raise InternalConsistencyError("quotient has roots outside its square-free part")
-        return float(r1), float(r2), m1, m2
-    # irreducible over Q: conjugate roots carry equal multiplicity, so the
-    # quotient must be an exact power of the quadratic
-    m, rem = divmod(q.degree, 2)
-    if rem != 0 or sf.pow(m) != q:
-        raise InternalConsistencyError("square-free part of degree 2 but quotient "
-                                       "is not a power of it")
-    sq = math.sqrt(disc)
-    theta = (-b + sq) / 2.0
-    tau = (-b - sq) / 2.0
-    return theta, tau, m, m
-
-
-def _deflation_count(q: IntPoly, root):
-    count = 0
-    lin = IntPoly((-root, 1))
-    while q.degree > 0:
-        quo, rem = q.divmod_monic(lin)
-        if not rem.is_zero:
-            break
-        q = quo
-        count += 1
-    return count
+    base, r = f.base, cover.r
+    if r < 2 or not base.edges or not base.is_regular():
+        return None
+    n, k = base.n, base.degrees[0]
+    a = cover.graph.adjacency()
+    a2 = a @ a
+    # row (u, 0) meets fiber v once, at sheet s; any other sheet of v differs
+    # from it by exactly lambda in A^2 when the block has constant rows
+    u, v = min(base.edges)
+    s = int(a[u * r, v * r:(v + 1) * r].argmax())
+    lam = int(a2[u * r, v * r + s] - a2[u * r, v * r + (s + 1) % r])
+    blocks = (a2 - lam * a - k * np.eye(n * r, dtype=a.dtype)).reshape(n, r, n, r)
+    if not (blocks == blocks[:, :, :, :1]).all():
+        return None
+    dim = n * (r - 1)
+    roots = integer_roots(IntPoly((-k, -lam, 1)))
+    if roots:
+        hi, lo = sorted(roots, reverse=True)
+        m_theta, rem = divmod(-dim * lo, hi - lo)
+        if rem:
+            raise InternalConsistencyError("new-eigenvalue multiplicity is not integral")
+        theta, tau, m_tau = float(hi), float(lo), dim - m_theta
+    else:
+        # conjugate irrational roots carry equal multiplicity, so zero trace
+        # forces lambda = 0 and an even dimension
+        if lam != 0 or dim % 2:
+            raise InternalConsistencyError("conjugate new eigenvalues with unequal multiplicity")
+        sq = math.sqrt(lam * lam + 4 * k)
+        theta, tau = (lam + sq) / 2.0, (lam - sq) / 2.0
+        m_theta = m_tau = dim // 2
+    return TwoEvCertificate(
+        is_two_ev=True,
+        theta=theta,
+        tau=tau,
+        mult_theta=m_theta,
+        mult_tau=m_tau,
+        lambda_=lam,
+        mu=k,
+        cover_connected=len(components(cover)) == 1,
+        new_distinct=2,
+    )
 
 
 def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
-    Exact route: divide the cover's characteristic polynomial by the base's,
-    take the square-free part of the quotient via integer gcd, and read off
-    whether exactly two distinct new eigenvalues remain. Multiplicities come
-    from exact deflation, so no numeric tolerance enters the verdict.
+    The verdict is `fiber_two_ev`'s. Only on a miss is the exact char-poly
+    quotient taken, to report the number of distinct new eigenvalues as the
+    degree of its square-free part.
     """
     if not is_connected(f.base):
         raise DisconnectedError("two-eigenvalue classification requires a connected base")
     if cover is None:
         cover = lift(f)
-    quo = spectral_difference_poly(f, cover)
-    sf = squarefree_part(quo)
-    connected = len(components(cover)) == 1
-    if sf.degree != 2:
-        return TwoEvCertificate(is_two_ev=False, cover_connected=connected,
-                                new_distinct=sf.degree)
-    theta, tau, m1, m2 = _quadratic_multiplicities(quo, sf)
-    return TwoEvCertificate(
-        is_two_ev=True,
-        theta=theta,
-        tau=tau,
-        mult_theta=m1,
-        mult_tau=m2,
-        lambda_=-sf.coeffs[1],
-        mu=-sf.coeffs[0],
-        cover_connected=connected,
-        new_distinct=2,
-    )
+    cert = fiber_two_ev(f, cover)
+    if cert is not None:
+        return cert
+    new = squarefree_part(spectral_difference_poly(f, cover))
+    return TwoEvCertificate(is_two_ev=False, cover_connected=len(components(cover)) == 1,
+                            new_distinct=new.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from gaincover import (GroupSpec, char_poly, classify_two_ev,
 from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
                                 huang_signing, k3n_nonexample, s3_cover_k5)
 from gaincover.intpoly import IntPoly
-from gaincover.regularity import brute_force_walk_regular
-from gaincover.search import (SearchSpec, obstruction_prefilter, search_two_ev,
+from gaincover.regularity import (brute_force_walk_regular,
+                                   two_ev_divisibility_obstruction)
+from gaincover.search import (SearchSpec, search_two_ev,
                               verify_bipartite_cover, verify_drackn,
                               verify_srg_cover, verify_walk_regularity)
 from gaincover.spectral import (cluster_values, hermitian_eigenvalues,
@@ -125,7 +126,7 @@ def test_criterion_04_drackn_verification():
 def test_criterion_05_petersen_obstruction():
     t0 = time.time()
     hits = search_two_ev(SearchSpec(petersen(), GroupSpec.cyclic(2)))
-    filtered = obstruction_prefilter(petersen(), 2)
+    filtered = two_ev_divisibility_obstruction(petersen(), 2)
     ok = hits == [] and filtered
     report(5, ok, f"64 signings of petersen: {len(hits)} 2ev hits; "
                   f"s = c/r non-integral prefilter = {filtered}", t0)

@@ -214,3 +214,38 @@ def test_gain_file_canonical_through_cli(tmp_path, capsys):
     canon = write_gain_file(f)
     assert write_gain_file(parse_gain_file(canon)) == canon
     assert "edge 0 3 1" in canon  # reoriented to min->max (Z2: self-inverse)
+
+
+@pytest.mark.parametrize("command", ["classify", "search", "srg-cover", "walk-regularity"])
+def test_disconnected_base_exit_1(tmp_path, capsys, command):
+    from gaincover import GainGraph, Graph, GroupSpec
+    base = Graph(4, [(0, 1), (2, 3)])  # two disjoint edges, 1-regular
+    gpath = tmp_path / "two_k2.gain"
+    gpath.write_text(write_gain_file(GainGraph(base, GroupSpec.cyclic(2),
+                                               {e: (0,) for e in base.edges})))
+    epath = tmp_path / "two_k2.txt"
+    epath.write_text(write_edge_list(base))
+    argv = {"classify": ["classify", str(gpath)],
+            "search": ["search", "--base", f"@{epath}", "--group", "z2"],
+            "srg-cover": ["verify", "srg-cover", "--gain", str(gpath)],
+            "walk-regularity": ["verify", "walk-regularity", "--bases", f"@{epath}",
+                                "--groups", "z2", "--samples", "2"]}[command]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and "connected" in err
+
+
+def test_zero_vertex_gain_file_exit_1(tmp_path, capsys):
+    gpath = tmp_path / "empty.gain"
+    gpath.write_text("gainfile 1\ngroup cyclic 2\nvertices 0\n")
+    code, _, err = run(["classify", str(gpath)], capsys)
+    assert code == 1
+    assert err == "error: line 3: vertex count must be positive\n"
+
+
+def test_zero_vertex_edge_list_exit_1(tmp_path, capsys):
+    epath = tmp_path / "empty.txt"
+    epath.write_text("graph 0\n")
+    code, _, err = run(["certify", str(epath)], capsys)
+    assert code == 1
+    assert err == "error: line 1: vertex count must be positive\n"

@@ -51,7 +51,6 @@ def test_walk_regular_agrees_with_brute_force(rng):
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8]))
         assert is_walk_regular(g) == brute_force_walk_regular(g)
-        assert is_walk_regular(g, force_all_powers=True) == brute_force_walk_regular(g)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from gaincover import (GainGraph, GroupSpec, char_poly, complete_graph,
                        cycle, hypercube, lift, octahedron, parse_gain_file,
                        petersen)
 from gaincover.errors import BudgetError, FalsificationError, ParameterError
+from gaincover import search
 from gaincover.families import butson_gain, fourier_butson, k3n_nonexample
-from gaincover.search import (RANDOM, SearchSpec, enumerate_gains,
-                              obstruction_prefilter, search_two_ev,
+from gaincover.regularity import two_ev_divisibility_obstruction
+from gaincover.search import (RANDOM, SearchSpec, enumerate_gains, search_two_ev,
                               verify_bipartite_cover, verify_drackn,
                               verify_srg_cover, verify_walk_regularity,
                               write_reproducer)
@@ -60,7 +61,7 @@ def test_search_requires_abelian():
 def test_petersen_has_no_two_ev_signings():
     hits = search_two_ev(SearchSpec(petersen(), GroupSpec.cyclic(2)))
     assert hits == []
-    assert obstruction_prefilter(petersen(), 2)
+    assert two_ev_divisibility_obstruction(petersen(), 2)
 
 
 def test_k4_search_finds_cube_cover():
@@ -185,6 +186,39 @@ def test_verify_bipartite_cover():
     assert s.connected_two_ev == 0 and not s.failures
     s = verify_bipartite_cover(3, 3, 2)
     assert s.connected_two_ev == 0 and not s.failures
+
+
+@pytest.mark.parametrize("run_harness, patched, theorem, key, detail", [
+    (lambda d: verify_drackn(4, 2, reproducer_dir=d), "drackn_parameters",
+     "drackn-cover-of-complete-graph", "drackn",
+     "connected 2ev cover of a complete graph is not a drackn"),
+    (lambda d: verify_bipartite_cover(2, 2, 2, reproducer_dir=d), "is_distance_regular",
+     "bipartite-drg-cover", "bipartite-drg-cover",
+     "lift is not distance-regular of diameter 4"),
+])
+def test_exhaustive_harness_failure_path(tmp_path, monkeypatch, run_harness, patched,
+                                         theorem, key, detail):
+    # force the per-theorem check to fail on the one connected 2ev hit
+    made = []
+
+    class Recorded(search.VerifySummary):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(search, "VerifySummary", Recorded)
+    monkeypatch.setattr(search, patched, lambda *args: None)
+    with pytest.raises(FalsificationError) as info:
+        run_harness(tmp_path)
+    assert info.value.theorem == theorem
+    [summary] = made
+    assert summary.failures == [detail]
+    assert summary.records[-1].theorem_checks == {key: "fail"}
+    name = f"falsification_{theorem}.gain"
+    assert os.listdir(tmp_path) == [name]
+    assert info.value.detail == f"{detail} (reproducer: {os.path.join(str(tmp_path), name)})"
+    with open(tmp_path / name) as fh:
+        assert parse_gain_file(fh.read()) == info.value.gain
 
 
 def test_falsification_reproducer(tmp_path):

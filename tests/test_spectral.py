@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,14 +6,17 @@ import numpy as np
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
-                       character_block_check, classify_two_ev, complete_graph,
-                       cycle, hypercube, identity_gains, kneser, lift,
-                       minpoly_certificate, petersen, rep_matrix)
+                       character_block_check, classify_two_ev,
+                       complete_bipartite, complete_graph, cycle, hypercube,
+                       identity_gains, is_connected, kneser, lift,
+                       minpoly_certificate, octahedron, petersen, rep_matrix)
 from gaincover.errors import ContractViolation, DisconnectedError, NumericError
 from gaincover.families import huang_signing, s3_cover_k5
+from gaincover.intpoly import from_roots, squarefree_part
+from gaincover.search import SearchSpec, enumerate_gains
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                hermitian_eigenvalues, hermitian_spectrum,
-                                spectral_difference_poly)
+                                fiber_two_ev, hermitian_eigenvalues,
+                                hermitian_spectrum, spectral_difference_poly)
 
 from conftest import mul_poly, poly_from_roots, random_graph
 
@@ -254,6 +258,93 @@ def test_base_poly_always_divides_cover(rng):
         quo = spectral_difference_poly(f)  # raises if division is inexact
         assert quo.degree == base.n * (group.sheet_count - 1)
         assert quo.is_monic
+
+
+def quotient_verdict(f):
+    """Test-local 2ev oracle from the exact char-poly quotient.
+
+    2ev iff the square-free part sf of the quotient has degree 2; then
+    lambda = -sf_1 and mu = -sf_0, and the multiplicities are the ones that
+    rebuild the quotient exactly: from the integer roots when the
+    discriminant is a square, else as a power of sf (conjugate roots).
+    """
+    quo = spectral_difference_poly(f)
+    sf = squarefree_part(quo)
+    verdict = {"is_two_ev": sf.degree == 2, "theta": None, "tau": None,
+               "mult_theta": None, "mult_tau": None, "lambda": None, "mu": None,
+               "cover_connected": is_connected(lift(f).graph),
+               "new_distinct": sf.degree}
+    if sf.degree != 2:
+        return verdict
+    lam, mu = -sf.coeffs[1], -sf.coeffs[0]
+    disc = lam * lam + 4 * mu
+    root = math.isqrt(disc)
+    deg = quo.degree
+    if root * root == disc:
+        theta, tau = (lam + root) // 2, (lam - root) // 2
+        [m] = [m for m in range(deg + 1)
+               if quo == from_roots([theta] * m + [tau] * (deg - m))]
+        mults, values = (m, deg - m), (float(theta), float(tau))
+    else:
+        assert deg % 2 == 0 and quo == sf.pow(deg // 2)
+        mults = (deg // 2, deg // 2)
+        values = ((lam + math.sqrt(disc)) / 2.0, (lam - math.sqrt(disc)) / 2.0)
+    verdict.update({"theta": format(values[0], ".17g"), "tau": format(values[1], ".17g"),
+                    "mult_theta": mults[0], "mult_tau": mults[1], "lambda": lam, "mu": mu})
+    return verdict
+
+
+def _gate_gains(rng):
+    for base, group in [(complete_graph(4), GroupSpec.cyclic(2)),
+                        (complete_graph(4), GroupSpec.cyclic(3)),
+                        (complete_graph(4), GroupSpec.abelian(2, 2)),
+                        (complete_graph(5), GroupSpec.cyclic(2)),
+                        (complete_bipartite(3, 3), GroupSpec.cyclic(3)),
+                        (octahedron(), GroupSpec.cyclic(2)),
+                        (petersen(), GroupSpec.cyclic(2))]:
+        yield from enumerate_gains(SearchSpec(base, group))
+    # non-regular bases, then seeded random connected graphs
+    bases = [complete_bipartite(2, 3), complete_bipartite(1, 3)]
+    while len(bases) < 8:
+        g = random_graph(rng, rng.randint(3, 7), 0.5)
+        if is_connected(g):
+            bases.append(g)
+    for base in bases:
+        for group in (GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.abelian(2, 2)):
+            for _ in range(4):
+                yield GainGraph(base, group, {e: tuple(rng.randrange(r) for r in group.orders)
+                                              for e in base.edges})
+    perms = list(itertools.permutations(range(3)))
+    k5 = complete_graph(5)
+    for _ in range(30):
+        yield GainGraph(k5, GroupSpec.permutation(3), {e: rng.choice(perms) for e in k5.edges})
+    yield s3_cover_k5()
+
+
+def test_fiber_identity_matches_quotient_oracle(rng):
+    integral_roots, misses = set(), 0
+    for f in _gate_gains(rng):
+        want = quotient_verdict(f)
+        assert classify_two_ev(f).as_dict() == want, f.gains
+        assert (fiber_two_ev(f, lift(f)) is None) == (not want["is_two_ev"])
+        if want["is_two_ev"]:
+            integral_roots.add(float(want["theta"]).is_integer())
+        else:
+            misses += 1
+    # misses, and hits with integer and with conjugate irrational roots
+    assert integral_roots == {True, False} and misses > 500
+
+
+def test_classify_edgeless_and_single_sheet():
+    # one vertex: the two sheets add the single new eigenvalue 0
+    cert = classify_two_ev(GainGraph(Graph(1, []), GroupSpec.cyclic(2), {}))
+    assert not cert.is_two_ev and cert.new_distinct == 1
+    # Sym(1) gives r = 1: the lift is the base, so nothing is new
+    k3 = complete_graph(3)
+    f = GainGraph(k3, GroupSpec.permutation(1), {e: (0,) for e in k3.edges})
+    cert = classify_two_ev(f)
+    assert not cert.is_two_ev and cert.new_distinct == 0
+    assert fiber_two_ev(f, lift(f)) is None
 
 
 def test_mu_equals_valency_for_connected_two_ev():
