@@ -20,8 +20,8 @@ import time
 from . import __version__
 from .errors import (BudgetError, DisconnectedError, FalsificationError,
                      NumericError, ParameterError, ParseError)
-from .families import (butson_gain, fourier_butson, huang_signing,
-                       k3n_nonexample, s3_cover_k5)
+from .families import (butson_gain, cohen_tits_signing, fourier_butson,
+                       huang_signing, k3n_nonexample, s3_cover_k5)
 from .gains import (GainGraph, GroupSpec, lift, parse_gain_file,
                     write_gain_file)
 from .graphs import (Graph, complete_bipartite, complete_graph, cycle, girth,
@@ -153,7 +153,7 @@ def cmd_demo(args):
         f = huang_signing(args.n)
         name = f"huang_{args.n}"
     elif fam == "cohen-tits":
-        f = huang_signing(args.n)
+        f = cohen_tits_signing(args.n)
         name = f"cohen_tits_{args.n}"
     elif fam == "butson":
         r = args.r if args.r else args.q

@@ -50,6 +50,14 @@ def huang_signing(n) -> GainGraph:
     return GainGraph(base, group, gains)
 
 
+def cohen_tits_signing(n) -> GainGraph:
+    """The Z2 gain whose lift is the Cohen-Tits cover: `huang_signing(n)`,
+    defined for n >= 2."""
+    if n < 2:
+        raise ParameterError("dimension must be at least 2")
+    return huang_signing(n)
+
+
 def cohen_tits_cover(n) -> CoverGraph:
     """The 2-fold cover of the n-cube with no 4-cycles (the lift of the sign
     recursion); girth 8 at n=2, girth 6 for n >= 3.
@@ -57,9 +65,7 @@ def cohen_tits_cover(n) -> CoverGraph:
     The lift is distance-regular at n=2 (the 8-cycle, {2,1,1,1;1,1,1,2}) and
     at n=4 (the 4-fold antipodal cover of K_{4,4}, {4,3,3,1;1,1,3,4}), and not
     at n=3, 5 or 6."""
-    if n < 2:
-        raise ParameterError("dimension must be at least 2")
-    return lift(huang_signing(n))
+    return lift(cohen_tits_signing(n))
 
 
 # ---------------------------------------------------------------------------

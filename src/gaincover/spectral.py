@@ -60,63 +60,112 @@ def _is_prime(n):
 
 
 def _char_poly_mod(A, p):
-    """Coefficients [c_0=1, c_1, ..., c_n] of det(xI - A) mod p (Faddeev-LeVerrier).
+    """Coefficients [c_0, ..., c_n = 1] of det(xI - A) mod p, ascending.
 
-    Matrix products run in float64 (BLAS); p is chosen so n*p^2 < 2^53 keeps
-    every dot product exact.
+    Reduces A mod p to upper Hessenberg form H by similarity, then runs the
+    Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2.9) for the characteristic polynomials p_m of the leading
+    m x m blocks:
+
+        p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (prod_{i<j<=m} h_{j,j-1}) p_{i-1}.
+
+    O(n^3) per prime in int64; p is chosen so n*p^2 < 2^63 keeps every dot
+    product exact.
     """
     n = A.shape[0]
-    Ap = (A % p).astype(np.float64)
-    B = np.eye(n)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        AB = (Ap @ B) % p
-        tr = int(round(AB.trace())) % p
-        ck = (-tr * pow(k, p - 2, p)) % p
-        coeffs.append(ck)
-        if k < n:
-            B = AB
-            np.fill_diagonal(B, (B.diagonal() + ck) % p)
-    return coeffs
+    H = A % p
+    for m in range(1, n - 1):
+        nz = np.flatnonzero(H[m:, m - 1])
+        if nz.size == 0:
+            continue  # column already reduced
+        i = m + int(nz[0])
+        if i != m:
+            H[[i, m]] = H[[m, i]]
+            H[:, [i, m]] = H[:, [m, i]]
+        u = H[m + 1:, m - 1] * pow(int(H[m, m - 1]), -1, p) % p
+        # H <- L H L^-1 with L = I - u e_m^T. Row m is zero left of column
+        # m-1, and a row with a zero multiplier keeps its values: adjacency
+        # matrices are sparse, so that skips most rows of the early columns
+        rows = m + 1 + np.flatnonzero(u)
+        H[rows, m - 1:] = (H[rows, m - 1:] - np.outer(u[rows - m - 1], H[m, m - 1:])) % p
+        H[:, m] = (H[:, m] + H[:, m + 1:] @ u) % p
+    # row m holds p_m's ascending coefficients; t[i] = prod_{i<j<=m} h_{j,j-1}
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    t = np.zeros(0, dtype=np.int64)
+    for m in range(1, n + 1):
+        c = m - 1
+        P[m, 1:] = P[c, :-1]
+        P[m] = (P[m] - H[c, c] * P[c]) % p
+        if c:
+            P[m, :c] = (P[m, :c] - (H[:c, c] * t % p) @ P[:c, :c]) % p
+        if m < n:
+            t = np.append(t, 1) * H[m, c] % p
+    return P[n]
+
+
+def _integer_matrix(A):
+    """A as a square int64 array.
+
+    Raises ParameterError for a shape that is not square, and for an entry
+    that is not an integer or lies outside int64; a float entry counts when
+    it is integral.
+    """
+    a = np.asarray(A)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError("matrix must be square")
+    if np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64)
+    out = np.empty(a.shape, dtype=np.int64)
+    for idx, x in np.ndenumerate(a):
+        try:
+            v = int(x)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError(f"matrix entry {x!r} is not an integer") from None
+        if v != x:
+            raise ParameterError(f"matrix entry {x!r} is not an integer")
+        if not -2**63 <= v < 2**63:
+            raise ParameterError(f"matrix entry {x!r} lies outside int64")
+        out[idx] = v
+    return out
 
 
 def char_poly_int_matrix(A) -> IntPoly:
     """Exact characteristic polynomial of a square integer matrix.
 
-    Runs Faddeev-LeVerrier modulo enough word-size primes to cover the
-    coefficient bound max_i C(n,i) * rho^i (rho = max absolute row sum, an
-    upper bound on every eigenvalue), then CRT-reconstructs the signed
-    integers. Exact for any integer matrix, fast at desk scale.
+    Runs `_char_poly_mod` modulo enough word-size primes that their product
+    exceeds twice the coefficient bound max_i C(n,i) * (F/n)^(i/2), with
+    F = ||A||_F^2, then CRT-reconstructs the signed integers. The bound holds
+    for any square matrix: the coefficient of x^(n-i) is +-e_i(lambda), and
+    |e_i(lambda)| <= e_i(|lambda|) <= C(n,i) * (sum |lambda|^2 / n)^(i/2) by
+    Maclaurin's inequality, where sum |lambda|^2 <= F by Schur's inequality.
+
+    Raises ParameterError when A is not square, or has an entry that is not
+    an integer or lies outside int64.
     """
-    A = np.asarray(A, dtype=np.int64)
+    A = _integer_matrix(A)
     n = A.shape[0]
-    if A.shape != (n, n):
-        raise ParameterError("matrix must be square")
     if n == 0:
         return IntPoly((1,))
-    rho = max(int(np.abs(A).sum(axis=1).max()), 1)
-    bound = max(math.comb(n, i) * rho**i for i in range(n + 1))
-    pmax = math.isqrt((2**53 - 1) // n)
+    # ceil(F / n), summed in object dtype so that squaring an entry cannot overflow
+    f = -(-int(np.square(A.astype(object)).sum()) // n)
+    bound = max(math.isqrt(math.comb(n, i) ** 2 * f**i) + 1 for i in range(n + 1))
     primes, prod = [], 1
-    p = pmax
+    p = math.isqrt((2**63 - 1) // n)
     while prod <= 2 * bound:
         while not _is_prime(p):
             p -= 1
         primes.append(p)
         prod *= p
         p -= 1
-    residues = [_char_poly_mod(A, p) for p in primes]
-    out = []
-    for i in range(n + 1):
-        x = 0
-        for p, res in zip(primes, residues):
-            quo = prod // p
-            x = (x + res[i] * quo * pow(quo % p, p - 2, p)) % prod
-        if x > prod // 2:
-            x -= prod
-        out.append(x)
-    # out[i] multiplies x^(n-i); IntPoly wants ascending order
-    return IntPoly(reversed(out))
+    out = [0] * (n + 1)
+    for p in primes:
+        quo = prod // p
+        weight = quo * pow(quo % p, -1, p)
+        for i, r in enumerate(_char_poly_mod(A, p).tolist()):
+            out[i] += r * weight
+    half = prod // 2
+    return IntPoly((x + half) % prod - half for x in out)
 
 
 @lru_cache(maxsize=512)

@@ -73,6 +73,13 @@ def test_demo_k3n_nonexample(tmp_path, capsys):
     assert report["two_ev"]["is_two_ev"] is False
 
 
+def test_demo_cohen_tits_keeps_the_library_lower_bound(tmp_path, capsys):
+    code, _, err = run(["demo", "cohen-tits", "--n", "1", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == "error: dimension must be at least 2\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_lift_and_classify_roundtrip(tmp_path, capsys):
     gpath = tmp_path / "h.gain"
     gpath.write_text(write_gain_file(huang_signing(2)))

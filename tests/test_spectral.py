@@ -4,13 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        character_block_check, classify_two_ev,
                        complete_bipartite, complete_graph, cycle, hypercube,
                        identity_gains, is_connected, kneser, lift,
                        minpoly_certificate, octahedron, petersen, rep_matrix)
-from gaincover.errors import ContractViolation, DisconnectedError, NumericError
+from gaincover.errors import (ContractViolation, DisconnectedError, NumericError,
+                             ParameterError)
 from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.intpoly import from_roots, squarefree_part
 from gaincover.search import SearchSpec, enumerate_gains
@@ -61,18 +64,101 @@ def test_char_poly_kneser72():
     assert char_poly(kneser(7, 2)).coeffs == tuple(expect)
 
 
+def _oracle_cases(rng):
+    """Integer matrices for the oracle comparison beyond 0/1 graphs: small
+    cases by hand, signed non-symmetric matrices, and the shapes the
+    Hessenberg reduction branches on."""
+    def signed(n):
+        return [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+
+    def permutation(n):
+        # column 0 has its only nonzero entry far from the subdiagonal, so
+        # the Hessenberg reduction must swap rows and columns
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+
+    def nilpotent(n):
+        # every sub-pivot column is already zero
+        return [[rng.randint(-5, 5) if i < j else 0 for j in range(n)] for i in range(n)]
+
+    def block_diagonal(n):
+        # below the first block, column k-1 is zero: no pivot, no reduction
+        k = rng.randint(1, n - 1)
+        top, bottom = signed(k), signed(n - k)
+        return ([row + [0] * (n - k) for row in top]
+                + [[0] * k + row for row in bottom])
+
+    tiny = [[[0]], [[-3]], [[1, 2], [3, 4]], [[0, 1], [0, 0]], [[0, -5], [7, 0]],
+            [[0, 0], [4, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]
+    return (tiny
+            + [signed(rng.randint(1, 9)) for _ in range(40)]
+            + [permutation(rng.randint(2, 9)) for _ in range(20)]
+            + [nilpotent(rng.randint(1, 9)) for _ in range(20)]
+            + [block_diagonal(rng.randint(2, 9)) for _ in range(20)])
+
+
 def test_char_poly_matches_bigint_oracle(rng):
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 9), 0.5)
         a = [[1 if (min(i, j), max(i, j)) in g.edges else 0 for j in range(g.n)]
              for i in range(g.n)]
         assert list(char_poly(g).coeffs) == fl_bigint_char_poly(a)
+    for a in _oracle_cases(rng):
+        assert list(char_poly_int_matrix(a).coeffs) == fl_bigint_char_poly(a), a
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2**20, 2**20), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_char_poly_matches_bigint_oracle_property(a):
+    assert list(char_poly_int_matrix(a).coeffs) == fl_bigint_char_poly(a)
+
+
+@pytest.mark.parametrize("k", [-(2**20), 2**20, -(2**18), 2**18, -(2**31), 2**31, -1])
+def test_char_poly_of_scaled_identity_meets_the_crt_bound(k):
+    # |c_i| = C(n,i) |k|^i equals the Frobenius coefficient bound exactly, so
+    # one prime too few would return a wrong sign or value. At k = +-2^18 and
+    # +-2^31 the largest coefficient also exceeds half of the product of the
+    # first primes whose product exceeds it, so stopping at prod > bound
+    # (rather than 2 * bound) gives a wrong sign there.
+    n = 40
+    got = char_poly_int_matrix(k * np.eye(n, dtype=np.int64)).coeffs
+    assert got == tuple(math.comb(n, i) * (-k) ** (n - i) for i in range(n + 1))
+
+
+def test_char_poly_of_all_ones_matrix():
+    # J_n has eigenvalues n (once) and 0: char poly x^(n-1) (x - n)
+    n = 50
+    assert char_poly_int_matrix(np.ones((n, n), dtype=np.int64)).coeffs == \
+        (0,) * (n - 1) + (-n, 1)
+
+
+def test_char_poly_with_entries_near_two_to_the_forty(rng):
+    n = 12
+    a = [[rng.choice((-1, 1)) * (2**40 - rng.randint(0, 999)) for _ in range(n)]
+         for _ in range(n)]
+    expect = fl_bigint_char_poly(a)
+    assert list(char_poly_int_matrix(a).coeffs) == expect
+    # every entry is exact in float64, so a float matrix gives the same answer
+    assert list(char_poly_int_matrix(np.array(a, dtype=np.float64)).coeffs) == expect
 
 
 def test_char_poly_general_int_matrix():
     m = [[2, -1], [-1, 2]]
     assert char_poly_int_matrix(m).coeffs == (3, -4, 1)  # (x-1)(x-3)
+    assert char_poly_int_matrix(np.array(m, dtype=np.float64)).coeffs == (3, -4, 1)
     assert char_poly_int_matrix(np.zeros((0, 0), dtype=int)).coeffs == (1,)
+    assert char_poly_int_matrix([[2**63 - 1]]).coeffs == (1 - 2**63, 1)
+    assert char_poly_int_matrix([[-2**63]]).coeffs == (2**63, 1)
+
+
+@pytest.mark.parametrize("bad", [[[0.5]], [[1.9, 0], [0, 0]], [[math.nan]], [[math.inf]],
+                                 [[2**70]], [[2**63]], [[-2**63 - 1]], [[1e30]],
+                                 [[1, 2]], [1, 2]])
+def test_char_poly_int_matrix_rejects_bad_input(bad):
+    with pytest.raises(ParameterError):
+        char_poly_int_matrix(bad)
 
 
 # ---------------------------------------------------------------------------
