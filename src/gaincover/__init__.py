@@ -17,14 +17,14 @@ from .regularity import (ColumnCountCertificate, IntersectionArray,
                          drackn_parameters, is_antipodal, is_distance_regular,
                          is_equitable, is_walk_regular, lemma_column_counts,
                          regularity_certificate, srg_parameters)
-from .spectral import (RepMatrix, Spectrum, TwoEvCertificate, char_poly,
+from .spectral import (Spectrum, TwoEvCertificate, char_poly,
                        character_block_check, classify_two_ev,
-                       hermitian_spectrum, minpoly_certificate, rep_matrix)
+                       hermitian_spectrum, rep_matrix)
 
 __all__ = [
     "__version__",
     "ColumnCountCertificate", "CoverGraph", "DistanceTable", "GainGraph",
-    "Graph", "GroupSpec", "IntPoly", "IntersectionArray", "RepMatrix",
+    "Graph", "GroupSpec", "IntPoly", "IntersectionArray",
     "RegularityCertificate", "Spectrum", "SrgParams", "TwoEvCertificate",
     "char_poly", "character_block_check", "classify_two_ev", "complete_bipartite",
     "complete_graph", "components", "connected_components", "cycle",
@@ -32,8 +32,7 @@ __all__ = [
     "girth", "hermitian_spectrum", "hypercube", "identity_gains",
     "is_antipodal", "is_balanced", "is_connected", "is_distance_regular",
     "is_equitable", "is_walk_regular", "johnson", "kneser",
-    "lemma_column_counts", "lift", "line_graph", "minpoly_certificate",
-    "normalize", "octahedron", "parse_edge_list", "parse_gain_file",
-    "petersen", "regularity_certificate", "rep_matrix", "srg_parameters",
-    "write_edge_list", "write_gain_file",
+    "lemma_column_counts", "lift", "line_graph", "normalize", "octahedron",
+    "parse_edge_list", "parse_gain_file", "petersen", "regularity_certificate",
+    "rep_matrix", "srg_parameters", "write_edge_list", "write_gain_file",
 ]

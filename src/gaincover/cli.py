@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -297,9 +298,20 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _tolerance(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}")
+    return tol
+
+
 def _add_global_flags(parser, suppress):
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--tol", type=float,
+    parser.add_argument("--tol", type=_tolerance,
                         default=d if suppress else 1e-7,
                         help="eigenvalue clustering tolerance (relative; default 1e-7)")
     parser.add_argument("--seed", type=int, default=d if suppress else 0,

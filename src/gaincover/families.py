@@ -159,10 +159,11 @@ def k3n_nonexample(n) -> GainGraph:
     The signed matrix has three distinct eigenvalues (one of which the base
     already has), so the cover gains two new distinct values yet is not a
     two-eigenvalue cover under the multiset definition, and its lift is not
-    distance-regular.
+    distance-regular. At n = 1 the value -1 has multiplicity 0 and the lift,
+    C_6 over K_3, is a two-eigenvalue cover, so n must be at least 2.
     """
-    if n < 1:
-        raise ParameterError("block size must be at least 1")
+    if n < 2:
+        raise ParameterError("block size must be at least 2")
     base = complete_graph(3 * n)
     gains = {}
     for u, v in base.edges:

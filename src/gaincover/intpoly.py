@@ -156,14 +156,6 @@ class IntPoly:
         return " ".join(parts)
 
 
-def from_roots(roots):
-    """Monic polynomial with the given integer roots (with multiplicity)."""
-    p = IntPoly((1,))
-    for r in roots:
-        p = p * IntPoly((-r, 1))
-    return p
-
-
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, exact in Z[x]."""
     d = a.degree - b.degree
@@ -209,30 +201,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if g.degree == 0:
         return p
     return p.div_exact(g)
-
-
-def squarefree_decomposition(p: IntPoly):
-    """Yun's algorithm for monic p: pairs (factor, multiplicity) with
-    p = prod factor^multiplicity, each factor monic and square-free."""
-    if not p.is_monic:
-        raise ValueError("decomposition requires a monic polynomial")
-    if p.degree <= 0:
-        return []
-    out = []
-    g = poly_gcd(p, p.derivative())
-    b = p.div_exact(g)
-    c = p.derivative().div_exact(g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b.div_exact(a)
-        c = d.div_exact(a)
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 def integer_roots(p: IntPoly):

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
-from .gains import CoverGraph, GainGraph
+from .gains import CoverGraph, GainGraph, lift
 from .graphs import Graph, UNREACHABLE, _bfs, distances, is_connected
-from .spectral import (DEFAULT_TOL, TwoEvCertificate, distinct_eigenvalue_count,
-                       hermitian_spectrum, rep_matrix)
+from .spectral import TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,6 @@ def is_walk_regular(g: Graph) -> bool:
     return top < 1 or _diag_constant(a64)
 
 
-def brute_force_walk_regular(g: Graph) -> bool:
-    """Independent oracle: literally check diag(A^k) for k = 1..n-1 over Z."""
-    if g.n <= 1:
-        return True
-    a = g.adjacency().astype(object)
-    power = a.copy()
-    for _ in range(1, g.n):
-        if not _diag_constant(power):
-            return False
-        power = np.dot(power, a)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -227,15 +213,19 @@ def is_distance_regular(g: Graph):
     return IntersectionArray(b, c, d)
 
 
+def _srg_of_array(n, arr):
+    """SrgParams from an intersection array on n vertices; None unless d = 2."""
+    if arr is None or arr.d != 2:
+        return None
+    k = arr.valency
+    return SrgParams(n, k, k - arr.b[1] - 1, arr.c[1])
+
+
 def srg_parameters(g: Graph):
     """(n, k, a, c) when the graph is distance-regular with diameter 2."""
     if not is_connected(g):
         return None
-    arr = is_distance_regular(g)
-    if arr is None or arr.d != 2:
-        return None
-    k = arr.valency
-    return SrgParams(g.n, k, k - arr.b[1] - 1, arr.c[1])
+    return _srg_of_array(g.n, is_distance_regular(g))
 
 
 def is_antipodal(g: Graph):
@@ -342,16 +332,15 @@ def drackn_of_graph(g: Graph):
 # column counts of a normalized 2ev gain over a strongly regular base
 
 
-def lemma_column_counts(f: GainGraph, params=None, lam=None, v0=0, tol=DEFAULT_TOL):
+def lemma_column_counts(f: GainGraph, lam=None, v0=0):
     """Column-count certificate of a cyclic gain normalized at v0.
 
-    Computes t = (a - lambda)/r and s = c/r. When the character matrix has
-    exactly two distinct eigenvalues (and the counts are integral) it verifies
-    directly on the gain matrix that every column of the neighborhood block
-    carries each nontrivial root of unity exactly t times and every column of
-    the distance-2 block carries every root of unity exactly s times; a
-    violation there is an internal consistency error. lambda defaults to the
-    spectral recomputation; if both are given they must agree to 1e-7.
+    Computes t = (a - lambda)/r and s = c/r for a complete or strongly regular
+    base. `fiber_two_ev` decides exactly whether the lift is 2ev and gives its
+    lambda; a supplied lambda must equal it, and is required when the lift is
+    not 2ev. For a 2ev lift with integral counts the counts are verified on
+    the gain matrix (`_verify_counts`); a violation there is an internal
+    consistency error.
     """
     grp = f.group
     if not grp.is_abelian or len(grp.orders) != 1:
@@ -362,71 +351,58 @@ def lemma_column_counts(f: GainGraph, params=None, lam=None, v0=0, tol=DEFAULT_T
         if f.gain(v0, w) != grp.identity():
             raise ContractViolation(f"gain not normalized at vertex {v0}")
 
-    if params is None:
-        n = base.n
-        if base.m == n * (n - 1) // 2:
-            a, c = n - 2, None
-        else:
-            srg = srg_parameters(base)
-            if srg is None:
-                raise ParameterError("base must be complete or strongly regular")
-            a, c = srg.a, srg.c
-    elif isinstance(params, SrgParams):
-        a, c = params.a, params.c
+    n = base.n
+    if base.m == n * (n - 1) // 2:
+        a, c = n - 2, None
     else:
-        a, c = params  # (a, c) with c possibly None for a complete base
+        srg = srg_parameters(base)
+        if srg is None:
+            raise ParameterError("base must be complete or strongly regular")
+        a, c = srg.a, srg.c
 
-    spec = hermitian_spectrum(rep_matrix(f, (1,)).entries, tol)
-    two_ev = spec.distinct() == 2
-    lam_spec = sum(spec.values) if two_ev else None
-    if lam is None:
-        if lam_spec is None:
-            raise ParameterError("lambda must be supplied when the character "
-                                 "matrix is not two-eigenvalue")
-        lam = lam_spec
-    elif lam_spec is not None and abs(lam - lam_spec) > 1e-7 * max(1.0, abs(lam_spec)):
+    cert = fiber_two_ev(f, lift(f))
+    if cert is None:
+        if lam is None:
+            raise ParameterError("lambda must be supplied when the lift is not "
+                                 "a two-eigenvalue cover")
+    elif lam is None:
+        lam = cert.lambda_
+    elif lam != cert.lambda_:
         raise InternalConsistencyError(
-            f"supplied lambda {lam} disagrees with spectral recomputation {lam_spec}")
+            f"supplied lambda {lam} disagrees with the exact {cert.lambda_}")
 
-    lam_frac = Fraction(lam).limit_denominator(10**6)
-    t = (a - lam_frac) / r
+    t = Fraction(a - lam) / r
     s = None if c is None else Fraction(c, r)
     integral = (t.denominator == 1 and t >= 0
                 and (s is None or (s.denominator == 1 and s >= 0)))
 
-    verified = False
-    if two_ev and integral:
+    verified = cert is not None and integral
+    if verified:
         _verify_counts(f, v0, r, int(t), None if s is None else int(s))
-        verified = True
     return ColumnCountCertificate(t=t, s=s, integral=integral, verified_counts=verified)
 
 
 def _verify_counts(f: GainGraph, v0, r, t, s):
+    """Raise unless, over the neighbors of v0 in each row, every neighborhood
+    column carries each nontrivial power t times and every distance-2 column
+    carries each power s times (s is None for a complete base)."""
     base = f.base
-    gamma1 = list(base.neighbors[v0])
     dist = _bfs(base, v0)
-    gamma2 = [u for u, d in enumerate(dist) if d == 2]
-    g1set = set(gamma1)
-    for col in gamma1:
+    for col, d in enumerate(dist):
+        if d == 1:
+            first, want, what = 1, t, "nontrivial power"
+        elif d == 2 and s is not None:
+            first, want, what = 0, s, "power"
+        else:
+            continue
         counts = [0] * r
         for u in base.neighbors[col]:
-            if u in g1set:
+            if dist[u] == 1:
                 counts[f.gain_residue(u, col)] += 1
-        if any(counts[i] != t for i in range(1, r)):
+        if any(x != want for x in counts[first:]):
             raise InternalConsistencyError(
-                f"neighborhood column {col} carries counts {counts}, expected "
-                f"{t} of each nontrivial power")
-    if s is None:
-        return
-    for col in gamma2:
-        counts = [0] * r
-        for u in base.neighbors[col]:
-            if u in g1set:
-                counts[f.gain_residue(u, col)] += 1
-        if any(x != s for x in counts):
-            raise InternalConsistencyError(
-                f"distance-2 column {col} carries counts {counts}, expected "
-                f"{s} of every power")
+                f"distance-{d} column {col} carries counts {counts}, expected "
+                f"{want} of each {what}")
 
 
 def two_ev_divisibility_obstruction(base: Graph, r):
@@ -450,10 +426,7 @@ def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> Regularit
     if not is_connected(g):
         return RegularityCertificate(walk_regular=walk)
     drg = is_distance_regular(g)
-    srg = None
-    if drg is not None and drg.d == 2:
-        k = drg.valency
-        srg = SrgParams(g.n, k, k - drg.b[1] - 1, drg.c[1])
+    srg = _srg_of_array(g.n, drg)
     anti, classes = is_antipodal(g)
     drackn = None
     if cover is not None and cert is not None:

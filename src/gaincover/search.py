@@ -46,6 +46,8 @@ class SearchSpec:
             raise ParameterError(f"unknown search mode {self.mode!r}")
         if not self.group.is_abelian:
             raise ParameterError("searches enumerate abelian gain groups only")
+        if self.budget < 0:
+            raise ParameterError(f"budget must be non-negative, got {self.budget}")
 
     def spanning_tree(self):
         return bfs_tree(self.base, 0)
@@ -237,12 +239,10 @@ def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
 
 
 def _expected_srg_cover_array(srg, r):
-    from fractions import Fraction
     k, a, c = srg.k, srg.a, srg.c
-    s = Fraction(c, r)
-    if s.denominator != 1:
+    s, rem = divmod(c, r)
+    if rem:
         return None
-    s = int(s)
     return ((k, k - a - 1, c - s, 1), (1, s, k - a - 1, k))
 
 

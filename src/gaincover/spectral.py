@@ -1,7 +1,6 @@
 """Exact and numeric spectra: characteristic polynomials over Z, Hermitian
 eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
-gain graphs, the two-eigenvalue classifier, and the degree-2 minimal
-polynomial certificate.
+gain graphs, and the two-eigenvalue classifier.
 
 Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
 it raises NumericError on LAPACK non-convergence or non-finite input.
@@ -25,8 +24,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import CoverGraph, GainGraph, components, lift
 from .graphs import Graph, is_connected
-from .intpoly import (IntPoly, integer_roots, squarefree_decomposition,
-                      squarefree_part)
+from .intpoly import IntPoly, integer_roots, squarefree_part
 
 DEFAULT_TOL = 1e-7
 
@@ -181,20 +179,6 @@ def distinct_eigenvalue_count(g: Graph) -> int:
     return squarefree_part(char_poly(g)).degree
 
 
-def poly_real_roots(p: IntPoly):
-    """Real root multiset of a monic integer polynomial, sorted ascending.
-
-    The exact square-free decomposition isolates each factor with simple
-    roots, so numeric rooting stays well conditioned even when the original
-    polynomial has high-multiplicity roots (char polys usually do).
-    """
-    vals = []
-    for factor, mult in squarefree_decomposition(p):
-        roots = np.roots(list(reversed(factor.coeffs)))
-        vals.extend(float(r.real) for r in roots for _ in range(mult))
-    return np.sort(np.asarray(vals))
-
-
 # ---------------------------------------------------------------------------
 # numeric Hermitian eigensolver
 
@@ -283,22 +267,6 @@ def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
 # character matrices of abelian gain graphs
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """Hermitian character matrix: base adjacency with entries replaced by
-    character values of the edge gains."""
-
-    entries: np.ndarray
-    character: tuple
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-
 def character_value(group, j, g):
     """Value of character j at element g: prod_p exp(2*pi*i * j_p g_p / r_p)."""
     ang = 0.0
@@ -307,8 +275,9 @@ def character_value(group, j, g):
     return cmath.exp(2j * math.pi * ang)
 
 
-def rep_matrix(f: GainGraph, j) -> RepMatrix:
-    """Character matrix S_j; j = all-zeros reproduces the base adjacency.
+def rep_matrix(f: GainGraph, j) -> np.ndarray:
+    """Character matrix S_j as a read-only complex array; j = all-zeros
+    reproduces the base adjacency.
 
     Entry (u, v) is the character value of the gain for walking u -> v, so the
     matrix is Hermitian and its nonzero pattern equals the base adjacency.
@@ -326,7 +295,8 @@ def rep_matrix(f: GainGraph, j) -> RepMatrix:
         s[v, u] = val.conjugate()
     if all(x == 0 for x in j):
         s = s.real.astype(np.complex128)
-    return RepMatrix(s, j)
+    s.flags.writeable = False
+    return s
 
 
 def all_characters(group):
@@ -463,36 +433,6 @@ def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCerti
 
 
 # ---------------------------------------------------------------------------
-# degree-2 minimal polynomial certificate
-
-
-def minpoly_certificate(s: RepMatrix | np.ndarray, tol=DEFAULT_TOL, regular_valency=None):
-    """(lambda, mu) if the matrix has exactly two distinct eigenvalues, else None.
-
-    Verifies S^2 = lambda*S + mu*I entrywise to 1e-8 * max(1, ||S||^2). When
-    the base valency k is supplied, additionally checks mu == k and that the
-    diagonal is zero (a loopless base forces both).
-    """
-    entries = s.entries if isinstance(s, RepMatrix) else np.asarray(s, dtype=np.complex128)
-    spec = hermitian_spectrum(entries, tol)
-    if spec.distinct() != 2:
-        return None
-    theta, tau = spec.values
-    lam = theta + tau
-    mu = -theta * tau
-    scale = max(1.0, matrix_scale(entries) ** 2)
-    resid = entries @ entries - lam * entries - mu * np.eye(entries.shape[0])
-    if np.abs(resid).max() > 1e-8 * scale:
-        return None
-    if regular_valency is not None:
-        if abs(mu - regular_valency) > 1e-8 * scale:
-            return None
-        if np.abs(entries.diagonal()).max() > 1e-12 * scale:
-            return None
-    return lam, mu
-
-
-# ---------------------------------------------------------------------------
 # block decomposition check (the module's master test)
 
 
@@ -510,7 +450,7 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | Non
         cover = lift(f)
     union = []
     for j in all_characters(f.group):
-        union.extend(hermitian_eigenvalues(rep_matrix(f, j).entries))
+        union.extend(hermitian_eigenvalues(rep_matrix(f, j)))
     union = np.sort(np.asarray(union))
     cover_vals = hermitian_eigenvalues(cover.graph.adjacency(dtype=np.float64))
     dev = float(np.abs(union - cover_vals).max()) if union.size else 0.0

@@ -3,9 +3,11 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
-from gaincover import GainGraph, Graph, GroupSpec, complete_bipartite
+from gaincover import GainGraph, Graph, GroupSpec, IntPoly, complete_bipartite
+from gaincover.intpoly import poly_gcd
 
 
 def mul_poly(a, b):
@@ -22,6 +24,56 @@ def poly_from_roots(roots):
     for r in roots:
         p = mul_poly(p, [-r, 1])
     return p
+
+
+def squarefree_decomposition(p: IntPoly):
+    """Yun's algorithm for monic p: pairs (factor, multiplicity) with
+    p = prod factor^multiplicity, each factor monic and square-free."""
+    if not p.is_monic:
+        raise ValueError("decomposition requires a monic polynomial")
+    if p.degree <= 0:
+        return []
+    out = []
+    g = poly_gcd(p, p.derivative())
+    b = p.div_exact(g)
+    c = p.derivative().div_exact(g)
+    d = c - b.derivative()
+    i = 1
+    while b.degree > 0:
+        a = poly_gcd(b, d)
+        if a.degree > 0:
+            out.append((a, i))
+        b = b.div_exact(a)
+        c = d.div_exact(a)
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
+def poly_real_roots(p: IntPoly):
+    """Real root multiset of a monic integer polynomial, sorted ascending.
+
+    The exact square-free decomposition isolates each factor with simple
+    roots, so numeric rooting stays well conditioned even when the original
+    polynomial has high-multiplicity roots (char polys usually do).
+    """
+    vals = []
+    for factor, mult in squarefree_decomposition(p):
+        roots = np.roots(list(reversed(factor.coeffs)))
+        vals.extend(float(r.real) for r in roots for _ in range(mult))
+    return np.sort(np.asarray(vals))
+
+
+def brute_force_walk_regular(g: Graph) -> bool:
+    """Literally check that diag(A^k) is constant for k = 1..n-1, over Z."""
+    a = g.adjacency().astype(object)
+    power = a.copy()
+    for _ in range(1, g.n):
+        d = power.diagonal().tolist()
+        if any(x != d[0] for x in d):
+            return False
+        power = np.dot(power, a)
+    return True
 
 
 def random_graph(rng: random.Random, n, p=0.5) -> Graph:

@@ -23,15 +23,14 @@ from gaincover import (GroupSpec, char_poly, classify_two_ev,
 from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
                                 huang_signing, k3n_nonexample, s3_cover_k5)
 from gaincover.intpoly import IntPoly
-from gaincover.regularity import (brute_force_walk_regular,
-                                   two_ev_divisibility_obstruction)
+from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (SearchSpec, search_two_ev,
                               verify_bipartite_cover, verify_drackn,
                               verify_srg_cover, verify_walk_regularity)
-from gaincover.spectral import (cluster_values, hermitian_eigenvalues,
-                                poly_real_roots)
+from gaincover.spectral import cluster_values, hermitian_eigenvalues
 
-from conftest import (intersection_array, klein_gf4_gain, poly_from_roots,
+from conftest import (brute_force_walk_regular, intersection_array,
+                      klein_gf4_gain, poly_from_roots, poly_real_roots,
                       random_graph)
 
 
@@ -54,7 +53,7 @@ def test_criterion_02_huang_signings():
     detail = "sign matrices n=1..8: S^2 = n*I exact, spectrum +-sqrt(n) at 2^(n-1)"
     for n in range(1, 9):
         f = huang_signing(n)
-        s_int = rep_matrix(f, (1,)).entries.real.astype(np.int64)
+        s_int = rep_matrix(f, (1,)).real.astype(np.int64)
         dim = 1 << n
         if not np.array_equal(s_int @ s_int, n * np.eye(dim, dtype=np.int64)):
             ok, detail = False, f"S^2 != {n}I at n={n}"
@@ -268,7 +267,7 @@ def test_criterion_09_k3n_nonexample():
     detail = "signed K_{3n} spectrum {(2n-1)^2, -1^(3n-3), (-n-1)} within 1e-9; not 2ev; not DRG"
     for n in (2, 3):
         f = k3n_nonexample(n)
-        vals = np.sort(hermitian_eigenvalues(rep_matrix(f, (1,)).entries))
+        vals = np.sort(hermitian_eigenvalues(rep_matrix(f, (1,))))
         expect = np.sort(np.array([2 * n - 1] * 2 + [-1] * (3 * n - 3) + [-n - 1], dtype=float))
         if np.abs(vals - expect).max() > 1e-9:
             ok, detail = False, f"n={n}: signed spectrum off by more than 1e-9"

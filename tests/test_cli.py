@@ -73,6 +73,13 @@ def test_demo_k3n_nonexample(tmp_path, capsys):
     assert report["two_ev"]["is_two_ev"] is False
 
 
+def test_demo_k3n_nonexample_rejects_one_vertex_blocks(tmp_path, capsys):
+    code, _, err = run(["demo", "k3n-nonexample", "--n", "1", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == "error: block size must be at least 2\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_demo_cohen_tits_keeps_the_library_lower_bound(tmp_path, capsys):
     code, _, err = run(["demo", "cohen-tits", "--n", "1", "--out", str(tmp_path)], capsys)
     assert code == 1
@@ -204,6 +211,31 @@ def test_budget_refusal_exit_1(tmp_path, capsys):
                         "--group", "z2"], capsys)
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e400", "abc"])
+def test_bad_tolerance_exit_1(tmp_path, capsys, tol):
+    epath = tmp_path / "p.txt"
+    epath.write_text(write_edge_list(petersen()))
+    for argv in (["--tol", tol, "verify", "walk-regularity", "--bases", "k4",
+                  "--groups", "z2", "--samples", "3", "--out", str(tmp_path)],
+                 ["certify", str(epath), "--tol", tol]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: argument --tol: tolerance must be finite and positive, "
+                       f"got {tol!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "-5", "search", "--base", "k4", "--group", "z2", "--mode", "random"],
+    ["search", "--base", "k4", "--group", "z2", "--budget", "-1"],
+    ["verify", "walk-regularity", "--bases", "k4", "--groups", "z2", "--samples", "-3"],
+])
+def test_negative_budget_exit_1(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: budget must be non-negative")
 
 
 def test_gain_file_canonical_through_cli(tmp_path, capsys):

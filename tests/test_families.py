@@ -31,7 +31,7 @@ def test_huang_signing_support_is_hypercube():
 
 def test_huang_character_matrix_squares_to_n_times_identity():
     for n in range(1, 7):
-        s = rep_matrix(huang_signing(n), (1,)).entries.real.astype(np.int64)
+        s = rep_matrix(huang_signing(n), (1,)).real.astype(np.int64)
         assert np.array_equal(s @ s, n * np.eye(1 << n, dtype=np.int64))
 
 
@@ -131,8 +131,7 @@ def test_butson_q4_fourier_degenerates():
     assert not cert.is_two_ev
     assert cert.new_distinct == 5
     assert is_distance_regular(cov.graph) is None
-    s2 = rep_matrix(f, (2,)).entries
-    spec = hermitian_spectrum(s2)
+    spec = hermitian_spectrum(rep_matrix(f, (2,)))
     assert any(abs(v) < 1e-9 for v in spec.values)  # singular block
 
 
@@ -171,7 +170,7 @@ def test_s3_cover_row0_identities():
 def test_k3n_character_spectrum():
     for n in (2, 3):
         f = k3n_nonexample(n)
-        spec = hermitian_spectrum(rep_matrix(f, (1,)).entries)
+        spec = hermitian_spectrum(rep_matrix(f, (1,)))
         expect = [(2 * n - 1, 2), (-1.0, 3 * n - 3), (-n - 1, 1)]
         assert spec.distinct() == 3
         for (v, m), (ev, em) in zip(spec.pairs, expect):
@@ -186,6 +185,12 @@ def test_k3n_not_two_ev_not_distance_regular():
         assert not cert.is_two_ev
         assert cert.new_distinct == 3
         assert is_distance_regular(cov.graph) is None
+
+
+def test_k3n_requires_two_vertices_per_block():
+    # at n = 1 the value -1 drops out: the lift is C_6 over K_3, a 2ev cover
+    with pytest.raises(ParameterError, match="at least 2"):
+        k3n_nonexample(1)
 
 
 def test_k3n_support_pattern():

