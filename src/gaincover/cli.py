@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -29,10 +28,10 @@ from .graphs import (Graph, complete_bipartite, complete_graph, cycle, girth,
                      hypercube, is_connected, johnson, kneser, octahedron,
                      parse_edge_list, petersen, write_edge_list)
 from .regularity import regularity_certificate
-from .search import (EXHAUSTIVE, RANDOM, SearchSpec, search_two_ev,
+from .search import (EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_bipartite_cover, verify_drackn, verify_srg_cover,
                      verify_walk_regularity)
-from .spectral import char_poly, classify_two_ev, hermitian_spectrum
+from .spectral import char_poly, check_tol, classify_two_ev, hermitian_spectrum
 
 DEMO_FAMILIES = ("huang", "cohen-tits", "butson", "s3k5", "k3n-nonexample")
 
@@ -236,19 +235,18 @@ def cmd_search(args):
     group = parse_group_spec(args.group)
     spec = SearchSpec(base=base, group=group, mode=args.mode,
                       budget=args.budget, seed=args.seed)
-    hits = search_two_ev(spec)
-    total = spec.exhaustive_size() if args.mode == EXHAUSTIVE else args.budget
+    summary = run_search(spec)
     payload = {
-        "sampled": total,
-        "two_ev": len(hits),
-        "connected_two_ev": sum(1 for h in hits if h.two_ev.cover_connected),
+        "sampled": summary.sampled,
+        "two_ev": summary.two_ev,
+        "connected_two_ev": summary.connected_two_ev,
         "hits": [
             {
                 "gain": write_gain_file(h.gain),
                 "two_ev": h.two_ev.as_dict(),
                 "regularity": h.regularity.as_dict() if h.regularity else None,
             }
-            for h in hits
+            for h in summary.records
         ],
     }
     _emit(payload, args.json)
@@ -301,11 +299,10 @@ class _Parser(argparse.ArgumentParser):
 def _tolerance(text):
     try:
         tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
+        check_tol(tol)
+    except (ValueError, ParameterError):
         raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and positive, got {text!r}")
+            f"tolerance must be finite and positive, got {text!r}") from None
     return tol
 
 

@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
-from .gains import CoverGraph, GainGraph, lift
+from .gains import CoverGraph, GainGraph
 from .graphs import Graph, UNREACHABLE, _bfs, distances, is_connected
-from .spectral import TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev
+from .spectral import (TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev,
+                       gain_row)
 
 
 @dataclass(frozen=True)
@@ -336,11 +337,11 @@ def lemma_column_counts(f: GainGraph, lam=None, v0=0):
     """Column-count certificate of a cyclic gain normalized at v0.
 
     Computes t = (a - lambda)/r and s = c/r for a complete or strongly regular
-    base. `fiber_two_ev` decides exactly whether the lift is 2ev and gives its
-    lambda; a supplied lambda must equal it, and is required when the lift is
-    not 2ev. For a 2ev lift with integral counts the counts are verified on
-    the gain matrix (`_verify_counts`); a violation there is an internal
-    consistency error.
+    base. `fiber_two_ev` decides from the gains, without building the lift,
+    whether the lift is 2ev and gives its lambda; a supplied lambda must equal
+    it, and is required when the lift is not 2ev. For a 2ev lift with integral
+    counts the counts are verified on the gain matrix (`_verify_counts`); a
+    violation there is an internal consistency error.
     """
     grp = f.group
     if not grp.is_abelian or len(grp.orders) != 1:
@@ -360,23 +361,24 @@ def lemma_column_counts(f: GainGraph, lam=None, v0=0):
             raise ParameterError("base must be complete or strongly regular")
         a, c = srg.a, srg.c
 
-    cert = fiber_two_ev(f, lift(f))
-    if cert is None:
+    hit, lams = fiber_two_ev(base, *gain_row(f))
+    two_ev, exact = bool(hit[0]), int(lams[0])
+    if not two_ev:
         if lam is None:
             raise ParameterError("lambda must be supplied when the lift is not "
                                  "a two-eigenvalue cover")
     elif lam is None:
-        lam = cert.lambda_
-    elif lam != cert.lambda_:
+        lam = exact
+    elif lam != exact:
         raise InternalConsistencyError(
-            f"supplied lambda {lam} disagrees with the exact {cert.lambda_}")
+            f"supplied lambda {lam} disagrees with the exact {exact}")
 
     t = Fraction(a - lam) / r
     s = None if c is None else Fraction(c, r)
     integral = (t.denominator == 1 and t >= 0
                 and (s is None or (s.denominator == 1 and s >= 0)))
 
-    verified = cert is not None and integral
+    verified = two_ev and integral
     if verified:
         _verify_counts(f, v0, r, int(t), None if s is None else int(s))
     return ColumnCountCertificate(t=t, s=s, integral=integral, verified_counts=verified)

@@ -3,9 +3,11 @@ machine-checked property harnesses for the structure theorems.
 
 Enumeration fixes a spanning tree to the identity (every cover is reachable
 from such a normalized gain), so the search space is |G|^(m-n+1) over the
-co-tree edges instead of |G|^m. Any falsification of a theorem property
-aborts with the offending gain attached: a genuine counterexample would mean
-an implementation bug, so it must stop the run, not get logged and skipped.
+co-tree edges instead of |G|^m. Assignments are decided in batches from
+their gains (`fiber_two_ev`), and only the 2ev hits are lifted. Any
+falsification of a theorem property aborts with the offending gain attached:
+a genuine counterexample would mean an implementation bug, so it must stop
+the run, not get logged and skipped.
 """
 
 from __future__ import annotations
@@ -14,14 +16,17 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BudgetError, FalsificationError, ParameterError
 from .gains import GainGraph, GroupSpec, lift, write_gain_file
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, drackn_parameters,
                          is_distance_regular, is_walk_regular,
                          regularity_certificate, srg_parameters)
-from .spectral import (DEFAULT_TOL, TwoEvCertificate, char_poly,
-                       character_block_check, classify_two_ev, fiber_two_ev)
+from .spectral import (DEFAULT_TOL, TwoEvCertificate, batch_rows, char_poly,
+                       character_block_check, check_tol, classify_two_ev,
+                       fiber_two_ev, sheet_table, two_ev_certificate)
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -94,47 +99,94 @@ class VerifySummary:
         }
 
 
-def enumerate_gains(spec: SearchSpec):
-    """Stream of gain graphs: tree edges identity, co-tree edges assigned.
+def assignment_rows(spec: SearchSpec):
+    """Batches of assignments as int64 arrays of element indices, the input of
+    `fiber_two_ev`.
 
-    Exhaustive order is lexicographic in (co-tree edge order, group element
-    order); random mode is reproducible from the seed.
+    A row holds one index into spec.group.elements() per edge of
+    spec.base.sorted_edges(); tree edges carry the identity, index 0. Exhaustive
+    order is lexicographic in (co-tree edge order, group element order); random
+    mode is reproducible from the seed. A batch holds at most `batch_rows` rows.
     """
-    tree = spec.spanning_tree()
-    cotree = spec.cotree_edges()
-    ident = spec.group.identity()
-    fixed = {e: ident for e in tree}
-
+    edges = spec.base.sorted_edges()
+    tree = set(spec.spanning_tree())
+    cols = [i for i, e in enumerate(edges) if e not in tree]
+    step = batch_rows(spec.base.n * spec.group.order)
     if spec.mode == EXHAUSTIVE:
         total = spec.exhaustive_size()
         if total > spec.budget:
             raise BudgetError(f"exhaustive search needs {total} assignments, "
                               f"budget is {spec.budget}")
-        elements = spec.group.elements()
-        for combo in itertools.product(elements, repeat=len(cotree)):
-            gains = dict(fixed)
-            gains.update(zip(cotree, combo))
-            yield GainGraph(spec.base, spec.group, gains)
+        combos = itertools.product(range(spec.group.order), repeat=len(cols))
+        chunks = iter(lambda: list(itertools.islice(combos, step)), [])
     else:
         rng = random.Random(spec.seed)
         orders = spec.group.orders
-        for _ in range(spec.budget):
-            gains = dict(fixed)
-            for e in cotree:
-                gains[e] = tuple(rng.randrange(r) for r in orders)
-            yield GainGraph(spec.base, spec.group, gains)
+
+        def draw():
+            # the index of a residue tuple is its mixed-radix value
+            idx = 0
+            for r in orders:
+                idx = idx * r + rng.randrange(r)
+            return idx
+
+        chunks = ([[draw() for _ in cols] for _ in range(min(step, spec.budget - lo))]
+                  for lo in range(0, spec.budget, step))
+    for chunk in chunks:
+        rows = np.zeros((len(chunk), len(edges)), dtype=np.int64)
+        rows[:, cols] = chunk
+        yield rows
+
+
+def gain_of_row(spec: SearchSpec, row) -> GainGraph:
+    """The gain graph of one row of `assignment_rows`."""
+    elements = spec.group.elements()
+    return GainGraph(spec.base, spec.group,
+                     {e: elements[i] for e, i in zip(spec.base.sorted_edges(), row.tolist())})
+
+
+def enumerate_gains(spec: SearchSpec):
+    """Stream of gain graphs, one per row of `assignment_rows`, in its order."""
+    for rows in assignment_rows(spec):
+        for row in rows:
+            yield gain_of_row(spec, row)
+
+
+def _decided(spec: SearchSpec):
+    """(rows, hit, lam) for each batch of `assignment_rows`, as `fiber_two_ev`
+    decides it."""
+    table = sheet_table(spec.group, spec.group.elements())
+    for rows in assignment_rows(spec):
+        yield (rows, *fiber_two_ev(spec.base, table, rows))
+
+
+def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
+    """Decide every assignment of spec, counting them and the hits in summary;
+    yield (gain, cover, certificate) for each 2ev hit, the only ones lifted."""
+    for rows, hit, lam in _decided(spec):
+        summary.sampled += len(rows)
+        for i in np.flatnonzero(hit).tolist():
+            f = gain_of_row(spec, rows[i])
+            cover = lift(f)
+            cert = two_ev_certificate(cover, int(lam[i]))
+            summary.two_ev += 1
+            summary.connected_two_ev += cert.cover_connected
+            yield f, cover, cert
+
+
+def run_search(spec: SearchSpec) -> VerifySummary:
+    """Decide every assignment of spec; the records are the 2ev hits, each with
+    its regularity certificate, and `sampled` counts the assignments decided."""
+    summary = VerifySummary()
+    for f, cover, cert in _two_ev_hits(spec, summary):
+        summary.records.append(VerificationRecord(
+            gain=f, two_ev=cert, regularity=regularity_certificate(cover, cert)))
+    return summary
 
 
 def search_two_ev(spec: SearchSpec):
-    """Classify every enumerated gain; return records for the 2ev hits only."""
-    hits = []
-    for f in enumerate_gains(spec):
-        cover = lift(f)
-        cert = fiber_two_ev(f, cover)
-        if cert is not None:
-            reg = regularity_certificate(cover, cert)
-            hits.append(VerificationRecord(gain=f, two_ev=cert, regularity=reg))
-    return hits
+    """The 2ev hit records of `run_search`."""
+    return run_search(spec).records
 
 
 def _fail(theorem, detail, gain, reproducer_dir=None, summary=None):
@@ -163,35 +215,39 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
                            reproducer_dir=None) -> VerifySummary:
     """Walk-regular bases stay walk-regular in every 2ev cover (cyclic and
     abelian alike); also checks the character block decomposition of every
-    sampled lift against its spectrum.
+    sampled lift against its spectrum, so every sample is lifted, not only the
+    2ev hits. Raises ParameterError unless tol is finite and positive.
     """
+    check_tol(tol)
     for base in bases:
         if not is_walk_regular(base):
             raise ParameterError("every base must be walk-regular")
     summary = VerifySummary()
-    for base in bases:
-        for group in groups:
-            spec = SearchSpec(base=base, group=group, mode=RANDOM,
-                              budget=budget, seed=seed)
-            for f in enumerate_gains(spec):
-                cover = lift(f)
-                summary.sampled += 1
-                ok, dev = character_block_check(f, tol, cover)
-                if not ok:
-                    _fail("block-decomposition",
-                          f"character spectra deviate from lift spectrum by {dev:.3g}",
-                          f, reproducer_dir, summary)
-                cert = fiber_two_ev(f, cover)
-                if cert is None:
-                    continue
-                summary.two_ev += 1
-                if cert.cover_connected:
-                    summary.connected_two_ev += 1
-                if not is_walk_regular(cover.graph):
-                    _fail("walk-regularity-of-2ev-covers",
-                          "2ev cover of a walk-regular base is not walk regular",
-                          f, reproducer_dir, summary)
-                summary.verified += 1
+    for base, group in itertools.product(bases, groups):
+        spec = SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
+        # the block check needs every sample's gain graph and lift, so
+        # enumerate_gains draws the same rows again from the seed, in step
+        # with the batched verdicts
+        verdicts = (v for _, hit, lam in _decided(spec)
+                    for v in zip(hit.tolist(), lam.tolist()))
+        for f, (two_ev, lam_b) in zip(enumerate_gains(spec), verdicts):
+            cover = lift(f)
+            summary.sampled += 1
+            ok, dev = character_block_check(f, tol, cover)
+            if not ok:
+                _fail("block-decomposition",
+                      f"character spectra deviate from lift spectrum by {dev:.3g}",
+                      f, reproducer_dir, summary)
+            if not two_ev:
+                continue
+            cert = two_ev_certificate(cover, lam_b)
+            summary.two_ev += 1
+            summary.connected_two_ev += cert.cover_connected
+            if not is_walk_regular(cover.graph):
+                _fail("walk-regularity-of-2ev-covers",
+                      "2ev cover of a walk-regular base is not walk regular",
+                      f, reproducer_dir, summary)
+            summary.verified += 1
     return summary
 
 
@@ -203,19 +259,12 @@ def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
     spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
                       budget=budget if budget is not None else r ** base.m)
     summary = VerifySummary()
-    for f in enumerate_gains(spec):
-        cover = lift(f)
-        cert = fiber_two_ev(f, cover)
-        summary.sampled += 1
-        if cert is None:
-            continue
-        summary.two_ev += 1
+    for f, cover, cert in _two_ev_hits(spec, summary):
         rec = VerificationRecord(gain=f, two_ev=cert)
         summary.records.append(rec)
         if not cert.cover_connected:
             rec.theorem_checks[key] = "not-applicable"
             continue
-        summary.connected_two_ev += 1
         problem = check(cover, cert)
         if problem:
             rec.theorem_checks[key] = "fail"

@@ -5,7 +5,8 @@ gain graphs, and the two-eigenvalue classifier.
 Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
 it raises NumericError on LAPACK non-convergence or non-finite input.
 
-The two-eigenvalue verdict is exact and integer (`fiber_two_ev`). A non-2ev
+The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
+from the gains for a batch of assignments at once, without the lift. A non-2ev
 cover's count of new distinct eigenvalues comes from the exact quotient of
 the cover's characteristic polynomial by the base's, never from clustered
 numeric spectra; a nonzero remainder is an internal consistency error.
@@ -233,8 +234,19 @@ def hermitian_eigenvalues(matrix):
         raise NumericError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
+def check_tol(tol):
+    """Raise ParameterError unless tol is a finite positive number."""
+    try:
+        ok = math.isfinite(tol) and tol > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def cluster_values(values, tol, scale) -> Spectrum:
     """Greedy descending clustering: adjacent values merge when closer than tol*max(1,scale)."""
+    check_tol(tol)
     vals = sorted((float(v) for v in values), reverse=True)
     gap = tol * max(1.0, scale)
     pairs = []
@@ -360,31 +372,102 @@ def spectral_difference_poly(f: GainGraph, cover: CoverGraph | None = None) -> I
     return quo
 
 
-def fiber_two_ev(f: GainGraph, cover: CoverGraph) -> TwoEvCertificate | None:
-    """Exact two-eigenvalue verdict from the fiber identity; None when not 2ev.
+# int64 entries in one batch array of `fiber_two_ev`: 2**15 of them is 256 KiB
+BATCH_ENTRIES = 2**15
+
+
+def batch_rows(cover_n):
+    """Assignments per batch, so that one (rows, cover_n, cover_n) int64 array
+    of their lifts holds at most BATCH_ENTRIES entries (and at least one row)."""
+    return max(1, BATCH_ENTRIES // max(cover_n, 1) ** 2)
+
+
+def sheet_table(group, elements) -> np.ndarray:
+    """Sheet actions of `elements` as an int64 array, one row per element: row
+    i sends sheet j to sheet table[i, j]."""
+    return np.array([group.sheet_action(g) for g in elements],
+                    dtype=np.int64).reshape(len(elements), group.sheet_count)
+
+
+def gain_row(f: GainGraph):
+    """f as a batch of one for `fiber_two_ev`: (table, rows) with the sheet
+    table of f's distinct gains, and one row that indexes it, with one column
+    per edge of f.base.sorted_edges()."""
+    elements = sorted(set(f.gains.values()))
+    index = {g: i for i, g in enumerate(elements)}
+    row = [index[f.gains[e]] for e in f.base.sorted_edges()]
+    return sheet_table(f.group, elements), np.array([row], dtype=np.int64)
+
+
+def fiber_two_ev(base: Graph, table, rows):
+    """Exact two-eigenvalue verdicts for a batch of lifts of base, from the gains.
+
+    Row b of `rows` gives edge i of base.sorted_edges(), walked min -> max, the
+    gain whose sheet action is table[rows[b, i]] (see `sheet_table`). Returns
+    (hit, lam), a bool and an int64 array with one entry per row; where hit is
+    true the lift is 2ev and lam is its lambda.
 
     A, the lift's adjacency, preserves the space W of vectors that sum to zero
-    on every fiber, and carries the new spectrum there. The diagonal blocks of
-    A^2 are deg(u)*I, so a 2ev lift needs a regular base of valency k; it is
-    2ev iff A^2 - lambda*A - k*I vanishes on W, i.e. every r x r block has
-    constant rows, with lambda read from one edge block. A has zero trace on
-    W, so m_theta*theta + m_tau*tau = 0 fixes the multiplicities in integers.
+    on every fiber, and carries the new spectrum there. Block (u, w) of A^2 is
+    sum_v P_uv P_vw over the sheet matrices of the 2-paths u-v-w, and the
+    diagonal blocks are deg(u)*I, so a 2ev lift needs a regular base of valency
+    k; it is 2ev iff A^2 - lambda*A - k*I vanishes on W, i.e. every r x r block
+    has constant rows, with lambda read from the block of the least edge. The
+    rows are decided `batch_rows` at a time, with one batched int64 matmul.
+
+    Raises ParameterError unless table is a 2-D array of sheet permutations
+    and rows a 2-D array of indices into it with one column per edge.
     """
-    base, r = f.base, cover.r
+    table = np.asarray(table, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if table.ndim != 2 or not (np.sort(table, axis=1) == np.arange(table.shape[1])).all():
+        raise ParameterError("sheet table rows must be permutations of the sheets")
+    if rows.ndim != 2 or rows.shape[1] != base.m:
+        raise ParameterError(f"assignment rows must have one column per edge ({base.m})")
+    if rows.size and not 0 <= rows.min() <= rows.max() < len(table):
+        raise ParameterError(f"assignment rows must index the {len(table)} table rows")
+    hit = np.zeros(len(rows), dtype=bool)
+    lam = np.zeros(len(rows), dtype=np.int64)
+    r = table.shape[1]
     if r < 2 or not base.edges or not base.is_regular():
-        return None
-    n, k = base.n, base.degrees[0]
-    a = cover.graph.adjacency()
-    a2 = a @ a
-    # row (u, 0) meets fiber v once, at sheet s; any other sheet of v differs
-    # from it by exactly lambda in A^2 when the block has constant rows
-    u, v = min(base.edges)
-    s = int(a[u * r, v * r:(v + 1) * r].argmax())
-    lam = int(a2[u * r, v * r + s] - a2[u * r, v * r + (s + 1) % r])
-    blocks = (a2 - lam * a - k * np.eye(n * r, dtype=a.dtype)).reshape(n, r, n, r)
-    if not (blocks == blocks[:, :, :, :1]).all():
-        return None
-    dim = n * (r - 1)
+        return hit, lam
+    n, k, size = base.n, base.degrees[0], base.n * r
+    tail, head = np.array(base.sorted_edges(), dtype=np.int64).T
+    # sheet j over the tail of edge i is cover vertex src[i, j]; its neighbour
+    # over the head is head[i] * r + act[b, i, j]
+    src = tail[:, None] * r + np.arange(r)
+    diag = np.arange(size)
+    step = batch_rows(size)
+    for lo in range(0, len(rows), step):
+        act = table[rows[lo:lo + step]]
+        b = np.arange(len(act))
+        dst = head[:, None] * r + act
+        a = np.zeros((len(act), size, size), dtype=np.int64)
+        a[b[:, None, None], src, dst] = 1
+        a[b[:, None, None], dst, src] = 1
+        a2 = a @ a
+        # row (u, 0) of the least edge's block meets fiber v once, at sheet s;
+        # any other sheet of v differs from it by exactly lambda in A^2 when the
+        # block has constant rows
+        x, s = src[0, 0], act[:, 0, 0]
+        lam_b = a2[b, x, head[0] * r + s] - a2[b, x, head[0] * r + (s + 1) % r]
+        a2 -= lam_b[:, None, None] * a
+        a2[:, diag, diag] -= k
+        blocks = a2.reshape(len(act), n, r, n, r)
+        hit[lo:lo + len(act)] = (blocks == blocks[..., :1]).all(axis=(1, 2, 3, 4))
+        lam[lo:lo + len(act)] = lam_b
+    return hit, lam
+
+
+def two_ev_certificate(cover: CoverGraph, lam) -> TwoEvCertificate:
+    """Certificate of a lift that `fiber_two_ev` found 2ev with this lambda.
+
+    theta and tau are the roots of x^2 - lambda*x - k. A has zero trace on W,
+    so m_theta*theta + m_tau*tau = 0 fixes the multiplicities in integers.
+    Connectivity is read from the lift.
+    """
+    base, r = cover.base, cover.r
+    k, dim = base.degrees[0], base.n * (r - 1)
     roots = integer_roots(IntPoly((-k, -lam, 1)))
     if roots:
         hi, lo = sorted(roots, reverse=True)
@@ -416,17 +499,17 @@ def fiber_two_ev(f: GainGraph, cover: CoverGraph) -> TwoEvCertificate | None:
 def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
-    The verdict is `fiber_two_ev`'s. Only on a miss is the exact char-poly
-    quotient taken, to report the number of distinct new eigenvalues as the
-    degree of its square-free part.
+    The verdict is `fiber_two_ev`'s, on a batch of one. Only on a miss is the
+    exact char-poly quotient taken, to report the number of distinct new
+    eigenvalues as the degree of its square-free part.
     """
     if not is_connected(f.base):
         raise DisconnectedError("two-eigenvalue classification requires a connected base")
+    hit, lam = fiber_two_ev(f.base, *gain_row(f))
     if cover is None:
         cover = lift(f)
-    cert = fiber_two_ev(f, cover)
-    if cert is not None:
-        return cert
+    if hit[0]:
+        return two_ev_certificate(cover, int(lam[0]))
     new = squarefree_part(spectral_difference_poly(f, cover))
     return TwoEvCertificate(is_two_ev=False, cover_connected=len(components(cover)) == 1,
                             new_distinct=new.degree)
@@ -444,6 +527,7 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | Non
     must match the sorted eigenvalues of the lift within clustering tolerance.
     Returns (ok, max_abs_deviation).
     """
+    check_tol(tol)
     if not f.group.is_abelian:
         raise ParameterError("block decomposition requires an abelian gain group")
     if cover is None:

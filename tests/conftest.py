@@ -1,13 +1,16 @@
 """Shared test oracles, independent of the package's own arithmetic paths."""
 
+import math
 import random
 from collections import deque
 
 import numpy as np
 import pytest
 
-from gaincover import GainGraph, Graph, GroupSpec, IntPoly, complete_bipartite
-from gaincover.intpoly import poly_gcd
+from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
+                       complete_bipartite, components)
+from gaincover.gains import CoverGraph
+from gaincover.intpoly import integer_roots, poly_gcd
 
 
 def mul_poly(a, b):
@@ -74,6 +77,44 @@ def brute_force_walk_regular(g: Graph) -> bool:
             return False
         power = np.dot(power, a)
     return True
+
+
+def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):
+    """Exact two-eigenvalue certificate of a built lift, or None (test-local
+    oracle for `spectral.fiber_two_ev`, which decides from the gains).
+
+    Squares the lift's adjacency A and checks that every r x r block of
+    A^2 - lambda*A - k*I has constant rows, with lambda read from one edge
+    block; the multiplicities follow from the zero trace of A on the vectors
+    that sum to zero on every fiber.
+    """
+    base, r = f.base, cover.r
+    if r < 2 or not base.edges or not base.is_regular():
+        return None
+    n, k = base.n, base.degrees[0]
+    a = cover.graph.adjacency()
+    a2 = a @ a
+    u, v = min(base.edges)
+    s = int(a[u * r, v * r:(v + 1) * r].argmax())
+    lam = int(a2[u * r, v * r + s] - a2[u * r, v * r + (s + 1) % r])
+    blocks = (a2 - lam * a - k * np.eye(n * r, dtype=a.dtype)).reshape(n, r, n, r)
+    if not (blocks == blocks[:, :, :, :1]).all():
+        return None
+    dim = n * (r - 1)
+    roots = integer_roots(IntPoly((-k, -lam, 1)))
+    if roots:
+        hi, lo = sorted(roots, reverse=True)
+        m_theta, rem = divmod(-dim * lo, hi - lo)
+        assert rem == 0
+        theta, tau, m_tau = float(hi), float(lo), dim - m_theta
+    else:
+        assert lam == 0 and dim % 2 == 0
+        sq = math.sqrt(lam * lam + 4 * k)
+        theta, tau = (lam + sq) / 2.0, (lam - sq) / 2.0
+        m_theta = m_tau = dim // 2
+    return TwoEvCertificate(is_two_ev=True, theta=theta, tau=tau, mult_theta=m_theta,
+                            mult_tau=m_tau, lambda_=lam, mu=k,
+                            cover_connected=len(components(cover)) == 1, new_distinct=2)
 
 
 def random_graph(rng: random.Random, n, p=0.5) -> Graph:

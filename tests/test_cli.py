@@ -139,6 +139,20 @@ def test_search_json(tmp_path, capsys):
     assert payload["connected_two_ev"] == 1
 
 
+def test_search_reports_the_assignments_decided(capsys, monkeypatch):
+    from gaincover import search
+    from gaincover.search import SearchSpec
+
+    spec = SearchSpec(named_graph("k4"), parse_group_spec("z2xz2"))
+    code, out, _ = run(["search", "--base", "k4", "--group", "z2xz2"], capsys)
+    assert code == 0 and json.loads(out)["sampled"] == spec.exhaustive_size() == 64
+    # the count is of rows the kernel decided, not the planned total
+    rows = search.assignment_rows
+    monkeypatch.setattr(search, "assignment_rows", lambda s: (b[:3] for b in rows(s)))
+    code, out, _ = run(["search", "--base", "k4", "--group", "z2xz2"], capsys)
+    assert code == 0 and json.loads(out)["sampled"] == 3
+
+
 def test_verify_drackn_alias(tmp_path, capsys):
     jpath = tmp_path / "v.json"
     code, _, _ = run(["--json", str(jpath), "verify", "6.2",

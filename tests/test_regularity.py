@@ -260,6 +260,20 @@ def test_lemma_counts_requires_normalized_anchor():
         lemma_column_counts(f)
 
 
+def test_lemma_counts_build_no_lift(monkeypatch):
+    from gaincover import gains
+
+    def no_cover(*args):
+        raise AssertionError("lemma_column_counts lifted the gain")
+
+    # every lift, under whatever name it is called, builds its CoverGraph here
+    monkeypatch.setattr(gains, "CoverGraph", no_cover)
+    cert = lemma_column_counts(q3_over_k4_gain())
+    assert cert.t == Fraction(2) and cert.verified_counts
+    with pytest.raises(ParameterError, match="lambda must be supplied"):
+        lemma_column_counts(butson_gain(fourier_butson(4)))
+
+
 def test_lemma_counts_lambda_mismatch_is_error():
     with pytest.raises(InternalConsistencyError):
         lemma_column_counts(q3_over_k4_gain(), lam=5)

@@ -1,18 +1,22 @@
 import os
 
+import numpy as np
 import pytest
 
-from gaincover import (GainGraph, GroupSpec, char_poly, complete_graph,
-                       cycle, hypercube, lift, octahedron, parse_gain_file,
-                       petersen)
+from gaincover import (GainGraph, GroupSpec, char_poly, complete_bipartite,
+                       complete_graph, cycle, hypercube, lift, octahedron,
+                       parse_gain_file, petersen)
+from gaincover import spectral
 from gaincover.errors import BudgetError, FalsificationError, ParameterError
 from gaincover import search
 from gaincover.families import butson_gain, fourier_butson, k3n_nonexample
 from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
-                              search_two_ev, verify_bipartite_cover, verify_drackn,
-                              verify_srg_cover, verify_walk_regularity,
+                              run_search, search_two_ev, verify_bipartite_cover,
+                              verify_drackn, verify_srg_cover, verify_walk_regularity,
                               write_reproducer)
+
+from conftest import intersection_array
 
 
 def test_exhaustive_counts():
@@ -238,3 +242,97 @@ def test_falsification_reproducer(tmp_path):
     err = FalsificationError("some-property", "details here", gain=f)
     assert err.theorem == "some-property"
     assert err.gain is f
+
+
+# ---------------------------------------------------------------------------
+# batched decisions: batch boundaries, lifts of hits only, the census
+
+
+def _records(hits):
+    return [(h.gain, h.two_ev, h.regularity) for h in hits]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_batch_size_does_not_change_the_hits(monkeypatch, rows):
+    cases = [(complete_graph(6), GroupSpec.cyclic(2)), (complete_graph(5), GroupSpec.cyclic(3)),
+             (complete_graph(4), GroupSpec.abelian(2, 2)),
+             (complete_bipartite(3, 3), GroupSpec.cyclic(3))]
+    want = [_records(search_two_ev(SearchSpec(b, g))) for b, g in cases]
+    walk = verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(3)], budget=50, seed=2)
+    drackn = verify_drackn(5, 2)
+    for (base, group), hits in zip(cases, want):
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * (base.n * group.order) ** 2)
+        spec = SearchSpec(base, group)
+        assert {len(b) for b in search.assignment_rows(spec)} <= {rows, spec.exhaustive_size() % rows}
+        assert _records(search_two_ev(spec)) == hits
+        # the kernel batches a longer input itself
+        table = spectral.sheet_table(group, group.elements())
+        all_rows = np.concatenate(list(search.assignment_rows(spec)))
+        hit, lam = spectral.fiber_two_ev(base, table, all_rows)
+        assert int(hit.sum()) == len(hits)
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * 10 ** 2)
+    patched = verify_drackn(5, 2)
+    assert patched.as_dict() == drackn.as_dict()
+    assert [r.two_ev for r in patched.records] == [r.two_ev for r in drackn.records]
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * 12 ** 2)
+    assert verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(3)], budget=50,
+                                  seed=2).as_dict() == walk.as_dict()
+
+
+def test_batches_stay_within_the_entry_cap():
+    for base, group in [(complete_graph(6), GroupSpec.cyclic(3)), (petersen(), GroupSpec.cyclic(2)),
+                        (hypercube(3), GroupSpec.cyclic(2))]:
+        n = base.n * group.order
+        spec = SearchSpec(base, group, mode=RANDOM, budget=1000)
+        for rows in search.assignment_rows(spec):
+            assert len(rows) * n * n <= spectral.BATCH_ENTRIES
+
+
+def test_search_lifts_only_the_hits(monkeypatch):
+    lifted = []
+
+    def counting_lift(f):
+        lifted.append(f)
+        return lift(f)
+
+    monkeypatch.setattr(search, "lift", counting_lift)
+    summary = run_search(SearchSpec(complete_graph(6), GroupSpec.cyclic(2)))
+    assert summary.sampled == 1024 and summary.two_ev == 14
+    assert lifted == [h.gain for h in summary.records]
+    lifted.clear()
+    s = verify_drackn(5, 2)
+    assert len(lifted) == s.two_ev == 2
+
+
+def test_run_search_counts_the_assignments_it_decided():
+    spec = SearchSpec(complete_graph(4), GroupSpec.abelian(2, 2))
+    summary = run_search(spec)
+    assert summary.sampled == spec.exhaustive_size() == 64
+    assert (summary.two_ev, summary.connected_two_ev) == (1, 0)
+    assert summary.records == search_two_ev(spec)
+    assert run_search(SearchSpec(petersen(), GroupSpec.cyclic(3), mode=RANDOM,
+                                 budget=37)).sampled == 37
+
+
+@pytest.mark.parametrize("n, r, certs", [
+    # recorded from the brute-force search that lifted every assignment
+    (6, 3, [(4, False)]),
+    (7, 2, [(5, False), (-5, True)]),
+])
+def test_complete_graph_census(n, r, certs):
+    spec = SearchSpec(complete_graph(n), GroupSpec.cyclic(r))
+    summary = run_search(spec)
+    assert summary.sampled == spec.exhaustive_size() == r ** ((n - 1) * (n - 2) // 2)
+    assert [(h.two_ev.lambda_, h.two_ev.cover_connected) for h in summary.records] == certs
+    for h in summary.records:
+        assert h.two_ev.mu == n - 1
+        if h.two_ev.cover_connected:
+            drg = h.regularity.drg
+            assert (drg.b, drg.c) == intersection_array(lift(h.gain).graph)
+            assert h.regularity.drackn == (n, r, (n - 2 - h.two_ev.lambda_) // r)
+
+
+def test_verify_walk_regularity_rejects_bad_tolerance():
+    for tol in (-1, 0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="tolerance"):
+            verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(2)], budget=3, tol=tol)

@@ -16,12 +16,13 @@ from gaincover.errors import (ContractViolation, DisconnectedError, NumericError
                              ParameterError)
 from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.intpoly import IntPoly, squarefree_part
-from gaincover.search import SearchSpec, enumerate_gains
+from gaincover.search import SearchSpec, assignment_rows, enumerate_gains
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                fiber_two_ev, hermitian_eigenvalues,
-                                hermitian_spectrum, spectral_difference_poly)
+                                fiber_two_ev, gain_row, hermitian_eigenvalues,
+                                hermitian_spectrum, sheet_table,
+                                spectral_difference_poly, two_ev_certificate)
 
-from conftest import mul_poly, poly_from_roots, random_graph
+from conftest import lift_fiber_two_ev, mul_poly, poly_from_roots, random_graph
 
 
 def fl_bigint_char_poly(a):
@@ -224,6 +225,16 @@ def test_cluster_values():
     assert spec.dimension == 4
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, None, "1e-7"])
+def test_bad_tolerance_is_a_parameter_error(tol):
+    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
+        hermitian_spectrum(np.eye(3), tol=tol)
+    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
+        cluster_values([1.0, 2.0], tol, 1.0)
+    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
+        character_block_check(huang_signing(3), tol)
+
+
 def test_cycle5_spectrum_closed_form():
     spec = hermitian_spectrum(cycle(5).adjacency(dtype=float))
     expect = sorted({round(2 * math.cos(2 * math.pi * k / 5), 12) for k in range(5)},
@@ -412,7 +423,8 @@ def test_fiber_identity_matches_quotient_oracle(rng):
     for f in _gate_gains(rng):
         want = quotient_verdict(f)
         assert classify_two_ev(f).as_dict() == want, f.gains
-        assert (fiber_two_ev(f, lift(f)) is None) == (not want["is_two_ev"])
+        hit, _ = fiber_two_ev(f.base, *gain_row(f))
+        assert hit.tolist() == [want["is_two_ev"]]
         if want["is_two_ev"]:
             integral_roots.add(float(want["theta"]).is_integer())
         else:
@@ -430,7 +442,7 @@ def test_classify_edgeless_and_single_sheet():
     f = GainGraph(k3, GroupSpec.permutation(1), {e: (0,) for e in k3.edges})
     cert = classify_two_ev(f)
     assert not cert.is_two_ev and cert.new_distinct == 0
-    assert fiber_two_ev(f, lift(f)) is None
+    assert fiber_two_ev(f.base, *gain_row(f))[0].tolist() == [False]
 
 
 def test_mu_equals_valency_for_connected_two_ev():
@@ -485,3 +497,120 @@ def test_character_block_decomposition_random(rng):
                 f = GainGraph(base, group, gains)
                 ok, dev = character_block_check(f)
                 assert ok, dev
+
+
+# ---------------------------------------------------------------------------
+# the batched gain kernel against the A^2-on-the-lift oracle
+
+
+def _kernel_certs(base, table, rows, gains):
+    hit, lam = fiber_two_ev(base, table, rows)
+    return [two_ev_certificate(lift(f), int(l)) if h else None
+            for f, h, l in zip(gains, hit.tolist(), lam.tolist())]
+
+
+def _oracle_certs(gains):
+    return [lift_fiber_two_ev(f, lift(f)) for f in gains]
+
+
+@pytest.mark.parametrize("base, group", [
+    (complete_graph(4), GroupSpec.cyclic(2)),
+    (complete_graph(4), GroupSpec.cyclic(3)),
+    (complete_graph(4), GroupSpec.abelian(2, 2)),
+    (complete_graph(5), GroupSpec.cyclic(2)),
+    (complete_bipartite(3, 3), GroupSpec.cyclic(3)),
+    (octahedron(), GroupSpec.cyclic(2)),
+    (petersen(), GroupSpec.cyclic(2)),
+], ids=["K4/Z2", "K4/Z3", "K4/Z2xZ2", "K5/Z2", "K33/Z3", "octahedron/Z2", "petersen/Z2"])
+def test_kernel_matches_lift_oracle_exhaustively(base, group):
+    spec = SearchSpec(base, group)
+    rows = np.concatenate(list(assignment_rows(spec)))
+    gains = list(enumerate_gains(spec))
+    want = _oracle_certs(gains)
+    assert _kernel_certs(base, sheet_table(group, group.elements()), rows, gains) == want
+    # one gain at a time, through its own table of distinct gains
+    assert [_kernel_certs(base, *gain_row(f), [f])[0] for f in gains] == want
+    assert any(c is not None for c in want) == (base != petersen())
+
+
+def test_kernel_matches_lift_oracle_on_irregular_and_permutation_gains(rng):
+    perms = list(itertools.permutations(range(3)))
+    gains = []
+    for base in (complete_bipartite(2, 3), complete_bipartite(1, 3)):
+        for group in (GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.abelian(2, 2)):
+            for _ in range(6):
+                gains.append(GainGraph(base, group, {
+                    e: tuple(rng.randrange(r) for r in group.orders) for e in base.edges}))
+    for base in (complete_graph(5), hypercube(3)):
+        for _ in range(40):
+            gains.append(GainGraph(base, GroupSpec.permutation(3),
+                                   {e: rng.choice(perms) for e in base.edges}))
+    gains.append(s3_cover_k5())
+    # gains that fix sheet 0 on K4: rows (u, 0) see only the base, which meets
+    # A^2 = 2A + 3I, while the signed K4 on sheets 1, 2 is the cube; every row,
+    # not just the first of each block, must be checked
+    swap = {(0, 1): (0, 2, 1), (1, 2): (0, 2, 1), (2, 3): (0, 2, 1)}
+    k4 = complete_graph(4)
+    gains.append(GainGraph(k4, GroupSpec.permutation(3),
+                           {e: swap.get(e, (0, 1, 2)) for e in k4.edges}))
+    want = _oracle_certs(gains)
+    assert want[-1] is None
+    assert [_kernel_certs(f.base, *gain_row(f), [f])[0] for f in gains] == want
+    assert want[-2] is not None and want[-2].cover_connected
+    # Sym(3) on K5 decided as one batch over the whole group
+    k5 = [f for f in gains if f.base == complete_graph(5)]
+    rows = np.array([[perms.index(f.gains[e]) for e in f.base.sorted_edges()] for f in k5])
+    table = sheet_table(GroupSpec.permutation(3), perms)
+    assert _kernel_certs(complete_graph(5), table, rows, k5) == _oracle_certs(k5)
+
+
+def test_kernel_single_sheet_and_edgeless():
+    k3 = complete_graph(3)
+    f = GainGraph(k3, GroupSpec.permutation(1), {e: (0,) for e in k3.edges})
+    for g in (f, GainGraph(Graph(1, []), GroupSpec.cyclic(2), {}),
+              GainGraph(Graph(4, []), GroupSpec.cyclic(3), {})):
+        hit, lam = fiber_two_ev(g.base, *gain_row(g))
+        assert hit.tolist() == [False] and lift_fiber_two_ev(g, lift(g)) is None
+    # an empty batch decides nothing
+    hit, lam = fiber_two_ev(k3, sheet_table(GroupSpec.cyclic(2), [(0,), (1,)]),
+                            np.zeros((0, 3), dtype=np.int64))
+    assert hit.shape == lam.shape == (0,)
+
+
+def test_kernel_rejects_malformed_batches():
+    k4 = complete_graph(4)
+    table = sheet_table(GroupSpec.cyclic(2), [(0,), (1,)])
+    with pytest.raises(ParameterError, match="permutations"):
+        fiber_two_ev(k4, [[0, 0], [1, 0]], np.zeros((1, 6), dtype=np.int64))
+    with pytest.raises(ParameterError, match="one column per edge"):
+        fiber_two_ev(k4, table, np.zeros((1, 5), dtype=np.int64))
+    for bad in (2, -1):
+        with pytest.raises(ParameterError, match="index"):
+            fiber_two_ev(k4, table, np.full((1, 6), bad, dtype=np.int64))
+
+
+_PROPERTY_CASES = [(complete_graph(2), GroupSpec.cyclic(3)),
+                   (cycle(4), GroupSpec.cyclic(2)),
+                   (complete_graph(4), GroupSpec.cyclic(4)),
+                   (complete_bipartite(3, 3), GroupSpec.abelian(2, 2)),
+                   (cycle(6), GroupSpec.cyclic(3)),
+                   (hypercube(3), GroupSpec.cyclic(2)),
+                   (petersen(), GroupSpec.cyclic(2)),
+                   (complete_bipartite(2, 3), GroupSpec.cyclic(2)),
+                   (complete_graph(4), GroupSpec.permutation(3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_matches_lift_oracle_property(data):
+    base, group = data.draw(st.sampled_from(_PROPERTY_CASES))
+    elements = (group.elements() if group.is_abelian
+                else list(itertools.permutations(range(group.degree))))
+    rows = data.draw(st.lists(st.lists(st.integers(0, len(elements) - 1),
+                                       min_size=base.m, max_size=base.m),
+                              min_size=1, max_size=6))
+    edges = base.sorted_edges()
+    gains = [GainGraph(base, group, {e: elements[i] for e, i in zip(edges, row)})
+             for row in rows]
+    table = sheet_table(group, elements)
+    assert _kernel_certs(base, table, np.array(rows), gains) == _oracle_certs(gains)
