@@ -80,7 +80,7 @@ def gain_report(f: GainGraph, tol):
         "regularity": reg.as_dict(),
         "meta": {"elapsed_s": round(time.perf_counter() - t0, 6)},
     }
-    return report, cover, cert, reg
+    return report
 
 
 def named_graph(spec: str) -> Graph:
@@ -156,9 +156,6 @@ def cmd_demo(args):
         f = cohen_tits_signing(args.n)
         name = f"cohen_tits_{args.n}"
     elif fam == "butson":
-        r = args.r if args.r else args.q
-        if r != args.q:
-            raise ParameterError("only the Fourier instance is built in; r must equal q")
         f = butson_gain(fourier_butson(args.q))
         name = f"butson_{args.q}"
     elif fam == "s3k5":
@@ -173,7 +170,7 @@ def cmd_demo(args):
     gain_path = os.path.join(args.out, name + ".gain")
     with open(gain_path, "w", newline="\n") as fh:
         fh.write(write_gain_file(f))
-    report, _, _, _ = gain_report(f, args.tol)
+    report = gain_report(f, args.tol)
     report["input"]["family"] = fam
     report["input"]["gain_file"] = gain_path
     _emit(report, args.json or os.path.join(args.out, name + ".json"))
@@ -197,7 +194,7 @@ def cmd_lift(args):
 def cmd_classify(args):
     with open(args.gainfile) as fh:
         f = parse_gain_file(fh.read())
-    report, _, _, _ = gain_report(f, args.tol)
+    report = gain_report(f, args.tol)
     report["input"]["path"] = args.gainfile
     _emit(report, args.json)
     return 0
@@ -334,7 +331,6 @@ def build_parser():
     d.add_argument("family", choices=DEMO_FAMILIES)
     d.add_argument("--n", type=int, default=3)
     d.add_argument("--q", type=int, default=3)
-    d.add_argument("--r", type=int, default=None)
     d.add_argument("--out", default=".", help="output directory")
     d.set_defaults(func=cmd_demo)
 

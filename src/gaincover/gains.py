@@ -168,10 +168,6 @@ class GainGraph:
             return self.gains[(u, v)]
         return self.group.inverse(self.gains[(v, u)])
 
-    def gain_residue(self, u, v):
-        """Single-cyclic shortcut: the Z_r residue for walking u -> v."""
-        return self.gain(u, v)[0]
-
     def __eq__(self, other):
         return (isinstance(other, GainGraph) and self.base == other.base
                 and self.group == other.group and self.gains == other.gains)
@@ -198,12 +194,6 @@ class CoverGraph:
 
     def fiber_of(self, x):
         return x // self.r
-
-    def sheet_of(self, x):
-        return x % self.r
-
-    def vertex(self, v, j):
-        return v * self.r + j
 
     def fiber(self, v):
         return tuple(v * self.r + j for j in range(self.r))

@@ -57,6 +57,11 @@ class Graph:
     def degrees(self):
         return tuple(len(a) for a in self.neighbors)
 
+    @cached_property
+    def distance_table(self):
+        """The `distances` table, built once per graph."""
+        return distances(self)
+
     def is_regular(self):
         return self.n == 0 or len(set(self.degrees)) == 1
 
@@ -116,7 +121,7 @@ def _bfs(g: Graph, source):
 
 
 def distances(g: Graph) -> DistanceTable:
-    """All-pairs BFS hop distances."""
+    """All-pairs BFS hop distances; `Graph.distance_table` keeps them."""
     out = np.full((g.n, g.n), UNREACHABLE, dtype=np.int64)
     for v in range(g.n):
         out[v] = _bfs(g, v)

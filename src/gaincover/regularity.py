@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph
-from .graphs import Graph, UNREACHABLE, _bfs, distances, is_connected
+from .graphs import Graph, is_connected
 from .spectral import (TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev,
                        gain_row)
 
@@ -149,11 +149,11 @@ def is_walk_regular(g: Graph) -> bool:
 
 def distance_partition(g: Graph, v):
     """Cells of vertices at distance 0, 1, ..., ecc(v) from v; connected only."""
-    dist = _bfs(g, v)
-    if UNREACHABLE in dist:
+    table = g.distance_table
+    if not table.is_connected():
         raise DisconnectedError("distance partition requires a connected graph")
-    ecc = max(dist)
-    cells = [[] for _ in range(ecc + 1)]
+    dist = table.dist[v].tolist()
+    cells = [[] for _ in range(max(dist) + 1)]
     for u, d in enumerate(dist):
         cells[d].append(u)
     return tuple(tuple(c) for c in cells)
@@ -233,9 +233,9 @@ def is_antipodal(g: Graph):
     """(flag, classes): whether 'same vertex or at maximal distance' is an
     equivalence relation. Diameter <= 1 counts as antipodal with singleton
     classes (the degenerate complete-graph case)."""
-    if not is_connected(g):
+    table = g.distance_table
+    if not table.is_connected():
         raise DisconnectedError("antipodality requires a connected graph")
-    table = distances(g)
     diam = table.diameter()
     if diam is None or diam <= 1:
         return True, tuple((v,) for v in range(g.n))
@@ -256,49 +256,10 @@ def is_antipodal(g: Graph):
 # antipodal covers of complete graphs
 
 
-def _common_neighbor_count(g: Graph, u, v):
-    return len(set(g.neighbors[u]) & set(g.neighbors[v]))
-
-
-def drackn_parameters(cover: CoverGraph, cert: TwoEvCertificate):
-    """(n, r, t) when the cover is a distance-regular antipodal cover of K_n.
-
-    Requires a complete base; returns None when the cover is disconnected or
-    not distance-regular of diameter 3 with fiber antipodal classes. t is
-    computed as (a - lambda)/r with a = n - 2 and cross-checked against the
-    counted common neighbors of distance-2 pairs.
-    """
-    base = cover.base
-    n = base.n
-    if base.m != n * (n - 1) // 2:
-        raise ParameterError("antipodal-cover parameters require a complete base")
-    if not cert.is_two_ev or not cert.cover_connected:
-        return None
-    x = cover.graph
-    arr = is_distance_regular(x)
-    if arr is None or arr.d != 3:
-        return None
-    flag, classes = is_antipodal(x)
-    if not flag or set(classes) != {tuple(f) for f in cover.fibers()}:
-        return None
-    a = n - 2
-    t, rem = divmod(a - cert.lambda_, cover.r)
-    if rem != 0 or t <= 0:
-        return None
-    # every distance-2 pair must have exactly t common neighbors
-    dist = distances(x).dist
-    for u in range(x.n):
-        for v in np.nonzero(dist[u] == 2)[0].tolist():
-            if v > u and _common_neighbor_count(x, u, v) != t:
-                return None
-    if arr.c[1] != t:
-        return None
-    return (n, cover.r, t)
-
-
 def drackn_of_graph(g: Graph):
-    """Graph-only variant for certify: (n, r, t) when g itself is a
-    distance-regular antipodal cover of a complete graph."""
+    """(n, r, c2) when g is connected, distance-regular of diameter 3 and
+    antipodal, which makes it an antipodal distance-regular cover of K_n with
+    n antipodal classes of r = 1 + k3 >= 2 vertices; None otherwise."""
     if not is_connected(g):
         return None
     arr = is_distance_regular(g)
@@ -307,26 +268,30 @@ def drackn_of_graph(g: Graph):
     flag, classes = is_antipodal(g)
     if not flag:
         return None
-    sizes = {len(c) for c in classes}
-    if len(sizes) != 1:
+    return (len(classes), len(classes[0]), arr.c[1])
+
+
+def drackn_parameters(cover: CoverGraph, cert: TwoEvCertificate):
+    """(n, r, t) when the cover is a distance-regular antipodal cover of K_n.
+
+    Requires a complete base; returns the `drackn_of_graph` parameters of the
+    lift when also its antipodal classes are the fibers and t = (a - lambda)/r,
+    with a = n - 2, is a positive integer equal to c2. None otherwise, and for
+    disconnected or non-2ev lifts.
+    """
+    base = cover.base
+    n = base.n
+    if base.m != n * (n - 1) // 2:
+        raise ParameterError("antipodal-cover parameters require a complete base")
+    if not cert.is_two_ev or not cert.cover_connected:
         return None
-    r = sizes.pop()
-    if r < 2:
+    found = drackn_of_graph(cover.graph)
+    if found is None or set(is_antipodal(cover.graph)[1]) != set(cover.fibers()):
         return None
-    # quotient on antipodal classes must be complete
-    idx = {}
-    for i, cls in enumerate(classes):
-        for v in cls:
-            idx[v] = i
-    n = len(classes)
-    quot = set()
-    for u, v in g.edges:
-        if idx[u] == idx[v]:
-            return None
-        quot.add((min(idx[u], idx[v]), max(idx[u], idx[v])))
-    if len(quot) != n * (n - 1) // 2:
+    t, rem = divmod(n - 2 - cert.lambda_, cover.r)
+    if rem != 0 or t <= 0 or t != found[2]:
         return None
-    return (n, r, arr.c[1])
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +354,7 @@ def _verify_counts(f: GainGraph, v0, r, t, s):
     column carries each nontrivial power t times and every distance-2 column
     carries each power s times (s is None for a complete base)."""
     base = f.base
-    dist = _bfs(base, v0)
+    dist = base.distance_table.dist[v0].tolist()
     for col, d in enumerate(dist):
         if d == 1:
             first, want, what = 1, t, "nontrivial power"
@@ -400,7 +365,7 @@ def _verify_counts(f: GainGraph, v0, r, t, s):
         counts = [0] * r
         for u in base.neighbors[col]:
             if dist[u] == 1:
-                counts[f.gain_residue(u, col)] += 1
+                counts[f.gain(u, col)[0]] += 1
         if any(x != want for x in counts[first:]):
             raise InternalConsistencyError(
                 f"distance-{d} column {col} carries counts {counts}, expected "

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import BudgetError, FalsificationError, ParameterError
 from .gains import GainGraph, GroupSpec, lift, write_gain_file
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
-from .regularity import (RegularityCertificate, drackn_parameters,
-                         is_distance_regular, is_walk_regular,
+from .regularity import (RegularityCertificate, is_walk_regular,
                          regularity_certificate, srg_parameters)
 from .spectral import (DEFAULT_TOL, TwoEvCertificate, batch_rows, char_poly,
                        character_block_check, check_tol, classify_two_ev,
@@ -252,10 +251,11 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
 
 
 def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
-    """Classify every normalized Z_r gain on base and run `check(cover, cert)`
-    on each connected 2ev lift. check returns a failure detail, or a false
-    value when the theorem holds; a failure aborts with a reproducer.
-    Disconnected 2ev lifts are recorded as not-applicable under `key`."""
+    """Classify every normalized Z_r gain on base and run `check(cover, reg)`
+    on each connected 2ev lift, with reg its regularity certificate. check
+    returns a failure detail, or a false value when the theorem holds; a
+    failure aborts with a reproducer. Disconnected 2ev lifts are recorded as
+    not-applicable under `key`."""
     spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
                       budget=budget if budget is not None else r ** base.m)
     summary = VerifySummary()
@@ -265,12 +265,12 @@ def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
         if not cert.cover_connected:
             rec.theorem_checks[key] = "not-applicable"
             continue
-        problem = check(cover, cert)
+        rec.regularity = regularity_certificate(cover, cert)
+        problem = check(cover, rec.regularity)
         if problem:
             rec.theorem_checks[key] = "fail"
             _fail(theorem, problem, f, reproducer_dir, summary)
         rec.theorem_checks[key] = "pass"
-        rec.regularity = regularity_certificate(cover, cert)
         summary.verified += 1
     return summary
 
@@ -279,8 +279,8 @@ def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
     """Every connected 2ev cyclic cover of a complete graph must be a
     distance-regular antipodal cover of it, with consistent parameters."""
 
-    def check(cover, cert):
-        if drackn_parameters(cover, cert) is None:
+    def check(cover, reg):
+        if reg.drackn is None:
             return "connected 2ev cover of a complete graph is not a drackn"
 
     return _verify_exhaustive(complete_graph(n), r, budget, "drackn-cover-of-complete-graph",
@@ -309,7 +309,8 @@ def verify_srg_cover(f: GainGraph, reproducer_dir=None) -> VerificationRecord:
         rec.theorem_checks["drg-iff-a-equals-lambda"] = "not-applicable"
         return rec
     r = f.group.orders[0]
-    arr = is_distance_regular(cover.graph)
+    rec.regularity = regularity_certificate(cover, cert)
+    arr = rec.regularity.drg
     drg_holds = arr is not None
     a_equals_lambda = srg.a == cert.lambda_
     if drg_holds != a_equals_lambda:
@@ -326,7 +327,6 @@ def verify_srg_cover(f: GainGraph, reproducer_dir=None) -> VerificationRecord:
                   f"array {arr} does not match the forced form {expected}",
                   f, reproducer_dir)
         rec.theorem_checks["intersection-array-formula"] = "pass"
-    rec.regularity = regularity_certificate(cover, cert)
     return rec
 
 
@@ -334,7 +334,7 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
     """Connected 2ev cyclic covers of complete bipartite graphs force m = n
     and r | n, and the lift is bipartite distance-regular with diameter 4."""
 
-    def check(cover, cert):
+    def check(cover, reg):
         problems = []
         if m != n:
             problems.append(f"sides differ ({m},{n})")
@@ -342,8 +342,7 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
             problems.append(f"{r} does not divide {n}")
         if not _char_poly_symmetric(cover.graph):
             problems.append("lift spectrum is not symmetric about 0")
-        arr = is_distance_regular(cover.graph)
-        if arr is None or arr.d != 4:
+        if reg.drg is None or reg.drg.d != 4:
             problems.append("lift is not distance-regular of diameter 4")
         return "; ".join(problems)
 

@@ -311,14 +311,6 @@ def rep_matrix(f: GainGraph, j) -> np.ndarray:
     return s
 
 
-def all_characters(group):
-    """All character index tuples of an abelian group, lexicographic."""
-    out = [()]
-    for r in group.orders:
-        out = [e + (x,) for e in out for x in range(r)]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # two-eigenvalue classification
 
@@ -533,7 +525,7 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | Non
     if cover is None:
         cover = lift(f)
     union = []
-    for j in all_characters(f.group):
+    for j in f.group.elements():
         union.extend(hermitian_eigenvalues(rep_matrix(f, j)))
     union = np.sort(np.asarray(union))
     cover_vals = hermitian_eigenvalues(cover.graph.adjacency(dtype=np.float64))

@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,12 @@ from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
                        lift, octahedron, petersen, srg_parameters)
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
-from gaincover.families import butson_gain, cohen_tits_cover, fourier_butson
+from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
+                                s3_cover_k5)
 from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
                                   drackn_of_graph, regularity_certificate,
                                   two_ev_divisibility_obstruction)
-from gaincover.search import SearchSpec, enumerate_gains
+from gaincover.search import SearchSpec, enumerate_gains, search_two_ev
 
 from conftest import (brute_force_walk_regular, intersection_array,
                       klein_gf4_gain, random_graph)
@@ -225,6 +227,74 @@ def test_drackn_of_graph():
     assert drackn_of_graph(hypercube(3)) == (4, 2, 2)
     assert drackn_of_graph(petersen()) is None
     assert drackn_of_graph(cycle(8)) is None
+
+
+def counted_drackn(g: Graph):
+    """(n, r, t) of a distance-regular antipodal cover of K_n, counted from the
+    edge list alone (test-local oracle for the consequences `drackn_of_graph`
+    reads off diameter-3 antipodal distance-regularity).
+
+    t is c2 of the `intersection_array` oracle. Asserts that every distance-2
+    pair has exactly t common neighbours, that the antipodal classes
+    {u} + {v : d(u, v) = 3} are n classes of one size r >= 2, that no edge lies
+    inside a class, and that every two classes are joined by an edge.
+    """
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    _, c = intersection_array(g)
+    assert len(c) == 3
+    t = c[1]
+    dist = []
+    for u in range(g.n):
+        d = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x] - d.keys():
+                d[y] = d[x] + 1
+                queue.append(y)
+        dist.append(d)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if dist[u][v] == 2:
+                assert len(adj[u] & adj[v]) == t
+    classes = {frozenset([u, *(v for v in range(g.n) if dist[u][v] == 3)])
+               for u in range(g.n)}
+    assert sorted(v for cls in classes for v in cls) == list(range(g.n))
+    sizes = {len(cls) for cls in classes}
+    assert len(sizes) == 1
+    r = sizes.pop()
+    assert r >= 2
+    class_of = {v: cls for cls in classes for v in cls}
+    assert all(class_of[u] != class_of[v] for u, v in g.edges)
+    n = len(classes)
+    joined = {frozenset((class_of[u], class_of[v])) for u, v in g.edges}
+    assert len(joined) == n * (n - 1) // 2
+    return n, r, t
+
+
+def census_drackns():
+    """The connected hits of the K5/Z2, K6/Z2 and K7/Z2 censuses."""
+    hits = []
+    for n in (5, 6, 7):
+        hits.extend(h for h in search_two_ev(SearchSpec(complete_graph(n), GroupSpec.cyclic(2)))
+                    if h.two_ev.cover_connected)
+    return hits
+
+
+def test_drackn_of_graph_matches_the_counted_parameters():
+    named = [(hypercube(3), (4, 2, 2)), (cycle(6), (3, 2, 1)),
+             (lift(s3_cover_k5()).graph, (5, 3, 1))]
+    for g, want in named:
+        assert counted_drackn(g) == drackn_of_graph(g) == want
+    found = []
+    for h in census_drackns():
+        g = lift(h.gain).graph
+        assert counted_drackn(g) == drackn_of_graph(g) == h.regularity.drackn
+        found.append(h.regularity.drackn)
+    assert sorted(found) == [(5, 2, 3)] + [(6, 2, 2)] * 12 + [(6, 2, 4), (7, 2, 5)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from gaincover import (GainGraph, GroupSpec, char_poly, complete_bipartite,
                        parse_gain_file, petersen)
 from gaincover import spectral
 from gaincover.errors import BudgetError, FalsificationError, ParameterError
-from gaincover import search
+from gaincover import graphs, regularity, search
 from gaincover.families import butson_gain, fourier_butson, k3n_nonexample
 from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
@@ -219,7 +220,7 @@ def test_exhaustive_harness_failure_path(tmp_path, monkeypatch, run_harness, pat
             made.append(self)
 
     monkeypatch.setattr(search, "VerifySummary", Recorded)
-    monkeypatch.setattr(search, patched, lambda *args: None)
+    monkeypatch.setattr(regularity, patched, lambda *args: None)
     with pytest.raises(FalsificationError) as info:
         run_harness(tmp_path)
     assert info.value.theorem == theorem
@@ -302,6 +303,23 @@ def test_search_lifts_only_the_hits(monkeypatch):
     lifted.clear()
     s = verify_drackn(5, 2)
     assert len(lifted) == s.two_ev == 2
+
+
+def test_each_connected_hit_builds_one_distance_table(monkeypatch):
+    # every question asked of a lift's distances reads one table per graph
+    built = []
+    real = graphs.distances
+
+    def counting_distances(g):
+        built.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaincover") and getattr(module, "distances", None) is real:
+            monkeypatch.setattr(module, "distances", counting_distances)
+    s = verify_drackn(6, 2)
+    assert s.connected_two_ev == s.verified == 13
+    assert len(built) == 13
 
 
 def test_run_search_counts_the_assignments_it_decided():
