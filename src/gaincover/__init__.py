@@ -13,10 +13,10 @@ from .graphs import (DistanceTable, Graph, complete_bipartite, complete_graph,
                      write_edge_list)
 from .intpoly import IntPoly
 from .regularity import (ColumnCountCertificate, IntersectionArray,
-                         RegularityCertificate, SrgParams, distance_partition,
-                         drackn_parameters, is_antipodal, is_distance_regular,
-                         is_equitable, is_walk_regular, lemma_column_counts,
-                         regularity_certificate, srg_parameters)
+                         RegularityCertificate, SrgParams, is_antipodal,
+                         is_distance_regular, is_walk_regular,
+                         lemma_column_counts, regularity_certificate,
+                         srg_parameters)
 from .spectral import (Spectrum, TwoEvCertificate, char_poly,
                        character_block_check, classify_two_ev,
                        hermitian_spectrum, rep_matrix)
@@ -28,10 +28,9 @@ __all__ = [
     "RegularityCertificate", "Spectrum", "SrgParams", "TwoEvCertificate",
     "char_poly", "character_block_check", "classify_two_ev", "complete_bipartite",
     "complete_graph", "components", "connected_components", "cycle",
-    "distance_partition", "distances", "drackn_parameters", "folded_cube",
-    "girth", "hermitian_spectrum", "hypercube", "identity_gains",
-    "is_antipodal", "is_balanced", "is_connected", "is_distance_regular",
-    "is_equitable", "is_walk_regular", "johnson", "kneser",
+    "distances", "folded_cube", "girth", "hermitian_spectrum", "hypercube",
+    "identity_gains", "is_antipodal", "is_balanced", "is_connected",
+    "is_distance_regular", "is_walk_regular", "johnson", "kneser",
     "lemma_column_counts", "lift", "line_graph", "normalize", "octahedron",
     "parse_edge_list", "parse_gain_file", "petersen", "regularity_certificate",
     "rep_matrix", "srg_parameters", "write_edge_list", "write_gain_file",

@@ -327,6 +327,8 @@ def parse_gain_file(text: str) -> GainGraph:
                 raise ParseError("duplicate group line", ln)
             group = _parse_group(fields[1:], ln)
         elif kw == "vertices":
+            if n is not None:
+                raise ParseError("duplicate vertices line", ln)
             if len(fields) != 2:
                 raise ParseError("expected 'vertices <n>'", ln)
             try:

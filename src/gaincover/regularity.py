@@ -1,9 +1,9 @@
 """Combinatorial regularity certificates.
 
-Walk regularity, equitable partitions, distance-regularity with intersection
-arrays, strong regularity, antipodality, antipodal-cover-of-complete-graph
-parameters, and the column-count verifier that ties the gain structure of a
-two-eigenvalue cover over a strongly regular base to (a - lambda)/r and c/r.
+Walk regularity, distance-regularity with intersection arrays, strong
+regularity, antipodality, antipodal-cover-of-complete-graph parameters, and
+the column-count verifier that ties the gain structure of a two-eigenvalue
+cover over a strongly regular base to (a - lambda)/r and c/r.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def is_walk_regular(g: Graph) -> bool:
     if g.n <= 1:
         return True
     top = distinct_eigenvalue_count(g) - 1
-    deg = max(g.degrees) if g.n else 0
+    deg = max(g.degrees)
     a64 = g.adjacency()
     power = a64.copy()
     bound = deg  # max possible entry of the current power
@@ -144,74 +144,40 @@ def is_walk_regular(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# partitions
-
-
-def distance_partition(g: Graph, v):
-    """Cells of vertices at distance 0, 1, ..., ecc(v) from v; connected only."""
-    table = g.distance_table
-    if not table.is_connected():
-        raise DisconnectedError("distance partition requires a connected graph")
-    dist = table.dist[v].tolist()
-    cells = [[] for _ in range(max(dist) + 1)]
-    for u, d in enumerate(dist):
-        cells[d].append(u)
-    return tuple(tuple(c) for c in cells)
-
-
-def is_equitable(g: Graph, partition):
-    """The cell-to-cell degree matrix if the partition is equitable, else None."""
-    cells = [tuple(c) for c in partition]
-    cell_of = {}
-    for i, cell in enumerate(cells):
-        for v in cell:
-            if not 0 <= v < g.n:
-                raise ParameterError(f"vertex {v} out of range")
-            if v in cell_of:
-                raise ParameterError(f"vertex {v} appears in two cells")
-            cell_of[v] = i
-    if len(cell_of) != g.n:
-        raise ParameterError("partition must cover every vertex exactly once")
-    k = len(cells)
-    quotient = []
-    for i, cell in enumerate(cells):
-        row = None
-        for v in cell:
-            counts = [0] * k
-            for w in g.neighbors[v]:
-                counts[cell_of[w]] += 1
-            if row is None:
-                row = counts
-            elif counts != row:
-                return None
-        quotient.append(tuple(row))
-    return tuple(quotient)
+# distance-regularity
 
 
 def is_distance_regular(g: Graph):
-    """Intersection array if the distance partition from every vertex is
-    equitable with one common quotient; None otherwise."""
-    if not is_connected(g):
+    """Intersection array {b_0,...,b_{d-1}; c_1,...,c_d}, or None when the
+    graph is not distance-regular (and for a single vertex).
+
+    Read off the distance table: for every pair (u, v) at distance i, b counts
+    the neighbours of v at distance i + 1 from u and c those at distance
+    i - 1. The graph is distance-regular iff both depend on i alone.
+    """
+    table = g.distance_table
+    if not table.is_connected():
         raise DisconnectedError("distance-regularity requires a connected graph")
     if not g.is_regular():
         return None
-    common = None
-    for v in range(g.n):
-        part = distance_partition(g, v)
-        quotient = is_equitable(g, part)
-        if quotient is None:
-            return None
-        if common is None:
-            common = quotient
-        elif quotient != common:
-            return None
-    d = len(common) - 1
-    if d == 0:
+    d = table.diameter()
+    if not d:
         return None  # a single vertex has no intersection array
-    # the quotient of a distance partition is tridiagonal by construction
-    b = tuple(common[i][i + 1] for i in range(d))
-    c = tuple(common[i + 1][i] for i in range(d))
-    return IntersectionArray(b, c, d)
+    dist = table.dist
+    b = np.zeros_like(dist)
+    c = np.zeros_like(dist)
+    for col in np.array(g.neighbors).T:
+        step = dist[:, col] - dist  # d(u, w) - d(u, v), w a neighbour of v
+        b += step == 1
+        c += step == -1
+    counts = []
+    for x in (b, c):
+        per_class = np.zeros(d + 1, dtype=x.dtype)
+        per_class[dist] = x
+        if not (per_class[dist] == x).all():
+            return None
+        counts.append(per_class.tolist())
+    return IntersectionArray(tuple(counts[0][:d]), tuple(counts[1][1:]), d)
 
 
 def _srg_of_array(n, arr):
@@ -256,37 +222,22 @@ def is_antipodal(g: Graph):
 # antipodal covers of complete graphs
 
 
-def drackn_of_graph(g: Graph):
-    """(n, r, c2) when g is connected, distance-regular of diameter 3 and
-    antipodal, which makes it an antipodal distance-regular cover of K_n with
-    n antipodal classes of r = 1 + k3 >= 2 vertices; None otherwise."""
-    if not is_connected(g):
-        return None
-    arr = is_distance_regular(g)
-    if arr is None or arr.d != 3:
-        return None
-    flag, classes = is_antipodal(g)
-    if not flag:
-        return None
-    return (len(classes), len(classes[0]), arr.c[1])
-
-
-def drackn_parameters(cover: CoverGraph, cert: TwoEvCertificate):
+def drackn_parameters(cover: CoverGraph, cert: TwoEvCertificate, found, classes):
     """(n, r, t) when the cover is a distance-regular antipodal cover of K_n.
 
-    Requires a complete base; returns the `drackn_of_graph` parameters of the
-    lift when also its antipodal classes are the fibers and t = (a - lambda)/r,
-    with a = n - 2, is a positive integer equal to c2. None otherwise, and for
-    disconnected or non-2ev lifts.
+    `found` is the lift's drackn and `classes` its antipodal classes, as
+    `regularity_certificate` decides them. Requires a complete base; returns
+    `found` when the lift is also 2ev and connected, its antipodal classes are
+    the fibers, and t = (a - lambda)/r, with a = n - 2, is a positive integer
+    equal to c2. None otherwise.
     """
     base = cover.base
     n = base.n
     if base.m != n * (n - 1) // 2:
         raise ParameterError("antipodal-cover parameters require a complete base")
-    if not cert.is_two_ev or not cert.cover_connected:
+    if found is None or not cert.is_two_ev or not cert.cover_connected:
         return None
-    found = drackn_of_graph(cover.graph)
-    if found is None or set(is_antipodal(cover.graph)[1]) != set(cover.fibers()):
+    if set(classes) != set(cover.fibers()):
         return None
     t, rem = divmod(n - 2 - cert.lambda_, cover.r)
     if rem != 0 or t <= 0 or t != found[2]:
@@ -313,6 +264,8 @@ def lemma_column_counts(f: GainGraph, lam=None, v0=0):
         raise ParameterError("column counts are defined for cyclic gain groups")
     r = grp.orders[0]
     base = f.base
+    if not 0 <= v0 < base.n:
+        raise ParameterError(f"vertex {v0} out of range")
     for w in base.neighbors[v0]:
         if f.gain(v0, w) != grp.identity():
             raise ContractViolation(f"gain not normalized at vertex {v0}")
@@ -395,13 +348,15 @@ def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> Regularit
     drg = is_distance_regular(g)
     srg = _srg_of_array(g.n, drg)
     anti, classes = is_antipodal(g)
+    # diameter 3 and antipodal: a cover of K_n with n classes of r = 1 + k3
     drackn = None
-    if cover is not None and cert is not None:
+    if drg is not None and drg.d == 3 and anti:
+        drackn = (len(classes), len(classes[0]), drg.c[1])
+    if cover is not None:
         base = cover.base
-        if base.m == base.n * (base.n - 1) // 2:
-            drackn = drackn_parameters(cover, cert)
-    elif cover is None:
-        drackn = drackn_of_graph(g)
+        complete = base.m == base.n * (base.n - 1) // 2
+        drackn = (drackn_parameters(cover, cert, drackn, classes)
+                  if cert is not None and complete else None)
     return RegularityCertificate(walk_regular=walk, srg=srg, drg=drg,
                                  antipodal=anti, antipodal_classes=classes,
                                  drackn=drackn)

@@ -528,6 +528,7 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | Non
     for j in f.group.elements():
         union.extend(hermitian_eigenvalues(rep_matrix(f, j)))
     union = np.sort(np.asarray(union))
-    cover_vals = hermitian_eigenvalues(cover.graph.adjacency(dtype=np.float64))
+    adj = cover.graph.adjacency(dtype=np.float64)
+    cover_vals = hermitian_eigenvalues(adj)
     dev = float(np.abs(union - cover_vals).max()) if union.size else 0.0
-    return dev <= tol * max(1.0, matrix_scale(cover.graph.adjacency())), dev
+    return dev <= tol * max(1.0, matrix_scale(adj)), dev

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
-                       complete_bipartite, components)
+                       complete_bipartite, components, is_connected)
+from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots, poly_gcd
 
@@ -155,6 +156,71 @@ def intersection_array(g: Graph):
                 return None
     d = max(b)
     return tuple(b[i] for i in range(d)), tuple(c[i] for i in range(1, d + 1))
+
+
+def distance_partition(g: Graph, v):
+    """Cells of vertices at distance 0, 1, ..., ecc(v) from v; connected only."""
+    table = g.distance_table
+    if not table.is_connected():
+        raise DisconnectedError("distance partition requires a connected graph")
+    dist = table.dist[v].tolist()
+    cells = [[] for _ in range(max(dist) + 1)]
+    for u, d in enumerate(dist):
+        cells[d].append(u)
+    return tuple(tuple(c) for c in cells)
+
+
+def is_equitable(g: Graph, partition):
+    """The cell-to-cell degree matrix if the partition is equitable, else None."""
+    cells = [tuple(c) for c in partition]
+    cell_of = {}
+    for i, cell in enumerate(cells):
+        for v in cell:
+            if not 0 <= v < g.n:
+                raise ParameterError(f"vertex {v} out of range")
+            if v in cell_of:
+                raise ParameterError(f"vertex {v} appears in two cells")
+            cell_of[v] = i
+    if len(cell_of) != g.n:
+        raise ParameterError("partition must cover every vertex exactly once")
+    k = len(cells)
+    quotient = []
+    for i, cell in enumerate(cells):
+        row = None
+        for v in cell:
+            counts = [0] * k
+            for w in g.neighbors[v]:
+                counts[cell_of[w]] += 1
+            if row is None:
+                row = counts
+            elif counts != row:
+                return None
+        quotient.append(tuple(row))
+    return tuple(quotient)
+
+
+def partition_distance_regular(g: Graph):
+    """((b_0..b_{d-1}), (c_1..c_d)) when the distance partition from every
+    vertex is equitable with one common quotient; None otherwise, and for a
+    single vertex.
+
+    Test-local oracle for `is_distance_regular`, by the equitable-partition
+    definition: one `is_equitable` pass per vertex over the neighbour lists.
+    """
+    if not is_connected(g):
+        raise DisconnectedError("distance-regularity requires a connected graph")
+    if not g.is_regular():
+        return None
+    quotients = {is_equitable(g, distance_partition(g, v)) for v in range(g.n)}
+    if len(quotients) != 1 or None in quotients:
+        return None
+    [common] = quotients
+    d = len(common) - 1
+    if d == 0:
+        return None
+    # the quotient of a distance partition is tridiagonal by construction
+    return (tuple(common[i][i + 1] for i in range(d)),
+            tuple(common[i + 1][i] for i in range(d)))
 
 
 def gf4_mul(x, y):

@@ -299,3 +299,14 @@ def test_gain_file_parse_errors():
     with pytest.raises(ParseError, match="line 5"):
         parse_gain_file("gainfile 1\ngroup cyclic 2\nvertices 3\n"
                         "edge 0 1 1\nedge 1 0 1\n")
+
+
+def test_gain_file_rejects_a_second_vertices_line():
+    # a larger second count used to add isolated vertices, and a smaller one
+    # failed later with no line number
+    for second in (5, 2):
+        text = (f"gainfile 1\ngroup cyclic 2\nvertices 3\nedge 0 2 1\n"
+                f"vertices {second}\nedge 0 1 0\n")
+        with pytest.raises(ParseError, match="line 5: duplicate vertices line") as info:
+            parse_gain_file(text)
+        assert info.value.line == 5

@@ -2,24 +2,33 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
-                       complete_bipartite, complete_graph, cycle,
-                       distance_partition, drackn_parameters, hypercube,
-                       identity_gains, is_antipodal, is_distance_regular,
-                       is_equitable, is_walk_regular, lemma_column_counts,
-                       lift, octahedron, petersen, srg_parameters)
+                       complete_bipartite, complete_graph, cycle, folded_cube,
+                       hypercube, identity_gains, is_antipodal, is_connected,
+                       is_distance_regular, is_walk_regular, johnson, kneser,
+                       lemma_column_counts, lift, line_graph, octahedron,
+                       petersen, regularity, srg_parameters)
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
 from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
                                 s3_cover_k5)
 from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
-                                  drackn_of_graph, regularity_certificate,
+                                  drackn_parameters, regularity_certificate,
                                   two_ev_divisibility_obstruction)
-from gaincover.search import SearchSpec, enumerate_gains, search_two_ev
+from gaincover.search import (SearchSpec, enumerate_gains, search_two_ev,
+                              verify_drackn)
 
-from conftest import (brute_force_walk_regular, intersection_array,
-                      klein_gf4_gain, random_graph)
+from conftest import (brute_force_walk_regular, distance_partition,
+                      intersection_array, is_equitable, klein_gf4_gain,
+                      partition_distance_regular, random_graph)
+
+try:
+    import networkx as nx
+except ImportError:  # the cross-checks then use the two test-local oracles
+    nx = None
 
 
 def q3_over_k4_gain():
@@ -144,6 +153,79 @@ def test_intersection_array_oracle_matches_networkx():
         assert (None if arr is None else (arr.b, arr.c)) == want
 
 
+def circulant(n, jumps):
+    """Cayley graph of Z_n with connection set +-jumps."""
+    return Graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def checked_array(g: Graph):
+    """(b, c) of `is_distance_regular(g)`, or None, after checking it against
+    the equitable-partition oracle, the BFS oracle and networkx (if installed);
+    all three must raise or agree."""
+    if not is_connected(g):
+        with pytest.raises(DisconnectedError):
+            is_distance_regular(g)
+        with pytest.raises(DisconnectedError):
+            partition_distance_regular(g)
+        return None
+    arr = is_distance_regular(g)
+    got = None if arr is None else (arr.b, arr.c)
+    assert got == partition_distance_regular(g)
+    if g.n <= 1:
+        assert got is None  # the BFS oracle gives ((), ()) for one vertex
+        return got
+    assert got == intersection_array(g)
+    if nx is not None:
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        want = (tuple(map(tuple, nx.intersection_array(h)))
+                if nx.is_distance_regular(h) else None)
+        assert got == want
+    return got
+
+
+def test_distance_regular_matches_the_oracles(rng):
+    named = [cycle(n) for n in range(3, 11)]
+    named += [hypercube(n) for n in range(1, 6)]
+    named += [folded_cube(n) for n in range(3, 7)]
+    named += [kneser(7, 2), kneser(7, 3), johnson(6, 3)]
+    named += [petersen(), octahedron()]
+    arrays = [checked_array(g) for g in named]
+    assert None not in arrays
+    assert checked_array(line_graph(petersen())) == ((4, 2, 1), (1, 1, 4))
+    # the Cohen-Tits covers are distance-regular at n = 2 and 4 only
+    arrays = [checked_array(cohen_tits_cover(n).graph) for n in range(2, 7)]
+    assert [a is not None for a in arrays] == [True, False, True, False, False]
+
+    lifts = [checked_array(lift(f).graph)
+             for f in enumerate_gains(SearchSpec(complete_graph(5), GroupSpec.cyclic(2)))]
+    assert len(lifts) == 64
+    assert lifts.count(((4, 3, 1), (1, 3, 4))) == 1
+
+    drawn = [random_graph(rng, rng.randint(1, 10), rng.choice([0.3, 0.5, 0.8]))
+             for _ in range(100)]
+    for _ in range(100):
+        n = rng.randint(3, 16)
+        drawn.append(circulant(n, [j for j in range(1, n // 2 + 1) if rng.random() < 0.4]))
+    arrays = [checked_array(g) for g in drawn]
+    assert sum(a is not None for a in arrays) >= 30
+
+
+def graphs_and_circulants():
+    edge_lists = st.integers(1, 9).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=n * (n - 1) // 2).map(lambda es: Graph(n, es)))
+    circulants = st.integers(3, 14).flatmap(lambda n: st.sets(
+        st.integers(1, n // 2)).map(lambda js: circulant(n, js)))
+    return st.one_of(edge_lists, circulants)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(graphs_and_circulants())
+def test_distance_regular_matches_the_oracles_property(g):
+    checked_array(g)
+
+
 def test_distance_regular_rejects_disconnected():
     with pytest.raises(DisconnectedError):
         is_distance_regular(Graph(4, [(0, 1), (2, 3)]))
@@ -205,7 +287,7 @@ def test_drackn_q3_over_k4():
     f = q3_over_k4_gain()
     cover = lift(f)
     cert = classify_two_ev(f, cover)
-    assert drackn_parameters(cover, cert) == (4, 2, 2)
+    assert regularity_certificate(cover, cert).drackn == (4, 2, 2)
 
 
 def test_drackn_absent_for_disconnected_double():
@@ -213,26 +295,27 @@ def test_drackn_absent_for_disconnected_double():
     cover = lift(f)
     cert = classify_two_ev(f, cover)
     assert cert.is_two_ev and not cert.cover_connected
-    assert drackn_parameters(cover, cert) is None
+    assert regularity_certificate(cover, cert).drackn is None
 
 
 def test_drackn_requires_complete_base():
     f = identity_gains(petersen(), GroupSpec.cyclic(2))
     cover = lift(f)
     with pytest.raises(ParameterError):
-        drackn_parameters(cover, classify_two_ev(f, cover))
+        drackn_parameters(cover, classify_two_ev(f, cover), None, None)
 
 
 def test_drackn_of_graph():
-    assert drackn_of_graph(hypercube(3)) == (4, 2, 2)
-    assert drackn_of_graph(petersen()) is None
-    assert drackn_of_graph(cycle(8)) is None
+    assert regularity_certificate(hypercube(3)).drackn == (4, 2, 2)
+    assert regularity_certificate(petersen()).drackn is None
+    assert regularity_certificate(cycle(8)).drackn is None
 
 
 def counted_drackn(g: Graph):
     """(n, r, t) of a distance-regular antipodal cover of K_n, counted from the
-    edge list alone (test-local oracle for the consequences `drackn_of_graph`
-    reads off diameter-3 antipodal distance-regularity).
+    edge list alone (test-local oracle for the consequences
+    `regularity_certificate` reads off diameter-3 antipodal
+    distance-regularity).
 
     t is c2 of the `intersection_array` oracle. Asserts that every distance-2
     pair has exactly t common neighbours, that the antipodal classes
@@ -288,11 +371,11 @@ def test_drackn_of_graph_matches_the_counted_parameters():
     named = [(hypercube(3), (4, 2, 2)), (cycle(6), (3, 2, 1)),
              (lift(s3_cover_k5()).graph, (5, 3, 1))]
     for g, want in named:
-        assert counted_drackn(g) == drackn_of_graph(g) == want
+        assert counted_drackn(g) == regularity_certificate(g).drackn == want
     found = []
     for h in census_drackns():
         g = lift(h.gain).graph
-        assert counted_drackn(g) == drackn_of_graph(g) == h.regularity.drackn
+        assert counted_drackn(g) == regularity_certificate(g).drackn == h.regularity.drackn
         found.append(h.regularity.drackn)
     assert sorted(found) == [(5, 2, 3)] + [(6, 2, 2)] * 12 + [(6, 2, 4), (7, 2, 5)]
 
@@ -320,6 +403,12 @@ def test_lemma_counts_petersen_obstruction():
     assert not cert.integral
     assert two_ev_divisibility_obstruction(petersen(), 2)
     assert not two_ev_divisibility_obstruction(complete_bipartite(3, 3), 3)
+
+
+def test_lemma_counts_rejects_out_of_range_anchor():
+    for v0 in (-1, 4):
+        with pytest.raises(ParameterError, match=f"vertex {v0} out of range"):
+            lemma_column_counts(q3_over_k4_gain(), v0=v0)
 
 
 def test_lemma_counts_requires_normalized_anchor():
@@ -411,3 +500,15 @@ def test_regularity_certificate_disconnected():
     reg = regularity_certificate(lift(f), classify_two_ev(f))
     assert reg.walk_regular and not reg.antipodal
     assert reg.drg is None and reg.drackn is None
+
+
+def test_regularity_certificate_decides_each_verdict_once(monkeypatch):
+    calls = {"is_distance_regular": 0, "is_antipodal": 0}
+    for name in calls:
+        def counted(g, name=name, real=getattr(regularity, name)):
+            calls[name] += 1
+            return real(g)
+        monkeypatch.setattr(regularity, name, counted)
+    summary = verify_drackn(6, 2)
+    assert summary.connected_two_ev == summary.verified == 13
+    assert calls == {"is_distance_regular": 13, "is_antipodal": 13}
