@@ -129,28 +129,14 @@ def distances(g: Graph) -> DistanceTable:
 
 
 def connected_components(g: Graph):
-    """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    """Vertex sets of the connected components, each sorted, ordered by minimum:
+    the distinct reachable sets of the rows of `Graph.distance_table`."""
+    return sorted({tuple(np.flatnonzero(row != UNREACHABLE).tolist())
+                   for row in g.distance_table.dist})
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return g.distance_table.is_connected()
 
 
 def bfs_tree(g: Graph, root=0):
@@ -321,7 +307,7 @@ def write_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     n = None
-    edges = []
+    edges = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -349,7 +335,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError("edge endpoints are not integers", ln) from None
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"invalid edge ({u},{v})", ln)
-            edges.append((u, v))
+            key = (min(u, v), max(u, v))
+            if key in edges:
+                raise ParseError(f"duplicate edge ({u},{v})", ln)
+            edges.add(key)
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", ln)
     if n is None:

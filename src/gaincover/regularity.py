@@ -114,17 +114,24 @@ def _diag_constant(mat):
     return all(x == d[0] for x in d.tolist())
 
 
-def is_walk_regular(g: Graph) -> bool:
+def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     """True iff every power of the adjacency matrix has constant diagonal.
 
-    Checking powers 1..d-1 (d = distinct eigenvalue count, taken from the
-    exact square-free part of the characteristic polynomial) suffices: the
-    minimal polynomial has degree d, so every higher power is a fixed linear
-    combination of A^0..A^(d-1).
+    x is a graph, or a lift with its certificate. Powers 1..d-1 suffice for
+    any d at least the distinct eigenvalue count, since every higher power is
+    a fixed combination of A^0..A^(d-1). A bare graph takes d from the exact
+    square-free part of its char poly. A lift's spectrum is its base's plus
+    the one on vectors summing to zero on every fiber, so a certificate gives
+    d = (base's count) + cert.new_distinct without the lift's char poly.
     """
+    cover = x if isinstance(x, CoverGraph) else None
+    g = cover.graph if cover is not None else x
     if g.n <= 1:
         return True
-    top = distinct_eigenvalue_count(g) - 1
+    if cover is not None and cert is not None:
+        top = distinct_eigenvalue_count(cover.base) + cert.new_distinct - 1
+    else:
+        top = distinct_eigenvalue_count(g) - 1
     deg = max(g.degrees)
     a64 = g.adjacency()
     power = a64.copy()
@@ -327,7 +334,8 @@ def _verify_counts(f: GainGraph, v0, r, t, s):
 
 def two_ev_divisibility_obstruction(base: Graph, r):
     """True when s = c/r is non-integral for the strongly regular base,
-    which rules out any two-eigenvalue gain of order r before eigensolving."""
+    which rules out any two-eigenvalue gain of order r without classifying
+    any gain."""
     srg = srg_parameters(base)
     if srg is None:
         return False
@@ -342,7 +350,7 @@ def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> Regularit
     """Full combinatorial certificate for a graph or a lifted cover."""
     cover = x if isinstance(x, CoverGraph) else None
     g = cover.graph if cover is not None else x
-    walk = is_walk_regular(g)
+    walk = is_walk_regular(x, cert)
     if not is_connected(g):
         return RegularityCertificate(walk_regular=walk)
     drg = is_distance_regular(g)

@@ -23,7 +23,7 @@ from .gains import GainGraph, GroupSpec, lift, write_gain_file
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, is_walk_regular,
                          regularity_certificate, srg_parameters)
-from .spectral import (DEFAULT_TOL, TwoEvCertificate, batch_rows, char_poly,
+from .spectral import (DEFAULT_TOL, TwoEvCertificate, batch_rows,
                        character_block_check, check_tol, classify_two_ev,
                        fiber_two_ev, sheet_table, two_ev_certificate)
 
@@ -242,7 +242,7 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
             cert = two_ev_certificate(cover, lam_b)
             summary.two_ev += 1
             summary.connected_two_ev += cert.cover_connected
-            if not is_walk_regular(cover.graph):
+            if not is_walk_regular(cover, cert):
                 _fail("walk-regularity-of-2ev-covers",
                       "2ev cover of a walk-regular base is not walk regular",
                       f, reproducer_dir, summary)
@@ -340,8 +340,8 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
             problems.append(f"sides differ ({m},{n})")
         if n % r != 0:
             problems.append(f"{r} does not divide {n}")
-        if not _char_poly_symmetric(cover.graph):
-            problems.append("lift spectrum is not symmetric about 0")
+        if not _connected_bipartite(cover.graph):
+            problems.append("lift is not bipartite")
         if reg.drg is None or reg.drg.d != 4:
             problems.append("lift is not distance-regular of diameter 4")
         return "; ".join(problems)
@@ -350,9 +350,8 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
                               "bipartite-drg-cover", check, reproducer_dir)
 
 
-def _char_poly_symmetric(g: Graph) -> bool:
-    """Exact bipartiteness witness: p(-x) = +-p(x), i.e. only coefficients
-    with the parity of the degree are nonzero."""
-    p = char_poly(g)
-    deg = p.degree
-    return all(c == 0 for i, c in enumerate(p.coeffs) if (i - deg) % 2)
+def _connected_bipartite(g: Graph) -> bool:
+    """Bipartiteness of a connected graph: no edge joins two vertices at the
+    same distance from vertex 0 (read off `Graph.distance_table`)."""
+    dist = g.distance_table.dist[0]
+    return all(dist[u] != dist[v] for u, v in g.edges)

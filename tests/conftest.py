@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
-                       complete_bipartite, components, is_connected)
+                       complete_bipartite)
 from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots, poly_gcd
@@ -115,7 +115,31 @@ def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):
         m_theta = m_tau = dim // 2
     return TwoEvCertificate(is_two_ev=True, theta=theta, tau=tau, mult_theta=m_theta,
                             mult_tau=m_tau, lambda_=lam, mu=k,
-                            cover_connected=len(components(cover)) == 1, new_distinct=2)
+                            cover_connected=len(bfs_components(cover.graph)) == 1,
+                            new_distinct=2)
+
+
+def bfs_components(g: Graph):
+    """Vertex sets of the connected components, each sorted, ordered by
+    minimum (test-local oracle for `connected_components`): one BFS per
+    component over the neighbour lists."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = []
+        queue = deque([s])
+        seen[s] = True
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in g.neighbors[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
 
 
 def random_graph(rng: random.Random, n, p=0.5) -> Graph:
@@ -207,7 +231,7 @@ def partition_distance_regular(g: Graph):
     Test-local oracle for `is_distance_regular`, by the equitable-partition
     definition: one `is_equitable` pass per vertex over the neighbour lists.
     """
-    if not is_connected(g):
+    if len(bfs_components(g)) > 1:
         raise DisconnectedError("distance-regularity requires a connected graph")
     if not g.is_regular():
         return None

@@ -302,3 +302,11 @@ def test_zero_vertex_edge_list_exit_1(tmp_path, capsys):
     code, _, err = run(["certify", str(epath)], capsys)
     assert code == 1
     assert err == "error: line 1: vertex count must be positive\n"
+
+
+def test_duplicate_edge_in_edge_list_exit_1(tmp_path, capsys):
+    epath = tmp_path / "dup.txt"
+    epath.write_text("graph 3\nedge 0 1\nedge 1 0\nedge 1 2\n")
+    code, _, err = run(["certify", str(epath)], capsys)
+    assert code == 1
+    assert err == "error: line 3: duplicate edge (1,0)\n"

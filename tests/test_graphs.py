@@ -11,7 +11,7 @@ from gaincover import (Graph, complete_bipartite, complete_graph,
 from gaincover.errors import EmptyGraphError, ParameterError, ParseError
 from gaincover.graphs import UNREACHABLE, bfs_tree
 
-from conftest import random_graph
+from conftest import bfs_components, random_graph
 
 
 def test_graph_normalizes_edges():
@@ -144,6 +144,20 @@ def test_distances_disconnected():
     assert is_connected(complete_graph(3))
 
 
+def test_components_match_the_bfs_oracle(rng):
+    drawn = [Graph(0, []), Graph(1, []), Graph(3, [])]
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice([0.05, 0.15, 0.3, 0.6]))
+        # a few isolated vertices past the drawn ones
+        drawn.append(Graph(g.n + rng.randint(0, 2), g.edges))
+    for g in drawn:
+        comps = bfs_components(g)
+        assert connected_components(g) == comps
+        assert is_connected(g) == (len(comps) <= 1)
+    counts = [len(bfs_components(g)) for g in drawn]
+    assert 0 in counts and 1 in counts and max(counts) >= 5
+
+
 def test_distance_properties_random(rng):
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 9), 0.4)
@@ -199,6 +213,13 @@ def test_edge_list_roundtrip():
     assert parse_edge_list(text) == g
     assert write_edge_list(parse_edge_list(text)) == text
     assert text.endswith("\n") and "\r" not in text
+
+
+def test_edge_list_rejects_a_duplicate_edge():
+    # a repeated edge, in either orientation, is an error and not merged
+    for dup in ("edge 1 0", "edge 0 1"):
+        with pytest.raises(ParseError, match=r"line 3: duplicate edge"):
+            parse_edge_list(f"graph 3\nedge 0 1\n{dup}\nedge 1 2\n")
 
 
 def test_edge_list_parse_errors():

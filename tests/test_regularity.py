@@ -7,21 +7,22 @@ from hypothesis import strategies as st
 
 from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
                        complete_bipartite, complete_graph, cycle, folded_cube,
-                       hypercube, identity_gains, is_antipodal, is_connected,
+                       hypercube, identity_gains, is_antipodal,
                        is_distance_regular, is_walk_regular, johnson, kneser,
                        lemma_column_counts, lift, line_graph, octahedron,
                        petersen, regularity, srg_parameters)
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
 from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
-                                s3_cover_k5)
+                                huang_signing, s3_cover_k5)
 from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
                                   drackn_parameters, regularity_certificate,
                                   two_ev_divisibility_obstruction)
-from gaincover.search import (SearchSpec, enumerate_gains, search_two_ev,
-                              verify_drackn)
+from gaincover.search import (SearchSpec, enumerate_gains, run_search,
+                              search_two_ev, verify_drackn)
+from gaincover.spectral import distinct_eigenvalue_count
 
-from conftest import (brute_force_walk_regular, distance_partition,
+from conftest import (bfs_components, brute_force_walk_regular, distance_partition,
                       intersection_array, is_equitable, klein_gf4_gain,
                       partition_distance_regular, random_graph)
 
@@ -63,6 +64,78 @@ def test_walk_regular_agrees_with_brute_force(rng):
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8]))
         assert is_walk_regular(g) == brute_force_walk_regular(g)
+
+
+def cycle_complement(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 2, n)
+                     if (u, v) != (0, n - 1)])
+
+
+def check_certificate_bound(cover, cert):
+    """The walk-regularity verdict bounded by the certificate equals the bare
+    graph's and the brute-force oracle's, and the bound holds."""
+    got = is_walk_regular(cover, cert)
+    assert got == is_walk_regular(cover.graph) == brute_force_walk_regular(cover.graph)
+    assert (distinct_eigenvalue_count(cover.graph)
+            <= distinct_eigenvalue_count(cover.base) + cert.new_distinct)
+    return got
+
+
+def test_walk_regular_certificate_bound_matches_the_oracles(rng):
+    cases = [(complete_graph(5), GroupSpec.cyclic(2)), (complete_graph(6), GroupSpec.cyclic(2)),
+             (complete_bipartite(4, 4), GroupSpec.cyclic(2)),
+             (complete_bipartite(3, 3), GroupSpec.cyclic(3)),
+             (octahedron(), GroupSpec.cyclic(2)), (complete_graph(4), GroupSpec.abelian(2, 2))]
+    hits = [rec for base, group in cases for rec in run_search(SearchSpec(base, group)).records]
+    assert len(hits) == 2 + 14 + 6 + 2 + 2 + 1
+    gains = [rec.gain for rec in hits]
+    gains += [s3_cover_k5()] + [huang_signing(n) for n in (3, 4, 5)]
+    for base, r in [(petersen(), 3), (hypercube(3), 3), (complete_bipartite(3, 3), 4),
+                    (kneser(7, 2), 2)]:
+        for _ in range(3):
+            gains.append(GainGraph(base, GroupSpec.cyclic(r),
+                                   {e: (rng.randrange(r),) for e in base.sorted_edges()}))
+    verdicts = []
+    for f in gains:
+        cover = lift(f)
+        cert = classify_two_ev(f, cover)
+        verdicts.append((cert.is_two_ev, check_certificate_bound(cover, cert)))
+    # every 2ev lift of a walk-regular base is walk-regular; the drawn gains
+    # all miss, and most of their lifts are not walk-regular
+    assert all(walk for two_ev, walk in verdicts[:-12])
+    assert [two_ev for two_ev, _ in verdicts[-12:]] == [False] * 12
+    assert sum(not walk for _, walk in verdicts[-12:]) >= 10
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_walk_regular_certificate_bound_property(data):
+    base = data.draw(st.sampled_from([complete_graph(4), cycle(5), cycle(6), hypercube(3),
+                                      complete_bipartite(2, 3), petersen(), octahedron(),
+                                      Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])]))
+    group = data.draw(st.sampled_from([GroupSpec.cyclic(2), GroupSpec.cyclic(3),
+                                       GroupSpec.abelian(2, 2)]))
+    elements = group.elements()
+    f = GainGraph(base, group, {e: data.draw(st.sampled_from(elements))
+                                for e in base.sorted_edges()})
+    cover = lift(f)
+    check_certificate_bound(cover, classify_two_ev(f, cover))
+
+
+def test_walk_regular_switches_to_exact_integers():
+    # 27-regular with 16 distinct eigenvalues: 27^14 passes the int64 guard,
+    # so powers A^14 and A^15 are taken over Python integers
+    g = cycle_complement(30)
+    top = distinct_eigenvalue_count(g) - 1
+    assert (max(g.degrees), top) == (27, 15)
+    assert 27 ** 13 < regularity._INT64_SAFE <= 27 ** 14
+    assert is_walk_regular(g) and brute_force_walk_regular(g)
+    # through a lift's certificate bound: two disjoint copies, 16 + 16 - 1 powers
+    f = identity_gains(g, GroupSpec.cyclic(2))
+    cover = lift(f)
+    cert = classify_two_ev(f, cover)
+    assert cert.new_distinct == 16
+    assert check_certificate_bound(cover, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +235,7 @@ def checked_array(g: Graph):
     """(b, c) of `is_distance_regular(g)`, or None, after checking it against
     the equitable-partition oracle, the BFS oracle and networkx (if installed);
     all three must raise or agree."""
-    if not is_connected(g):
+    if len(bfs_components(g)) > 1:
         with pytest.raises(DisconnectedError):
             is_distance_regular(g)
         with pytest.raises(DisconnectedError):

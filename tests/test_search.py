@@ -19,6 +19,15 @@ from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
 
 from conftest import intersection_array
 
+# the seven search cases of the benchmark's search-exhaustive workload
+BENCH_SEARCHES = ((complete_graph(5), GroupSpec.cyclic(3)),
+                  (complete_graph(6), GroupSpec.cyclic(2)),
+                  (octahedron(), GroupSpec.cyclic(2)),
+                  (complete_bipartite(4, 4), GroupSpec.cyclic(2)),
+                  (petersen(), GroupSpec.cyclic(2)),
+                  (complete_bipartite(3, 3), GroupSpec.cyclic(3)),
+                  (complete_graph(4), GroupSpec.abelian(2, 2)))
+
 
 def test_exhaustive_counts():
     assert sum(1 for _ in enumerate_gains(
@@ -201,6 +210,71 @@ def test_verify_bipartite_cover():
     assert s.connected_two_ev == 0 and not s.failures
 
 
+def char_poly_parity_bipartite(g):
+    """Bipartiteness witness from the exact spectrum (test-local oracle): the
+    spectrum is symmetric about 0, i.e. only the coefficients of the char poly
+    with the parity of its degree are nonzero."""
+    p = char_poly(g)
+    return all(c == 0 for i, c in enumerate(p.coeffs) if (i - p.degree) % 2)
+
+
+def test_bipartite_table_read_matches_the_char_poly_parity():
+    verdicts = {}
+    for base, r in [(complete_bipartite(2, 2), 2), (complete_bipartite(3, 3), 3),
+                    (complete_bipartite(4, 4), 2), (octahedron(), 2), (complete_graph(6), 2)]:
+        lifts = [lift(rec.gain).graph for rec in search_two_ev(SearchSpec(base, GroupSpec.cyclic(r)))
+                 if rec.two_ev.cover_connected]
+        got = [search._connected_bipartite(g) for g in lifts]
+        assert got == [char_poly_parity_bipartite(g) for g in lifts]
+        verdicts[base.n, base.m] = got
+    # every connected hit over K_{m,m} is bipartite; over the octahedron none
+    # is, and over K6 only the crown graph K_{6,6} minus a perfect matching
+    assert verdicts == {(4, 4): [True], (6, 9): [True] * 2, (8, 16): [True] * 6,
+                        (6, 12): [False] * 2, (6, 15): [False] * 12 + [True]}
+    assert not search._connected_bipartite(cycle(5))
+    assert search._connected_bipartite(cycle(6))
+
+
+def test_verify_bipartite_reports_a_non_bipartite_lift(monkeypatch):
+    monkeypatch.setattr(search, "_connected_bipartite", lambda g: False)
+    with pytest.raises(FalsificationError) as info:
+        verify_bipartite_cover(2, 2, 2)
+    assert info.value.detail == "lift is not bipartite"
+
+
+def test_no_verdict_takes_the_char_poly_of_a_lift(monkeypatch):
+    # the char polys taken, cache cleared, are of bases only
+    sizes = []
+    real = spectral.char_poly_int_matrix
+
+    def recording(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
+
+    def largest(run):
+        spectral.char_poly.cache_clear()
+        sizes.clear()
+        run()
+        return max(sizes, default=0)
+
+    for base, group in BENCH_SEARCHES:
+        assert largest(lambda: run_search(SearchSpec(base, group))) <= base.n
+    assert largest(lambda: verify_bipartite_cover(4, 4, 2)) <= 8
+    assert largest(lambda: verify_drackn(6, 2)) <= 6
+    bases = [complete_graph(4), cycle(6), complete_bipartite(3, 3)]
+    groups = [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.abelian(2, 2)]
+    summary = verify_walk_regularity(bases, groups, budget=8, seed=1)
+    assert summary.two_ev > 0
+    assert largest(lambda: verify_walk_regularity(bases, groups, budget=8, seed=1)) <= 6
+    f = butson_gain(fourier_butson(3))
+    cover = lift(f)
+    cert = spectral.classify_two_ev(f, cover)
+    assert cert.is_two_ev and cert.cover_connected
+    assert largest(lambda: regularity.regularity_certificate(cover, cert)) <= f.base.n
+
+
 @pytest.mark.parametrize("run_harness, patched, theorem, key, detail", [
     (lambda d: verify_drackn(4, 2, reproducer_dir=d), "drackn_parameters",
      "drackn-cover-of-complete-graph", "drackn",
@@ -305,8 +379,9 @@ def test_search_lifts_only_the_hits(monkeypatch):
     assert len(lifted) == s.two_ev == 2
 
 
-def test_each_connected_hit_builds_one_distance_table(monkeypatch):
-    # every question asked of a lift's distances reads one table per graph
+def test_each_hit_builds_one_distance_table(monkeypatch):
+    # every question asked of a lift's distances, its connectivity included,
+    # reads one table per graph: 13 connected hits and 1 disconnected one
     built = []
     real = graphs.distances
 
@@ -319,7 +394,7 @@ def test_each_connected_hit_builds_one_distance_table(monkeypatch):
             monkeypatch.setattr(module, "distances", counting_distances)
     s = verify_drackn(6, 2)
     assert s.connected_two_ev == s.verified == 13
-    assert len(built) == 13
+    assert len(built) == s.two_ev == 14
 
 
 def test_run_search_counts_the_assignments_it_decided():

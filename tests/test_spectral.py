@@ -600,7 +600,7 @@ _PROPERTY_CASES = [(complete_graph(2), GroupSpec.cyclic(3)),
                    (complete_graph(4), GroupSpec.permutation(3))]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_kernel_matches_lift_oracle_property(data):
     base, group = data.draw(st.sampled_from(_PROPERTY_CASES))
