@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedError, ParameterError, ParseError
-from .graphs import Graph, bfs_tree, connected_components
+from .graphs import Graph, bfs_tree, is_connected
 
 ABELIAN = "abelian"
 PERMUTATION = "permutation"
@@ -220,11 +220,6 @@ def lift(f: GainGraph) -> CoverGraph:
     return CoverGraph(Graph(f.base.n * r, edges), f.base, r)
 
 
-def components(c: CoverGraph):
-    """Connected components of the lifted graph."""
-    return connected_components(c.graph)
-
-
 def normalize(f: GainGraph, tree=None) -> GainGraph:
     """Equivalent gain graph whose gains are the identity on a spanning tree.
 
@@ -273,7 +268,7 @@ def _check_spanning_tree(base: Graph, tree):
         raise ParameterError("a spanning tree must have n-1 edges")
     # connectivity of the tree itself
     t = Graph(base.n, tset)
-    if len(connected_components(t)) != 1:
+    if not is_connected(t):
         raise ParameterError("tree edges do not form a spanning tree")
 
 

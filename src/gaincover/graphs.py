@@ -81,9 +81,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """All-pairs hop distances; UNREACHABLE (-1) marks different components."""
+    """All-pairs hop distances, UNREACHABLE (-1) marking different components,
+    and the girth (None for forests)."""
 
     dist: np.ndarray
+    girth: int | None
 
     def __post_init__(self):
         self.dist.flags.writeable = False
@@ -105,27 +107,39 @@ class DistanceTable:
         return int(self.dist[key])
 
 
-def _bfs(g: Graph, source):
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    nbrs = g.neighbors
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in nbrs[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
 def distances(g: Graph) -> DistanceTable:
-    """All-pairs BFS hop distances; `Graph.distance_table` keeps them."""
-    out = np.full((g.n, g.n), UNREACHABLE, dtype=np.int64)
-    for v in range(g.n):
-        out[v] = _bfs(g, v)
-    return DistanceTable(out)
+    """All-pairs hop distances and the girth, from one frontier expansion from
+    every vertex at once; `Graph.distance_table` keeps them.
+
+    With L the 0/1 matrix of the pairs at distance d, (L @ A)[u, v] counts the
+    neighbours of v at distance d from u, and the pairs it reaches that are
+    not yet reached are at distance d + 1. A v at distance d from u with a
+    neighbour also at distance d closes a walk of odd length 2d + 1; a v at
+    distance d + 1 with two neighbours at distance d closes one of even
+    length 2d + 2. A shortest cycle is isometric, so the first d with either
+    witness gives the girth. Float64 keeps the matmul on BLAS; the counts are
+    at most the valency, so they are exact.
+    """
+    a = g.adjacency(dtype=np.float64)
+    dist = np.full((g.n, g.n), UNREACHABLE, dtype=np.int64)
+    frontier = np.eye(g.n, dtype=bool)
+    reached = frontier.copy()
+    best = None
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        count = frontier.astype(np.float64) @ a
+        hit = count > 0
+        step = hit & ~reached
+        if best is None:
+            if (frontier & hit).any():
+                best = 2 * d + 1
+            elif (step & (count >= 2)).any():
+                best = 2 * d + 2
+        reached |= step
+        frontier = step
+        d += 1
+    return DistanceTable(dist, best)
 
 
 def connected_components(g: Graph):
@@ -162,33 +176,9 @@ def bfs_tree(g: Graph, root=0):
 
 
 def girth(g: Graph):
-    """Length of the shortest cycle, or None for forests.
-
-    BFS from every vertex; every non-tree edge (u,v) reachable from the root
-    witnesses a closed walk of length dist[u]+dist[v]+1, and the minimum over
-    all roots is exact because a shortest cycle is isometric. O(n*m).
-    """
-    best = None
-    nbrs = g.neighbors
-    for s in range(g.n):
-        dist = [UNREACHABLE] * g.n
-        parent = [UNREACHABLE] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and dist[u] * 2 >= best:
-                continue
-            for w in nbrs[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+    """Length of the shortest cycle, or None for forests; read off
+    `Graph.distance_table`."""
+    return g.distance_table.girth
 
 
 # ---------------------------------------------------------------------------

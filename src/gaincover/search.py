@@ -224,29 +224,26 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
     summary = VerifySummary()
     for base, group in itertools.product(bases, groups):
         spec = SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
-        # the block check needs every sample's gain graph and lift, so
-        # enumerate_gains draws the same rows again from the seed, in step
-        # with the batched verdicts
-        verdicts = (v for _, hit, lam in _decided(spec)
-                    for v in zip(hit.tolist(), lam.tolist()))
-        for f, (two_ev, lam_b) in zip(enumerate_gains(spec), verdicts):
-            cover = lift(f)
-            summary.sampled += 1
-            ok, dev = character_block_check(f, tol, cover)
-            if not ok:
-                _fail("block-decomposition",
-                      f"character spectra deviate from lift spectrum by {dev:.3g}",
-                      f, reproducer_dir, summary)
-            if not two_ev:
-                continue
-            cert = two_ev_certificate(cover, lam_b)
-            summary.two_ev += 1
-            summary.connected_two_ev += cert.cover_connected
-            if not is_walk_regular(cover, cert):
-                _fail("walk-regularity-of-2ev-covers",
-                      "2ev cover of a walk-regular base is not walk regular",
-                      f, reproducer_dir, summary)
-            summary.verified += 1
+        for rows, hit, lam in _decided(spec):
+            for row, two_ev, lam_b in zip(rows, hit.tolist(), lam.tolist()):
+                f = gain_of_row(spec, row)
+                cover = lift(f)
+                summary.sampled += 1
+                ok, dev = character_block_check(f, tol, cover)
+                if not ok:
+                    _fail("block-decomposition",
+                          f"character spectra deviate from lift spectrum by {dev:.3g}",
+                          f, reproducer_dir, summary)
+                if not two_ev:
+                    continue
+                cert = two_ev_certificate(cover, lam_b)
+                summary.two_ev += 1
+                summary.connected_two_ev += cert.cover_connected
+                if not is_walk_regular(cover, cert):
+                    _fail("walk-regularity-of-2ev-covers",
+                          "2ev cover of a walk-regular base is not walk regular",
+                          f, reproducer_dir, summary)
+                summary.verified += 1
     return summary
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
-from .gains import CoverGraph, GainGraph, components, lift
+from .gains import CoverGraph, GainGraph, lift
 from .graphs import Graph, is_connected
 from .intpoly import IntPoly, integer_roots, squarefree_part
 
@@ -483,7 +483,7 @@ def two_ev_certificate(cover: CoverGraph, lam) -> TwoEvCertificate:
         mult_tau=m_tau,
         lambda_=lam,
         mu=k,
-        cover_connected=len(components(cover)) == 1,
+        cover_connected=is_connected(cover.graph),
         new_distinct=2,
     )
 
@@ -503,7 +503,7 @@ def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCerti
     if hit[0]:
         return two_ev_certificate(cover, int(lam[0]))
     new = squarefree_part(spectral_difference_poly(f, cover))
-    return TwoEvCertificate(is_two_ev=False, cover_connected=len(components(cover)) == 1,
+    return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(cover.graph),
                             new_distinct=new.degree)
 
 

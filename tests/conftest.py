@@ -147,31 +147,79 @@ def random_graph(rng: random.Random, n, p=0.5) -> Graph:
     return Graph(n, edges)
 
 
-def intersection_array(g: Graph):
-    """((b_0..b_{d-1}), (c_1..c_d)) of a connected graph, or None when it is
-    not distance-regular.
-
-    Test-local oracle: all-pairs BFS over the edge list, then for every pair
-    (u, v) at distance i count the neighbours of v at distance i+1 (b_i) and
-    i-1 (c_i) from u; the graph is distance-regular iff every count depends
-    on i alone (b_0 constant makes it regular, so a_i follows).
-    """
+def _edge_list_neighbours(g: Graph):
     adj = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    b, c = {}, {}
+    return adj
+
+
+def bfs_distances(g: Graph):
+    """All-pairs hop distances as nested lists, -1 for unreachable pairs
+    (test-local oracle for `distances`): one BFS per source over the edge
+    list."""
+    adj = _edge_list_neighbours(g)
+    table = []
     for u in range(g.n):
-        dist = [None] * g.n
+        dist = [-1] * g.n
         dist[u] = 0
         queue = deque([u])
         while queue:
             x = queue.popleft()
             for y in adj[x]:
-                if dist[y] is None:
+                if dist[y] == -1:
                     dist[y] = dist[x] + 1
                     queue.append(y)
-        assert None not in dist, "the oracle is defined on connected graphs"
+        table.append(dist)
+    return table
+
+
+def bfs_girth(g: Graph):
+    """Length of the shortest cycle, or None for forests (test-local oracle
+    for `girth`).
+
+    BFS from every vertex; every non-tree edge (u,v) reachable from the root
+    witnesses a closed walk of length dist[u]+dist[v]+1, and the minimum over
+    all roots is exact because a shortest cycle is isometric. A root's search
+    stops once no shorter cycle can be closed. O(n*m).
+    """
+    best = None
+    nbrs = g.neighbors
+    for s in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if best is not None and dist[u] * 2 >= best:
+                continue
+            for w in nbrs[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w and parent[w] != u:
+                    cand = dist[u] + dist[w] + 1
+                    if best is None or cand < best:
+                        best = cand
+    return best
+
+
+def intersection_array(g: Graph):
+    """((b_0..b_{d-1}), (c_1..c_d)) of a connected graph, or None when it is
+    not distance-regular.
+
+    Test-local oracle: `bfs_distances` over the edge list, then for every pair
+    (u, v) at distance i count the neighbours of v at distance i+1 (b_i) and
+    i-1 (c_i) from u; the graph is distance-regular iff every count depends
+    on i alone (b_0 constant makes it regular, so a_i follows).
+    """
+    adj = _edge_list_neighbours(g)
+    b, c = {}, {}
+    for dist in bfs_distances(g):
+        assert -1 not in dist, "the oracle is defined on connected graphs"
         for v in range(g.n):
             i = dist[v]
             bi = sum(dist[w] == i + 1 for w in adj[v])

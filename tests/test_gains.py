@@ -3,8 +3,8 @@ import random
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly, complete_graph,
-                       components, connected_components, cycle, identity_gains,
-                       is_balanced, lift, normalize, parse_gain_file, petersen,
+                       connected_components, cycle, identity_gains, is_balanced,
+                       lift, normalize, parse_gain_file, petersen,
                        write_gain_file)
 from gaincover.errors import DisconnectedError, ParameterError, ParseError
 from gaincover.families import huang_signing
@@ -92,7 +92,7 @@ def test_lift_identity_is_disjoint_copies():
     f = identity_gains(complete_graph(3), GroupSpec.cyclic(2))
     cov = lift(f)
     assert cov.graph.n == 6 and cov.graph.m == 6
-    comps = components(cov)
+    comps = connected_components(cov.graph)
     assert len(comps) == 2
     assert all(len(c) == 3 for c in comps)
 
@@ -214,7 +214,7 @@ def test_lift_single_vertex_base():
     f = identity_gains(base, GroupSpec.cyclic(2))
     cov = lift(f)
     assert cov.graph.n == 2 and cov.graph.m == 0
-    assert len(components(cov)) == 2
+    assert len(connected_components(cov.graph)) == 2
 
 
 def test_is_balanced():
@@ -224,7 +224,7 @@ def test_is_balanced():
     f = GainGraph(k3, GroupSpec.cyclic(2),
                   {(0, 1): (1,), (1, 2): (1,), (0, 2): (0,)})
     assert is_balanced(f)
-    assert len(components(lift(f))) == 2
+    assert len(connected_components(lift(f).graph)) == 2
 
 
 def test_balance_iff_r_base_copies(rng):
@@ -236,7 +236,7 @@ def test_balance_iff_r_base_copies(rng):
     for _ in range(20):
         f = random_gain(rng, base, group)
         cov = lift(f)
-        comps = components(cov)
+        comps = connected_components(cov.graph)
         copies = (len(comps) == r
                   and all(len(c) == base.n for c in comps)
                   and cov.graph.m == base.m * r)
@@ -245,11 +245,11 @@ def test_balance_iff_r_base_copies(rng):
 
 def test_components_edge_cases():
     f = identity_gains(complete_graph(4), GroupSpec.cyclic(3))
-    assert len(components(lift(f))) == 3
+    assert len(connected_components(lift(f).graph)) == 3
     empty = identity_gains(Graph(3, []), GroupSpec.cyclic(2))
-    assert len(components(lift(empty))) == 6
+    assert len(connected_components(lift(empty).graph)) == 6
     from gaincover.families import cohen_tits_cover
-    assert len(components(cohen_tits_cover(3))) == 1
+    assert len(connected_components(cohen_tits_cover(3).graph)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaincover import (Graph, complete_bipartite, complete_graph,
                        connected_components, cycle, distances, folded_cube,
@@ -9,9 +11,11 @@ from gaincover import (Graph, complete_bipartite, complete_graph,
                        line_graph, octahedron, parse_edge_list, petersen,
                        write_edge_list)
 from gaincover.errors import EmptyGraphError, ParameterError, ParseError
+from gaincover.families import cohen_tits_cover, huang_signing
+from gaincover.gains import lift
 from gaincover.graphs import UNREACHABLE, bfs_tree
 
-from conftest import bfs_components, random_graph
+from conftest import bfs_components, bfs_distances, bfs_girth, random_graph
 
 
 def test_graph_normalizes_edges():
@@ -197,6 +201,51 @@ def test_girth_random_against_brute_force(rng):
     for _ in range(20):
         g = random_graph(rng, rng.randint(3, 7), 0.45)
         assert girth(g) == brute_girth(g)
+
+
+def assert_matches_the_bfs_oracles(g):
+    assert distances(g).dist.tolist() == bfs_distances(g)
+    assert girth(g) == bfs_girth(g)
+
+
+def test_distances_and_girth_match_the_bfs_oracles(rng):
+    drawn = [random_graph(rng, rng.randint(0, 16), rng.choice([0.05, 0.1, 0.2, 0.35, 0.5, 0.7]))
+             for _ in range(240)]
+    for g in drawn:
+        assert_matches_the_bfs_oracles(g)
+    assert any(g.n == 0 for g in drawn)
+    assert any(g.m and bfs_girth(g) is None for g in drawn)  # forests
+    assert any(0 in g.degrees for g in drawn)  # isolated vertices
+    assert any(len(bfs_components(g)) > 1 for g in drawn)
+    assert {bfs_girth(g) for g in drawn} >= {3, 4, 5}
+
+
+NAMED_GRAPHS = (
+    [(f"Q{n}", lambda n=n: hypercube(n)) for n in range(3, 8)]
+    + [(f"huang-lift-Q{n}", lambda n=n: lift(huang_signing(n)).graph) for n in range(3, 8)]
+    + [(f"cohen-tits-{n}", lambda n=n: cohen_tits_cover(n).graph) for n in range(2, 7)]
+    + [("kneser-8-2", lambda: kneser(8, 2)), ("johnson-6-3", lambda: johnson(6, 3)),
+       ("petersen", petersen), ("folded-6-cube", lambda: folded_cube(6))]
+    + [(f"C{n}", lambda n=n: cycle(n)) for n in range(3, 18)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in NAMED_GRAPHS],
+                         ids=[name for name, _ in NAMED_GRAPHS])
+def test_named_graphs_match_the_bfs_oracles(build):
+    assert_matches_the_bfs_oracles(build())
+
+
+def _graphs_on(n):
+    pairs = list(combinations(range(n), 2))
+    edges = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    return edges.map(lambda es: Graph(n, es))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 12).flatmap(_graphs_on))
+def test_distance_table_property(g):
+    assert_matches_the_bfs_oracles(g)
 
 
 def test_bfs_tree():

@@ -9,8 +9,8 @@ from gaincover import (GainGraph, GroupSpec, char_poly, complete_bipartite,
                        parse_gain_file, petersen)
 from gaincover import spectral
 from gaincover.errors import BudgetError, FalsificationError, ParameterError
-from gaincover import graphs, regularity, search
-from gaincover.families import butson_gain, fourier_butson, k3n_nonexample
+from gaincover import cli, graphs, regularity, search
+from gaincover.families import butson_gain, fourier_butson, huang_signing, k3n_nonexample
 from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
                               run_search, search_two_ev, verify_bipartite_cover,
@@ -379,9 +379,9 @@ def test_search_lifts_only_the_hits(monkeypatch):
     assert len(lifted) == s.two_ev == 2
 
 
-def test_each_hit_builds_one_distance_table(monkeypatch):
-    # every question asked of a lift's distances, its connectivity included,
-    # reads one table per graph: 13 connected hits and 1 disconnected one
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The graphs whose distance table is built while the test runs."""
     built = []
     real = graphs.distances
 
@@ -392,9 +392,23 @@ def test_each_hit_builds_one_distance_table(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("gaincover") and getattr(module, "distances", None) is real:
             monkeypatch.setattr(module, "distances", counting_distances)
+    return built
+
+
+def test_each_hit_builds_one_distance_table(built_tables):
+    # every question asked of a lift's distances, its connectivity included,
+    # reads one table per graph: 13 connected hits and 1 disconnected one
     s = verify_drackn(6, 2)
     assert s.connected_two_ev == s.verified == 13
-    assert len(built) == s.two_ev == 14
+    assert len(built_tables) == s.two_ev == 14
+
+
+def test_a_report_builds_one_distance_table_per_graph(built_tables):
+    # girth, connectivity and the regularity verdicts of the base and the
+    # cover all read the two tables
+    report = cli.gain_report(huang_signing(4), spectral.DEFAULT_TOL)
+    assert report["cover"]["girth"] == 6
+    assert [g.n for g in built_tables] == [16, 32]
 
 
 def test_run_search_counts_the_assignments_it_decided():
