@@ -22,8 +22,7 @@ from .errors import (BudgetError, DisconnectedError, FalsificationError,
                      NumericError, ParameterError, ParseError)
 from .families import (butson_gain, cohen_tits_signing, fourier_butson,
                        huang_signing, k3n_nonexample, s3_cover_k5)
-from .gains import (GainGraph, GroupSpec, lift, parse_gain_file,
-                    write_gain_file)
+from .gains import GainGraph, GroupSpec, parse_gain_file, write_gain_file
 from .graphs import (Graph, complete_bipartite, complete_graph, cycle, girth,
                      hypercube, is_connected, johnson, kneser, octahedron,
                      parse_edge_list, petersen, write_edge_list)
@@ -67,15 +66,14 @@ def graph_report(g: Graph, tol):
 
 def gain_report(f: GainGraph, tol):
     t0 = time.perf_counter()
-    cover = lift(f)
-    cert = classify_two_ev(f, cover)
-    reg = regularity_certificate(cover, cert)
+    cert = classify_two_ev(f)
+    reg = regularity_certificate(f.cover, cert)
     report = {
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "gain", "group": f.group.describe(),
                   "vertices": f.base.n, "edges": f.base.m},
         "base": graph_report(f.base, tol),
-        "cover": graph_report(cover.graph, tol) | {"fibers": cover.r},
+        "cover": graph_report(f.cover.graph, tol) | {"fibers": f.cover.r},
         "two_ev": cert.as_dict(),
         "regularity": reg.as_dict(),
         "meta": {"elapsed_s": round(time.perf_counter() - t0, 6)},
@@ -181,8 +179,7 @@ def cmd_demo(args):
 def cmd_lift(args):
     with open(args.gainfile) as fh:
         f = parse_gain_file(fh.read())
-    cover = lift(f)
-    text = write_edge_list(cover.graph)
+    text = write_edge_list(f.cover.graph)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)

@@ -9,14 +9,21 @@ element set in lexicographic order, so applying a gain to a sheet is
 componentwise addition (the group acting on itself by translation).
 Permutation gains are image tuples acting on sheets {0..r-1} directly; they
 are supported at lift level only, with no character machinery.
+
+Only this module builds the array form of a gain (`sheet_table`, `gain_row`)
+and the cover layout (`cover_arcs`: vertex (v, j) is v*r + j); `lift` builds
+from them, and `GainGraph.cover` keeps a gain graph's one lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import DisconnectedError, ParameterError, ParseError
-from .graphs import Graph, bfs_tree, is_connected
+import numpy as np
+
+from .errors import ParameterError, ParseError
+from .graphs import MAX_VERTICES, Graph, bfs_tree, is_connected, parse_vertex_count
 
 ABELIAN = "abelian"
 PERMUTATION = "permutation"
@@ -39,6 +46,9 @@ class GroupSpec:
                 raise ParameterError("permutation degree must be positive")
         else:
             raise ParameterError(f"unknown group kind {self.kind!r}")
+        if self.sheet_count > MAX_VERTICES:
+            raise ParameterError(f"{self.sheet_count} sheets exceed the limit of "
+                                 f"{MAX_VERTICES} cover vertices")
 
     @classmethod
     def cyclic(cls, r):
@@ -178,6 +188,11 @@ class GainGraph:
     def __repr__(self):
         return f"GainGraph(n={self.base.n}, m={self.base.m}, group={self.group.describe()})"
 
+    @cached_property
+    def cover(self):
+        """The `lift` of this gain graph, built once."""
+        return lift(self)
+
 
 def identity_gains(base: Graph, group: GroupSpec) -> GainGraph:
     e = group.identity()
@@ -202,6 +217,36 @@ class CoverGraph:
         return tuple(self.fiber(v) for v in range(self.base.n))
 
 
+def sheet_table(group, elements) -> np.ndarray:
+    """Sheet actions of `elements` as an int64 array, one row per element: row
+    i sends sheet j to sheet table[i, j]."""
+    return np.array([group.sheet_action(g) for g in elements],
+                    dtype=np.int64).reshape(len(elements), group.sheet_count)
+
+
+def gain_row(f: GainGraph):
+    """f as a batch of one: (table, rows) with the sheet table of f's distinct
+    gains, and one row that indexes it, with one column per edge of
+    f.base.sorted_edges()."""
+    elements = sorted(set(f.gains.values()))
+    index = {g: i for i, g in enumerate(elements)}
+    row = [index[f.gains[e]] for e in f.base.sorted_edges()]
+    return sheet_table(f.group, elements), np.array([row], dtype=np.int64)
+
+
+def cover_arcs(base: Graph, act):
+    """Arcs of the lifts of base whose sheet actions are `act`.
+
+    act has shape (..., m, r): edge i of base.sorted_edges(), walked min ->
+    max, sends sheet j to act[..., i, j]. Cover vertex (v, j) is v*r + j.
+    Returns (src, dst), int64 arrays of shapes (m, r) and act's, which
+    broadcast: each lift has the edges src[i, j] -- dst[..., i, j].
+    """
+    r = act.shape[-1]
+    tail, head = np.array(base.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    return tail[:, None] * r + np.arange(r), head[:, None] * r + act
+
+
 def lift(f: GainGraph) -> CoverGraph:
     """The cover: (u, j) ~ (v, k) iff {u,v} is a base edge and the gain sends j to k.
 
@@ -209,15 +254,11 @@ def lift(f: GainGraph) -> CoverGraph:
     gains this is translation on the group's own element set, so relabeling
     every fiber by a fixed group element is an automorphism of the lift.
     """
+    table, rows = gain_row(f)
+    src, dst = cover_arcs(f.base, table[rows[0]])
     r = f.group.sheet_count
-    edges = []
-    for (u, v), g in f.gains.items():
-        act = f.group.sheet_action(g)
-        base_u = u * r
-        base_v = v * r
-        for j in range(r):
-            edges.append((base_u + j, base_v + act[j]))
-    return CoverGraph(Graph(f.base.n * r, edges), f.base, r)
+    return CoverGraph(Graph(f.base.n * r, zip(src.ravel().tolist(), dst.ravel().tolist())),
+                      f.base, r)
 
 
 def normalize(f: GainGraph, tree=None) -> GainGraph:
@@ -251,8 +292,6 @@ def normalize(f: GainGraph, tree=None) -> GainGraph:
             if w not in sigma:
                 sigma[w] = grp.compose(f.gain(u, w), sigma[u])
                 stack.append(w)
-    if len(sigma) != f.base.n:
-        raise DisconnectedError("spanning tree does not reach every vertex")
 
     new_gains = {}
     for (u, v), g in f.gains.items():
@@ -266,9 +305,7 @@ def _check_spanning_tree(base: Graph, tree):
         raise ParameterError("tree contains non-edges of the base")
     if len(tset) != base.n - 1:
         raise ParameterError("a spanning tree must have n-1 edges")
-    # connectivity of the tree itself
-    t = Graph(base.n, tset)
-    if not is_connected(t):
+    if not is_connected(Graph(base.n, tset)):
         raise ParameterError("tree edges do not form a spanning tree")
 
 
@@ -324,14 +361,7 @@ def parse_gain_file(text: str) -> GainGraph:
         elif kw == "vertices":
             if n is not None:
                 raise ParseError("duplicate vertices line", ln)
-            if len(fields) != 2:
-                raise ParseError("expected 'vertices <n>'", ln)
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError("vertex count is not an integer", ln) from None
-            if n < 1:
-                raise ParseError("vertex count must be positive", ln)
+            n = parse_vertex_count(fields, ln)
         elif kw == "edge":
             if group is None or n is None:
                 raise ParseError("edge before group/vertices lines", ln)
@@ -348,6 +378,9 @@ def parse_gain_file(text: str) -> GainGraph:
         raise ParseError("missing 'gainfile 1' header", 1)
     if group is None or n is None:
         raise ParseError("missing group or vertices line", 1)
+    if n * group.sheet_count > MAX_VERTICES:
+        raise ParseError(f"a cover of {n} x {group.sheet_count} vertices exceeds the "
+                         f"limit of {MAX_VERTICES}")
     base = Graph(n, gains.keys())
     return GainGraph(base, group, gains)
 

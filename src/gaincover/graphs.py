@@ -18,6 +18,10 @@ from .errors import DisconnectedError, EmptyGraphError, ParameterError, ParseErr
 
 UNREACHABLE = -1
 
+# the most vertices of a graph or cover built from input (an n x n int64 array
+# is then 128 MiB; every test and benchmark cover has at most 256 vertices)
+MAX_VERTICES = 4096
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -295,6 +299,21 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_vertex_count(fields, ln):
+    """n of a '<keyword> <n>' header line; at least 1 and at most MAX_VERTICES."""
+    if len(fields) != 2:
+        raise ParseError(f"expected '{fields[0]} <n>'", ln)
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise ParseError("vertex count is not an integer", ln) from None
+    if n < 1:
+        raise ParseError("vertex count must be positive", ln)
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count exceeds the limit of {MAX_VERTICES}", ln)
+    return n
+
+
 def parse_edge_list(text: str) -> Graph:
     n = None
     edges = set()
@@ -306,14 +325,7 @@ def parse_edge_list(text: str) -> Graph:
         if fields[0] == "graph":
             if n is not None:
                 raise ParseError("duplicate graph header", ln)
-            if len(fields) != 2:
-                raise ParseError("expected 'graph <n>'", ln)
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError("vertex count is not an integer", ln) from None
-            if n < 1:
-                raise ParseError("vertex count must be positive", ln)
+            n = parse_vertex_count(fields, ln)
         elif fields[0] == "edge":
             if n is None:
                 raise ParseError("edge before graph header", ln)

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
-from .gains import CoverGraph, GainGraph
+from .gains import CoverGraph, GainGraph, gain_row
 from .graphs import Graph, is_connected
-from .spectral import (TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev,
-                       gain_row)
+from .spectral import TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, FalsificationError, ParameterError
-from .gains import GainGraph, GroupSpec, lift, write_gain_file
+from .gains import GainGraph, GroupSpec, sheet_table, write_gain_file
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, is_walk_regular,
                          regularity_certificate, srg_parameters)
 from .spectral import (DEFAULT_TOL, TwoEvCertificate, batch_rows,
                        character_block_check, check_tol, classify_two_ev,
-                       fiber_two_ev, sheet_table, two_ev_certificate)
+                       fiber_two_ev, two_ev_certificate)
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -161,25 +161,24 @@ def _decided(spec: SearchSpec):
 
 def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
     """Decide every assignment of spec, counting them and the hits in summary;
-    yield (gain, cover, certificate) for each 2ev hit, the only ones lifted."""
+    yield (gain, certificate) for each 2ev hit, the only ones lifted."""
     for rows, hit, lam in _decided(spec):
         summary.sampled += len(rows)
         for i in np.flatnonzero(hit).tolist():
             f = gain_of_row(spec, rows[i])
-            cover = lift(f)
-            cert = two_ev_certificate(cover, int(lam[i]))
+            cert = two_ev_certificate(f, int(lam[i]))
             summary.two_ev += 1
             summary.connected_two_ev += cert.cover_connected
-            yield f, cover, cert
+            yield f, cert
 
 
 def run_search(spec: SearchSpec) -> VerifySummary:
     """Decide every assignment of spec; the records are the 2ev hits, each with
     its regularity certificate, and `sampled` counts the assignments decided."""
     summary = VerifySummary()
-    for f, cover, cert in _two_ev_hits(spec, summary):
+    for f, cert in _two_ev_hits(spec, summary):
         summary.records.append(VerificationRecord(
-            gain=f, two_ev=cert, regularity=regularity_certificate(cover, cert)))
+            gain=f, two_ev=cert, regularity=regularity_certificate(f.cover, cert)))
     return summary
 
 
@@ -227,19 +226,18 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
         for rows, hit, lam in _decided(spec):
             for row, two_ev, lam_b in zip(rows, hit.tolist(), lam.tolist()):
                 f = gain_of_row(spec, row)
-                cover = lift(f)
                 summary.sampled += 1
-                ok, dev = character_block_check(f, tol, cover)
+                ok, dev = character_block_check(f, tol)
                 if not ok:
                     _fail("block-decomposition",
                           f"character spectra deviate from lift spectrum by {dev:.3g}",
                           f, reproducer_dir, summary)
                 if not two_ev:
                     continue
-                cert = two_ev_certificate(cover, lam_b)
+                cert = two_ev_certificate(f, lam_b)
                 summary.two_ev += 1
                 summary.connected_two_ev += cert.cover_connected
-                if not is_walk_regular(cover, cert):
+                if not is_walk_regular(f.cover, cert):
                     _fail("walk-regularity-of-2ev-covers",
                           "2ev cover of a walk-regular base is not walk regular",
                           f, reproducer_dir, summary)
@@ -248,22 +246,22 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
 
 
 def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
-    """Classify every normalized Z_r gain on base and run `check(cover, reg)`
-    on each connected 2ev lift, with reg its regularity certificate. check
-    returns a failure detail, or a false value when the theorem holds; a
-    failure aborts with a reproducer. Disconnected 2ev lifts are recorded as
-    not-applicable under `key`."""
+    """Classify every normalized Z_r gain on base and run `check(f, reg)` on
+    each gain f with a connected 2ev lift, with reg the lift's regularity
+    certificate. check returns a failure detail, or a false value when the
+    theorem holds; a failure aborts with a reproducer. Disconnected 2ev lifts
+    are recorded as not-applicable under `key`."""
     spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
                       budget=budget if budget is not None else r ** base.m)
     summary = VerifySummary()
-    for f, cover, cert in _two_ev_hits(spec, summary):
+    for f, cert in _two_ev_hits(spec, summary):
         rec = VerificationRecord(gain=f, two_ev=cert)
         summary.records.append(rec)
         if not cert.cover_connected:
             rec.theorem_checks[key] = "not-applicable"
             continue
-        rec.regularity = regularity_certificate(cover, cert)
-        problem = check(cover, rec.regularity)
+        rec.regularity = regularity_certificate(f.cover, cert)
+        problem = check(f, rec.regularity)
         if problem:
             rec.theorem_checks[key] = "fail"
             _fail(theorem, problem, f, reproducer_dir, summary)
@@ -276,7 +274,7 @@ def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
     """Every connected 2ev cyclic cover of a complete graph must be a
     distance-regular antipodal cover of it, with consistent parameters."""
 
-    def check(cover, reg):
+    def check(f, reg):
         if reg.drackn is None:
             return "connected 2ev cover of a complete graph is not a drackn"
 
@@ -299,14 +297,13 @@ def verify_srg_cover(f: GainGraph, reproducer_dir=None) -> VerificationRecord:
     group, not 2ev, disconnected cover) are recorded as not-applicable."""
     cyclic = f.group.is_abelian and len(f.group.orders) == 1
     srg = srg_parameters(f.base) if cyclic else None
-    cover = lift(f)
-    cert = classify_two_ev(f, cover)
+    cert = classify_two_ev(f)
     rec = VerificationRecord(gain=f, two_ev=cert)
     if srg is None or not cert.is_two_ev or not cert.cover_connected:
         rec.theorem_checks["drg-iff-a-equals-lambda"] = "not-applicable"
         return rec
     r = f.group.orders[0]
-    rec.regularity = regularity_certificate(cover, cert)
+    rec.regularity = regularity_certificate(f.cover, cert)
     arr = rec.regularity.drg
     drg_holds = arr is not None
     a_equals_lambda = srg.a == cert.lambda_
@@ -331,13 +328,13 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
     """Connected 2ev cyclic covers of complete bipartite graphs force m = n
     and r | n, and the lift is bipartite distance-regular with diameter 4."""
 
-    def check(cover, reg):
+    def check(f, reg):
         problems = []
         if m != n:
             problems.append(f"sides differ ({m},{n})")
         if n % r != 0:
             problems.append(f"{r} does not divide {n}")
-        if not _connected_bipartite(cover.graph):
+        if not _connected_bipartite(f.cover.graph):
             problems.append("lift is not bipartite")
         if reg.drg is None or reg.drg.d != 4:
             problems.append("lift is not distance-regular of diameter 4")

@@ -6,15 +6,16 @@ Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
 it raises NumericError on LAPACK non-convergence or non-finite input.
 
 The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
-from the gains for a batch of assignments at once, without the lift. A non-2ev
-cover's count of new distinct eigenvalues comes from the exact quotient of
-the cover's characteristic polynomial by the base's, never from clustered
-numeric spectra; a nonzero remainder is an internal consistency error.
+from the gains for a batch of assignments at once, without the lift: it
+scatters the batch's adjacency matrices from `gains.cover_arcs`, the one
+cover layout. A non-2ev cover's count of new distinct eigenvalues comes from
+the exact quotient of the cover's characteristic polynomial by the base's,
+never from clustered numeric spectra; a nonzero remainder is an internal
+consistency error. Every function that needs a lift reads `GainGraph.cover`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
-from .gains import CoverGraph, GainGraph, lift
+from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
 from .intpoly import IntPoly, integer_roots, squarefree_part
 
@@ -175,8 +176,6 @@ def char_poly(g: Graph) -> IntPoly:
 
 def distinct_eigenvalue_count(g: Graph) -> int:
     """Number of distinct adjacency eigenvalues, via the exact square-free part."""
-    if g.n == 0:
-        return 0
     return squarefree_part(char_poly(g)).degree
 
 
@@ -263,10 +262,7 @@ def cluster_values(values, tol, scale) -> Spectrum:
 
 def matrix_scale(matrix):
     """Deterministic spectral-radius bound: the max absolute row sum."""
-    a = np.asarray(matrix)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.abs(np.asarray(matrix)).sum(axis=1).max(initial=0.0))
 
 
 def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
@@ -279,34 +275,25 @@ def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
 # character matrices of abelian gain graphs
 
 
-def character_value(group, j, g):
-    """Value of character j at element g: prod_p exp(2*pi*i * j_p g_p / r_p)."""
-    ang = 0.0
-    for jp, gp, rp in zip(j, g, group.orders):
-        ang += jp * gp / rp
-    return cmath.exp(2j * math.pi * ang)
-
-
 def rep_matrix(f: GainGraph, j) -> np.ndarray:
     """Character matrix S_j as a read-only complex array; j = all-zeros
     reproduces the base adjacency.
 
-    Entry (u, v) is the character value of the gain for walking u -> v, so the
-    matrix is Hermitian and its nonzero pattern equals the base adjacency.
+    Entry (u, v) is the character value of the gain for walking u -> v,
+    prod_p exp(2*pi*i * j_p g_p / r_p), so the matrix is Hermitian and its
+    nonzero pattern equals the base adjacency.
     """
+    orders = f.group.orders
     if not f.group.is_abelian:
         raise ParameterError("character matrices require an abelian gain group")
-    if len(tuple(j)) != len(f.group.orders):
-        raise ParameterError(f"character index must have {len(f.group.orders)} components")
-    j = tuple(int(x) % r for x, r in zip(j, f.group.orders))
-    n = f.base.n
-    s = np.zeros((n, n), dtype=np.complex128)
-    for (u, v), g in f.gains.items():
-        val = character_value(f.group, j, g)
-        s[u, v] = val
-        s[v, u] = val.conjugate()
-    if all(x == 0 for x in j):
-        s = s.real.astype(np.complex128)
+    if len(tuple(j)) != len(orders):
+        raise ParameterError(f"character index must have {len(orders)} components")
+    edges = f.base.sorted_edges()
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    g = np.array([f.gains[e] for e in edges], dtype=np.int64).reshape(-1, len(orders))
+    val = np.exp(2j * math.pi * (g * np.mod(j, orders) / orders).sum(axis=1))
+    s = np.zeros((f.base.n, f.base.n), dtype=np.complex128)
+    s[u, v], s[v, u] = val, val.conj()
     s.flags.writeable = False
     return s
 
@@ -351,11 +338,9 @@ class TwoEvCertificate:
         }
 
 
-def spectral_difference_poly(f: GainGraph, cover: CoverGraph | None = None) -> IntPoly:
+def spectral_difference_poly(f: GainGraph) -> IntPoly:
     """Exact quotient char(cover) / char(base); the division is always exact."""
-    if cover is None:
-        cover = lift(f)
-    p_cover = char_poly(cover.graph)
+    p_cover = char_poly(f.cover.graph)
     p_base = char_poly(f.base)
     quo, rem = p_cover.divmod_monic(p_base)
     if not rem.is_zero:
@@ -364,40 +349,23 @@ def spectral_difference_poly(f: GainGraph, cover: CoverGraph | None = None) -> I
     return quo
 
 
-# int64 entries in one batch array of `fiber_two_ev`: 2**15 of them is 256 KiB
+# float64 entries in one batch array of `fiber_two_ev`: 2**15 of them is 256 KiB
 BATCH_ENTRIES = 2**15
 
 
 def batch_rows(cover_n):
-    """Assignments per batch, so that one (rows, cover_n, cover_n) int64 array
+    """Assignments per batch, so that one (rows, cover_n, cover_n) float64 array
     of their lifts holds at most BATCH_ENTRIES entries (and at least one row)."""
     return max(1, BATCH_ENTRIES // max(cover_n, 1) ** 2)
-
-
-def sheet_table(group, elements) -> np.ndarray:
-    """Sheet actions of `elements` as an int64 array, one row per element: row
-    i sends sheet j to sheet table[i, j]."""
-    return np.array([group.sheet_action(g) for g in elements],
-                    dtype=np.int64).reshape(len(elements), group.sheet_count)
-
-
-def gain_row(f: GainGraph):
-    """f as a batch of one for `fiber_two_ev`: (table, rows) with the sheet
-    table of f's distinct gains, and one row that indexes it, with one column
-    per edge of f.base.sorted_edges()."""
-    elements = sorted(set(f.gains.values()))
-    index = {g: i for i, g in enumerate(elements)}
-    row = [index[f.gains[e]] for e in f.base.sorted_edges()]
-    return sheet_table(f.group, elements), np.array([row], dtype=np.int64)
 
 
 def fiber_two_ev(base: Graph, table, rows):
     """Exact two-eigenvalue verdicts for a batch of lifts of base, from the gains.
 
     Row b of `rows` gives edge i of base.sorted_edges(), walked min -> max, the
-    gain whose sheet action is table[rows[b, i]] (see `sheet_table`). Returns
-    (hit, lam), a bool and an int64 array with one entry per row; where hit is
-    true the lift is 2ev and lam is its lambda.
+    gain whose sheet action is table[rows[b, i]] (see `gains.sheet_table` and
+    `gains.gain_row`). Returns (hit, lam), a bool and an int64 array with one
+    entry per row; where hit is true the lift is 2ev and lam is its lambda.
 
     A, the lift's adjacency, preserves the space W of vectors that sum to zero
     on every fiber, and carries the new spectrum there. Block (u, w) of A^2 is
@@ -405,7 +373,8 @@ def fiber_two_ev(base: Graph, table, rows):
     diagonal blocks are deg(u)*I, so a 2ev lift needs a regular base of valency
     k; it is 2ev iff A^2 - lambda*A - k*I vanishes on W, i.e. every r x r block
     has constant rows, with lambda read from the block of the least edge. The
-    rows are decided `batch_rows` at a time, with one batched int64 matmul.
+    rows are decided `batch_rows` at a time, with one batched float64 matmul
+    (on BLAS; the entries are 2-path counts of at most k, so they are exact).
 
     Raises ParameterError unless table is a 2-D array of sheet permutations
     and rows a 2-D array of indices into it with one column per edge.
@@ -424,41 +393,36 @@ def fiber_two_ev(base: Graph, table, rows):
     if r < 2 or not base.edges or not base.is_regular():
         return hit, lam
     n, k, size = base.n, base.degrees[0], base.n * r
-    tail, head = np.array(base.sorted_edges(), dtype=np.int64).T
-    # sheet j over the tail of edge i is cover vertex src[i, j]; its neighbour
-    # over the head is head[i] * r + act[b, i, j]
-    src = tail[:, None] * r + np.arange(r)
     diag = np.arange(size)
     step = batch_rows(size)
     for lo in range(0, len(rows), step):
-        act = table[rows[lo:lo + step]]
-        b = np.arange(len(act))
-        dst = head[:, None] * r + act
-        a = np.zeros((len(act), size, size), dtype=np.int64)
+        src, dst = cover_arcs(base, table[rows[lo:lo + step]])
+        b = np.arange(len(dst))
+        a = np.zeros((len(dst), size, size))
         a[b[:, None, None], src, dst] = 1
         a[b[:, None, None], dst, src] = 1
         a2 = a @ a
-        # row (u, 0) of the least edge's block meets fiber v once, at sheet s;
-        # any other sheet of v differs from it by exactly lambda in A^2 when the
-        # block has constant rows
-        x, s = src[0, 0], act[:, 0, 0]
-        lam_b = a2[b, x, head[0] * r + s] - a2[b, x, head[0] * r + (s + 1) % r]
+        # the least edge joins sheet 0 of its tail, x, to y over its head, and
+        # sheet 1 to some other z there; when the block has constant rows, A^2
+        # at (x, y) exceeds A^2 at (x, z) by exactly lambda
+        x, y, z = src[0, 0], dst[:, 0, 0], dst[:, 0, 1]
+        lam_b = (a2[b, x, y] - a2[b, x, z]).astype(np.int64)
         a2 -= lam_b[:, None, None] * a
         a2[:, diag, diag] -= k
-        blocks = a2.reshape(len(act), n, r, n, r)
-        hit[lo:lo + len(act)] = (blocks == blocks[..., :1]).all(axis=(1, 2, 3, 4))
-        lam[lo:lo + len(act)] = lam_b
+        blocks = a2.reshape(len(dst), n, r, n, r)
+        hit[lo:lo + len(dst)] = (blocks == blocks[..., :1]).all(axis=(1, 2, 3, 4))
+        lam[lo:lo + len(dst)] = lam_b
     return hit, lam
 
 
-def two_ev_certificate(cover: CoverGraph, lam) -> TwoEvCertificate:
-    """Certificate of a lift that `fiber_two_ev` found 2ev with this lambda.
+def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
+    """Certificate of f, whose lift `fiber_two_ev` found 2ev with this lambda.
 
     theta and tau are the roots of x^2 - lambda*x - k. A has zero trace on W,
     so m_theta*theta + m_tau*tau = 0 fixes the multiplicities in integers.
     Connectivity is read from the lift.
     """
-    base, r = cover.base, cover.r
+    base, r = f.base, f.group.sheet_count
     k, dim = base.degrees[0], base.n * (r - 1)
     roots = integer_roots(IntPoly((-k, -lam, 1)))
     if roots:
@@ -483,12 +447,12 @@ def two_ev_certificate(cover: CoverGraph, lam) -> TwoEvCertificate:
         mult_tau=m_tau,
         lambda_=lam,
         mu=k,
-        cover_connected=is_connected(cover.graph),
+        cover_connected=is_connected(f.cover.graph),
         new_distinct=2,
     )
 
 
-def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCertificate:
+def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
     The verdict is `fiber_two_ev`'s, on a batch of one. Only on a miss is the
@@ -498,12 +462,10 @@ def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCerti
     if not is_connected(f.base):
         raise DisconnectedError("two-eigenvalue classification requires a connected base")
     hit, lam = fiber_two_ev(f.base, *gain_row(f))
-    if cover is None:
-        cover = lift(f)
     if hit[0]:
-        return two_ev_certificate(cover, int(lam[0]))
-    new = squarefree_part(spectral_difference_poly(f, cover))
-    return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(cover.graph),
+        return two_ev_certificate(f, int(lam[0]))
+    new = squarefree_part(spectral_difference_poly(f))
+    return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover.graph),
                             new_distinct=new.degree)
 
 
@@ -511,7 +473,7 @@ def classify_two_ev(f: GainGraph, cover: CoverGraph | None = None) -> TwoEvCerti
 # block decomposition check (the module's master test)
 
 
-def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | None = None):
+def character_block_check(f: GainGraph, tol=DEFAULT_TOL):
     """Max deviation between the lift spectrum and the union of character spectra.
 
     For abelian gains the cover adjacency is similar to the block diagonal of
@@ -522,13 +484,11 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL, cover: CoverGraph | Non
     check_tol(tol)
     if not f.group.is_abelian:
         raise ParameterError("block decomposition requires an abelian gain group")
-    if cover is None:
-        cover = lift(f)
     union = []
     for j in f.group.elements():
         union.extend(hermitian_eigenvalues(rep_matrix(f, j)))
     union = np.sort(np.asarray(union))
-    adj = cover.graph.adjacency(dtype=np.float64)
+    adj = f.cover.graph.adjacency(dtype=np.float64)
     cover_vals = hermitian_eigenvalues(adj)
     dev = float(np.abs(union - cover_vals).max()) if union.size else 0.0
     return dev <= tol * max(1.0, matrix_scale(adj)), dev

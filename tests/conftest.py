@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the package's own arithmetic paths."""
 
+import cmath
 import math
 import random
 from collections import deque
@@ -78,6 +79,31 @@ def brute_force_walk_regular(g: Graph) -> bool:
             return False
         power = np.dot(power, a)
     return True
+
+
+def edge_lift(f: GainGraph) -> CoverGraph:
+    """The lift built one edge at a time (test-local oracle for `lift`): edge
+    (u, v), walked u -> v with u < v, joins (u, j) = u*r + j to (v, act[j])
+    for each sheet j, act being the sheet action of its gain."""
+    r = f.group.sheet_count
+    edges = []
+    for (u, v), g in f.gains.items():
+        act = f.group.sheet_action(g)
+        for j in range(r):
+            edges.append((u * r + j, v * r + act[j]))
+    return CoverGraph(Graph(f.base.n * r, edges), f.base, r)
+
+
+def edge_rep_matrix(f: GainGraph, j):
+    """Character matrix S_j built one edge at a time (test-local oracle for
+    `rep_matrix`): entry (u, v), u < v, is prod_p exp(2*pi*i * j_p g_p / r_p)
+    of the stored gain g, and (v, u) is its conjugate."""
+    s = np.zeros((f.base.n, f.base.n), dtype=np.complex128)
+    for (u, v), g in f.gains.items():
+        ang = sum(jp * gp / rp for jp, gp, rp in zip(j, g, f.group.orders))
+        s[u, v] = cmath.exp(2j * math.pi * ang)
+        s[v, u] = s[u, v].conjugate()
+    return s
 
 
 def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):

@@ -172,8 +172,8 @@ def test_criterion_06_butson_and_bipartite():
     for q in (2, 3, 4):
         h = fourier_butson(q)
         f = butson_gain(h)
-        cov = lift(f)
-        cert = classify_two_ev(f, cov)
+        cov = f.cover
+        cert = classify_two_ev(f)
         if butson_two_ev([h.entries], q)[0] != cert.is_two_ev:
             problems.append(f"q={q}: Hadamard-power check disagrees with classify_two_ev")
         if q == 4:
@@ -208,8 +208,8 @@ def test_criterion_06_butson_and_bipartite():
     else:
         passed.append("q=4: 0 of 4^9 dephased Z4 gains 2ev ok")
     f = klein_gf4_gain()
-    cov = lift(f)
-    cert = classify_two_ev(f, cov)
+    cov = f.cover
+    cert = classify_two_ev(f)
     arr = is_distance_regular(cov.graph)
     want = ((4, 3, 3, 1), (1, 1, 3, 4))
     if not (cert.is_two_ev and cert.cover_connected):
@@ -248,15 +248,15 @@ def test_criterion_07_octahedron_equivalence():
 def test_criterion_08_s3_cover():
     t0 = time.time()
     f = s3_cover_k5()
-    cov = lift(f)
+    cov = f.cover
     p = char_poly(cov.graph)
     ok = p == char_poly(line_graph(petersen()))
     ok = ok and p.coeffs == tuple(poly_from_roots([4] + [2] * 5 + [-1] * 4 + [-2] * 5))
-    cert = classify_two_ev(f, cov)
+    cert = classify_two_ev(f)
     ok = ok and (cert.theta, cert.tau, cert.mult_theta, cert.mult_tau) == (2.0, -2.0, 5, 5)
     # the exact quotient is (x^2 - 4)^5
     from gaincover.spectral import spectral_difference_poly
-    ok = ok and spectral_difference_poly(f, cov) == IntPoly((-4, 0, 1)).pow(5)
+    ok = ok and spectral_difference_poly(f) == IntPoly((-4, 0, 1)).pow(5)
     report(8, ok, "Sym(3) gain on K5 lifts to the Petersen line graph; "
                   "difference exactly {2^5, (-2)^5}", t0)
 
@@ -272,8 +272,8 @@ def test_criterion_09_k3n_nonexample():
         if np.abs(vals - expect).max() > 1e-9:
             ok, detail = False, f"n={n}: signed spectrum off by more than 1e-9"
             break
-        cov = lift(f)
-        cert = classify_two_ev(f, cov)
+        cov = f.cover
+        cert = classify_two_ev(f)
         if cert.is_two_ev or is_distance_regular(cov.graph) is not None:
             ok, detail = False, f"n={n}: classification or regularity wrong"
             break

@@ -304,6 +304,27 @@ def test_zero_vertex_edge_list_exit_1(tmp_path, capsys):
     assert err == "error: line 1: vertex count must be positive\n"
 
 
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("group.gain", "gainfile 1\ngroup cyclic 99999999999999999999\nvertices 2\nedge 0 1 2\n",
+     ["classify"], "line 2: bad group line: 99999999999999999999 sheets exceed the limit"),
+    ("vertices.gain", "gainfile 1\ngroup cyclic 2\nvertices 40000\n",
+     ["classify"], "line 3: vertex count exceeds the limit"),
+    ("cover.gain", "gainfile 1\ngroup cyclic 100\nvertices 100\n",
+     ["lift"], "a cover of 100 x 100 vertices exceeds the limit"),
+    ("graph.txt", "graph 40000\n", ["certify"], "line 1: vertex count exceeds the limit"),
+    (None, None, ["search", "--base", "k3", "--group", "z100000000000", "--mode", "random",
+                  "--budget", "1"], "100000000000 sheets exceed the limit"),
+])
+def test_input_beyond_the_vertex_limit_exit_1(tmp_path, capsys, name, text, argv, message):
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_duplicate_edge_in_edge_list_exit_1(tmp_path, capsys):
     epath = tmp_path / "dup.txt"
     epath.write_text("graph 3\nedge 0 1\nedge 1 0\nedge 1 2\n")

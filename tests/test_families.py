@@ -114,9 +114,9 @@ def test_butson_q2_lift_is_8_cycle():
 
 def test_butson_q3_distance_regular():
     f = butson_gain(fourier_butson(3))
-    cov = lift(f)
+    cov = f.cover
     assert cov.graph.n == 18
-    cert = classify_two_ev(f, cov)
+    cert = classify_two_ev(f)
     assert cert.is_two_ev and cert.cover_connected
     arr = is_distance_regular(cov.graph)
     assert (arr.b, arr.c) == ((3, 2, 2, 1), (1, 1, 2, 3))
@@ -126,8 +126,8 @@ def test_butson_q4_fourier_degenerates():
     # the entrywise square of the q=4 Fourier matrix has repeated rows, so
     # the order-2 character block is singular and the cover is not 2ev
     f = butson_gain(fourier_butson(4))
-    cov = lift(f)
-    cert = classify_two_ev(f, cov)
+    cov = f.cover
+    cert = classify_two_ev(f)
     assert not cert.is_two_ev
     assert cert.new_distinct == 5
     assert is_distance_regular(cov.graph) is None
@@ -180,8 +180,8 @@ def test_k3n_character_spectrum():
 def test_k3n_not_two_ev_not_distance_regular():
     for n in (2, 3):
         f = k3n_nonexample(n)
-        cov = lift(f)
-        cert = classify_two_ev(f, cov)
+        cov = f.cover
+        cert = classify_two_ev(f)
         assert not cert.is_two_ev
         assert cert.new_distinct == 3
         assert is_distance_regular(cov.graph) is None

@@ -1,16 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly, complete_graph,
                        connected_components, cycle, identity_gains, is_balanced,
-                       lift, normalize, parse_gain_file, petersen,
-                       write_gain_file)
+                       lift, normalize, parse_edge_list, parse_gain_file,
+                       petersen, write_gain_file)
 from gaincover.errors import DisconnectedError, ParameterError, ParseError
-from gaincover.families import huang_signing
-from gaincover.graphs import bfs_tree
+from gaincover.families import huang_signing, s3_cover_k5
+from gaincover.graphs import MAX_VERTICES, bfs_tree
 
-from conftest import random_graph
+from conftest import edge_lift, random_graph
 
 
 def random_gain(rng: random.Random, base: Graph, group: GroupSpec) -> GainGraph:
@@ -207,6 +208,55 @@ def test_normalize_permutation_gain():
     assert all(g.gain(u, v) == ident for u, v in tree)
     assert char_poly(lift(g).graph) == char_poly(lift(f).graph)
     assert not is_balanced(f)
+
+
+def test_lift_matches_edge_lift_oracle(rng):
+    abelian = [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4),
+               GroupSpec.abelian(2, 2), GroupSpec.abelian(2, 3)]
+    gains = [s3_cover_k5()]
+    for group in abelian:
+        for _ in range(20):
+            gains.append(random_gain(rng, random_graph(rng, rng.randint(2, 8), 0.5), group))
+    for degree in (3, 4):
+        perms = list(itertools.permutations(range(degree)))
+        for _ in range(20):
+            base = random_graph(rng, rng.randint(2, 7), 0.5)
+            gains.append(GainGraph(base, GroupSpec.permutation(degree),
+                                   {e: rng.choice(perms) for e in base.edges}))
+    for group in abelian + [GroupSpec.permutation(3)]:
+        gains += [identity_gains(Graph(1, []), group), identity_gains(Graph(4, []), group)]
+    assert sum(f.base.m > 0 for f in gains) > 120
+    for f in gains:
+        assert lift(f) == edge_lift(f), f
+
+
+def test_gain_graph_keeps_its_one_lift():
+    f = huang_signing(3)
+    assert f.cover is f.cover
+    assert f.cover == lift(f)
+    assert parse_gain_file(write_gain_file(f)) == f  # the lift is not part of equality
+
+
+def test_input_beyond_the_vertex_limit_is_refused_before_it_is_built():
+    for make in (lambda: GroupSpec.cyclic(MAX_VERTICES + 1),
+                 lambda: GroupSpec.cyclic(10**20),
+                 lambda: GroupSpec.abelian(64, 64, 2),
+                 lambda: GroupSpec.permutation(MAX_VERTICES + 1)):
+        with pytest.raises(ParameterError, match="exceed the limit"):
+            make()
+    assert GroupSpec.cyclic(MAX_VERTICES).sheet_count == MAX_VERTICES
+    head = "gainfile 1\ngroup cyclic 2\n"
+    with pytest.raises(ParseError, match="line 3: vertex count exceeds the limit"):
+        parse_gain_file(head + f"vertices {MAX_VERTICES + 1}\n")
+    with pytest.raises(ParseError, match="line 2: bad group line"):
+        parse_gain_file("gainfile 1\ngroup cyclic 99999999999999999999\nvertices 2\n"
+                        "edge 0 1 2\n")
+    with pytest.raises(ParseError, match=f"{MAX_VERTICES // 2 + 1} x 2 vertices"):
+        parse_gain_file(head + f"vertices {MAX_VERTICES // 2 + 1}\n")
+    assert parse_gain_file(head + f"vertices {MAX_VERTICES // 2}\n").base.n == MAX_VERTICES // 2
+    with pytest.raises(ParseError, match="line 1: vertex count exceeds the limit"):
+        parse_edge_list(f"graph {MAX_VERTICES + 1}\n")
+    assert parse_edge_list(f"graph {MAX_VERTICES}\n").n == MAX_VERTICES
 
 
 def test_lift_single_vertex_base():

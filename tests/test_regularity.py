@@ -60,6 +60,22 @@ def test_walk_regular_examples():
     assert is_walk_regular(petersen())
 
 
+def test_walk_regularity_checks_the_last_power_the_bound_allows():
+    # C3 + C4 has the 4 distinct eigenvalues 2, 0, -1, -2, so powers up to A^3
+    # are checked, and A^3 is the first whose diagonal is not constant: 2 at
+    # the triangle's vertices, 0 on the square
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert distinct_eigenvalue_count(g) == 4
+    assert not is_walk_regular(g) and not brute_force_walk_regular(g)
+    # through a lift's certificate: the one-sheet lift of the path P3 adds no
+    # new eigenvalue, so the bound is 3 + 0 - 1 = 2, and the diagonal of A^2
+    # (the degrees) is the first that is not constant
+    f = identity_gains(Graph(3, [(0, 1), (1, 2)]), GroupSpec.permutation(1))
+    cert = classify_two_ev(f)
+    assert (distinct_eigenvalue_count(f.base), cert.new_distinct) == (3, 0)
+    assert not check_certificate_bound(f.cover, cert)
+
+
 def test_walk_regular_agrees_with_brute_force(rng):
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8]))
@@ -97,9 +113,8 @@ def test_walk_regular_certificate_bound_matches_the_oracles(rng):
                                    {e: (rng.randrange(r),) for e in base.sorted_edges()}))
     verdicts = []
     for f in gains:
-        cover = lift(f)
-        cert = classify_two_ev(f, cover)
-        verdicts.append((cert.is_two_ev, check_certificate_bound(cover, cert)))
+        cert = classify_two_ev(f)
+        verdicts.append((cert.is_two_ev, check_certificate_bound(f.cover, cert)))
     # every 2ev lift of a walk-regular base is walk-regular; the drawn gains
     # all miss, and most of their lifts are not walk-regular
     assert all(walk for two_ev, walk in verdicts[:-12])
@@ -118,8 +133,7 @@ def test_walk_regular_certificate_bound_property(data):
     elements = group.elements()
     f = GainGraph(base, group, {e: data.draw(st.sampled_from(elements))
                                 for e in base.sorted_edges()})
-    cover = lift(f)
-    check_certificate_bound(cover, classify_two_ev(f, cover))
+    check_certificate_bound(f.cover, classify_two_ev(f))
 
 
 def test_walk_regular_switches_to_exact_integers():
@@ -132,10 +146,9 @@ def test_walk_regular_switches_to_exact_integers():
     assert is_walk_regular(g) and brute_force_walk_regular(g)
     # through a lift's certificate bound: two disjoint copies, 16 + 16 - 1 powers
     f = identity_gains(g, GroupSpec.cyclic(2))
-    cover = lift(f)
-    cert = classify_two_ev(f, cover)
+    cert = classify_two_ev(f)
     assert cert.new_distinct == 16
-    assert check_certificate_bound(cover, cert)
+    assert check_certificate_bound(f.cover, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +371,21 @@ def test_antipodal_requires_connected():
 
 def test_drackn_q3_over_k4():
     f = q3_over_k4_gain()
-    cover = lift(f)
-    cert = classify_two_ev(f, cover)
-    assert regularity_certificate(cover, cert).drackn == (4, 2, 2)
+    cert = classify_two_ev(f)
+    assert regularity_certificate(f.cover, cert).drackn == (4, 2, 2)
 
 
 def test_drackn_absent_for_disconnected_double():
     f = identity_gains(complete_graph(4), GroupSpec.cyclic(2))
-    cover = lift(f)
-    cert = classify_two_ev(f, cover)
+    cert = classify_two_ev(f)
     assert cert.is_two_ev and not cert.cover_connected
-    assert regularity_certificate(cover, cert).drackn is None
+    assert regularity_certificate(f.cover, cert).drackn is None
 
 
 def test_drackn_requires_complete_base():
     f = identity_gains(petersen(), GroupSpec.cyclic(2))
-    cover = lift(f)
     with pytest.raises(ParameterError):
-        drackn_parameters(cover, classify_two_ev(f, cover), None, None)
+        drackn_parameters(f.cover, classify_two_ev(f), None, None)
 
 
 def test_drackn_of_graph():
@@ -557,9 +567,8 @@ def test_lemma_counts_on_every_normalized_k4_gain():
 
 def test_regularity_certificate_for_cover():
     f = q3_over_k4_gain()
-    cover = lift(f)
-    cert = classify_two_ev(f, cover)
-    reg = regularity_certificate(cover, cert)
+    cert = classify_two_ev(f)
+    reg = regularity_certificate(f.cover, cert)
     assert reg.walk_regular
     assert reg.drg is not None and reg.drg.d == 3
     assert reg.antipodal and reg.drackn == (4, 2, 2)

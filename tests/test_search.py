@@ -9,7 +9,7 @@ from gaincover import (GainGraph, GroupSpec, char_poly, complete_bipartite,
                        parse_gain_file, petersen)
 from gaincover import spectral
 from gaincover.errors import BudgetError, FalsificationError, ParameterError
-from gaincover import cli, graphs, regularity, search
+from gaincover import cli, gains, graphs, regularity, search
 from gaincover.families import butson_gain, fourier_butson, huang_signing, k3n_nonexample
 from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
@@ -269,10 +269,9 @@ def test_no_verdict_takes_the_char_poly_of_a_lift(monkeypatch):
     assert summary.two_ev > 0
     assert largest(lambda: verify_walk_regularity(bases, groups, budget=8, seed=1)) <= 6
     f = butson_gain(fourier_butson(3))
-    cover = lift(f)
-    cert = spectral.classify_two_ev(f, cover)
+    cert = spectral.classify_two_ev(f)
     assert cert.is_two_ev and cert.cover_connected
-    assert largest(lambda: regularity.regularity_certificate(cover, cert)) <= f.base.n
+    assert largest(lambda: regularity.regularity_certificate(f.cover, cert)) <= f.base.n
 
 
 @pytest.mark.parametrize("run_harness, patched, theorem, key, detail", [
@@ -341,7 +340,7 @@ def test_batch_size_does_not_change_the_hits(monkeypatch, rows):
         assert {len(b) for b in search.assignment_rows(spec)} <= {rows, spec.exhaustive_size() % rows}
         assert _records(search_two_ev(spec)) == hits
         # the kernel batches a longer input itself
-        table = spectral.sheet_table(group, group.elements())
+        table = gains.sheet_table(group, group.elements())
         all_rows = np.concatenate(list(search.assignment_rows(spec)))
         hit, lam = spectral.fiber_two_ev(base, table, all_rows)
         assert int(hit.sum()) == len(hits)
@@ -363,20 +362,43 @@ def test_batches_stay_within_the_entry_cap():
             assert len(rows) * n * n <= spectral.BATCH_ENTRIES
 
 
-def test_search_lifts_only_the_hits(monkeypatch):
+@pytest.fixture
+def built_lifts(monkeypatch):
+    """The gain graphs lifted while the test runs."""
     lifted = []
+    real = gains.lift
 
     def counting_lift(f):
         lifted.append(f)
-        return lift(f)
+        return real(f)
 
-    monkeypatch.setattr(search, "lift", counting_lift)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaincover") and getattr(module, "lift", None) is real:
+            monkeypatch.setattr(module, "lift", counting_lift)
+    return lifted
+
+
+def test_search_lifts_only_the_hits(built_lifts):
     summary = run_search(SearchSpec(complete_graph(6), GroupSpec.cyclic(2)))
     assert summary.sampled == 1024 and summary.two_ev == 14
-    assert lifted == [h.gain for h in summary.records]
-    lifted.clear()
+    assert built_lifts == [h.gain for h in summary.records]
+    built_lifts.clear()
     s = verify_drackn(5, 2)
-    assert len(lifted) == s.two_ev == 2
+    assert len(built_lifts) == s.two_ev == 2
+
+
+def test_a_report_and_a_harness_lift_their_gain_once(built_lifts):
+    # the certificate, the regularity verdicts and the report all read
+    # GainGraph.cover
+    f = huang_signing(4)
+    report = cli.gain_report(f, spectral.DEFAULT_TOL)
+    assert report["two_ev"]["is_two_ev"] and report["cover"]["n"] == 32
+    assert built_lifts == [f]
+    built_lifts.clear()
+    g = butson_gain(fourier_butson(3))
+    rec = verify_srg_cover(g)
+    assert rec.theorem_checks["drg-iff-a-equals-lambda"] == "pass"
+    assert built_lifts == [g]
 
 
 @pytest.fixture

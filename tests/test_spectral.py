@@ -17,12 +17,14 @@ from gaincover.errors import (ContractViolation, DisconnectedError, NumericError
 from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.intpoly import IntPoly, squarefree_part
 from gaincover.search import SearchSpec, assignment_rows, enumerate_gains
+from gaincover.gains import gain_row, sheet_table
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                fiber_two_ev, gain_row, hermitian_eigenvalues,
-                                hermitian_spectrum, sheet_table,
-                                spectral_difference_poly, two_ev_certificate)
+                                fiber_two_ev, hermitian_eigenvalues,
+                                hermitian_spectrum, spectral_difference_poly,
+                                two_ev_certificate)
 
-from conftest import lift_fiber_two_ev, mul_poly, poly_from_roots, random_graph
+from conftest import (edge_lift, edge_rep_matrix, lift_fiber_two_ev, mul_poly,
+                      poly_from_roots, random_graph)
 
 
 def fl_bigint_char_poly(a):
@@ -290,6 +292,20 @@ def test_rep_matrix_is_hermitian_roots_of_unity(rng):
     assert np.abs(nz - 1).max() < 1e-14
 
 
+def test_rep_matrix_matches_the_edge_loop_oracle(rng):
+    # the array form sums the same terms in the same order as the loop; a few
+    # ulps of slack cover a complex exp that rounds differently
+    eps = np.finfo(float).eps
+    for group in (GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4),
+                  GroupSpec.abelian(2, 2), GroupSpec.abelian(2, 3)):
+        for _ in range(6):
+            base = random_graph(rng, rng.randint(1, 8), 0.5)
+            f = GainGraph(base, group, {e: tuple(rng.randrange(r) for r in group.orders)
+                                        for e in base.edges})
+            for j in group.elements():
+                assert np.abs(rep_matrix(f, j) - edge_rep_matrix(f, j)).max(initial=0) <= 4 * eps
+
+
 def test_rep_matrix_requires_abelian():
     from gaincover.errors import ParameterError
     with pytest.raises(ParameterError):
@@ -505,12 +521,12 @@ def test_character_block_decomposition_random(rng):
 
 def _kernel_certs(base, table, rows, gains):
     hit, lam = fiber_two_ev(base, table, rows)
-    return [two_ev_certificate(lift(f), int(l)) if h else None
+    return [two_ev_certificate(f, int(l)) if h else None
             for f, h, l in zip(gains, hit.tolist(), lam.tolist())]
 
 
 def _oracle_certs(gains):
-    return [lift_fiber_two_ev(f, lift(f)) for f in gains]
+    return [lift_fiber_two_ev(f, edge_lift(f)) for f in gains]
 
 
 @pytest.mark.parametrize("base, group", [
@@ -570,7 +586,7 @@ def test_kernel_single_sheet_and_edgeless():
     for g in (f, GainGraph(Graph(1, []), GroupSpec.cyclic(2), {}),
               GainGraph(Graph(4, []), GroupSpec.cyclic(3), {})):
         hit, lam = fiber_two_ev(g.base, *gain_row(g))
-        assert hit.tolist() == [False] and lift_fiber_two_ev(g, lift(g)) is None
+        assert hit.tolist() == [False] and lift_fiber_two_ev(g, edge_lift(g)) is None
     # an empty batch decides nothing
     hit, lam = fiber_two_ev(k3, sheet_table(GroupSpec.cyclic(2), [(0,), (1,)]),
                             np.zeros((0, 3), dtype=np.int64))
