@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -23,14 +24,15 @@ from .errors import (BudgetError, DisconnectedError, FalsificationError,
 from .families import (butson_gain, cohen_tits_signing, fourier_butson,
                        huang_signing, k3n_nonexample, s3_cover_k5)
 from .gains import GainGraph, GroupSpec, parse_gain_file, write_gain_file
-from .graphs import (Graph, complete_bipartite, complete_graph, cycle, girth,
-                     hypercube, is_connected, johnson, kneser, octahedron,
+from .graphs import (MAX_VERTICES, Graph, complete_bipartite, complete_graph, cycle,
+                     girth, hypercube, is_connected, johnson, kneser, octahedron,
                      parse_edge_list, petersen, write_edge_list)
 from .regularity import regularity_certificate
 from .search import (EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_bipartite_cover, verify_drackn, verify_srg_cover,
                      verify_walk_regularity)
-from .spectral import char_poly, check_tol, classify_two_ev, hermitian_spectrum
+from .spectral import (char_poly, check_tol, classify_two_ev, hermitian_spectrum,
+                       spectral_difference_poly)
 
 DEMO_FAMILIES = ("huang", "cohen-tits", "butson", "s3k5", "k3n-nonexample")
 
@@ -50,8 +52,8 @@ def _spectrum_json(spec):
     return [[_fmt(v), int(m)] for v, m in spec]
 
 
-def graph_report(g: Graph, tol):
-    p = char_poly(g)
+def graph_report(g: Graph, p, tol):
+    """Report of g, whose characteristic polynomial is p."""
     spec = hermitian_spectrum(g.adjacency(dtype=float), tol)
     return {
         "n": g.n,
@@ -68,12 +70,15 @@ def gain_report(f: GainGraph, tol):
     t0 = time.perf_counter()
     cert = classify_two_ev(f)
     reg = regularity_certificate(f.cover, cert)
+    p_base = char_poly(f.base)
     report = {
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "gain", "group": f.group.describe(),
                   "vertices": f.base.n, "edges": f.base.m},
-        "base": graph_report(f.base, tol),
-        "cover": graph_report(f.cover.graph, tol) | {"fibers": f.cover.r},
+        "base": graph_report(f.base, p_base, tol),
+        # the cover's char poly is the base's times the one on W
+        "cover": graph_report(f.cover.graph, p_base * spectral_difference_poly(f), tol)
+                 | {"fibers": f.cover.r},
         "two_ev": cert.as_dict(),
         "regularity": reg.as_dict(),
         "meta": {"elapsed_s": round(time.perf_counter() - t0, 6)},
@@ -81,9 +86,26 @@ def gain_report(f: GainGraph, tol):
     return report
 
 
+def _subsets(n, k):
+    """Size of kneser(n, k) and johnson(n, k), which list the C(n, k)
+    k-subsets of an n-set: the larger of n and C(n, k), the latter taken only
+    for n within MAX_VERTICES."""
+    return n if n > MAX_VERTICES else max(n, math.comb(n, k))
+
+
+def _bounded(build, count, *args):
+    """build(*args) once count, the size of its graph, is within MAX_VERTICES."""
+    if count > MAX_VERTICES:
+        raise ParameterError(f"over the limit of {MAX_VERTICES} vertices")
+    return build(*args)
+
+
 def named_graph(spec: str) -> Graph:
     """Builtin base names for the CLI: k5, k3,3, c6, q3, j5,2, kn7,2,
-    petersen, octahedron, or @path to an edge-list file."""
+    petersen, octahedron, or @path to an edge-list file.
+
+    A spec of more than graphs.MAX_VERTICES vertices raises ParameterError
+    before its graph is built."""
     s = spec.strip().lower()
     if s.startswith("@"):
         with open(spec.strip()[1:]) as fh:
@@ -94,20 +116,24 @@ def named_graph(spec: str) -> Graph:
         if s == "octahedron":
             return octahedron()
         if s.startswith("kn"):
-            n, k = s[2:].split(",")
-            return kneser(int(n), int(k))
+            n, k = (int(x) for x in s[2:].split(","))
+            return _bounded(kneser, _subsets(n, k), n, k)
         if s.startswith("k") and "," in s:
-            m, n = s[1:].split(",")
-            return complete_bipartite(int(m), int(n))
+            m, n = (int(x) for x in s[1:].split(","))
+            return _bounded(complete_bipartite, m + n, m, n)
         if s.startswith("k"):
-            return complete_graph(int(s[1:]))
+            n = int(s[1:])
+            return _bounded(complete_graph, n, n)
         if s.startswith("c"):
-            return cycle(int(s[1:]))
+            n = int(s[1:])
+            return _bounded(cycle, n, n)
         if s.startswith("q"):
-            return hypercube(int(s[1:]))
+            n = int(s[1:])
+            # 2**n with n capped where 2**n first exceeds MAX_VERTICES
+            return _bounded(hypercube, 2 ** min(n, MAX_VERTICES.bit_length()), n)
         if s.startswith("j"):
-            n, k = s[1:].split(",")
-            return johnson(int(n), int(k))
+            n, k = (int(x) for x in s[1:].split(","))
+            return _bounded(johnson, _subsets(n, k), n, k)
     except (ValueError, ParameterError) as exc:
         raise ParameterError(f"bad graph spec {spec!r}: {exc}") from None
     raise ParameterError(f"unknown graph spec {spec!r}")
@@ -215,7 +241,7 @@ def cmd_certify(args):
     payload = {
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "graph", "path": args.graphfile},
-        "graph": graph_report(g, args.tol),
+        "graph": graph_report(g, char_poly(g), args.tol),
         "regularity": selected,
     }
     if reg.drg is not None and "drg" in checks:

@@ -219,9 +219,19 @@ class CoverGraph:
 
 def sheet_table(group, elements) -> np.ndarray:
     """Sheet actions of `elements` as an int64 array, one row per element: row
-    i sends sheet j to sheet table[i, j]."""
-    return np.array([group.sheet_action(g) for g in elements],
-                    dtype=np.int64).reshape(len(elements), group.sheet_count)
+    i sends sheet j to sheet table[i, j].
+
+    For an abelian group, sheet j is the j-th element in lexicographic order,
+    so the table is the mixed-radix index of element + sheet, reduced mod the
+    orders, for every pair at once.
+    """
+    if not group.is_abelian:
+        return np.array(elements, dtype=np.int64).reshape(len(elements), group.degree)
+    orders = group.orders
+    g = np.array(elements, dtype=np.int64).reshape(len(elements), 1, len(orders))
+    sheets = np.indices(orders).reshape(len(orders), -1).T
+    weights = np.cumprod((orders[1:] + (1,))[::-1])[::-1]
+    return (g + sheets) % orders @ weights
 
 
 def gain_row(f: GainGraph):

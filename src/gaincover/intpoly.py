@@ -2,12 +2,14 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and the
 characteristic polynomials handled here are always monic, which keeps every
-division below exact. Degrees stay at desk scale (a few hundred), so the
-primitive pseudo-remainder sequence is fast enough for gcds.
+division below exact. The square-free part is certified modularly: gcds mod
+primes near 2**62 in plain Python ints, joined by the CRT, and accepted only
+when the candidate divides p and p' exactly over Z.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import gcd as _int_gcd
 
@@ -156,51 +158,108 @@ class IntPoly:
         return " ".join(parts)
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, exact in Z[x]."""
-    d = a.degree - b.degree
-    lc = b.coeffs[-1]
-    rem = list(a.scale(lc ** (d + 1)).coeffs)
-    bc = b.coeffs
-    db = b.degree
-    for i in range(len(rem) - 1, db - 1, -1):
-        q, r = divmod(rem[i], lc)
-        assert r == 0  # guaranteed by the pseudo-remainder scaling
-        if q == 0:
+def _is_prime(n):
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in small:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # deterministic Miller-Rabin for n < 3.3e24 with these witnesses
+    for a in small:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
             continue
-        for j in range(db + 1):
-            rem[i - db + j] -= q * bc[j]
-    return IntPoly(rem)
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[x] via the primitive PRS; positive leading coefficient."""
-    a = a.primitive()
-    b = b.primitive()
-    if a.is_zero:
-        g = b
-    elif b.is_zero:
-        g = a
-    else:
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero:
-            r = _pseudo_rem(a, b).primitive()
-            a, b = b, r
-        g = a
-    if not g.is_zero and g.coeffs[-1] < 0:
-        g = g.scale(-1)
-    return g
+@lru_cache(maxsize=None)
+def _gcd_prime(i):
+    """The i-th prime below 2**62, counting down from it."""
+    p = 2**62 - 1 if i == 0 else _gcd_prime(i - 1) - 2
+    while not _is_prime(p):
+        p -= 2
+    return p
+
+
+def _strip(c):
+    """c without its leading zeros."""
+    i = 0
+    while i < len(c) and c[i] == 0:
+        i += 1
+    return c[i:]
+
+
+def _monic_gcd_mod(a, b, q):
+    """Monic gcd of a and b mod the prime q, by Euclid's algorithm.
+
+    a and b are coefficient lists, highest degree first, reduced mod q, a
+    with a nonzero lead; so is the result.
+    """
+    b = _strip(b)
+    while b:
+        inv = pow(b[0], -1, q)
+        rem = a[:]
+        db = len(b)
+        for i in range(len(rem) - db + 1):
+            c = rem[i] * inv % q
+            if c:
+                for j in range(1, db):
+                    rem[i + j] = (rem[i + j] - c * b[j]) % q
+        a, b = b, _strip(rem[max(len(rem) - db + 1, 0):])
+    inv = pow(a[0], -1, q)
+    return [c * inv % q for c in a]
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
-    """p / gcd(p, p'); for monic p this is again monic with the same root set."""
+    """p / gcd(p, p') for monic p: again monic, with the same root set.
+
+    The monic gcd g of p and p' lies in Z[x], since p is monic. Its image
+    mod any prime q divides the gcd of the images, so every gcd mod q has
+    degree at least deg g. The gcds are taken mod primes near 2**62; primes
+    whose gcd is not of the least degree seen are dropped, and the others'
+    symmetric residues are joined by the CRT. A candidate is taken once one
+    more prime leaves it unchanged and it divides both p and p' over Z: as a
+    common divisor it divides g, and its degree is at least deg g, so it is g.
+    Raises ValueError unless p is monic.
+    """
+    if not p.is_monic:
+        raise ValueError("square-free part requires a monic polynomial")
     if p.degree <= 0:
         return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p
-    return p.div_exact(g)
+    dp = p.derivative()
+    high, dhigh = p.coeffs[::-1], dp.coeffs[::-1]
+    best, res, mod, cand = None, None, 1, None
+    for i in itertools.count():
+        q = _gcd_prime(i)
+        g = _monic_gcd_mod([c % q for c in high], [c % q for c in dhigh], q)
+        if len(g) == 1:
+            return p  # deg g = 0 is certified by any one prime
+        if best is not None and len(g) > best:
+            continue  # an unlucky prime
+        if best is None or len(g) < best:
+            best, res, mod = len(g), [0] * len(g), 1
+        # CRT: res = res mod the old modulus, = g mod q
+        inv = pow(mod % q, -1, q)
+        res = [x + mod * ((y - x) * inv % q) for x, y in zip(res, g)]
+        mod *= q
+        half = mod // 2
+        new = IntPoly((x + half) % mod - half for x in reversed(res))
+        if new == cand:
+            quo, rem = p.divmod_monic(new)
+            if rem.is_zero and dp.divmod_monic(new)[1].is_zero:
+                return quo
+        cand = new
 
 
 def integer_roots(p: IntPoly):

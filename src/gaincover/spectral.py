@@ -3,15 +3,20 @@ eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
 gain graphs, and the two-eigenvalue classifier.
 
 Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
-it raises NumericError on LAPACK non-convergence or non-finite input.
+it raises NumericError on LAPACK non-convergence or non-finite input. The
+block check solves its stack of character matrices, Hermitian by
+construction, in one batched LAPACK call with the same non-convergence error.
 
 The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
 from the gains for a batch of assignments at once, without the lift: it
 scatters the batch's adjacency matrices from `gains.cover_arcs`, the one
-cover layout. A non-2ev cover's count of new distinct eigenvalues comes from
-the exact quotient of the cover's characteristic polynomial by the base's,
-never from clustered numeric spectra; a nonzero remainder is an internal
-consistency error. Every function that needs a lift reads `GainGraph.cover`.
+cover layout. The new spectrum of a lift is the spectrum of its adjacency on
+W, the vectors that sum to zero on every fiber: `spectral_difference_poly`
+takes that exact characteristic polynomial at dimension n(r-1), never the
+lift's at nr, and a non-2ev cover's count of new distinct eigenvalues is the
+degree of its modularly certified square-free part, never read from
+clustered numeric spectra. Every function that needs a lift reads
+`GainGraph.cover`.
 """
 
 from __future__ import annotations
@@ -26,37 +31,12 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import IntPoly, integer_roots, squarefree_part
+from .intpoly import IntPoly, _is_prime, integer_roots, squarefree_part
 
 DEFAULT_TOL = 1e-7
 
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial
-
-
-def _is_prime(n):
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic Miller-Rabin for n < 3.3e24 with these witnesses
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _char_poly_mod(A, p):
@@ -174,6 +154,7 @@ def char_poly(g: Graph) -> IntPoly:
     return char_poly_int_matrix(g.adjacency())
 
 
+@lru_cache(maxsize=512)
 def distinct_eigenvalue_count(g: Graph) -> int:
     """Number of distinct adjacency eigenvalues, via the exact square-free part."""
     return squarefree_part(char_poly(g)).degree
@@ -208,6 +189,14 @@ class Spectrum:
         return f"Spectrum({inner})"
 
 
+def _eigvalsh(A):
+    """np.linalg.eigvalsh(A), with LAPACK non-convergence as NumericError."""
+    try:
+        return np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LAPACK eigensolver did not converge: {exc}") from exc
+
+
 def hermitian_eigenvalues(matrix):
     """Ascending float64 eigenvalues of a Hermitian (or real symmetric) matrix.
 
@@ -227,10 +216,7 @@ def hermitian_eigenvalues(matrix):
     herm_err = np.abs(A - A.conj().T).max(initial=0.0)
     if herm_err > 10 * np.finfo(float).eps * max(matrix_scale(A), 1.0):
         raise ContractViolation(f"matrix is not Hermitian (asymmetry {herm_err:.3g})")
-    try:
-        return np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return _eigvalsh(A)
 
 
 def check_tol(tol):
@@ -275,6 +261,21 @@ def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
 # character matrices of abelian gain graphs
 
 
+def _character_matrices(f: GainGraph, chars) -> np.ndarray:
+    """Character matrices S_j of f for the rows j of chars, stacked as a
+    (len(chars), n, n) complex array; see `rep_matrix`. f is abelian."""
+    orders = f.group.orders
+    chars = np.mod(np.asarray(chars, dtype=np.int64).reshape(len(chars), -1), orders)
+    edges = f.base.sorted_edges()
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    g = np.array([f.gains[e] for e in edges], dtype=np.int64).reshape(-1, len(orders))
+    # angle table: character c at edge e is sum_p c_p g_p / r_p turns
+    val = np.exp(2j * math.pi * (chars[:, None, :] * g / orders).sum(axis=2))
+    s = np.zeros((len(chars), f.base.n, f.base.n), dtype=np.complex128)
+    s[:, u, v], s[:, v, u] = val, val.conj()
+    return s
+
+
 def rep_matrix(f: GainGraph, j) -> np.ndarray:
     """Character matrix S_j as a read-only complex array; j = all-zeros
     reproduces the base adjacency.
@@ -288,12 +289,7 @@ def rep_matrix(f: GainGraph, j) -> np.ndarray:
         raise ParameterError("character matrices require an abelian gain group")
     if len(tuple(j)) != len(orders):
         raise ParameterError(f"character index must have {len(orders)} components")
-    edges = f.base.sorted_edges()
-    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    g = np.array([f.gains[e] for e in edges], dtype=np.int64).reshape(-1, len(orders))
-    val = np.exp(2j * math.pi * (g * np.mod(j, orders) / orders).sum(axis=1))
-    s = np.zeros((f.base.n, f.base.n), dtype=np.complex128)
-    s[u, v], s[v, u] = val, val.conj()
+    s = _character_matrices(f, [tuple(j)])[0]
     s.flags.writeable = False
     return s
 
@@ -338,15 +334,26 @@ class TwoEvCertificate:
         }
 
 
+@lru_cache(maxsize=512)
 def spectral_difference_poly(f: GainGraph) -> IntPoly:
-    """Exact quotient char(cover) / char(base); the division is always exact."""
-    p_cover = char_poly(f.cover.graph)
-    p_base = char_poly(f.base)
-    quo, rem = p_cover.divmod_monic(p_base)
-    if not rem.is_zero:
+    """Exact characteristic polynomial of the lift's adjacency A on W, the
+    vectors that sum to zero on every fiber: the cover's char poly over the
+    base's.
+
+    W is invariant when every r x r block of A has constant row sums, equal
+    to the base adjacency; A then acts on the fiber sums as the base does. In
+    the integer basis e_(v,i) - e_(v,0), i = 1..r-1, of W, A is the matrix
+    with entry ((v,i), (u,j)) equal to A((v,i), (u,j)) - A((v,i), (u,0)), of
+    dimension n(r-1). Raises InternalConsistencyError when the blocks of the
+    lift do not have those row sums.
+    """
+    n, r = f.base.n, f.cover.r
+    a = f.cover.graph.adjacency().reshape(n, r, n, r)
+    if not (a.sum(axis=3) == f.base.adjacency()[:, None, :]).all():
         raise InternalConsistencyError(
-            "base characteristic polynomial does not divide the cover's; lift is broken")
-    return quo
+            "lift blocks do not have the base adjacency as row sums; lift is broken")
+    return char_poly_int_matrix(
+        (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(n * (r - 1), n * (r - 1)))
 
 
 # float64 entries in one batch array of `fiber_two_ev`: 2**15 of them is 256 KiB
@@ -456,7 +463,7 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
     The verdict is `fiber_two_ev`'s, on a batch of one. Only on a miss is the
-    exact char-poly quotient taken, to report the number of distinct new
+    exact char poly on W taken, to report the number of distinct new
     eigenvalues as the degree of its square-free part.
     """
     if not is_connected(f.base):
@@ -479,15 +486,14 @@ def character_block_check(f: GainGraph, tol=DEFAULT_TOL):
     For abelian gains the cover adjacency is similar to the block diagonal of
     the character matrices, so the sorted concatenation of their eigenvalues
     must match the sorted eigenvalues of the lift within clustering tolerance.
-    Returns (ok, max_abs_deviation).
+    The character matrices of the whole group are built as one stack, which
+    is Hermitian by construction, and solved in one batched call. Returns
+    (ok, max_abs_deviation).
     """
     check_tol(tol)
     if not f.group.is_abelian:
         raise ParameterError("block decomposition requires an abelian gain group")
-    union = []
-    for j in f.group.elements():
-        union.extend(hermitian_eigenvalues(rep_matrix(f, j)))
-    union = np.sort(np.asarray(union))
+    union = np.sort(_eigvalsh(_character_matrices(f, f.group.elements())), axis=None)
     adj = f.cover.graph.adjacency(dtype=np.float64)
     cover_vals = hermitian_eigenvalues(adj)
     dev = float(np.abs(union - cover_vals).max()) if union.size else 0.0

@@ -12,7 +12,7 @@ from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
                        complete_bipartite)
 from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
-from gaincover.intpoly import integer_roots, poly_gcd
+from gaincover.intpoly import integer_roots
 
 
 def mul_poly(a, b):
@@ -29,6 +29,53 @@ def poly_from_roots(roots):
     for r in roots:
         p = mul_poly(p, [-r, 1])
     return p
+
+
+def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, exact in Z[x]."""
+    d = a.degree - b.degree
+    lc = b.coeffs[-1]
+    rem = list(a.scale(lc ** (d + 1)).coeffs)
+    bc = b.coeffs
+    db = b.degree
+    for i in range(len(rem) - 1, db - 1, -1):
+        q, r = divmod(rem[i], lc)
+        assert r == 0  # guaranteed by the pseudo-remainder scaling
+        if q == 0:
+            continue
+        for j in range(db + 1):
+            rem[i - db + j] -= q * bc[j]
+    return IntPoly(rem)
+
+
+def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd in Z[x] via the primitive pseudo-remainder sequence;
+    positive leading coefficient (test-local oracle for the modular gcd of
+    `squarefree_part`)."""
+    a = a.primitive()
+    b = b.primitive()
+    if a.is_zero:
+        g = b
+    elif b.is_zero:
+        g = a
+    else:
+        if a.degree < b.degree:
+            a, b = b, a
+        while not b.is_zero:
+            r = _pseudo_rem(a, b).primitive()
+            a, b = b, r
+        g = a
+    if not g.is_zero and g.coeffs[-1] < 0:
+        g = g.scale(-1)
+    return g
+
+
+def prs_squarefree_part(p: IntPoly) -> IntPoly:
+    """p / gcd(p, p') of a monic p by the PRS gcd (test-local oracle for
+    `squarefree_part`)."""
+    if p.degree <= 0:
+        return p
+    return p.div_exact(poly_gcd(p, p.derivative()))
 
 
 def squarefree_decomposition(p: IntPoly):

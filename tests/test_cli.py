@@ -325,6 +325,29 @@ def test_input_beyond_the_vertex_limit_exit_1(tmp_path, capsys, name, text, argv
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["q24", "q13", "q99999999999", "kn5000,2", "kn4097,1",
+                                  "j100,50", "j99999999999,99999999999", "c4097",
+                                  "k2049,2048", "k4097"])
+def test_base_spec_beyond_the_vertex_limit_is_refused_unbuilt(capsys, monkeypatch, spec):
+    from gaincover import cli
+
+    def unbuildable(*args):
+        raise AssertionError(f"built a base of spec {spec!r}")
+
+    for name in ("complete_graph", "complete_bipartite", "cycle", "hypercube", "johnson",
+                 "kneser"):
+        monkeypatch.setattr(cli, name, unbuildable)
+    code, out, err = run(["search", "--base", spec, "--group", "z2", "--mode", "random",
+                          "--budget", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: bad graph spec {spec!r}: over the limit of 4096 vertices\n"
+
+
+def test_base_spec_at_the_vertex_limit_is_built():
+    assert named_graph("q12").n == named_graph("c4096").n == 4096
+    assert named_graph("j4096,4096").n == 1
+
+
 def test_duplicate_edge_in_edge_list_exit_1(tmp_path, capsys):
     epath = tmp_path / "dup.txt"
     epath.write_text("graph 3\nedge 0 1\nedge 1 0\nedge 1 2\n")

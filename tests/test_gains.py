@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly, complete_graph,
@@ -9,6 +10,7 @@ from gaincover import (GainGraph, Graph, GroupSpec, char_poly, complete_graph,
                        petersen, write_gain_file)
 from gaincover.errors import DisconnectedError, ParameterError, ParseError
 from gaincover.families import huang_signing, s3_cover_k5
+from gaincover.gains import sheet_table
 from gaincover.graphs import MAX_VERTICES, bfs_tree
 
 from conftest import edge_lift, random_graph
@@ -141,6 +143,20 @@ def test_abelian_translation_automorphism(rng):
         mapped = {(min(perm[x], perm[y]), max(perm[x], perm[y]))
                   for x, y in cov.graph.edges}
         assert mapped == set(cov.graph.edges)
+
+
+@pytest.mark.parametrize("group", [GroupSpec.cyclic(5), GroupSpec.abelian(2, 2),
+                                   GroupSpec.abelian(2, 3, 2), GroupSpec.abelian(3, 4),
+                                   GroupSpec.permutation(3)])
+def test_sheet_table_rows_are_the_sheet_actions(rng, group):
+    if group.is_abelian:
+        elements = group.elements()
+    else:
+        elements = [tuple(rng.sample(range(3), 3)) for _ in range(5)]
+    table = sheet_table(group, elements)
+    assert table.dtype == np.int64
+    assert table.tolist() == [list(group.sheet_action(g)) for g in elements]
+    assert sheet_table(group, []).shape == (0, group.sheet_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaincover.intpoly import (IntPoly, cyclotomic, integer_roots, poly_gcd,
-                               squarefree_part)
+from gaincover import intpoly
+from gaincover.intpoly import IntPoly, cyclotomic, integer_roots, squarefree_part
 
-from conftest import mul_poly, poly_from_roots, squarefree_decomposition
+from conftest import (mul_poly, poly_from_roots, poly_gcd, prs_squarefree_part,
+                      squarefree_decomposition)
 
 
 def from_roots(roots):
@@ -69,6 +72,42 @@ def test_squarefree_part():
     assert sorted(integer_roots(sf).items()) == [(-2, 1), (1, 1), (5, 1)]
     assert sf.degree == 3
     assert squarefree_part(from_roots([3])) == from_roots([3])
+
+
+def test_squarefree_part_requires_monic_input():
+    with pytest.raises(ValueError):
+        squarefree_part(IntPoly((1, 0, 2)))
+    with pytest.raises(ValueError):
+        squarefree_part(IntPoly())
+    assert squarefree_part(IntPoly((1,))) == IntPoly((1,))
+
+
+_monic_factor = st.lists(st.integers(-40, 40), min_size=1, max_size=4).map(
+    lambda low: IntPoly(low + [1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_monic_factor, st.integers(1, 4)), min_size=1, max_size=5),
+       st.integers(0, 2**70))
+def test_squarefree_part_matches_the_prs_oracle(factors, scale):
+    # products of random monic factors with repeats, some with huge
+    # coefficients, so that the modular gcd needs several primes
+    p = IntPoly((1,))
+    for factor, mult in factors:
+        p = p * factor.pow(mult)
+    assert squarefree_part(p) == prs_squarefree_part(p)
+    big = IntPoly((scale, 1)) * IntPoly((-scale - 3, 1))
+    q = p * big.pow(2) * IntPoly((7, scale, 1))
+    assert squarefree_part(q) == prs_squarefree_part(q)
+
+
+def test_squarefree_part_drops_unlucky_primes():
+    # 3 and 3 + q are distinct roots that meet mod the first prime q, where
+    # the gcd has too high a degree; the next primes decide
+    q = intpoly._gcd_prime(0)
+    assert squarefree_part(from_roots([3, 3 + q])) == from_roots([3, 3 + q])
+    assert squarefree_part(from_roots([5, 5, 3, 3 + q])) == from_roots([5, 3, 3 + q])
+    assert squarefree_part(from_roots([5, 5, 3, 3, 3 + q])) == from_roots([5, 3, 3 + q])
 
 
 def test_squarefree_decomposition():

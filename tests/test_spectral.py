@@ -12,19 +12,20 @@ from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        complete_bipartite, complete_graph, cycle, hypercube,
                        identity_gains, is_connected, kneser, lift, octahedron,
                        petersen, rep_matrix)
-from gaincover.errors import (ContractViolation, DisconnectedError, NumericError,
-                             ParameterError)
+from gaincover import spectral
+from gaincover.errors import (ContractViolation, DisconnectedError,
+                             InternalConsistencyError, NumericError, ParameterError)
 from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.intpoly import IntPoly, squarefree_part
 from gaincover.search import SearchSpec, assignment_rows, enumerate_gains
-from gaincover.gains import gain_row, sheet_table
+from gaincover.gains import CoverGraph, gain_row, sheet_table
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
                                 fiber_two_ev, hermitian_eigenvalues,
                                 hermitian_spectrum, spectral_difference_poly,
                                 two_ev_certificate)
 
 from conftest import (edge_lift, edge_rep_matrix, lift_fiber_two_ev, mul_poly,
-                      poly_from_roots, random_graph)
+                      poly_from_roots, prs_squarefree_part, random_graph)
 
 
 def fl_bigint_char_poly(a):
@@ -368,21 +369,93 @@ def test_base_poly_always_divides_cover(rng):
         gains = {e: tuple(rng.randrange(r) for r in group.orders)
                  for e in base.edges}
         f = GainGraph(base, group, gains)
-        quo = spectral_difference_poly(f)  # raises if division is inexact
+        quo = spectral_difference_poly(f)
+        assert quo == _lift_over_base(f)
         assert quo.degree == base.n * (group.sheet_count - 1)
         assert quo.is_monic
 
 
+def _lift_over_base(f):
+    """Test-local oracle for `spectral_difference_poly`: the char poly of the
+    whole lift over the base's, which it must divide."""
+    quo, rem = char_poly(lift(f).graph).divmod_monic(char_poly(f.base))
+    assert rem.is_zero
+    return quo
+
+
+def _random_gain(rng, base, group):
+    if group.is_abelian:
+        return GainGraph(base, group, {e: tuple(rng.randrange(r) for r in group.orders)
+                                       for e in base.edges})
+    return GainGraph(base, group, {e: tuple(rng.sample(range(group.degree), group.degree))
+                                   for e in base.edges})
+
+
+def test_difference_poly_is_the_char_poly_on_the_fiber_sum_zero_space(rng):
+    bases = [complete_graph(4), complete_graph(5), cycle(6), petersen(),
+             complete_bipartite(2, 3), random_graph(rng, 6, 0.6)]
+    groups = [GroupSpec.permutation(d) for d in (1, 2, 3, 4)] + [
+        GroupSpec.abelian(2, 2), GroupSpec.cyclic(5), GroupSpec.abelian(2, 3)]
+    for base in bases:
+        for group in groups:
+            for _ in range(3):
+                f = _random_gain(rng, base, group)
+                quo = spectral_difference_poly(f)
+                assert quo == _lift_over_base(f), (f.gains, group)
+                assert quo.degree == base.n * (group.sheet_count - 1)
+    # Sym(1): W is empty, so nothing is new
+    k3 = complete_graph(3)
+    assert spectral_difference_poly(
+        GainGraph(k3, GroupSpec.permutation(1), {e: (0,) for e in k3.edges})) == IntPoly((1,))
+    f = s3_cover_k5()
+    assert spectral_difference_poly(f) == _lift_over_base(f) == IntPoly((-4, 0, 1)).pow(5)
+
+
+def test_difference_poly_refuses_a_cover_that_is_not_a_lift():
+    f = huang_signing(2)
+    r = f.group.sheet_count
+    # the lift of the signed 4-cycle 0-1-3-2, with one edge of block (0, 1)
+    # moved into block (0, 3), over a non-edge of the base
+    assert (0, 3) not in f.base.edges
+    edges = set(f.cover.graph.edges)
+    (u, v) = next(e for e in sorted(edges) if e[0] // r == 0 and e[1] // r == 1)
+    spectral.spectral_difference_poly.cache_clear()  # f's entry would answer for broken
+    broken = GainGraph(f.base, f.group, f.gains)
+    object.__setattr__(broken, "cover", CoverGraph(
+        Graph(f.cover.graph.n, (edges - {(u, v)}) | {(u, 3 * r + u % r)}), f.base, r))
+    with pytest.raises(InternalConsistencyError):
+        spectral_difference_poly(broken)
+
+
+def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, monkeypatch):
+    base, r = kneser(8, 2), 4
+    f = _random_gain(rng, base, GroupSpec.cyclic(r))
+    sizes = []
+    real = spectral.char_poly_int_matrix
+
+    def recording(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
+    spectral.char_poly.cache_clear()
+    spectral.spectral_difference_poly.cache_clear()
+    cert = classify_two_ev(f)
+    assert not cert.is_two_ev
+    assert sizes == [base.n * (r - 1)]
+
+
 def quotient_verdict(f):
-    """Test-local 2ev oracle from the exact char-poly quotient.
+    """Test-local 2ev oracle from the exact char-poly quotient: the char poly
+    of the whole lift over the base's, and its square-free part by the PRS gcd.
 
     2ev iff the square-free part sf of the quotient has degree 2; then
     lambda = -sf_1 and mu = -sf_0, and the multiplicities are the ones that
     rebuild the quotient exactly: from the integer roots when the
     discriminant is a square, else as a power of sf (conjugate roots).
     """
-    quo = spectral_difference_poly(f)
-    sf = squarefree_part(quo)
+    quo = _lift_over_base(f)
+    sf = prs_squarefree_part(quo)
     verdict = {"is_two_ev": sf.degree == 2, "theta": None, "tau": None,
                "mult_theta": None, "mult_tau": None, "lambda": None, "mu": None,
                "cover_connected": is_connected(lift(f).graph),
