@@ -3,9 +3,9 @@ classification, and combinatorial regularity certificates."""
 
 __version__ = "0.1.0"
 
-from .gains import (CoverGraph, GainGraph, GroupSpec, identity_gains,
-                    is_balanced, lift, normalize, parse_gain_file,
-                    write_gain_file)
+from .gains import (CoverGraph, GainGraph, GroupSpec, gain_row,
+                    identity_gains, is_balanced, lift, normalize,
+                    parse_gain_file, write_gain_file)
 from .graphs import (DistanceTable, Graph, complete_bipartite, complete_graph,
                      connected_components, cycle, distances, folded_cube,
                      girth, hypercube, is_connected, johnson, kneser,
@@ -28,7 +28,7 @@ __all__ = [
     "RegularityCertificate", "Spectrum", "SrgParams", "TwoEvCertificate",
     "char_poly", "character_block_check", "classify_two_ev", "complete_bipartite",
     "complete_graph", "connected_components", "cycle",
-    "distances", "folded_cube", "girth", "hermitian_spectrum", "hypercube",
+    "distances", "folded_cube", "gain_row", "girth", "hermitian_spectrum", "hypercube",
     "identity_gains", "is_antipodal", "is_balanced", "is_connected",
     "is_distance_regular", "is_walk_regular", "johnson", "kneser",
     "lemma_column_counts", "lift", "line_graph", "normalize", "octahedron",

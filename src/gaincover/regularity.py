@@ -105,7 +105,8 @@ class RegularityCertificate:
 # ---------------------------------------------------------------------------
 # walk regularity
 
-_INT64_SAFE = 2**62
+# float64 holds every integer below 2**53 exactly
+_FLOAT_EXACT = 2**53
 
 
 def _diag_constant(mat):
@@ -132,21 +133,22 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     else:
         top = distinct_eigenvalue_count(g) - 1
     deg = max(g.degrees)
-    a64 = g.adjacency()
-    power = a64.copy()
+    a = g.adjacency(dtype=np.float64)
+    power = a.copy()
     bound = deg  # max possible entry of the current power
-    use_object = False
     for _ in range(2, top + 1):
         bound *= max(deg, 1)
-        if not use_object and bound >= _INT64_SAFE:
-            power = power.astype(object)
-            a_obj = a64.astype(object)
-            use_object = True
-        power = np.dot(power, a_obj if use_object else a64)
+        # a power's entries, and every partial sum of its dot products, are at
+        # most bound: below 2**53 float64 (on BLAS) is exact, past it the
+        # exact float entries go on as Python ints
+        if bound >= _FLOAT_EXACT and a.dtype != object:
+            power = power.astype(np.int64).astype(object)
+            a = a.astype(np.int64).astype(object)
+        power = np.dot(power, a)
         if not _diag_constant(power):
             return False
     # power 1 has zero diagonal on simple graphs; included for completeness
-    return top < 1 or _diag_constant(a64)
+    return top < 1 or _diag_constant(a)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ machine-checked property harnesses for the structure theorems.
 Enumeration fixes a spanning tree to the identity (every cover is reachable
 from such a normalized gain), so the search space is |G|^(m-n+1) over the
 co-tree edges instead of |G|^m. Assignments are decided in batches from
-their gains (`fiber_two_ev`), and only the 2ev hits are lifted. Any
+their gains (`fiber_two_ev`), and only the 2ev hits are lifted; the
+walk-regularity harness audits each batch's block decomposition from the
+gains too (`character_block_check`), so it lifts only its hits as well. Any
 falsification of a theorem property aborts with the offending gain attached:
 a genuine counterexample would mean an implementation bug, so it must stop
 the run, not get logged and skipped.
@@ -151,10 +153,9 @@ def enumerate_gains(spec: SearchSpec):
             yield gain_of_row(spec, row)
 
 
-def _decided(spec: SearchSpec):
+def _decided(spec: SearchSpec, table):
     """(rows, hit, lam) for each batch of `assignment_rows`, as `fiber_two_ev`
-    decides it."""
-    table = sheet_table(spec.group, spec.group.elements())
+    decides it on table, the sheet table of spec.group.elements()."""
     for rows in assignment_rows(spec):
         yield (rows, *fiber_two_ev(spec.base, table, rows))
 
@@ -162,7 +163,8 @@ def _decided(spec: SearchSpec):
 def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
     """Decide every assignment of spec, counting them and the hits in summary;
     yield (gain, certificate) for each 2ev hit, the only ones lifted."""
-    for rows, hit, lam in _decided(spec):
+    table = sheet_table(spec.group, spec.group.elements())
+    for rows, hit, lam in _decided(spec, table):
         summary.sampled += len(rows)
         for i in np.flatnonzero(hit).tolist():
             f = gain_of_row(spec, rows[i])
@@ -212,9 +214,12 @@ def write_reproducer(theorem, gain, directory):
 def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
                            reproducer_dir=None) -> VerifySummary:
     """Walk-regular bases stay walk-regular in every 2ev cover (cyclic and
-    abelian alike); also checks the character block decomposition of every
-    sampled lift against its spectrum, so every sample is lifted, not only the
-    2ev hits. Raises ParameterError unless tol is finite and positive.
+    abelian alike); also audits every sample's character block decomposition
+    against its spectrum. Both are decided per batch from the gains, by
+    `fiber_two_ev` and `character_block_check`; only the 2ev hits and the
+    audit failures are built as gain graphs, and only the hits are lifted.
+    Within a sample the audit's failure comes first. Raises ParameterError
+    unless tol is finite and positive.
     """
     check_tol(tol)
     for base in bases:
@@ -223,18 +228,17 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
     summary = VerifySummary()
     for base, group in itertools.product(bases, groups):
         spec = SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
-        for rows, hit, lam in _decided(spec):
-            for row, two_ev, lam_b in zip(rows, hit.tolist(), lam.tolist()):
-                f = gain_of_row(spec, row)
-                summary.sampled += 1
-                ok, dev = character_block_check(f, tol)
-                if not ok:
+        table = sheet_table(group, group.elements())
+        for rows, hit, lam in _decided(spec, table):
+            ok, dev = character_block_check(base, group, table, rows, tol)
+            summary.sampled += len(rows)
+            for i in np.flatnonzero(~ok | hit).tolist():
+                f = gain_of_row(spec, rows[i])
+                if not ok[i]:
                     _fail("block-decomposition",
-                          f"character spectra deviate from lift spectrum by {dev:.3g}",
+                          f"character spectra deviate from lift spectrum by {dev[i]:.3g}",
                           f, reproducer_dir, summary)
-                if not two_ev:
-                    continue
-                cert = two_ev_certificate(f, lam_b)
+                cert = two_ev_certificate(f, int(lam[i]))
                 summary.two_ev += 1
                 summary.connected_two_ev += cert.cover_connected
                 if not is_walk_regular(f.cover, cert):

@@ -2,10 +2,13 @@
 eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
 gain graphs, and the two-eigenvalue classifier.
 
-Numeric eigenvalues come from one validated route, `hermitian_eigenvalues`;
-it raises NumericError on LAPACK non-convergence or non-finite input. The
-block check solves its stack of character matrices, Hermitian by
-construction, in one batched LAPACK call with the same non-convergence error.
+Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
+one matrix (`hermitian_eigenvalues`) or a stack: it raises NumericError on
+LAPACK non-convergence or non-finite input. The block-decomposition audit
+(`character_block_check`) takes a batch of abelian gains in the kernel's
+array form and, per batch, solves one stack of character matrices, Hermitian
+by construction, and one stack of lifts scattered as `fiber_two_ev` scatters
+them, with no gain graph and no lift built.
 
 The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
 from the gains for a batch of assignments at once, without the lift: it
@@ -197,6 +200,26 @@ def _eigvalsh(A):
         raise NumericError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
+def _checked_eigvalsh(A):
+    """Ascending eigenvalues and row-sum scales of a float64 or complex128 stack
+    (..., n, n), one LAPACK call for the whole stack.
+
+    Raises NumericError for a non-finite entry or when LAPACK does not
+    converge, and ContractViolation unless each matrix is Hermitian to within
+    10 * eps * max(1, its max absolute row sum).
+    """
+    # NaN passes the Hermitian comparison below, and eigvalsh returns a
+    # spectrum for it without complaint, so non-finite input is caught first
+    if not np.isfinite(A).all():
+        raise NumericError("matrix has a non-finite entry")
+    scale = np.abs(A).sum(axis=-1).max(axis=-1, initial=0.0)
+    herm_err = np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    bad = herm_err > 10 * np.finfo(float).eps * np.maximum(scale, 1.0)
+    if bad.any():
+        raise ContractViolation(f"matrix is not Hermitian (asymmetry {herm_err[bad].flat[0]:.3g})")
+    return _eigvalsh(A), scale
+
+
 def hermitian_eigenvalues(matrix):
     """Ascending float64 eigenvalues of a Hermitian (or real symmetric) matrix.
 
@@ -208,15 +231,7 @@ def hermitian_eigenvalues(matrix):
     A = np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractViolation("matrix must be square")
-    A = A.astype(np.complex128 if np.iscomplexobj(A) else np.float64)
-    # NaN passes the Hermitian comparison below, and eigvalsh returns a
-    # spectrum for it without complaint, so non-finite input is caught first
-    if not np.isfinite(A).all():
-        raise NumericError("matrix has a non-finite entry")
-    herm_err = np.abs(A - A.conj().T).max(initial=0.0)
-    if herm_err > 10 * np.finfo(float).eps * max(matrix_scale(A), 1.0):
-        raise ContractViolation(f"matrix is not Hermitian (asymmetry {herm_err:.3g})")
-    return _eigvalsh(A)
+    return _checked_eigvalsh(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))[0]
 
 
 def check_tol(tol):
@@ -261,18 +276,23 @@ def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
 # character matrices of abelian gain graphs
 
 
-def _character_matrices(f: GainGraph, chars) -> np.ndarray:
-    """Character matrices S_j of f for the rows j of chars, stacked as a
-    (len(chars), n, n) complex array; see `rep_matrix`. f is abelian."""
-    orders = f.group.orders
+def _character_stack(base: Graph, group, gains, chars) -> np.ndarray:
+    """Character matrices of a batch of abelian gains on base, stacked as a
+    (B, C, n, n) complex array: matrix (b, c) is S_c of the gains whose edge i
+    of base.sorted_edges() carries element gains[b, i] of group.elements().
+
+    One angle table holds character c at element g, prod_p exp(2*pi*i * c_p
+    g_p / r_p), for every row c of chars and every element g; the stack is
+    scattered from it. See `rep_matrix`.
+    """
+    orders = group.orders
     chars = np.mod(np.asarray(chars, dtype=np.int64).reshape(len(chars), -1), orders)
-    edges = f.base.sorted_edges()
-    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    g = np.array([f.gains[e] for e in edges], dtype=np.int64).reshape(-1, len(orders))
-    # angle table: character c at edge e is sum_p c_p g_p / r_p turns
-    val = np.exp(2j * math.pi * (chars[:, None, :] * g / orders).sum(axis=2))
-    s = np.zeros((len(chars), f.base.n, f.base.n), dtype=np.complex128)
-    s[:, u, v], s[:, v, u] = val, val.conj()
+    g = np.array(group.elements(), dtype=np.int64)
+    angle = np.exp(2j * math.pi * (chars[:, None, :] * g / orders).sum(axis=2))
+    val = angle[:, gains].swapaxes(0, 1)
+    u, v = np.array(base.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    s = np.zeros(val.shape[:2] + (base.n, base.n), dtype=np.complex128)
+    s[..., u, v], s[..., v, u] = val, val.conj()
     return s
 
 
@@ -289,7 +309,8 @@ def rep_matrix(f: GainGraph, j) -> np.ndarray:
         raise ParameterError("character matrices require an abelian gain group")
     if len(tuple(j)) != len(orders):
         raise ParameterError(f"character index must have {len(orders)} components")
-    s = _character_matrices(f, [tuple(j)])[0]
+    table, rows = gain_row(f)
+    s = _character_stack(f.base, f.group, table[rows, 0], [tuple(j)])[0, 0]
     s.flags.writeable = False
     return s
 
@@ -366,6 +387,38 @@ def batch_rows(cover_n):
     return max(1, BATCH_ENTRIES // max(cover_n, 1) ** 2)
 
 
+def _batch_input(base: Graph, table, rows):
+    """table and rows as int64 arrays, checked as the input of a batch kernel.
+
+    Raises ParameterError unless table is a 2-D array of sheet permutations
+    and rows a 2-D array of indices into it with one column per edge.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if table.ndim != 2 or not (np.sort(table, axis=1) == np.arange(table.shape[1])).all():
+        raise ParameterError("sheet table rows must be permutations of the sheets")
+    if rows.ndim != 2 or rows.shape[1] != base.m:
+        raise ParameterError(f"assignment rows must have one column per edge ({base.m})")
+    if rows.size and not 0 <= rows.min() <= rows.max() < len(table):
+        raise ParameterError(f"assignment rows must index the {len(table)} table rows")
+    return table, rows
+
+
+def _lift_batches(base: Graph, table, rows):
+    """(lo, a, src, dst) for each run of `batch_rows` rows from row lo on: a is
+    the (B, nr, nr) float64 adjacency stack of their lifts, scattered from the
+    arcs src[i, j] -- dst[b, i, j] of `gains.cover_arcs`."""
+    size = base.n * table.shape[1]
+    step = batch_rows(size)
+    for lo in range(0, len(rows), step):
+        src, dst = cover_arcs(base, table[rows[lo:lo + step]])
+        b = np.arange(len(dst))[:, None, None]
+        a = np.zeros((len(dst), size, size))
+        a[b, src, dst] = 1
+        a[b, dst, src] = 1
+        yield lo, a, src, dst
+
+
 def fiber_two_ev(base: Graph, table, rows):
     """Exact two-eigenvalue verdicts for a batch of lifts of base, from the gains.
 
@@ -386,14 +439,7 @@ def fiber_two_ev(base: Graph, table, rows):
     Raises ParameterError unless table is a 2-D array of sheet permutations
     and rows a 2-D array of indices into it with one column per edge.
     """
-    table = np.asarray(table, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    if table.ndim != 2 or not (np.sort(table, axis=1) == np.arange(table.shape[1])).all():
-        raise ParameterError("sheet table rows must be permutations of the sheets")
-    if rows.ndim != 2 or rows.shape[1] != base.m:
-        raise ParameterError(f"assignment rows must have one column per edge ({base.m})")
-    if rows.size and not 0 <= rows.min() <= rows.max() < len(table):
-        raise ParameterError(f"assignment rows must index the {len(table)} table rows")
+    table, rows = _batch_input(base, table, rows)
     hit = np.zeros(len(rows), dtype=bool)
     lam = np.zeros(len(rows), dtype=np.int64)
     r = table.shape[1]
@@ -401,13 +447,8 @@ def fiber_two_ev(base: Graph, table, rows):
         return hit, lam
     n, k, size = base.n, base.degrees[0], base.n * r
     diag = np.arange(size)
-    step = batch_rows(size)
-    for lo in range(0, len(rows), step):
-        src, dst = cover_arcs(base, table[rows[lo:lo + step]])
+    for lo, a, src, dst in _lift_batches(base, table, rows):
         b = np.arange(len(dst))
-        a = np.zeros((len(dst), size, size))
-        a[b[:, None, None], src, dst] = 1
-        a[b[:, None, None], dst, src] = 1
         a2 = a @ a
         # the least edge joins sheet 0 of its tail, x, to y over its head, and
         # sheet 1 to some other z there; when the block has constant rows, A^2
@@ -480,21 +521,40 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
 # block decomposition check (the module's master test)
 
 
-def character_block_check(f: GainGraph, tol=DEFAULT_TOL):
-    """Max deviation between the lift spectrum and the union of character spectra.
+def character_block_check(base: Graph, group, table, rows, tol=DEFAULT_TOL):
+    """Max deviation between each lift's spectrum and the union of its
+    character spectra, for a batch of abelian gains on base.
 
-    For abelian gains the cover adjacency is similar to the block diagonal of
-    the character matrices, so the sorted concatenation of their eigenvalues
-    must match the sorted eigenvalues of the lift within clustering tolerance.
-    The character matrices of the whole group are built as one stack, which
-    is Hermitian by construction, and solved in one batched call. Returns
-    (ok, max_abs_deviation).
+    table and rows are the input of `fiber_two_ev`, and are checked as there;
+    a single gain graph f is checked as `character_block_check(f.base,
+    f.group, *gain_row(f), tol)`. The gain of row b on edge i is element
+    table[rows[b, i], 0] of group.elements(), the image of sheet 0, the
+    identity. For abelian gains the cover adjacency is similar to the block
+    diagonal of the character matrices, so the sorted concatenation of their
+    eigenvalues must match the sorted eigenvalues of the lift within tol *
+    max(1, the lift's max row sum). Each run of `batch_rows` rows takes one
+    batched eigensolve over its (B, |G|, n, n) character stack, Hermitian by
+    construction, and one over its (B, nr, nr) lift stack, checked finite and
+    Hermitian as in `hermitian_eigenvalues`. Returns (ok, dev), a bool and a
+    float64 array with one entry per row.
+
+    Raises ParameterError for a group that is not abelian, a table whose
+    width is not the group order, or a tol that is not finite and positive.
     """
     check_tol(tol)
-    if not f.group.is_abelian:
+    if not group.is_abelian:
         raise ParameterError("block decomposition requires an abelian gain group")
-    union = np.sort(_eigvalsh(_character_matrices(f, f.group.elements())), axis=None)
-    adj = f.cover.graph.adjacency(dtype=np.float64)
-    cover_vals = hermitian_eigenvalues(adj)
-    dev = float(np.abs(union - cover_vals).max()) if union.size else 0.0
-    return dev <= tol * max(1.0, matrix_scale(adj)), dev
+    table, rows = _batch_input(base, table, rows)
+    if table.shape[1] != group.order:
+        raise ParameterError(f"sheet table rows must act on the {group.order} group elements")
+    ok = np.zeros(len(rows), dtype=bool)
+    dev = np.zeros(len(rows))
+    chars = group.elements()
+    for lo, a, _, _ in _lift_batches(base, table, rows):
+        stack = _character_stack(base, group, table[rows[lo:lo + len(a)], 0], chars)
+        union = np.sort(_eigvalsh(stack).reshape(len(a), -1), axis=1)
+        cover_vals, scale = _checked_eigvalsh(a)
+        dev_b = np.abs(union - cover_vals).max(axis=1, initial=0.0)
+        ok[lo:lo + len(a)] = dev_b <= tol * np.maximum(scale, 1.0)
+        dev[lo:lo + len(a)] = dev_b
+    return ok, dev

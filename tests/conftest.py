@@ -13,6 +13,7 @@ from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
 from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots
+from gaincover.spectral import hermitian_eigenvalues, rep_matrix
 
 
 def mul_poly(a, b):
@@ -151,6 +152,19 @@ def edge_rep_matrix(f: GainGraph, j):
         s[u, v] = cmath.exp(2j * math.pi * ang)
         s[v, u] = s[u, v].conjugate()
     return s
+
+
+def block_check_oracle(f: GainGraph, tol):
+    """(ok, dev) of the block-decomposition audit of one abelian gain graph
+    (test-local oracle for `spectral.character_block_check`, which audits a
+    batch from the gains): the eigenvalues of the built lift `f.cover` against
+    the sorted union of one `rep_matrix` spectrum per character, each matrix
+    solved on its own."""
+    union = np.sort(np.concatenate([hermitian_eigenvalues(rep_matrix(f, j))
+                                    for j in f.group.elements()]))
+    adj = f.cover.graph.adjacency(dtype=np.float64)
+    dev = float(np.abs(union - hermitian_eigenvalues(adj)).max(initial=0.0))
+    return dev <= tol * max(1.0, float(adj.sum(axis=1).max(initial=0.0))), dev
 
 
 def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):

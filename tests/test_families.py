@@ -36,14 +36,15 @@ def test_huang_character_matrix_squares_to_n_times_identity():
 
 
 def test_huang_square_identity_holds_to_dimension_ten():
-    # integer arithmetic stays exact out to the 1024-vertex cube
+    # out to the 1024-vertex cube; the float64 product (on BLAS) is exact,
+    # since every entry and partial sum is an integer of size at most n
     for n in (9, 10):
         f = huang_signing(n)
-        s = np.zeros((1 << n, 1 << n), dtype=np.int64)
+        s = np.zeros((1 << n, 1 << n))
         for (u, v), g in f.gains.items():
             s[u, v] = s[v, u] = 1 - 2 * g[0]
         sq = s @ s
-        assert np.array_equal(sq, n * np.eye(1 << n, dtype=np.int64))
+        assert np.array_equal(sq, n * np.eye(1 << n))
 
 
 def test_huang_every_4cycle_has_odd_flip_count():

@@ -137,12 +137,12 @@ def test_walk_regular_certificate_bound_property(data):
 
 
 def test_walk_regular_switches_to_exact_integers():
-    # 27-regular with 16 distinct eigenvalues: 27^14 passes the int64 guard,
-    # so powers A^14 and A^15 are taken over Python integers
+    # 27-regular with 16 distinct eigenvalues: 27^12 passes the float64 guard,
+    # so powers A^12 to A^15 are taken over Python integers
     g = cycle_complement(30)
     top = distinct_eigenvalue_count(g) - 1
     assert (max(g.degrees), top) == (27, 15)
-    assert 27 ** 13 < regularity._INT64_SAFE <= 27 ** 14
+    assert 27 ** 11 < regularity._FLOAT_EXACT <= 27 ** 12
     assert is_walk_regular(g) and brute_force_walk_regular(g)
     # through a lift's certificate bound: two disjoint copies, 16 + 16 - 1 powers
     f = identity_gains(g, GroupSpec.cyclic(2))

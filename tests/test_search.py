@@ -17,7 +17,7 @@ from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
                               verify_drackn, verify_srg_cover, verify_walk_regularity,
                               write_reproducer)
 
-from conftest import intersection_array
+from conftest import edge_lift, intersection_array, lift_fiber_two_ev
 
 # the seven search cases of the benchmark's search-exhaustive workload
 BENCH_SEARCHES = ((complete_graph(5), GroupSpec.cyclic(3)),
@@ -399,6 +399,96 @@ def test_a_report_and_a_harness_lift_their_gain_once(built_lifts):
     rec = verify_srg_cover(g)
     assert rec.theorem_checks["drg-iff-a-equals-lambda"] == "pass"
     assert built_lifts == [g]
+
+
+# the bases and groups of acceptance criterion 10
+WALKREG_BASES = (complete_graph(4), complete_graph(5), complete_bipartite(3, 3), cycle(6),
+                 hypercube(3))
+WALKREG_GROUPS = (GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4),
+                  GroupSpec.abelian(2, 2))
+
+
+def test_walk_regularity_harness_lifts_only_its_hits(built_lifts, monkeypatch):
+    made = []
+    real = search.gain_of_row
+
+    def counting_gain_of_row(spec, row):
+        made.append(real(spec, row))
+        return made[-1]
+
+    monkeypatch.setattr(search, "gain_of_row", counting_gain_of_row)
+    summary = verify_walk_regularity(WALKREG_BASES, WALKREG_GROUPS, budget=20, seed=1)
+    assert summary.sampled == 400 and summary.verified == summary.two_ev > 0
+    # a gain graph is made for each hit and no other sample, and lifted once
+    assert built_lifts == made and len(made) == summary.two_ev
+    monkeypatch.undo()
+    hits = [f for base in WALKREG_BASES for group in WALKREG_GROUPS
+            for f in enumerate_gains(SearchSpec(base, group, mode=RANDOM, budget=20, seed=1))
+            if lift_fiber_two_ev(f, edge_lift(f)) is not None]
+    assert made == hits
+
+
+def test_walk_regularity_harness_solves_two_stacks_per_batch(monkeypatch):
+    # 20 base/group pairs of one batch each: one character stack and one lift
+    # stack per batch, not two eigensolves per sample
+    solved = []
+    real = spectral._eigvalsh
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda a: solved.append(a.shape) or real(a))
+    summary = verify_walk_regularity(WALKREG_BASES, WALKREG_GROUPS, budget=20, seed=1)
+    assert summary.sampled == 400
+    assert len(solved) == 40
+    assert all(shape[0] == 20 for shape in solved)
+
+
+def _plant_audit_failures(monkeypatch, failing):
+    """Make the audit of the first batch fail on the rows numbered in failing,
+    the k-th of them with deviation (k + 1) / 8; return the batches audited."""
+    real = search.character_block_check
+    audited = []
+
+    def planted(base, group, table, rows, tol):
+        ok, dev = real(base, group, table, rows, tol)
+        if not audited:
+            ok[failing] = False
+            dev[failing] = (1 + np.arange(len(failing))) / 8
+        audited.append(rows)
+        return ok, dev
+
+    monkeypatch.setattr(search, "character_block_check", planted)
+    return audited
+
+
+def test_walk_regularity_reports_the_first_audit_failure(tmp_path, monkeypatch):
+    spec = SearchSpec(complete_graph(4), GroupSpec.cyclic(3), mode=RANDOM, budget=50, seed=2)
+    audited = _plant_audit_failures(monkeypatch, [3, 5])
+    with pytest.raises(FalsificationError) as info:
+        verify_walk_regularity([spec.base], [spec.group], budget=50, seed=2,
+                               reproducer_dir=tmp_path)
+    assert info.value.theorem == "block-decomposition"
+    assert info.value.gain == search.gain_of_row(spec, audited[0][3])
+    path = os.path.join(str(tmp_path), "falsification_block-decomposition.gain")
+    assert info.value.detail == ("character spectra deviate from lift spectrum by 0.125 "
+                                 f"(reproducer: {path})")
+    with open(path) as fh:
+        assert parse_gain_file(fh.read()) == info.value.gain
+
+
+@pytest.mark.parametrize("after, theorem", [(1, "walk-regularity-of-2ev-covers"),
+                                            (0, "block-decomposition")])
+def test_walk_regularity_failures_come_in_row_order(monkeypatch, after, theorem):
+    # a 2ev row failing walk-regularity is reported before an audit failure
+    # later in its batch; on the same row, the audit's failure comes first
+    spec = SearchSpec(complete_graph(4), GroupSpec.cyclic(3), mode=RANDOM, budget=50, seed=2)
+    table = gains.sheet_table(spec.group, spec.group.elements())
+    rows = next(search.assignment_rows(spec))
+    first = int(np.flatnonzero(spectral.fiber_two_ev(spec.base, table, rows)[0])[0])
+    assert first + 1 < len(rows)
+    _plant_audit_failures(monkeypatch, [first + after])
+    monkeypatch.setattr(search, "is_walk_regular", lambda x, cert=None: cert is None)
+    with pytest.raises(FalsificationError) as info:
+        verify_walk_regularity([spec.base], [spec.group], budget=50, seed=2)
+    assert info.value.theorem == theorem
+    assert info.value.gain == search.gain_of_row(spec, rows[first])
 
 
 @pytest.fixture

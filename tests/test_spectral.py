@@ -17,15 +17,15 @@ from gaincover.errors import (ContractViolation, DisconnectedError,
                              InternalConsistencyError, NumericError, ParameterError)
 from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.intpoly import IntPoly, squarefree_part
-from gaincover.search import SearchSpec, assignment_rows, enumerate_gains
+from gaincover.search import RANDOM, SearchSpec, assignment_rows, enumerate_gains
 from gaincover.gains import CoverGraph, gain_row, sheet_table
-from gaincover.spectral import (char_poly_int_matrix, cluster_values,
+from gaincover.spectral import (DEFAULT_TOL, char_poly_int_matrix, cluster_values,
                                 fiber_two_ev, hermitian_eigenvalues,
                                 hermitian_spectrum, spectral_difference_poly,
                                 two_ev_certificate)
 
-from conftest import (edge_lift, edge_rep_matrix, lift_fiber_two_ev, mul_poly,
-                      poly_from_roots, prs_squarefree_part, random_graph)
+from conftest import (block_check_oracle, edge_lift, edge_rep_matrix, lift_fiber_two_ev,
+                      mul_poly, poly_from_roots, prs_squarefree_part, random_graph)
 
 
 def fl_bigint_char_poly(a):
@@ -235,7 +235,8 @@ def test_bad_tolerance_is_a_parameter_error(tol):
     with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
         cluster_values([1.0, 2.0], tol, 1.0)
     with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
-        character_block_check(huang_signing(3), tol)
+        f = huang_signing(3)
+        character_block_check(f.base, f.group, *gain_row(f), tol)
 
 
 def test_cycle5_spectrum_closed_form():
@@ -584,8 +585,101 @@ def test_character_block_decomposition_random(rng):
                 gains = {e: tuple(rng.randrange(r) for r in group.orders)
                          for e in base.edges}
                 f = GainGraph(base, group, gains)
-                ok, dev = character_block_check(f)
-                assert ok, dev
+                ok, dev = character_block_check(base, group, *gain_row(f))
+                assert ok.tolist() == [True], dev
+
+
+_AUDIT_BASES = [complete_graph(4), complete_graph(5), complete_bipartite(3, 3), cycle(6),
+                hypercube(3), petersen(), octahedron()]
+_AUDIT_GROUPS = [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4),
+                 GroupSpec.abelian(2, 2), GroupSpec.cyclic(5), GroupSpec.abelian(3, 3)]
+
+
+def _audit_batch(base, group, seed, budget):
+    spec = SearchSpec(base, group, mode=RANDOM, budget=budget, seed=seed)
+    rows = np.concatenate(list(assignment_rows(spec)))
+    return spec, sheet_table(group, group.elements()), rows
+
+
+@pytest.mark.parametrize("base", _AUDIT_BASES, ids=lambda g: f"n{g.n}m{g.m}")
+def test_block_check_matches_the_per_gain_oracle(base):
+    # the criterion-10 bases and groups, Petersen, the octahedron, Z5 and Z3xZ3
+    for group in _AUDIT_GROUPS:
+        spec, table, rows = _audit_batch(base, group, seed=base.m, budget=6)
+        ok, dev = character_block_check(base, group, table, rows)
+        want = [block_check_oracle(f, DEFAULT_TOL) for f in enumerate_gains(spec)]
+        assert ok.tolist() == [w_ok for w_ok, _ in want]
+        assert np.abs(dev - [w_dev for _, w_dev in want]).max() <= 1e-12
+        assert ok.all()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_block_check_batch_size_does_not_change_it(monkeypatch, rows):
+    real = spectral._eigvalsh
+    for base, group in [(complete_graph(4), GroupSpec.cyclic(3)),
+                        (petersen(), GroupSpec.cyclic(2)),
+                        (octahedron(), GroupSpec.abelian(2, 2))]:
+        _, table, all_rows = _audit_batch(base, group, seed=5, budget=100)
+        ok, dev = character_block_check(base, group, table, all_rows)
+        calls = []
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * (base.n * group.order) ** 2)
+        monkeypatch.setattr(spectral, "_eigvalsh", lambda a: calls.append(len(a)) or real(a))
+        ok_b, dev_b = character_block_check(base, group, table, all_rows)
+        monkeypatch.undo()
+        assert ok_b.tolist() == ok.tolist()
+        assert np.abs(dev_b - dev).max() <= 1e-12
+        # one character stack and one lift stack per batch
+        sizes = [rows] * (100 // rows) + [100 % rows] * bool(100 % rows)
+        assert calls == [n for n in sizes for _ in range(2)]
+
+
+def test_block_check_flags_a_wrong_table():
+    # a Z4 table checked against the characters of Z2 x Z2: the lifts are Z4
+    # covers, so the spectra differ and the audit says so
+    base, z4, klein = complete_graph(4), GroupSpec.cyclic(4), GroupSpec.abelian(2, 2)
+    _, table, rows = _audit_batch(base, z4, seed=1, budget=20)
+    ok, dev = character_block_check(base, klein, table, rows)
+    assert not ok.all() and dev[~ok].min() > 1e-3
+    # an edgeless base and an empty batch
+    e = GainGraph(Graph(3, []), z4, {})
+    assert character_block_check(e.base, z4, *gain_row(e))[0].tolist() == [True]
+    ok, dev = character_block_check(base, z4, table, rows[:0])
+    assert ok.shape == dev.shape == (0,)
+
+
+def test_block_check_rejects_bad_input():
+    k4 = complete_graph(4)
+    z2 = GroupSpec.cyclic(2)
+    table = sheet_table(z2, z2.elements())
+    rows = np.zeros((1, 6), dtype=np.int64)
+    with pytest.raises(ParameterError, match="abelian"):
+        character_block_check(k4, GroupSpec.permutation(2), table, rows)
+    with pytest.raises(ParameterError, match="act on the 3 group elements"):
+        character_block_check(k4, GroupSpec.cyclic(3), table, rows)
+    with pytest.raises(ParameterError, match="permutations"):
+        character_block_check(k4, z2, [[0, 0], [1, 0]], rows)
+    with pytest.raises(ParameterError, match="one column per edge"):
+        character_block_check(k4, z2, table, rows[:, 1:])
+    with pytest.raises(ParameterError, match="index"):
+        character_block_check(k4, z2, table, rows + 2)
+
+
+def test_stack_eigensolver_checks_each_matrix():
+    eps = np.finfo(float).eps
+    stack = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 3.0], [3.0, 0.0]]])
+    vals, scale = spectral._checked_eigvalsh(stack)
+    assert vals.tolist() == [[-1.0, 1.0], [-3.0, 3.0]] and scale.tolist() == [1.0, 3.0]
+    # each matrix is held to its own scale: 25 eps passes at scale 3, not at 1
+    skew = stack.copy()
+    skew[1, 0, 1] += 25 * eps
+    spectral._checked_eigvalsh(skew)
+    skew = stack.copy()
+    skew[0, 0, 1] += 25 * eps
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        spectral._checked_eigvalsh(skew)
+    stack[1, 1, 1] = math.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        spectral._checked_eigvalsh(stack)
 
 
 # ---------------------------------------------------------------------------
