@@ -7,10 +7,9 @@ from .gains import (CoverGraph, GainGraph, GroupSpec, gain_row,
                     identity_gains, is_balanced, lift, normalize,
                     parse_gain_file, write_gain_file)
 from .graphs import (DistanceTable, Graph, complete_bipartite, complete_graph,
-                     connected_components, cycle, distances, folded_cube,
-                     girth, hypercube, is_connected, johnson, kneser,
-                     line_graph, octahedron, parse_edge_list, petersen,
-                     write_edge_list)
+                     cycle, distances, folded_cube, girth, hypercube,
+                     is_connected, johnson, kneser, line_graph, octahedron,
+                     parse_edge_list, petersen, write_edge_list)
 from .intpoly import IntPoly
 from .regularity import (ColumnCountCertificate, IntersectionArray,
                          RegularityCertificate, SrgParams, is_antipodal,
@@ -27,7 +26,7 @@ __all__ = [
     "Graph", "GroupSpec", "IntPoly", "IntersectionArray",
     "RegularityCertificate", "Spectrum", "SrgParams", "TwoEvCertificate",
     "char_poly", "character_block_check", "classify_two_ev", "complete_bipartite",
-    "complete_graph", "connected_components", "cycle",
+    "complete_graph", "cycle",
     "distances", "folded_cube", "gain_row", "girth", "hermitian_spectrum", "hypercube",
     "identity_gains", "is_antipodal", "is_balanced", "is_connected",
     "is_distance_regular", "is_walk_regular", "johnson", "kneser",

@@ -13,8 +13,10 @@ reproducible from the input file, seed, and tolerance alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -34,7 +36,14 @@ from .search import (EXHAUSTIVE, RANDOM, SearchSpec, run_search,
 from .spectral import (char_poly, check_tol, classify_two_ev, hermitian_spectrum,
                        spectral_difference_poly)
 
-DEMO_FAMILIES = ("huang", "cohen-tits", "butson", "s3k5", "k3n-nonexample")
+# family name -> (gain builder of the parsed arguments, file stem)
+DEMO_FAMILIES = {
+    "huang": lambda a: (huang_signing(a.n), f"huang_{a.n}"),
+    "cohen-tits": lambda a: (cohen_tits_signing(a.n), f"cohen_tits_{a.n}"),
+    "butson": lambda a: (butson_gain(fourier_butson(a.q)), f"butson_{a.q}"),
+    "s3k5": lambda a: (s3_cover_k5(), "s3_cover_k5"),
+    "k3n-nonexample": lambda a: (k3n_nonexample(a.n), f"k3n_nonexample_{a.n}"),
+}
 
 VERIFY_ALIASES = {
     "walk-regularity": "walk-regularity", "5.1": "walk-regularity",
@@ -171,25 +180,8 @@ def _emit(payload, json_path):
 
 
 def cmd_demo(args):
-    import os
     fam = args.family
-    if fam == "huang":
-        f = huang_signing(args.n)
-        name = f"huang_{args.n}"
-    elif fam == "cohen-tits":
-        f = cohen_tits_signing(args.n)
-        name = f"cohen_tits_{args.n}"
-    elif fam == "butson":
-        f = butson_gain(fourier_butson(args.q))
-        name = f"butson_{args.q}"
-    elif fam == "s3k5":
-        f = s3_cover_k5()
-        name = "s3_cover_k5"
-    elif fam == "k3n-nonexample":
-        f = k3n_nonexample(args.n)
-        name = f"k3n_nonexample_{args.n}"
-    else:
-        raise ParameterError(f"unknown family {fam!r}")
+    f, name = DEMO_FAMILIES[fam](args)
     os.makedirs(args.out, exist_ok=True)
     gain_path = os.path.join(args.out, name + ".gain")
     with open(gain_path, "w", newline="\n") as fh:
@@ -339,7 +331,9 @@ def _add_global_flags(parser, suppress):
                         help="write the JSON payload here instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it."""
     p = _Parser(prog="gaincover",
                 description="Gain graphs, covering-graph lifts, two-eigenvalue "
                             "classification, and regularity certificates.")

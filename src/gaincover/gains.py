@@ -119,28 +119,6 @@ class GroupSpec:
             out = [e + (x,) for e in out for x in range(r)]
         return out
 
-    def sheet_to_element(self, j):
-        if not self.is_abelian:
-            raise ParameterError("sheets of a permutation action are not group elements")
-        out = []
-        for r in reversed(self.orders):
-            out.append(j % r)
-            j //= r
-        return tuple(reversed(out))
-
-    def element_to_sheet(self, g):
-        j = 0
-        for x, r in zip(g, self.orders):
-            j = j * r + x
-        return j
-
-    def sheet_action(self, g):
-        """The permutation of sheets 0..r-1 induced by gain g, as a tuple."""
-        if self.is_abelian:
-            return tuple(self.element_to_sheet(self.compose(g, self.sheet_to_element(j)))
-                         for j in range(self.sheet_count))
-        return tuple(g)
-
     def describe(self):
         if self.is_abelian:
             if len(self.orders) == 1:
@@ -206,9 +184,6 @@ class CoverGraph:
     graph: Graph
     base: Graph
     r: int
-
-    def fiber_of(self, x):
-        return x // self.r
 
     def fiber(self, v):
         return tuple(v * self.r + j for j in range(self.r))

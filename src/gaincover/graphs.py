@@ -107,9 +107,6 @@ class DistanceTable:
     def is_connected(self):
         return self.n <= 1 or not (self.dist == UNREACHABLE).any()
 
-    def __getitem__(self, key):
-        return int(self.dist[key])
-
 
 def distances(g: Graph) -> DistanceTable:
     """All-pairs hop distances and the girth, from one frontier expansion from
@@ -144,13 +141,6 @@ def distances(g: Graph) -> DistanceTable:
         frontier = step
         d += 1
     return DistanceTable(dist, best)
-
-
-def connected_components(g: Graph):
-    """Vertex sets of the connected components, each sorted, ordered by minimum:
-    the distinct reachable sets of the rows of `Graph.distance_table`."""
-    return sorted({tuple(np.flatnonzero(row != UNREACHABLE).tolist())
-                   for row in g.distance_table.dist})
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd as _int_gcd
 
 
 def _trim(coeffs):
@@ -87,16 +86,6 @@ class IntPoly:
     def derivative(self):
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def pow(self, k):
-        out = IntPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def divmod_monic(self, divisor):
         """Long division by a monic divisor; stays in Z[x]."""
         if not divisor.is_monic:
@@ -121,18 +110,6 @@ class IntPoly:
         if not rem.is_zero:
             raise ValueError("division left a nonzero remainder")
         return quo
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, abs(c))
-        return g
-
-    def primitive(self):
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return IntPoly(c // g for c in self.coeffs)
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"

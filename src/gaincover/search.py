@@ -15,6 +15,7 @@ the run, not get logged and skipped.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -110,8 +111,8 @@ def assignment_rows(spec: SearchSpec):
     mode is reproducible from the seed. A batch holds at most `batch_rows` rows.
     """
     edges = spec.base.sorted_edges()
-    tree = set(spec.spanning_tree())
-    cols = [i for i, e in enumerate(edges) if e not in tree]
+    cotree = set(spec.cotree_edges())
+    cols = [i for i, e in enumerate(edges) if e in cotree]
     step = batch_rows(spec.base.n * spec.group.order)
     if spec.mode == EXHAUSTIVE:
         total = spec.exhaustive_size()
@@ -146,13 +147,6 @@ def gain_of_row(spec: SearchSpec, row) -> GainGraph:
                      {e: elements[i] for e, i in zip(spec.base.sorted_edges(), row.tolist())})
 
 
-def enumerate_gains(spec: SearchSpec):
-    """Stream of gain graphs, one per row of `assignment_rows`, in its order."""
-    for rows in assignment_rows(spec):
-        for row in rows:
-            yield gain_of_row(spec, row)
-
-
 def _decided(spec: SearchSpec, table):
     """(rows, hit, lam) for each batch of `assignment_rows`, as `fiber_two_ev`
     decides it on table, the sheet table of spec.group.elements()."""
@@ -184,11 +178,6 @@ def run_search(spec: SearchSpec) -> VerifySummary:
     return summary
 
 
-def search_two_ev(spec: SearchSpec):
-    """The 2ev hit records of `run_search`."""
-    return run_search(spec).records
-
-
 def _fail(theorem, detail, gain, reproducer_dir=None, summary=None):
     if summary is not None:
         summary.failures.append(detail)
@@ -199,8 +188,10 @@ def _fail(theorem, detail, gain, reproducer_dir=None, summary=None):
 
 
 def write_reproducer(theorem, gain, directory):
-    import os
+    """Write gain as falsification_<theorem slug>.gain in directory, creating
+    the directory first; returns the file's path."""
     slug = theorem.replace(".", "_").replace(" ", "-")
+    os.makedirs(directory, exist_ok=True)
     path = os.path.join(str(directory), f"falsification_{slug}.gain")
     with open(path, "w", newline="\n") as fh:
         fh.write(write_gain_file(gain))

@@ -220,6 +220,14 @@ def _checked_eigvalsh(A):
     return _eigvalsh(A), scale
 
 
+def _checked_matrix_eigvalsh(matrix):
+    """`_checked_eigvalsh` of one matrix; ContractViolation unless it is square 2-D."""
+    A = np.asarray(matrix)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ContractViolation("matrix must be square")
+    return _checked_eigvalsh(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))
+
+
 def hermitian_eigenvalues(matrix):
     """Ascending float64 eigenvalues of a Hermitian (or real symmetric) matrix.
 
@@ -228,10 +236,7 @@ def hermitian_eigenvalues(matrix):
     Hermitian to within 10 * eps * max(1, max absolute row sum), and
     NumericError for a non-finite entry or when LAPACK does not converge.
     """
-    A = np.asarray(matrix)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ContractViolation("matrix must be square")
-    return _checked_eigvalsh(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))[0]
+    return _checked_matrix_eigvalsh(matrix)[0]
 
 
 def check_tol(tol):
@@ -261,15 +266,11 @@ def cluster_values(values, tol, scale) -> Spectrum:
     return Spectrum(tuple(pairs))
 
 
-def matrix_scale(matrix):
-    """Deterministic spectral-radius bound: the max absolute row sum."""
-    return float(np.abs(np.asarray(matrix)).sum(axis=1).max(initial=0.0))
-
-
 def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
-    """Clustered eigenvalues of a Hermitian (or real symmetric) matrix."""
-    vals = hermitian_eigenvalues(matrix)
-    return cluster_values(vals, tol, matrix_scale(matrix))
+    """Clustered eigenvalues of a Hermitian (or real symmetric) matrix, merged
+    within tol * max(1, its max absolute row sum)."""
+    vals, scale = _checked_matrix_eigvalsh(matrix)
+    return cluster_values(vals, tol, float(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
 from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots
+from gaincover.search import assignment_rows, gain_of_row
 from gaincover.spectral import hermitian_eigenvalues, rep_matrix
 
 
@@ -30,6 +31,17 @@ def poly_from_roots(roots):
     for r in roots:
         p = mul_poly(p, [-r, 1])
     return p
+
+
+def poly_pow(p: IntPoly, k):
+    """p to the power k, as k products."""
+    return math.prod([p] * k, start=IntPoly((1,)))
+
+
+def _primitive(p: IntPoly) -> IntPoly:
+    """p divided by the gcd of its coefficients (p itself when that is 0 or 1)."""
+    g = math.gcd(*p.coeffs)
+    return p if g in (0, 1) else IntPoly(c // g for c in p.coeffs)
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -53,8 +65,8 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd in Z[x] via the primitive pseudo-remainder sequence;
     positive leading coefficient (test-local oracle for the modular gcd of
     `squarefree_part`)."""
-    a = a.primitive()
-    b = b.primitive()
+    a = _primitive(a)
+    b = _primitive(b)
     if a.is_zero:
         g = b
     elif b.is_zero:
@@ -63,7 +75,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         if a.degree < b.degree:
             a, b = b, a
         while not b.is_zero:
-            r = _pseudo_rem(a, b).primitive()
+            r = _primitive(_pseudo_rem(a, b))
             a, b = b, r
         g = a
     if not g.is_zero and g.coeffs[-1] < 0:
@@ -129,6 +141,38 @@ def brute_force_walk_regular(g: Graph) -> bool:
     return True
 
 
+def sheet_to_element(group: GroupSpec, j):
+    """The abelian group element of sheet j: j's mixed-radix digits."""
+    out = []
+    for r in reversed(group.orders):
+        out.append(j % r)
+        j //= r
+    return tuple(reversed(out))
+
+
+def element_to_sheet(group: GroupSpec, g):
+    """The sheet of abelian group element g: its mixed-radix value."""
+    j = 0
+    for x, r in zip(g, group.orders):
+        j = j * r + x
+    return j
+
+
+def sheet_action(group: GroupSpec, g):
+    """The permutation of sheets 0..r-1 induced by gain g, as a tuple
+    (test-local oracle for `gains.sheet_table`): an abelian g translates the
+    element of each sheet, a permutation g is its own image list."""
+    if group.is_abelian:
+        return tuple(element_to_sheet(group, group.compose(g, sheet_to_element(group, j)))
+                     for j in range(group.sheet_count))
+    return tuple(g)
+
+
+def spec_gains(spec):
+    """The gain graph of every row of `search.assignment_rows(spec)`, in its order."""
+    return [gain_of_row(spec, row) for rows in assignment_rows(spec) for row in rows]
+
+
 def edge_lift(f: GainGraph) -> CoverGraph:
     """The lift built one edge at a time (test-local oracle for `lift`): edge
     (u, v), walked u -> v with u < v, joins (u, j) = u*r + j to (v, act[j])
@@ -136,7 +180,7 @@ def edge_lift(f: GainGraph) -> CoverGraph:
     r = f.group.sheet_count
     edges = []
     for (u, v), g in f.gains.items():
-        act = f.group.sheet_action(g)
+        act = sheet_action(f.group, g)
         for j in range(r):
             edges.append((u * r + j, v * r + act[j]))
     return CoverGraph(Graph(f.base.n * r, edges), f.base, r)
@@ -208,7 +252,7 @@ def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):
 
 def bfs_components(g: Graph):
     """Vertex sets of the connected components, each sorted, ordered by
-    minimum (test-local oracle for `connected_components`): one BFS per
+    minimum (test-local oracle for `is_connected`): one BFS per
     component over the neighbour lists."""
     seen = [False] * g.n
     comps = []

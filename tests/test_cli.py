@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -192,6 +193,44 @@ def test_falsification_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(["verify", "drackn", "--n", "4", "--r", "2"], capsys)
     assert code == 2
     assert "FALSIFIED" in err
+
+
+def test_falsification_writes_its_reproducer_into_a_new_directory(tmp_path, capsys,
+                                                                  monkeypatch):
+    from types import SimpleNamespace
+
+    from gaincover import search
+
+    # every connected 2ev lift then lacks drackn parameters, which the
+    # drackn check reports as a falsification
+    monkeypatch.setattr(search, "regularity_certificate",
+                        lambda g, cert=None: SimpleNamespace(drackn=None))
+    out = tmp_path / "a" / "b"
+    code, _, err = run(["verify", "drackn", "--n", "4", "--r", "2", "--out", str(out)],
+                       capsys)
+    assert code == 2
+    assert "FALSIFIED" in err
+    assert os.listdir(out) == ["falsification_drackn-cover-of-complete-graph.gain"]
+
+
+def test_main_builds_one_parser_for_every_call(capsys, monkeypatch):
+    from gaincover import cli
+
+    parsers = []
+    real = cli._Parser.parse_args
+
+    def recording(self, argv=None):
+        parsers.append(self)
+        return real(self, argv)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    argv = ["verify", "drackn", "--n", "4", "--r", "2"]
+    first = run(argv, capsys)
+    assert first[0] == 0
+    # a usage error part way through parsing leaves nothing behind
+    assert run(["verify", "drackn", "--n", "four"], capsys)[0] == 1
+    assert run(argv, capsys) == first
+    assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):

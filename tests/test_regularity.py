@@ -18,13 +18,12 @@ from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
 from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
                                   drackn_parameters, regularity_certificate,
                                   two_ev_divisibility_obstruction)
-from gaincover.search import (SearchSpec, enumerate_gains, run_search,
-                              search_two_ev, verify_drackn)
+from gaincover.search import SearchSpec, run_search, verify_drackn
 from gaincover.spectral import distinct_eigenvalue_count
 
 from conftest import (bfs_components, brute_force_walk_regular, distance_partition,
                       intersection_array, is_equitable, klein_gf4_gain,
-                      partition_distance_regular, random_graph)
+                      partition_distance_regular, random_graph, spec_gains)
 
 try:
     import networkx as nx
@@ -284,7 +283,7 @@ def test_distance_regular_matches_the_oracles(rng):
     assert [a is not None for a in arrays] == [True, False, True, False, False]
 
     lifts = [checked_array(lift(f).graph)
-             for f in enumerate_gains(SearchSpec(complete_graph(5), GroupSpec.cyclic(2)))]
+             for f in spec_gains(SearchSpec(complete_graph(5), GroupSpec.cyclic(2)))]
     assert len(lifts) == 64
     assert lifts.count(((4, 3, 1), (1, 3, 4))) == 1
 
@@ -445,8 +444,8 @@ def census_drackns():
     """The connected hits of the K5/Z2, K6/Z2 and K7/Z2 censuses."""
     hits = []
     for n in (5, 6, 7):
-        hits.extend(h for h in search_two_ev(SearchSpec(complete_graph(n), GroupSpec.cyclic(2)))
-                    if h.two_ev.cover_connected)
+        summary = run_search(SearchSpec(complete_graph(n), GroupSpec.cyclic(2)))
+        hits.extend(h for h in summary.records if h.two_ev.cover_connected)
     return hits
 
 
@@ -550,7 +549,7 @@ def test_lemma_counts_need_every_character_two_ev():
 def test_lemma_counts_on_every_normalized_k4_gain():
     # the lemma holds on each 2ev lift, with lambda from the fiber identity
     for group in (GroupSpec.cyclic(2), GroupSpec.cyclic(3)):
-        for f in enumerate_gains(SearchSpec(complete_graph(4), group)):
+        for f in spec_gains(SearchSpec(complete_graph(4), group)):
             cert = classify_two_ev(f)
             if not cert.is_two_ev:
                 with pytest.raises(ParameterError):

@@ -12,12 +12,11 @@ from gaincover.errors import BudgetError, FalsificationError, ParameterError
 from gaincover import cli, gains, graphs, regularity, search
 from gaincover.families import butson_gain, fourier_butson, huang_signing, k3n_nonexample
 from gaincover.regularity import two_ev_divisibility_obstruction
-from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, enumerate_gains,
-                              run_search, search_two_ev, verify_bipartite_cover,
-                              verify_drackn, verify_srg_cover, verify_walk_regularity,
-                              write_reproducer)
+from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, run_search,
+                              verify_bipartite_cover, verify_drackn, verify_srg_cover,
+                              verify_walk_regularity, write_reproducer)
 
-from conftest import edge_lift, intersection_array, lift_fiber_two_ev
+from conftest import edge_lift, intersection_array, lift_fiber_two_ev, spec_gains
 
 # the seven search cases of the benchmark's search-exhaustive workload
 BENCH_SEARCHES = ((complete_graph(5), GroupSpec.cyclic(3)),
@@ -30,12 +29,9 @@ BENCH_SEARCHES = ((complete_graph(5), GroupSpec.cyclic(3)),
 
 
 def test_exhaustive_counts():
-    assert sum(1 for _ in enumerate_gains(
-        SearchSpec(complete_graph(4), GroupSpec.cyclic(2)))) == 8
-    assert sum(1 for _ in enumerate_gains(
-        SearchSpec(petersen(), GroupSpec.cyclic(2)))) == 64
-    assert sum(1 for _ in enumerate_gains(
-        SearchSpec(complete_graph(5), GroupSpec.cyclic(2)))) == 64
+    assert len(spec_gains(SearchSpec(complete_graph(4), GroupSpec.cyclic(2)))) == 8
+    assert len(spec_gains(SearchSpec(petersen(), GroupSpec.cyclic(2)))) == 64
+    assert len(spec_gains(SearchSpec(complete_graph(5), GroupSpec.cyclic(2)))) == 64
     assert SearchSpec(complete_graph(4), GroupSpec.cyclic(3)).exhaustive_size() == 27
 
 
@@ -43,7 +39,7 @@ def test_exhaustive_is_duplicate_free_and_tree_fixed():
     spec = SearchSpec(complete_graph(4), GroupSpec.cyclic(3))
     seen = set()
     tree = set(spec.spanning_tree())
-    for f in enumerate_gains(spec):
+    for f in spec_gains(spec):
         key = tuple(sorted(f.gains.items()))
         assert key not in seen
         seen.add(key)
@@ -54,22 +50,22 @@ def test_exhaustive_is_duplicate_free_and_tree_fixed():
 def test_budget_refusal():
     spec = SearchSpec(petersen(), GroupSpec.cyclic(2), budget=10)
     with pytest.raises(BudgetError):
-        list(enumerate_gains(spec))
+        spec_gains(spec)
 
 
 def test_negative_budget_rejected():
     for mode in (EXHAUSTIVE, RANDOM):
         with pytest.raises(ParameterError, match="non-negative"):
             SearchSpec(complete_graph(4), GroupSpec.cyclic(2), mode=mode, budget=-1)
-    assert list(enumerate_gains(SearchSpec(complete_graph(4), GroupSpec.cyclic(2),
-                                           mode=RANDOM, budget=0))) == []
+    assert spec_gains(SearchSpec(complete_graph(4), GroupSpec.cyclic(2),
+                                 mode=RANDOM, budget=0)) == []
 
 
 def test_random_mode_reproducible():
     def stream(seed):
         spec = SearchSpec(petersen(), GroupSpec.abelian(2, 2), mode=RANDOM,
                           budget=20, seed=seed)
-        return [tuple(sorted(f.gains.items())) for f in enumerate_gains(spec)]
+        return [tuple(sorted(f.gains.items())) for f in spec_gains(spec)]
 
     assert stream(42) == stream(42)
     assert stream(42) != stream(43)
@@ -81,13 +77,13 @@ def test_search_requires_abelian():
 
 
 def test_petersen_has_no_two_ev_signings():
-    hits = search_two_ev(SearchSpec(petersen(), GroupSpec.cyclic(2)))
+    hits = run_search(SearchSpec(petersen(), GroupSpec.cyclic(2))).records
     assert hits == []
     assert two_ev_divisibility_obstruction(petersen(), 2)
 
 
 def test_k4_search_finds_cube_cover():
-    hits = search_two_ev(SearchSpec(complete_graph(4), GroupSpec.cyclic(2)))
+    hits = run_search(SearchSpec(complete_graph(4), GroupSpec.cyclic(2))).records
     assert len(hits) == 2  # the balanced double plus the cube cover
     connected = [h for h in hits if h.two_ev.cover_connected]
     assert len(connected) == 1
@@ -97,7 +93,7 @@ def test_k4_search_finds_cube_cover():
 
 def test_connected_two_ev_hits_have_mu_equal_valency():
     for group in (GroupSpec.cyclic(2), GroupSpec.cyclic(3)):
-        for rec in search_two_ev(SearchSpec(complete_graph(4), group)):
+        for rec in run_search(SearchSpec(complete_graph(4), group)).records:
             if rec.two_ev.cover_connected:
                 assert rec.two_ev.mu == 3
 
@@ -105,7 +101,7 @@ def test_connected_two_ev_hits_have_mu_equal_valency():
 def test_exhaustive_order_is_lexicographic():
     spec = SearchSpec(complete_graph(4), GroupSpec.cyclic(3))
     cotree = spec.cotree_edges()
-    streams = [tuple(f.gains[e] for e in cotree) for f in enumerate_gains(spec)]
+    streams = [tuple(f.gains[e] for e in cotree) for f in spec_gains(spec)]
     assert streams == sorted(streams)
 
 
@@ -175,7 +171,7 @@ def test_verify_srg_cover_non_srg_base_not_applicable():
 
 
 def test_octahedron_equivalence_audit():
-    hits = search_two_ev(SearchSpec(octahedron(), GroupSpec.cyclic(2)))
+    hits = run_search(SearchSpec(octahedron(), GroupSpec.cyclic(2))).records
     assert all(h.two_ev.cover_connected for h in hits)
     assert len(hits) > 0
     a = 2  # common neighbors of adjacent octahedron vertices
@@ -190,7 +186,7 @@ def test_k33_z3_hits_all_pass_srg_equivalence():
     # complete bipartite bases force lambda = 0 = a, so every connected 2ev
     # hit must sit on the distance-regular side with the forced array
     from gaincover import complete_bipartite
-    hits = search_two_ev(SearchSpec(complete_bipartite(3, 3), GroupSpec.cyclic(3)))
+    hits = run_search(SearchSpec(complete_bipartite(3, 3), GroupSpec.cyclic(3))).records
     connected = [h for h in hits if h.two_ev.cover_connected]
     assert connected
     for h in connected:
@@ -222,8 +218,8 @@ def test_bipartite_table_read_matches_the_char_poly_parity():
     verdicts = {}
     for base, r in [(complete_bipartite(2, 2), 2), (complete_bipartite(3, 3), 3),
                     (complete_bipartite(4, 4), 2), (octahedron(), 2), (complete_graph(6), 2)]:
-        lifts = [lift(rec.gain).graph for rec in search_two_ev(SearchSpec(base, GroupSpec.cyclic(r)))
-                 if rec.two_ev.cover_connected]
+        hits = run_search(SearchSpec(base, GroupSpec.cyclic(r))).records
+        lifts = [lift(rec.gain).graph for rec in hits if rec.two_ev.cover_connected]
         got = [search._connected_bipartite(g) for g in lifts]
         assert got == [char_poly_parity_bipartite(g) for g in lifts]
         verdicts[base.n, base.m] = got
@@ -331,14 +327,14 @@ def test_batch_size_does_not_change_the_hits(monkeypatch, rows):
     cases = [(complete_graph(6), GroupSpec.cyclic(2)), (complete_graph(5), GroupSpec.cyclic(3)),
              (complete_graph(4), GroupSpec.abelian(2, 2)),
              (complete_bipartite(3, 3), GroupSpec.cyclic(3))]
-    want = [_records(search_two_ev(SearchSpec(b, g))) for b, g in cases]
+    want = [_records(run_search(SearchSpec(b, g)).records) for b, g in cases]
     walk = verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(3)], budget=50, seed=2)
     drackn = verify_drackn(5, 2)
     for (base, group), hits in zip(cases, want):
         monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * (base.n * group.order) ** 2)
         spec = SearchSpec(base, group)
         assert {len(b) for b in search.assignment_rows(spec)} <= {rows, spec.exhaustive_size() % rows}
-        assert _records(search_two_ev(spec)) == hits
+        assert _records(run_search(spec).records) == hits
         # the kernel batches a longer input itself
         table = gains.sheet_table(group, group.elements())
         all_rows = np.concatenate(list(search.assignment_rows(spec)))
@@ -423,7 +419,7 @@ def test_walk_regularity_harness_lifts_only_its_hits(built_lifts, monkeypatch):
     assert built_lifts == made and len(made) == summary.two_ev
     monkeypatch.undo()
     hits = [f for base in WALKREG_BASES for group in WALKREG_GROUPS
-            for f in enumerate_gains(SearchSpec(base, group, mode=RANDOM, budget=20, seed=1))
+            for f in spec_gains(SearchSpec(base, group, mode=RANDOM, budget=20, seed=1))
             if lift_fiber_two_ev(f, edge_lift(f)) is not None]
     assert made == hits
 
@@ -528,7 +524,7 @@ def test_run_search_counts_the_assignments_it_decided():
     summary = run_search(spec)
     assert summary.sampled == spec.exhaustive_size() == 64
     assert (summary.two_ev, summary.connected_two_ev) == (1, 0)
-    assert summary.records == search_two_ev(spec)
+    assert summary.records == run_search(spec).records
     assert run_search(SearchSpec(petersen(), GroupSpec.cyclic(3), mode=RANDOM,
                                  budget=37)).sampled == 37
 
