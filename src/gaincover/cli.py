@@ -2,7 +2,8 @@
 
 Subcommands: demo, lift, classify, certify, search, verify. Exit codes:
 0 success / all properties verified, 1 usage or input error, 2 a verified
-property was falsified (reproducer gain file written), 3 numeric failure.
+property was falsified (its witness gain written as a reproducer file into
+verify --out, or the current directory), 3 numeric failure.
 
 Reports carry exact integer polynomial coefficients next to clustered numeric
 spectra; floats are serialized as 17-significant-digit decimal strings so
@@ -30,7 +31,7 @@ from .graphs import (MAX_VERTICES, Graph, complete_bipartite, complete_graph, cy
                      girth, hypercube, is_connected, johnson, kneser, octahedron,
                      parse_edge_list, petersen, write_edge_list)
 from .regularity import regularity_certificate
-from .search import (EXHAUSTIVE, RANDOM, SearchSpec, run_search,
+from .search import (DEFAULT_BUDGET, EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_bipartite_cover, verify_drackn, verify_srg_cover,
                      verify_walk_regularity)
 from .spectral import (char_poly, check_tol, classify_two_ev, hermitian_spectrum,
@@ -175,6 +176,17 @@ def _emit(payload, json_path):
         print(text)
 
 
+def write_reproducer(theorem, gain, directory):
+    """Write gain as falsification_<theorem slug>.gain in directory, creating
+    the directory first; returns the file's path."""
+    slug = theorem.replace(".", "_").replace(" ", "-")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(str(directory), f"falsification_{slug}.gain")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(write_gain_file(gain))
+    return path
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -270,31 +282,27 @@ def cmd_verify(args):
     if prop is None:
         raise ParameterError(f"unknown property {args.property!r}; choose from "
                              f"{sorted(set(VERIFY_ALIASES.values()))} (numeric aliases accepted)")
-    rep_dir = args.out or "."
     if prop == "walk-regularity":
         bases = [named_graph(s) for s in args.bases.split("+")]
         groups = [parse_group_spec(s) for s in args.groups.split("+")]
         summary = verify_walk_regularity(bases, groups, budget=args.samples,
-                                         seed=args.seed, tol=args.tol,
-                                         reproducer_dir=rep_dir)
+                                         seed=args.seed, tol=args.tol)
         _emit(summary.as_dict(), args.json)
     elif prop == "drackn":
-        summary = verify_drackn(args.n, args.r, budget=args.budget,
-                                reproducer_dir=rep_dir)
+        summary = verify_drackn(args.n, args.r, budget=args.budget)
         _emit(summary.as_dict(), args.json)
     elif prop == "srg-cover":
         if not args.gain:
             raise ParameterError("srg-cover verification takes --gain <file>")
         with open(args.gain) as fh:
             f = parse_gain_file(fh.read())
-        rec = verify_srg_cover(f, reproducer_dir=rep_dir)
+        rec = verify_srg_cover(f)
         _emit({"theorem_checks": rec.theorem_checks,
                "two_ev": rec.two_ev.as_dict(),
                "regularity": rec.regularity.as_dict() if rec.regularity else None},
               args.json)
     else:
-        summary = verify_bipartite_cover(args.m, args.n, args.r,
-                                         budget=args.budget, reproducer_dir=rep_dir)
+        summary = verify_bipartite_cover(args.m, args.n, args.r, budget=args.budget)
         _emit(summary.as_dict(), args.json)
     return 0
 
@@ -325,7 +333,7 @@ def _add_global_flags(parser, suppress):
                         help="eigenvalue clustering tolerance (relative; default 1e-7)")
     parser.add_argument("--seed", type=int, default=d if suppress else 0,
                         help="random seed")
-    parser.add_argument("--budget", type=int, default=d if suppress else 1 << 20,
+    parser.add_argument("--budget", type=int, default=d if suppress else DEFAULT_BUDGET,
                         help="assignment budget for searches")
     parser.add_argument("--json", metavar="PATH", default=d if suppress else None,
                         help="write the JSON payload here instead of stdout")
@@ -397,7 +405,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except FalsificationError as exc:
-        print(f"FALSIFIED {exc.theorem}: {exc.detail}", file=sys.stderr)
+        # only verify raises this; a reproducer that cannot be written leaves
+        # the falsification standing and names why
+        try:
+            where = f"reproducer: {write_reproducer(exc.theorem, exc.gain, args.out or '.')}"
+        except OSError as err:
+            where = f"reproducer not written: {err}"
+        print(f"FALSIFIED {exc.theorem}: {exc.detail} ({where})", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

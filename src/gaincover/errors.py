@@ -47,11 +47,11 @@ class BudgetError(ValueError):
 class FalsificationError(RuntimeError):
     """A machine-checked theorem property failed on a concrete witness.
 
-    Carries the witness gain graph so a reproducer file can be written.
+    Carries the witness gain graph, which the CLI writes as a reproducer file.
     Any instance of this is an implementation bug until proven otherwise.
     """
 
-    def __init__(self, theorem, detail, gain=None):
+    def __init__(self, theorem, detail, gain):
         super().__init__(f"{theorem}: {detail}")
         self.theorem = theorem
         self.detail = detail

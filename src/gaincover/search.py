@@ -6,23 +6,23 @@ from such a normalized gain), so the search space is |G|^(m-n+1) over the
 co-tree edges instead of |G|^m. Assignments are decided in batches from
 their gains (`fiber_two_ev`), and only the 2ev hits are lifted; the
 walk-regularity harness audits each batch's block decomposition from the
-gains too (`character_block_check`), so it lifts only its hits as well. Any
-falsification of a theorem property aborts with the offending gain attached:
-a genuine counterexample would mean an implementation bug, so it must stop
-the run, not get logged and skipped.
+gains too (`character_block_check`), so it lifts only its hits as well. A
+harness only decides: any falsification of a theorem property raises
+FalsificationError with the offending gain attached. A genuine counterexample
+would mean an implementation bug, so it must stop the run, not get logged and
+skipped; the CLI writes the gain out as a reproducer.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError, FalsificationError, ParameterError
-from .gains import GainGraph, GroupSpec, sheet_table, write_gain_file
+from .gains import GainGraph, GroupSpec, sheet_table
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, is_walk_regular,
                          regularity_certificate, srg_parameters)
@@ -32,6 +32,7 @@ from .spectral import (DEFAULT_TOL, TwoEvCertificate, batch_rows,
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
+DEFAULT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class SearchSpec:
     base: Graph
     group: GroupSpec
     mode: str = EXHAUSTIVE
-    budget: int = 1 << 20
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
 
     def __post_init__(self):
@@ -71,9 +72,9 @@ class SearchSpec:
 class VerificationRecord:
     """One classified gain with its certificates and per-theorem outcomes.
 
-    theorem_checks values are 'pass', 'fail', or 'not-applicable'; 'fail' only
-    appears when the hypotheses held and the conclusion did not, and always
-    rides along with a raised FalsificationError.
+    theorem_checks values are 'pass' or 'not-applicable'. When the hypotheses
+    hold and the conclusion does not, the harness raises FalsificationError
+    and no record is returned.
     """
 
     gain: GainGraph
@@ -88,7 +89,6 @@ class VerifySummary:
     two_ev: int = 0
     connected_two_ev: int = 0
     verified: int = 0
-    failures: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
     def as_dict(self):
@@ -97,7 +97,8 @@ class VerifySummary:
             "two_ev": self.two_ev,
             "connected_two_ev": self.connected_two_ev,
             "verified": self.verified,
-            "failures": list(self.failures),
+            # a returned summary falsified nothing
+            "failures": [],
         }
 
 
@@ -178,32 +179,12 @@ def run_search(spec: SearchSpec) -> VerifySummary:
     return summary
 
 
-def _fail(theorem, detail, gain, reproducer_dir=None, summary=None):
-    if summary is not None:
-        summary.failures.append(detail)
-    if reproducer_dir is not None:
-        path = write_reproducer(theorem, gain, reproducer_dir)
-        detail = f"{detail} (reproducer: {path})"
-    raise FalsificationError(theorem, detail, gain)
-
-
-def write_reproducer(theorem, gain, directory):
-    """Write gain as falsification_<theorem slug>.gain in directory, creating
-    the directory first; returns the file's path."""
-    slug = theorem.replace(".", "_").replace(" ", "-")
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(str(directory), f"falsification_{slug}.gain")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(write_gain_file(gain))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # theorem harnesses
 
 
-def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
-                           reproducer_dir=None) -> VerifySummary:
+def verify_walk_regularity(bases, groups, budget=200, seed=0,
+                           tol=DEFAULT_TOL) -> VerifySummary:
     """Walk-regular bases stay walk-regular in every 2ev cover (cyclic and
     abelian alike); also audits every sample's character block decomposition
     against its spectrum. Both are decided per batch from the gains, by
@@ -226,28 +207,29 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0, tol=DEFAULT_TOL,
             for i in np.flatnonzero(~ok | hit).tolist():
                 f = gain_of_row(spec, rows[i])
                 if not ok[i]:
-                    _fail("block-decomposition",
-                          f"character spectra deviate from lift spectrum by {dev[i]:.3g}",
-                          f, reproducer_dir, summary)
+                    raise FalsificationError(
+                        "block-decomposition",
+                        f"character spectra deviate from lift spectrum by {dev[i]:.3g}", f)
                 cert = two_ev_certificate(f, int(lam[i]))
                 summary.two_ev += 1
                 summary.connected_two_ev += cert.cover_connected
                 if not is_walk_regular(f.cover, cert):
-                    _fail("walk-regularity-of-2ev-covers",
-                          "2ev cover of a walk-regular base is not walk regular",
-                          f, reproducer_dir, summary)
+                    raise FalsificationError(
+                        "walk-regularity-of-2ev-covers",
+                        "2ev cover of a walk-regular base is not walk regular", f)
                 summary.verified += 1
     return summary
 
 
-def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
+def _verify_exhaustive(base, r, budget, theorem, key, check):
     """Classify every normalized Z_r gain on base and run `check(f, reg)` on
     each gain f with a connected 2ev lift, with reg the lift's regularity
     certificate. check returns a failure detail, or a false value when the
-    theorem holds; a failure aborts with a reproducer. Disconnected 2ev lifts
-    are recorded as not-applicable under `key`."""
+    theorem holds; a failure raises FalsificationError(theorem, detail, f).
+    Disconnected 2ev lifts are recorded as not-applicable under `key`.
+    Refuses with BudgetError when the enumeration exceeds budget."""
     spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
-                      budget=budget if budget is not None else r ** base.m)
+                      budget=budget)
     summary = VerifySummary()
     for f, cert in _two_ev_hits(spec, summary):
         rec = VerificationRecord(gain=f, two_ev=cert)
@@ -258,14 +240,13 @@ def _verify_exhaustive(base, r, budget, theorem, key, check, reproducer_dir):
         rec.regularity = regularity_certificate(f.cover, cert)
         problem = check(f, rec.regularity)
         if problem:
-            rec.theorem_checks[key] = "fail"
-            _fail(theorem, problem, f, reproducer_dir, summary)
+            raise FalsificationError(theorem, problem, f)
         rec.theorem_checks[key] = "pass"
         summary.verified += 1
     return summary
 
 
-def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
+def verify_drackn(n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
     """Every connected 2ev cyclic cover of a complete graph must be a
     distance-regular antipodal cover of it, with consistent parameters."""
 
@@ -274,7 +255,7 @@ def verify_drackn(n, r, budget=None, reproducer_dir=None) -> VerifySummary:
             return "connected 2ev cover of a complete graph is not a drackn"
 
     return _verify_exhaustive(complete_graph(n), r, budget, "drackn-cover-of-complete-graph",
-                              "drackn", check, reproducer_dir)
+                              "drackn", check)
 
 
 def _expected_srg_cover_array(srg, r):
@@ -285,7 +266,7 @@ def _expected_srg_cover_array(srg, r):
     return ((k, k - a - 1, c - s, 1), (1, s, k - a - 1, k))
 
 
-def verify_srg_cover(f: GainGraph, reproducer_dir=None) -> VerificationRecord:
+def verify_srg_cover(f: GainGraph) -> VerificationRecord:
     """Distance-regularity of a connected 2ev cyclic cover over a strongly
     regular base holds iff a = lambda; when it holds, the intersection array
     is forced exactly. Gains whose hypotheses fail (non-SRG base, non-cyclic
@@ -303,23 +284,21 @@ def verify_srg_cover(f: GainGraph, reproducer_dir=None) -> VerificationRecord:
     drg_holds = arr is not None
     a_equals_lambda = srg.a == cert.lambda_
     if drg_holds != a_equals_lambda:
-        rec.theorem_checks["drg-iff-a-equals-lambda"] = "fail"
-        _fail("srg-cover-drg-equivalence",
-              f"distance-regular={drg_holds} but a={srg.a}, lambda={cert.lambda_}",
-              f, reproducer_dir)
+        raise FalsificationError(
+            "srg-cover-drg-equivalence",
+            f"distance-regular={drg_holds} but a={srg.a}, lambda={cert.lambda_}", f)
     rec.theorem_checks["drg-iff-a-equals-lambda"] = "pass"
     if drg_holds:
         expected = _expected_srg_cover_array(srg, r)
         if expected is None or (arr.b, arr.c) != expected or arr.d != 4:
-            rec.theorem_checks["intersection-array-formula"] = "fail"
-            _fail("srg-cover-array-formula",
-                  f"array {arr} does not match the forced form {expected}",
-                  f, reproducer_dir)
+            raise FalsificationError(
+                "srg-cover-array-formula",
+                f"array {arr} does not match the forced form {expected}", f)
         rec.theorem_checks["intersection-array-formula"] = "pass"
     return rec
 
 
-def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifySummary:
+def verify_bipartite_cover(m, n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
     """Connected 2ev cyclic covers of complete bipartite graphs force m = n
     and r | n, and the lift is bipartite distance-regular with diameter 4."""
 
@@ -336,7 +315,7 @@ def verify_bipartite_cover(m, n, r, budget=None, reproducer_dir=None) -> VerifyS
         return "; ".join(problems)
 
     return _verify_exhaustive(complete_bipartite(m, n), r, budget, "bipartite-drg-cover",
-                              "bipartite-drg-cover", check, reproducer_dir)
+                              "bipartite-drg-cover", check)
 
 
 def _connected_bipartite(g: Graph) -> bool:

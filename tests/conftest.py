@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
-                       complete_bipartite)
+                       complete_bipartite, search)
 from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots
@@ -442,6 +442,24 @@ def klein_gf4_gain() -> GainGraph:
             p = gf4_mul(j, k)
             gains[(j, 4 + k)] = (p & 1, p >> 1)
     return GainGraph(complete_bipartite(4, 4), GroupSpec.abelian(2, 2), gains)
+
+
+def plant_audit_failures(monkeypatch, failing):
+    """Make the audit of the first batch fail on the rows numbered in failing,
+    the k-th of them with deviation (k + 1) / 8; return the batches audited."""
+    real = search.character_block_check
+    audited = []
+
+    def planted(base, group, table, rows, tol):
+        ok, dev = real(base, group, table, rows, tol)
+        if not audited:
+            ok[failing] = False
+            dev[failing] = (1 + np.arange(len(failing))) / 8
+        audited.append(rows)
+        return ok, dev
+
+    monkeypatch.setattr(search, "character_block_check", planted)
+    return audited
 
 
 @pytest.fixture

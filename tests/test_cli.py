@@ -1,14 +1,18 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gaincover import petersen, write_edge_list, write_gain_file
+from gaincover import (cli, parse_gain_file, petersen, regularity, search,
+                       write_edge_list, write_gain_file)
 from gaincover.cli import main, named_graph, parse_group_spec
-from gaincover.errors import ParameterError
-from gaincover.families import huang_signing
+from gaincover.errors import FalsificationError, ParameterError
+from gaincover.families import butson_gain, fourier_butson, huang_signing
+
+from conftest import plant_audit_failures
 
 
 def run(args, capsys):
@@ -183,34 +187,106 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_falsification_exit_2(tmp_path, capsys, monkeypatch):
-    from gaincover import cli
-    from gaincover.errors import FalsificationError
+    f = huang_signing(3)
 
     def boom(*a, **k):
-        raise FalsificationError("some-property", "witness found")
+        raise FalsificationError("some-property", "witness found", f)
 
     monkeypatch.setattr(cli, "verify_drackn", boom)
+    # with no --out the reproducer goes into the current directory
+    monkeypatch.chdir(tmp_path)
     code, _, err = run(["verify", "drackn", "--n", "4", "--r", "2"], capsys)
     assert code == 2
-    assert "FALSIFIED" in err
+    path = os.path.join(".", "falsification_some-property.gain")
+    assert err == f"FALSIFIED some-property: witness found (reproducer: {path})\n"
+    assert parse_gain_file((tmp_path / path).read_text()) == f
+
+
+def _no_certificate_field(field):
+    """Force every regularity certificate the harnesses take to lack field."""
+    return lambda mp: mp.setattr(search, "regularity_certificate",
+                                 lambda g, cert=None: SimpleNamespace(**{field: None}))
 
 
 def test_falsification_writes_its_reproducer_into_a_new_directory(tmp_path, capsys,
                                                                   monkeypatch):
-    from types import SimpleNamespace
-
-    from gaincover import search
-
     # every connected 2ev lift then lacks drackn parameters, which the
     # drackn check reports as a falsification
-    monkeypatch.setattr(search, "regularity_certificate",
-                        lambda g, cert=None: SimpleNamespace(drackn=None))
+    _no_certificate_field("drackn")(monkeypatch)
     out = tmp_path / "a" / "b"
     code, _, err = run(["verify", "drackn", "--n", "4", "--r", "2", "--out", str(out)],
                        capsys)
     assert code == 2
     assert "FALSIFIED" in err
     assert os.listdir(out) == ["falsification_drackn-cover-of-complete-graph.gain"]
+
+
+def test_falsification_stands_when_its_reproducer_cannot_be_written(tmp_path, capsys,
+                                                                    monkeypatch):
+    _no_certificate_field("drackn")(monkeypatch)
+    # --out names an existing file, so no directory can be made there
+    out = tmp_path / "taken"
+    out.write_text("")
+    code, stdout, err = run(["verify", "drackn", "--n", "4", "--r", "2", "--out", str(out)],
+                            capsys)
+    assert code == 2 and stdout == ""
+    assert err == ("FALSIFIED drackn-cover-of-complete-graph: connected 2ev cover of a "
+                   "complete graph is not a drackn (reproducer not written: "
+                   f"[Errno 17] File exists: '{out}')\n")
+    assert out.read_text() == ""
+
+
+# property: (argv, the harness it calls, how one of its checks is forced to
+# fail, and the theorem and detail that failure raises)
+FORCED_FALSIFICATIONS = {
+    "walk-regularity": (
+        ["verify", "walk-regularity", "--bases", "k4", "--groups", "z3",
+         "--samples", "50", "--seed", "2"], "verify_walk_regularity",
+        lambda mp: plant_audit_failures(mp, [3]),
+        "block-decomposition", "character spectra deviate from lift spectrum by 0.125"),
+    "drackn": (
+        ["verify", "drackn", "--n", "4", "--r", "2"], "verify_drackn",
+        _no_certificate_field("drackn"),
+        "drackn-cover-of-complete-graph",
+        "connected 2ev cover of a complete graph is not a drackn"),
+    "bipartite": (
+        ["verify", "bipartite", "--m", "2", "--n", "2", "--r", "2"], "verify_bipartite_cover",
+        lambda mp: mp.setattr(regularity, "is_distance_regular", lambda *args: None),
+        "bipartite-drg-cover", "lift is not distance-regular of diameter 4"),
+    "srg-cover": (
+        ["verify", "srg-cover", "--gain", "butson_3.gain"], "verify_srg_cover",
+        _no_certificate_field("drg"),
+        "srg-cover-drg-equivalence", "distance-regular=False but a=0, lambda=0"),
+}
+
+
+@pytest.mark.parametrize("prop", FORCED_FALSIFICATIONS)
+def test_each_verify_property_falsified_at_the_cli(tmp_path, capsys, monkeypatch, prop):
+    argv, harness, force, theorem, detail = FORCED_FALSIFICATIONS[prop]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "butson_3.gain").write_text(write_gain_file(butson_gain(fourier_butson(3))))
+    force(monkeypatch)
+    raised = []
+    real = getattr(cli, harness)
+
+    def recording(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except FalsificationError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, harness, recording)
+    out = tmp_path / "out"
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    path = os.path.join(str(out), f"falsification_{theorem}.gain")
+    assert err == f"FALSIFIED {theorem}: {detail} (reproducer: {path})\n"
+    [exc] = raised
+    assert (exc.theorem, exc.detail) == (theorem, detail)
+    assert os.listdir(out) == [os.path.basename(path)]
+    with open(path) as fh:
+        assert parse_gain_file(fh.read()) == exc.gain
 
 
 def test_main_builds_one_parser_for_every_call(capsys, monkeypatch):

@@ -14,9 +14,10 @@ from gaincover.families import butson_gain, fourier_butson, huang_signing, k3n_n
 from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                               verify_bipartite_cover, verify_drackn, verify_srg_cover,
-                              verify_walk_regularity, write_reproducer)
+                              verify_walk_regularity)
 
-from conftest import edge_lift, intersection_array, lift_fiber_two_ev, spec_gains
+from conftest import (edge_lift, intersection_array, lift_fiber_two_ev,
+                      plant_audit_failures, spec_gains)
 
 # the seven search cases of the benchmark's search-exhaustive workload
 BENCH_SEARCHES = ((complete_graph(5), GroupSpec.cyclic(3)),
@@ -112,7 +113,7 @@ def test_verify_drackn_k4_k5():
     s = verify_drackn(5, 2)
     assert s.sampled == 64 and s.verified == s.connected_two_ev
     s = verify_drackn(4, 3)
-    assert s.sampled == 27 and not s.failures
+    assert s.sampled == 27
     # every connected hit carries (n, r, t) with the counted t
     for rec in s.records:
         if rec.theorem_checks.get("drackn") == "pass":
@@ -139,7 +140,6 @@ def test_verify_walk_regularity_small():
                                budget=40, seed=3)
     assert s.sampled == 40
     assert s.verified == s.two_ev > 0
-    assert not s.failures
 
 
 def test_verify_walk_regularity_rejects_irregular_base():
@@ -201,9 +201,9 @@ def test_verify_bipartite_cover():
     s = verify_bipartite_cover(2, 2, 2)
     assert s.sampled == 2 and s.two_ev == 1 and s.verified == 1
     s = verify_bipartite_cover(2, 3, 2)
-    assert s.connected_two_ev == 0 and not s.failures
+    assert s.connected_two_ev == 0
     s = verify_bipartite_cover(3, 3, 2)
-    assert s.connected_two_ev == 0 and not s.failures
+    assert s.connected_two_ev == 0
 
 
 def char_poly_parity_bipartite(g):
@@ -271,41 +271,40 @@ def test_no_verdict_takes_the_char_poly_of_a_lift(monkeypatch):
 
 
 @pytest.mark.parametrize("run_harness, patched, theorem, key, detail", [
-    (lambda d: verify_drackn(4, 2, reproducer_dir=d), "drackn_parameters",
+    (lambda: verify_drackn(4, 2), "drackn_parameters",
      "drackn-cover-of-complete-graph", "drackn",
      "connected 2ev cover of a complete graph is not a drackn"),
-    (lambda d: verify_bipartite_cover(2, 2, 2, reproducer_dir=d), "is_distance_regular",
+    (lambda: verify_bipartite_cover(2, 2, 2), "is_distance_regular",
      "bipartite-drg-cover", "bipartite-drg-cover",
      "lift is not distance-regular of diameter 4"),
 ])
-def test_exhaustive_harness_failure_path(tmp_path, monkeypatch, run_harness, patched,
-                                         theorem, key, detail):
-    # force the per-theorem check to fail on the one connected 2ev hit
-    made = []
-
-    class Recorded(search.VerifySummary):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(search, "VerifySummary", Recorded)
+def test_exhaustive_harness_failure_path(monkeypatch, run_harness, patched, theorem, key,
+                                         detail):
+    # force the per-theorem check to fail on the one connected 2ev hit, which
+    # the raised error carries as its witness
     monkeypatch.setattr(regularity, patched, lambda *args: None)
     with pytest.raises(FalsificationError) as info:
-        run_harness(tmp_path)
-    assert info.value.theorem == theorem
-    [summary] = made
-    assert summary.failures == [detail]
-    assert summary.records[-1].theorem_checks == {key: "fail"}
-    name = f"falsification_{theorem}.gain"
-    assert os.listdir(tmp_path) == [name]
-    assert info.value.detail == f"{detail} (reproducer: {os.path.join(str(tmp_path), name)})"
-    with open(tmp_path / name) as fh:
-        assert parse_gain_file(fh.read()) == info.value.gain
+        run_harness()
+    assert (info.value.theorem, info.value.detail) == (theorem, detail)
+    monkeypatch.undo()
+    passed = [rec.gain for rec in run_harness().records if rec.theorem_checks == {key: "pass"}]
+    assert passed == [info.value.gain]
+
+
+def test_exhaustive_harnesses_default_to_the_search_budget(monkeypatch):
+    # K8 over Z3 has 3^21 normalized assignments: refused before any is decided
+    decided = []
+    monkeypatch.setattr(search, "fiber_two_ev", lambda *args: decided.append(args))
+    with pytest.raises(BudgetError, match="needs 10460353203 assignments, budget is 1048576"):
+        verify_drackn(8, 3)
+    with pytest.raises(BudgetError, match="budget is 1048576"):
+        verify_bipartite_cover(7, 7, 2)
+    assert decided == []
 
 
 def test_falsification_reproducer(tmp_path):
     f = butson_gain(fourier_butson(2))
-    path = write_reproducer("some-property", f, tmp_path)
+    path = cli.write_reproducer("some-property", f, tmp_path)
     assert os.path.exists(path)
     with open(path) as fh:
         assert parse_gain_file(fh.read()) == f
@@ -436,37 +435,14 @@ def test_walk_regularity_harness_solves_two_stacks_per_batch(monkeypatch):
     assert all(shape[0] == 20 for shape in solved)
 
 
-def _plant_audit_failures(monkeypatch, failing):
-    """Make the audit of the first batch fail on the rows numbered in failing,
-    the k-th of them with deviation (k + 1) / 8; return the batches audited."""
-    real = search.character_block_check
-    audited = []
-
-    def planted(base, group, table, rows, tol):
-        ok, dev = real(base, group, table, rows, tol)
-        if not audited:
-            ok[failing] = False
-            dev[failing] = (1 + np.arange(len(failing))) / 8
-        audited.append(rows)
-        return ok, dev
-
-    monkeypatch.setattr(search, "character_block_check", planted)
-    return audited
-
-
-def test_walk_regularity_reports_the_first_audit_failure(tmp_path, monkeypatch):
+def test_walk_regularity_reports_the_first_audit_failure(monkeypatch):
     spec = SearchSpec(complete_graph(4), GroupSpec.cyclic(3), mode=RANDOM, budget=50, seed=2)
-    audited = _plant_audit_failures(monkeypatch, [3, 5])
+    audited = plant_audit_failures(monkeypatch, [3, 5])
     with pytest.raises(FalsificationError) as info:
-        verify_walk_regularity([spec.base], [spec.group], budget=50, seed=2,
-                               reproducer_dir=tmp_path)
+        verify_walk_regularity([spec.base], [spec.group], budget=50, seed=2)
     assert info.value.theorem == "block-decomposition"
     assert info.value.gain == search.gain_of_row(spec, audited[0][3])
-    path = os.path.join(str(tmp_path), "falsification_block-decomposition.gain")
-    assert info.value.detail == ("character spectra deviate from lift spectrum by 0.125 "
-                                 f"(reproducer: {path})")
-    with open(path) as fh:
-        assert parse_gain_file(fh.read()) == info.value.gain
+    assert info.value.detail == "character spectra deviate from lift spectrum by 0.125"
 
 
 @pytest.mark.parametrize("after, theorem", [(1, "walk-regularity-of-2ev-covers"),
@@ -479,7 +455,7 @@ def test_walk_regularity_failures_come_in_row_order(monkeypatch, after, theorem)
     rows = next(search.assignment_rows(spec))
     first = int(np.flatnonzero(spectral.fiber_two_ev(spec.base, table, rows)[0])[0])
     assert first + 1 < len(rows)
-    _plant_audit_failures(monkeypatch, [first + after])
+    plant_audit_failures(monkeypatch, [first + after])
     monkeypatch.setattr(search, "is_walk_regular", lambda x, cert=None: cert is None)
     with pytest.raises(FalsificationError) as info:
         verify_walk_regularity([spec.base], [spec.group], budget=50, seed=2)
