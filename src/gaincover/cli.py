@@ -8,7 +8,7 @@ verify --out, or the current directory), 3 numeric failure.
 Reports carry exact integer polynomial coefficients next to clustered numeric
 spectra; floats are serialized as 17-significant-digit decimal strings so
 consumers never reparse binary floats. Everything outside the "meta" key is
-reproducible from the input file, seed, and tolerance alone.
+reproducible from the input file and seed alone.
 """
 
 from __future__ import annotations
@@ -34,16 +34,20 @@ from .regularity import regularity_certificate
 from .search import (DEFAULT_BUDGET, EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_bipartite_cover, verify_drackn, verify_srg_cover,
                      verify_walk_regularity)
-from .spectral import (char_poly, check_tol, classify_two_ev, hermitian_spectrum,
+from .spectral import (char_poly, classify_two_ev, hermitian_spectrum,
                        spectral_difference_poly)
 
-# family name -> (gain builder of the parsed arguments, file stem)
+# family name -> (gain builder of the parsed arguments, file stem); a builder
+# whose cover, sized from its arguments, passes MAX_VERTICES is not called
 DEMO_FAMILIES = {
-    "huang": lambda a: (huang_signing(a.n), f"huang_{a.n}"),
-    "cohen-tits": lambda a: (cohen_tits_signing(a.n), f"cohen_tits_{a.n}"),
-    "butson": lambda a: (butson_gain(fourier_butson(a.q)), f"butson_{a.q}"),
+    "huang": lambda a: (_bounded(huang_signing, _pow2(a.n + 1), a.n), f"huang_{a.n}"),
+    "cohen-tits": lambda a: (_bounded(cohen_tits_signing, _pow2(a.n + 1), a.n),
+                             f"cohen_tits_{a.n}"),
+    "butson": lambda a: (_bounded(lambda q: butson_gain(fourier_butson(q)),
+                                  2 * max(a.q, 0) ** 2, a.q), f"butson_{a.q}"),
     "s3k5": lambda a: (s3_cover_k5(), "s3_cover_k5"),
-    "k3n-nonexample": lambda a: (k3n_nonexample(a.n), f"k3n_nonexample_{a.n}"),
+    "k3n-nonexample": lambda a: (_bounded(k3n_nonexample, 6 * a.n, a.n),
+                                 f"k3n_nonexample_{a.n}"),
 }
 
 VERIFY_ALIASES = {
@@ -62,9 +66,9 @@ def _spectrum_json(spec):
     return [[_fmt(v), int(m)] for v, m in spec]
 
 
-def graph_report(g: Graph, p, tol):
+def graph_report(g: Graph, p):
     """Report of g, whose characteristic polynomial is p."""
-    spec = hermitian_spectrum(g.adjacency(dtype=float), tol)
+    spec = hermitian_spectrum(g.adjacency(dtype=float))
     return {
         "n": g.n,
         "m": g.m,
@@ -76,7 +80,7 @@ def graph_report(g: Graph, p, tol):
     }
 
 
-def gain_report(f: GainGraph, tol):
+def gain_report(f: GainGraph):
     t0 = time.perf_counter()
     cert = classify_two_ev(f)
     reg = regularity_certificate(f.cover, cert)
@@ -85,9 +89,9 @@ def gain_report(f: GainGraph, tol):
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "gain", "group": f.group.describe(),
                   "vertices": f.base.n, "edges": f.base.m},
-        "base": graph_report(f.base, p_base, tol),
+        "base": graph_report(f.base, p_base),
         # the cover's char poly is the base's times the one on W
-        "cover": graph_report(f.cover.graph, p_base * spectral_difference_poly(f), tol)
+        "cover": graph_report(f.cover.graph, p_base * spectral_difference_poly(f))
                  | {"fibers": f.cover.r},
         "two_ev": cert.as_dict(),
         "regularity": reg.as_dict(),
@@ -108,6 +112,12 @@ def _bounded(build, count, *args):
     if count > MAX_VERTICES:
         raise ParameterError(f"over the limit of {MAX_VERTICES} vertices")
     return build(*args)
+
+
+def _pow2(e):
+    """2**e, with e capped where 2**e first exceeds MAX_VERTICES: the size of
+    the e-cube, and of a Z2 cover of the (e-1)-cube."""
+    return 2 ** min(e, MAX_VERTICES.bit_length())
 
 
 def named_graph(spec: str) -> Graph:
@@ -139,8 +149,7 @@ def named_graph(spec: str) -> Graph:
             return _bounded(cycle, n, n)
         if s.startswith("q"):
             n = int(s[1:])
-            # 2**n with n capped where 2**n first exceeds MAX_VERTICES
-            return _bounded(hypercube, 2 ** min(n, MAX_VERTICES.bit_length()), n)
+            return _bounded(hypercube, _pow2(n), n)
         if s.startswith("j"):
             n, k = (int(x) for x in s[1:].split(","))
             return _bounded(johnson, _subsets(n, k), n, k)
@@ -198,7 +207,7 @@ def cmd_demo(args):
     gain_path = os.path.join(args.out, name + ".gain")
     with open(gain_path, "w", newline="\n") as fh:
         fh.write(write_gain_file(f))
-    report = gain_report(f, args.tol)
+    report = gain_report(f)
     report["input"]["family"] = fam
     report["input"]["gain_file"] = gain_path
     _emit(report, args.json or os.path.join(args.out, name + ".json"))
@@ -221,7 +230,7 @@ def cmd_lift(args):
 def cmd_classify(args):
     with open(args.gainfile) as fh:
         f = parse_gain_file(fh.read())
-    report = gain_report(f, args.tol)
+    report = gain_report(f)
     report["input"]["path"] = args.gainfile
     _emit(report, args.json)
     return 0
@@ -245,7 +254,7 @@ def cmd_certify(args):
     payload = {
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "graph", "path": args.graphfile},
-        "graph": graph_report(g, char_poly(g), args.tol),
+        "graph": graph_report(g, char_poly(g)),
         "regularity": selected,
     }
     if reg.drg is not None and "drg" in checks:
@@ -286,7 +295,7 @@ def cmd_verify(args):
         bases = [named_graph(s) for s in args.bases.split("+")]
         groups = [parse_group_spec(s) for s in args.groups.split("+")]
         summary = verify_walk_regularity(bases, groups, budget=args.samples,
-                                         seed=args.seed, tol=args.tol)
+                                         seed=args.seed)
         _emit(summary.as_dict(), args.json)
     elif prop == "drackn":
         summary = verify_drackn(args.n, args.r, budget=args.budget)
@@ -316,21 +325,8 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _tolerance(text):
-    try:
-        tol = float(text)
-        check_tol(tol)
-    except (ValueError, ParameterError):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and positive, got {text!r}") from None
-    return tol
-
-
 def _add_global_flags(parser, suppress):
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--tol", type=_tolerance,
-                        default=d if suppress else 1e-7,
-                        help="eigenvalue clustering tolerance (relative; default 1e-7)")
     parser.add_argument("--seed", type=int, default=d if suppress else 0,
                         help="random seed")
     parser.add_argument("--budget", type=int, default=d if suppress else DEFAULT_BUDGET,

@@ -123,12 +123,16 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     square-free part of its char poly. A lift's spectrum is its base's plus
     the one on vectors summing to zero on every fiber, so a certificate gives
     d = (base's count) + cert.new_distinct without the lift's char poly.
+    Raises ParameterError for a lift without its certificate, so that no char
+    poly of a whole lift is taken.
     """
     cover = x if isinstance(x, CoverGraph) else None
+    if cover is not None and cert is None:
+        raise ParameterError("a lift needs its two-eigenvalue certificate")
     g = cover.graph if cover is not None else x
     if g.n <= 1:
         return True
-    if cover is not None and cert is not None:
+    if cover is not None:
         top = distinct_eigenvalue_count(cover.base) + cert.new_distinct - 1
     else:
         top = distinct_eigenvalue_count(g) - 1
@@ -348,7 +352,8 @@ def two_ev_divisibility_obstruction(base: Graph, r):
 
 
 def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> RegularityCertificate:
-    """Full combinatorial certificate for a graph or a lifted cover."""
+    """Full combinatorial certificate for a graph, or a lift with its
+    certificate; raises ParameterError for a lift without it."""
     cover = x if isinstance(x, CoverGraph) else None
     g = cover.graph if cover is not None else x
     walk = is_walk_regular(x, cert)
@@ -364,8 +369,7 @@ def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> Regularit
     if cover is not None:
         base = cover.base
         complete = base.m == base.n * (base.n - 1) // 2
-        drackn = (drackn_parameters(cover, cert, drackn, classes)
-                  if cert is not None and complete else None)
+        drackn = drackn_parameters(cover, cert, drackn, classes) if complete else None
     return RegularityCertificate(walk_regular=walk, srg=srg, drg=drg,
                                  antipodal=anti, antipodal_classes=classes,
                                  drackn=drackn)

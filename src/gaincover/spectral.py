@@ -36,7 +36,9 @@ from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
 from .intpoly import IntPoly, _is_prime, integer_roots, squarefree_part
 
-DEFAULT_TOL = 1e-7
+# relative tolerance of the numeric spectra: the clustering gap of
+# `hermitian_spectrum` and the audit bound of `character_block_check`
+TOL = 1e-7
 
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial
@@ -239,21 +241,10 @@ def hermitian_eigenvalues(matrix):
     return _checked_matrix_eigvalsh(matrix)[0]
 
 
-def check_tol(tol):
-    """Raise ParameterError unless tol is a finite positive number."""
-    try:
-        ok = math.isfinite(tol) and tol > 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
-
-
-def cluster_values(values, tol, scale) -> Spectrum:
-    """Greedy descending clustering: adjacent values merge when closer than tol*max(1,scale)."""
-    check_tol(tol)
+def cluster_values(values, scale) -> Spectrum:
+    """Greedy descending clustering: adjacent values merge when closer than TOL*max(1,scale)."""
     vals = sorted((float(v) for v in values), reverse=True)
-    gap = tol * max(1.0, scale)
+    gap = TOL * max(1.0, scale)
     pairs = []
     i = 0
     while i < len(vals):
@@ -266,11 +257,11 @@ def cluster_values(values, tol, scale) -> Spectrum:
     return Spectrum(tuple(pairs))
 
 
-def hermitian_spectrum(matrix, tol=DEFAULT_TOL) -> Spectrum:
+def hermitian_spectrum(matrix) -> Spectrum:
     """Clustered eigenvalues of a Hermitian (or real symmetric) matrix, merged
-    within tol * max(1, its max absolute row sum)."""
+    within TOL * max(1, its max absolute row sum)."""
     vals, scale = _checked_matrix_eigvalsh(matrix)
-    return cluster_values(vals, tol, float(scale))
+    return cluster_values(vals, float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +513,26 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
 # block decomposition check (the module's master test)
 
 
-def character_block_check(base: Graph, group, table, rows, tol=DEFAULT_TOL):
+def character_block_check(base: Graph, group, table, rows):
     """Max deviation between each lift's spectrum and the union of its
     character spectra, for a batch of abelian gains on base.
 
     table and rows are the input of `fiber_two_ev`, and are checked as there;
     a single gain graph f is checked as `character_block_check(f.base,
-    f.group, *gain_row(f), tol)`. The gain of row b on edge i is element
+    f.group, *gain_row(f))`. The gain of row b on edge i is element
     table[rows[b, i], 0] of group.elements(), the image of sheet 0, the
     identity. For abelian gains the cover adjacency is similar to the block
     diagonal of the character matrices, so the sorted concatenation of their
-    eigenvalues must match the sorted eigenvalues of the lift within tol *
+    eigenvalues must match the sorted eigenvalues of the lift within TOL *
     max(1, the lift's max row sum). Each run of `batch_rows` rows takes one
     batched eigensolve over its (B, |G|, n, n) character stack, Hermitian by
     construction, and one over its (B, nr, nr) lift stack, checked finite and
     Hermitian as in `hermitian_eigenvalues`. Returns (ok, dev), a bool and a
     float64 array with one entry per row.
 
-    Raises ParameterError for a group that is not abelian, a table whose
-    width is not the group order, or a tol that is not finite and positive.
+    Raises ParameterError for a group that is not abelian, or a table whose
+    width is not the group order.
     """
-    check_tol(tol)
     if not group.is_abelian:
         raise ParameterError("block decomposition requires an abelian gain group")
     table, rows = _batch_input(base, table, rows)
@@ -556,6 +546,6 @@ def character_block_check(base: Graph, group, table, rows, tol=DEFAULT_TOL):
         union = np.sort(_eigvalsh(stack).reshape(len(a), -1), axis=1)
         cover_vals, scale = _checked_eigvalsh(a)
         dev_b = np.abs(union - cover_vals).max(axis=1, initial=0.0)
-        ok[lo:lo + len(a)] = dev_b <= tol * np.maximum(scale, 1.0)
+        ok[lo:lo + len(a)] = dev_b <= TOL * np.maximum(scale, 1.0)
         dev[lo:lo + len(a)] = dev_b
     return ok, dev

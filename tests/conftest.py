@@ -14,7 +14,7 @@ from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots
 from gaincover.search import assignment_rows, gain_of_row
-from gaincover.spectral import hermitian_eigenvalues, rep_matrix
+from gaincover.spectral import TOL, hermitian_eigenvalues, rep_matrix
 
 
 def mul_poly(a, b):
@@ -198,7 +198,7 @@ def edge_rep_matrix(f: GainGraph, j):
     return s
 
 
-def block_check_oracle(f: GainGraph, tol):
+def block_check_oracle(f: GainGraph):
     """(ok, dev) of the block-decomposition audit of one abelian gain graph
     (test-local oracle for `spectral.character_block_check`, which audits a
     batch from the gains): the eigenvalues of the built lift `f.cover` against
@@ -208,7 +208,7 @@ def block_check_oracle(f: GainGraph, tol):
                                     for j in f.group.elements()]))
     adj = f.cover.graph.adjacency(dtype=np.float64)
     dev = float(np.abs(union - hermitian_eigenvalues(adj)).max(initial=0.0))
-    return dev <= tol * max(1.0, float(adj.sum(axis=1).max(initial=0.0))), dev
+    return dev <= TOL * max(1.0, float(adj.sum(axis=1).max(initial=0.0))), dev
 
 
 def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):
@@ -450,8 +450,8 @@ def plant_audit_failures(monkeypatch, failing):
     real = search.character_block_check
     audited = []
 
-    def planted(base, group, table, rows, tol):
-        ok, dev = real(base, group, table, rows, tol)
+    def planted(base, group, table, rows):
+        ok, dev = real(base, group, table, rows)
         if not audited:
             ok[failing] = False
             dev[failing] = (1 + np.arange(len(failing))) / 8

@@ -65,7 +65,7 @@ def test_criterion_02_huang_signings():
                 or np.abs(vals[half:] - root).max() > 1e-9):
             ok, detail = False, f"numeric eigenvalues off +-sqrt({n}) beyond 1e-9"
             break
-        spec = cluster_values(vals, 1e-7, float(n))
+        spec = cluster_values(vals, float(n))
         if spec.distinct() != 2 or spec.pairs[0][1] != half or spec.pairs[1][1] != half:
             ok, detail = False, f"clustered multiplicities wrong at n={n}"
             break

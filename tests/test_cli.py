@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gaincover import (cli, parse_gain_file, petersen, regularity, search,
+from gaincover import (cli, parse_gain_file, petersen, regularity, search, spectral,
                        write_edge_list, write_gain_file)
 from gaincover.cli import main, named_graph, parse_group_spec
 from gaincover.errors import FalsificationError, ParameterError
@@ -90,6 +90,46 @@ def test_demo_cohen_tits_keeps_the_library_lower_bound(tmp_path, capsys):
     assert code == 1
     assert err == "error: dimension must be at least 2\n"
     assert not any(tmp_path.iterdir())
+
+
+DEMO_BUILDERS = ("huang_signing", "cohen_tits_signing", "fourier_butson", "butson_gain",
+                 "k3n_nonexample")
+
+
+class Built(Exception):
+    pass
+
+
+def _patch_demo_builders(monkeypatch, build):
+    for name in DEMO_BUILDERS:
+        monkeypatch.setattr(cli, name, build)
+
+
+@pytest.mark.parametrize("argv", [["huang", "--n", "12"], ["cohen-tits", "--n", "12"],
+                                  ["huang", "--n", "99999999999"], ["butson", "--q", "46"],
+                                  ["k3n-nonexample", "--n", "683"]])
+def test_demo_beyond_the_vertex_limit_is_refused_unbuilt(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    def unbuildable(*args):
+        raise AssertionError(f"built the demo family of {argv}")
+
+    _patch_demo_builders(monkeypatch, unbuildable)
+    out = tmp_path / "out"
+    code, stdout, err = run(["demo", *argv, "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert err == "error: over the limit of 4096 vertices\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["huang", "--n", "11"], ["cohen-tits", "--n", "11"],
+                                  ["butson", "--q", "45"], ["k3n-nonexample", "--n", "682"]])
+def test_demo_at_the_vertex_limit_reaches_its_builder(tmp_path, monkeypatch, argv):
+    def built(*args):
+        raise Built
+
+    _patch_demo_builders(monkeypatch, built)
+    with pytest.raises(Built):
+        main(["demo", *argv, "--out", str(tmp_path)])
 
 
 def test_lift_and_classify_roundtrip(tmp_path, capsys):
@@ -340,20 +380,36 @@ def test_budget_refusal_exit_1(tmp_path, capsys):
                         "--group", "z2"], capsys)
     assert code == 1
     assert "budget" in err
+    # 2^14365 assignments: the refusal states the count as a power, which in
+    # decimal would pass Python's 4300-digit limit
+    code, out, err = run(["search", "--base", "k171", "--group", "z2"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: exhaustive search needs 2^14365 assignments, budget is 1048576\n"
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e400", "abc"])
-def test_bad_tolerance_exit_1(tmp_path, capsys, tol):
+def test_tol_flag_exit_1(tmp_path, capsys):
+    # the tolerance is the fixed spectral.TOL: --tol is refused before and
+    # after the subcommand
     epath = tmp_path / "p.txt"
     epath.write_text(write_edge_list(petersen()))
-    for argv in (["--tol", tol, "verify", "walk-regularity", "--bases", "k4",
-                  "--groups", "z2", "--samples", "3", "--out", str(tmp_path)],
-                 ["certify", str(epath), "--tol", tol]):
+    for argv in (["--tol", "1e-7", "certify", str(epath)],
+                 ["certify", str(epath), "--tol", "1e-7"]):
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
-        assert err == ("error: argument --tol: tolerance must be finite and positive, "
-                       f"got {tol!r}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_wrong_block_decomposition_falsified_at_the_cli(tmp_path, capsys, monkeypatch):
+    # character spectra scaled by 1.2 miss a lift of K4 by 0.6, far past the
+    # audit's real bound
+    real = spectral._character_stack
+    monkeypatch.setattr(spectral, "_character_stack", lambda *args: 1.2 * real(*args))
+    code, stdout, err = run(["verify", "walk-regularity", "--bases", "k4+c6", "--groups",
+                             "z3", "--samples", "5", "--out", str(tmp_path)], capsys)
+    assert code == 2 and stdout == ""
+    path = os.path.join(str(tmp_path), "falsification_block-decomposition.gain")
+    assert err == ("FALSIFIED block-decomposition: character spectra deviate from lift "
+                   f"spectrum by 0.6 (reproducer: {path})\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -583,6 +583,19 @@ def test_regularity_certificate_disconnected():
     assert reg.drg is None and reg.drackn is None
 
 
+def test_lift_without_its_certificate_is_refused(monkeypatch):
+    # refused before any char poly is taken, since on a bare lift it would be
+    # the whole lift's
+    def no_char_poly(g):
+        raise AssertionError(f"char poly taken on {g.n} vertices")
+
+    monkeypatch.setattr(regularity, "distinct_eigenvalue_count", no_char_poly)
+    cover = lift(huang_signing(4))
+    for check in (is_walk_regular, regularity_certificate):
+        with pytest.raises(ParameterError, match="needs its two-eigenvalue certificate"):
+            check(cover)
+
+
 def test_regularity_certificate_decides_each_verdict_once(monkeypatch):
     calls = {"is_distance_regular": 0, "is_antipodal": 0}
     for name in calls:

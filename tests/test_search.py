@@ -295,7 +295,7 @@ def test_exhaustive_harnesses_default_to_the_search_budget(monkeypatch):
     # K8 over Z3 has 3^21 normalized assignments: refused before any is decided
     decided = []
     monkeypatch.setattr(search, "fiber_two_ev", lambda *args: decided.append(args))
-    with pytest.raises(BudgetError, match="needs 10460353203 assignments, budget is 1048576"):
+    with pytest.raises(BudgetError, match=r"needs 3\^21 assignments, budget is 1048576"):
         verify_drackn(8, 3)
     with pytest.raises(BudgetError, match="budget is 1048576"):
         verify_bipartite_cover(7, 7, 2)
@@ -386,7 +386,7 @@ def test_a_report_and_a_harness_lift_their_gain_once(built_lifts):
     # the certificate, the regularity verdicts and the report all read
     # GainGraph.cover
     f = huang_signing(4)
-    report = cli.gain_report(f, spectral.DEFAULT_TOL)
+    report = cli.gain_report(f)
     assert report["two_ev"]["is_two_ev"] and report["cover"]["n"] == 32
     assert built_lifts == [f]
     built_lifts.clear()
@@ -490,7 +490,7 @@ def test_each_hit_builds_one_distance_table(built_tables):
 def test_a_report_builds_one_distance_table_per_graph(built_tables):
     # girth, connectivity and the regularity verdicts of the base and the
     # cover all read the two tables
-    report = cli.gain_report(huang_signing(4), spectral.DEFAULT_TOL)
+    report = cli.gain_report(huang_signing(4))
     assert report["cover"]["girth"] == 6
     assert [g.n for g in built_tables] == [16, 32]
 
@@ -521,9 +521,3 @@ def test_complete_graph_census(n, r, certs):
             drg = h.regularity.drg
             assert (drg.b, drg.c) == intersection_array(lift(h.gain).graph)
             assert h.regularity.drackn == (n, r, (n - 2 - h.two_ev.lambda_) // r)
-
-
-def test_verify_walk_regularity_rejects_bad_tolerance():
-    for tol in (-1, 0, float("nan"), float("inf")):
-        with pytest.raises(ParameterError, match="tolerance"):
-            verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(2)], budget=3, tol=tol)

@@ -19,7 +19,7 @@ from gaincover.families import huang_signing, s3_cover_k5
 from gaincover.intpoly import IntPoly, squarefree_part
 from gaincover.search import RANDOM, SearchSpec, assignment_rows
 from gaincover.gains import CoverGraph, gain_row, sheet_table
-from gaincover.spectral import (DEFAULT_TOL, char_poly_int_matrix, cluster_values,
+from gaincover.spectral import (char_poly_int_matrix, cluster_values,
                                 fiber_two_ev, hermitian_eigenvalues,
                                 hermitian_spectrum, spectral_difference_poly,
                                 two_ev_certificate)
@@ -223,21 +223,10 @@ def test_zero_matrix_spectrum():
 
 
 def test_cluster_values():
-    spec = cluster_values([1.0, 1.0 + 1e-9, -2.0, 5.0], tol=1e-7, scale=1.0)
+    spec = cluster_values([1.0, 1.0 + 1e-9, -2.0, 5.0], scale=1.0)
     assert spec.values == (5.0, pytest.approx(1.0), -2.0)
     assert [m for _, m in spec.pairs] == [1, 2, 1]
     assert spec.dimension == 4
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, None, "1e-7"])
-def test_bad_tolerance_is_a_parameter_error(tol):
-    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
-        hermitian_spectrum(np.eye(3), tol=tol)
-    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
-        cluster_values([1.0, 2.0], tol, 1.0)
-    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
-        f = huang_signing(3)
-        character_block_check(f.base, f.group, *gain_row(f), tol)
 
 
 def test_cycle5_spectrum_closed_form():
@@ -608,7 +597,7 @@ def test_block_check_matches_the_per_gain_oracle(base):
     for group in _AUDIT_GROUPS:
         spec, table, rows = _audit_batch(base, group, seed=base.m, budget=6)
         ok, dev = character_block_check(base, group, table, rows)
-        want = [block_check_oracle(f, DEFAULT_TOL) for f in spec_gains(spec)]
+        want = [block_check_oracle(f) for f in spec_gains(spec)]
         assert ok.tolist() == [w_ok for w_ok, _ in want]
         assert np.abs(dev - [w_dev for _, w_dev in want]).max() <= 1e-12
         assert ok.all()
