@@ -387,16 +387,19 @@ def test_budget_refusal_exit_1(tmp_path, capsys):
     assert err == "error: exhaustive search needs 2^14365 assignments, budget is 1048576\n"
 
 
-def test_tol_flag_exit_1(tmp_path, capsys):
-    # the tolerance is the fixed spectral.TOL: --tol is refused before and
-    # after the subcommand
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e400", "abc"])
+def test_bad_tolerance_exit_1(tmp_path, capsys, tol):
+    # the tolerance is the fixed spectral.TOL: --tol, whatever its value, is
+    # refused before and after the subcommand, and nothing is written
     epath = tmp_path / "p.txt"
     epath.write_text(write_edge_list(petersen()))
-    for argv in (["--tol", "1e-7", "certify", str(epath)],
-                 ["certify", str(epath), "--tol", "1e-7"]):
+    for argv in (["--tol", tol, "verify", "walk-regularity", "--bases", "k4",
+                  "--groups", "z2", "--samples", "3", "--out", str(tmp_path)],
+                 ["certify", str(epath), "--tol", tol]):
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
 
 
 def test_wrong_block_decomposition_falsified_at_the_cli(tmp_path, capsys, monkeypatch):
