@@ -34,8 +34,7 @@ from .regularity import regularity_certificate
 from .search import (DEFAULT_BUDGET, EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_bipartite_cover, verify_drackn, verify_srg_cover,
                      verify_walk_regularity)
-from .spectral import (char_poly, classify_two_ev, hermitian_spectrum,
-                       spectral_difference_poly)
+from .spectral import char_poly, classify_two_ev, hermitian_spectrum
 
 # family name -> (gain builder of the parsed arguments, file stem); a builder
 # whose cover, sized from its arguments, passes MAX_VERTICES is not called
@@ -91,7 +90,7 @@ def gain_report(f: GainGraph):
                   "vertices": f.base.n, "edges": f.base.m},
         "base": graph_report(f.base, p_base),
         # the cover's char poly is the base's times the one on W
-        "cover": graph_report(f.cover.graph, p_base * spectral_difference_poly(f))
+        "cover": graph_report(f.cover.graph, p_base * cert.new_poly)
                  | {"fibers": f.cover.r},
         "two_ev": cert.as_dict(),
         "regularity": reg.as_dict(),

@@ -3,7 +3,7 @@ eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
 gain graphs, and the two-eigenvalue classifier.
 
 Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
-one matrix (`hermitian_eigenvalues`) or a stack: it raises NumericError on
+one matrix (`hermitian_spectrum`) or a stack: it raises NumericError on
 LAPACK non-convergence or non-finite input. The block-decomposition audit
 (`character_block_check`) takes a batch of abelian gains in the kernel's
 array form and, per batch, solves one stack of character matrices, Hermitian
@@ -14,10 +14,11 @@ The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
 from the gains for a batch of assignments at once, without the lift: it
 scatters the batch's adjacency matrices from `gains.cover_arcs`, the one
 cover layout. The new spectrum of a lift is the spectrum of its adjacency on
-W, the vectors that sum to zero on every fiber: `spectral_difference_poly`
-takes that exact characteristic polynomial at dimension n(r-1), never the
-lift's at nr, and a non-2ev cover's count of new distinct eigenvalues is the
-degree of its modularly certified square-free part, never read from
+W, the vectors that sum to zero on every fiber. A certificate carries its
+exact characteristic polynomial there, `new_poly`: a hit builds it from the
+verdict, and only a miss takes it, at dimension n(r-1) and never the lift's
+nr, by `spectral_difference_poly`; a miss's count of new distinct eigenvalues
+is the degree of its modularly certified square-free part, never read from
 clustered numeric spectra. Every function that needs a lift reads
 `GainGraph.cover`.
 """
@@ -25,7 +26,7 @@ clustered numeric spectra. Every function that needs a lift reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -222,25 +223,6 @@ def _checked_eigvalsh(A):
     return _eigvalsh(A), scale
 
 
-def _checked_matrix_eigvalsh(matrix):
-    """`_checked_eigvalsh` of one matrix; ContractViolation unless it is square 2-D."""
-    A = np.asarray(matrix)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ContractViolation("matrix must be square")
-    return _checked_eigvalsh(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))
-
-
-def hermitian_eigenvalues(matrix):
-    """Ascending float64 eigenvalues of a Hermitian (or real symmetric) matrix.
-
-    Validates the input, then calls LAPACK through np.linalg.eigvalsh. Raises
-    ContractViolation for input that is not a square 2-D matrix or is not
-    Hermitian to within 10 * eps * max(1, max absolute row sum), and
-    NumericError for a non-finite entry or when LAPACK does not converge.
-    """
-    return _checked_matrix_eigvalsh(matrix)[0]
-
-
 def cluster_values(values, scale) -> Spectrum:
     """Greedy descending clustering: adjacent values merge when closer than TOL*max(1,scale)."""
     vals = sorted((float(v) for v in values), reverse=True)
@@ -259,8 +241,12 @@ def cluster_values(values, scale) -> Spectrum:
 
 def hermitian_spectrum(matrix) -> Spectrum:
     """Clustered eigenvalues of a Hermitian (or real symmetric) matrix, merged
-    within TOL * max(1, its max absolute row sum)."""
-    vals, scale = _checked_matrix_eigvalsh(matrix)
+    within TOL * max(1, its max absolute row sum). Raises ContractViolation
+    unless matrix is square 2-D, and is otherwise checked as `_checked_eigvalsh` checks."""
+    A = np.asarray(matrix)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ContractViolation("matrix must be square")
+    vals, scale = _checked_eigvalsh(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))
     return cluster_values(vals, float(scale))
 
 
@@ -320,7 +306,9 @@ class TwoEvCertificate:
     are exact integers (the pair are the roots of a monic integer quadratic).
     Connectivity of the cover is reported separately: the definition of a
     two-eigenvalue cover does not mention it, but the structure theorems
-    require it, so callers combine the two fields as needed.
+    require it, so callers combine the two fields as needed. new_poly, the
+    exact char poly of the lift on W (the cover's over the base's), is left
+    out of `as_dict`.
     """
 
     is_two_ev: bool
@@ -332,6 +320,7 @@ class TwoEvCertificate:
     mu: int | None = None
     cover_connected: bool = False
     new_distinct: int | None = None
+    new_poly: IntPoly | None = field(default=None, repr=False)
 
     def as_dict(self):
         return {
@@ -347,7 +336,6 @@ class TwoEvCertificate:
         }
 
 
-@lru_cache(maxsize=512)
 def spectral_difference_poly(f: GainGraph) -> IntPoly:
     """Exact characteristic polynomial of the lift's adjacency A on W, the
     vectors that sum to zero on every fiber: the cover's char poly over the
@@ -455,12 +443,19 @@ def fiber_two_ev(base: Graph, table, rows):
     return hit, lam
 
 
+def _binomial_power(a, m, step):
+    """(x^step - a)^m as an IntPoly, from its binomial coefficients."""
+    coeffs = [0] * (step * m + 1)
+    coeffs[::step] = [math.comb(m, j) * (-a) ** (m - j) for j in range(m + 1)]
+    return IntPoly(coeffs)
+
+
 def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
     """Certificate of f, whose lift `fiber_two_ev` found 2ev with this lambda.
 
     theta and tau are the roots of x^2 - lambda*x - k. A has zero trace on W,
-    so m_theta*theta + m_tau*tau = 0 fixes the multiplicities in integers.
-    Connectivity is read from the lift.
+    so m_theta*theta + m_tau*tau = 0 fixes the multiplicities in integers and
+    new_poly = (x - theta)^m_theta (x - tau)^m_tau. Connectivity is the lift's.
     """
     base, r = f.base, f.group.sheet_count
     k, dim = base.degrees[0], base.n * (r - 1)
@@ -471,6 +466,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         if rem:
             raise InternalConsistencyError("new-eigenvalue multiplicity is not integral")
         theta, tau, m_tau = float(hi), float(lo), dim - m_theta
+        new_poly = _binomial_power(hi, m_theta, 1) * _binomial_power(lo, m_tau, 1)
     else:
         # conjugate irrational roots carry equal multiplicity, so zero trace
         # forces lambda = 0 and an even dimension
@@ -479,6 +475,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         sq = math.sqrt(lam * lam + 4 * k)
         theta, tau = (lam + sq) / 2.0, (lam - sq) / 2.0
         m_theta = m_tau = dim // 2
+        new_poly = _binomial_power(k, m_theta, 2)  # (x^2 - k)^(dim/2)
     return TwoEvCertificate(
         is_two_ev=True,
         theta=theta,
@@ -489,6 +486,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         mu=k,
         cover_connected=is_connected(f.cover.graph),
         new_distinct=2,
+        new_poly=new_poly,
     )
 
 
@@ -496,17 +494,17 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
     The verdict is `fiber_two_ev`'s, on a batch of one. Only on a miss is the
-    exact char poly on W taken, to report the number of distinct new
-    eigenvalues as the degree of its square-free part.
+    exact char poly on W taken from the lift, to report the number of distinct
+    new eigenvalues as the degree of its square-free part.
     """
     if not is_connected(f.base):
         raise DisconnectedError("two-eigenvalue classification requires a connected base")
     hit, lam = fiber_two_ev(f.base, *gain_row(f))
     if hit[0]:
         return two_ev_certificate(f, int(lam[0]))
-    new = squarefree_part(spectral_difference_poly(f))
+    new_poly = spectral_difference_poly(f)
     return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover.graph),
-                            new_distinct=new.degree)
+                            new_distinct=squarefree_part(new_poly).degree, new_poly=new_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +525,7 @@ def character_block_check(base: Graph, group, table, rows):
     max(1, the lift's max row sum). Each run of `batch_rows` rows takes one
     batched eigensolve over its (B, |G|, n, n) character stack, Hermitian by
     construction, and one over its (B, nr, nr) lift stack, checked finite and
-    Hermitian as in `hermitian_eigenvalues`. Returns (ok, dev), a bool and a
+    Hermitian as in `hermitian_spectrum`. Returns (ok, dev), a bool and a
     float64 array with one entry per row.
 
     Raises ParameterError for a group that is not abelian, or a table whose

@@ -14,7 +14,7 @@ from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
 from gaincover.intpoly import integer_roots
 from gaincover.search import assignment_rows, gain_of_row
-from gaincover.spectral import TOL, hermitian_eigenvalues, rep_matrix
+from gaincover.spectral import TOL, rep_matrix
 
 
 def mul_poly(a, b):
@@ -204,10 +204,10 @@ def block_check_oracle(f: GainGraph):
     batch from the gains): the eigenvalues of the built lift `f.cover` against
     the sorted union of one `rep_matrix` spectrum per character, each matrix
     solved on its own."""
-    union = np.sort(np.concatenate([hermitian_eigenvalues(rep_matrix(f, j))
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(rep_matrix(f, j))
                                     for j in f.group.elements()]))
     adj = f.cover.graph.adjacency(dtype=np.float64)
-    dev = float(np.abs(union - hermitian_eigenvalues(adj)).max(initial=0.0))
+    dev = float(np.abs(union - np.linalg.eigvalsh(adj)).max(initial=0.0))
     return dev <= TOL * max(1.0, float(adj.sum(axis=1).max(initial=0.0))), dev
 
 
@@ -218,7 +218,8 @@ def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):
     Squares the lift's adjacency A and checks that every r x r block of
     A^2 - lambda*A - k*I has constant rows, with lambda read from one edge
     block; the multiplicities follow from the zero trace of A on the vectors
-    that sum to zero on every fiber.
+    that sum to zero on every fiber, and new_poly is the schoolbook product of
+    their linear factors (of x^2 - k for irrational roots).
     """
     base, r = f.base, cover.r
     if r < 2 or not base.edges or not base.is_regular():
@@ -239,15 +240,17 @@ def lift_fiber_two_ev(f: GainGraph, cover: CoverGraph):
         m_theta, rem = divmod(-dim * lo, hi - lo)
         assert rem == 0
         theta, tau, m_tau = float(hi), float(lo), dim - m_theta
+        new_poly = IntPoly(poly_from_roots([hi] * m_theta + [lo] * m_tau))
     else:
         assert lam == 0 and dim % 2 == 0
         sq = math.sqrt(lam * lam + 4 * k)
         theta, tau = (lam + sq) / 2.0, (lam - sq) / 2.0
         m_theta = m_tau = dim // 2
+        new_poly = poly_pow(IntPoly((-k, 0, 1)), m_theta)
     return TwoEvCertificate(is_two_ev=True, theta=theta, tau=tau, mult_theta=m_theta,
                             mult_tau=m_tau, lambda_=lam, mu=k,
                             cover_connected=len(bfs_components(cover.graph)) == 1,
-                            new_distinct=2)
+                            new_distinct=2, new_poly=new_poly)
 
 
 def bfs_components(g: Graph):

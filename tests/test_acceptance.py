@@ -27,7 +27,7 @@ from gaincover.regularity import two_ev_divisibility_obstruction
 from gaincover.search import (SearchSpec, run_search,
                               verify_bipartite_cover, verify_drackn,
                               verify_srg_cover, verify_walk_regularity)
-from gaincover.spectral import cluster_values, hermitian_eigenvalues
+from gaincover.spectral import cluster_values
 
 from conftest import (brute_force_walk_regular, intersection_array,
                       klein_gf4_gain, poly_from_roots, poly_pow,
@@ -58,7 +58,7 @@ def test_criterion_02_huang_signings():
         if not np.array_equal(s_int @ s_int, n * np.eye(dim, dtype=np.int64)):
             ok, detail = False, f"S^2 != {n}I at n={n}"
             break
-        vals = np.sort(hermitian_eigenvalues(s_int.astype(np.float64)))
+        vals = np.sort(np.linalg.eigvalsh(s_int.astype(np.float64)))
         root = math.sqrt(n)
         half = dim // 2
         if (np.abs(vals[:half] + root).max() > 1e-9
@@ -267,7 +267,7 @@ def test_criterion_09_k3n_nonexample():
     detail = "signed K_{3n} spectrum {(2n-1)^2, -1^(3n-3), (-n-1)} within 1e-9; not 2ev; not DRG"
     for n in (2, 3):
         f = k3n_nonexample(n)
-        vals = np.sort(hermitian_eigenvalues(rep_matrix(f, (1,))))
+        vals = np.sort(np.linalg.eigvalsh(rep_matrix(f, (1,))))
         expect = np.sort(np.array([2 * n - 1] * 2 + [-1] * (3 * n - 3) + [-n - 1], dtype=float))
         if np.abs(vals - expect).max() > 1e-9:
             ok, detail = False, f"n={n}: signed spectrum off by more than 1e-9"
@@ -304,7 +304,7 @@ def test_criterion_11_infrastructure_oracles():
         checked_wr += 1
         if g.n:
             roots = poly_real_roots(char_poly(g))
-            vals = np.sort(hermitian_eigenvalues(g.adjacency(dtype=np.float64)))
+            vals = np.sort(np.linalg.eigvalsh(g.adjacency(dtype=np.float64)))
             worst_root_dev = max(worst_root_dev, float(np.abs(roots - vals).max()))
     ok = worst_root_dev <= 1e-7
     report(11, ok, f"{checked_wr} random graphs: walk-regularity matches brute force; "

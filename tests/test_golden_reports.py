@@ -1,0 +1,66 @@
+"""Golden reports: the JSON of `classify` on the demo gains and of one
+exhaustive `search`, outside `meta`, against files in tests/data.
+
+The files hold the reports with `meta` and the input path dropped. Integers,
+booleans and other strings are compared exactly; decimal float strings are
+rounded to 6 places first, so an eigensolver whose values agree far inside
+the 1e-7 clustering tolerance leaves them unchanged.
+"""
+
+import json
+import os
+
+import pytest
+
+from gaincover.cli import main
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# (demo family and arguments, file stem of its gain file)
+DEMOS = [
+    (["huang", "--n", "3"], "huang_3"),
+    (["cohen-tits", "--n", "4"], "cohen_tits_4"),
+    (["butson", "--q", "3"], "butson_3"),
+    (["s3k5"], "s3_cover_k5"),
+    (["k3n-nonexample", "--n", "2"], "k3n_nonexample_2"),
+]
+
+
+def canonical(x, key=None):
+    """x with `meta` and input paths dropped and decimal float strings rounded
+    to 6 places; -0 rounds to 0."""
+    if isinstance(x, dict):
+        return {k: canonical(v, k) for k, v in x.items() if k not in ("meta", "path")}
+    if isinstance(x, list):
+        return [canonical(v) for v in x]
+    if isinstance(x, str):
+        try:
+            s = f"{float(x):.6f}"
+        except ValueError:
+            return x
+        return "0.000000" if s == "-0.000000" else s
+    return x
+
+
+def golden(name):
+    with open(os.path.join(DATA, name + ".json")) as fh:
+        return canonical(json.load(fh))
+
+
+def produced(argv, tmp_path):
+    path = tmp_path / "out.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    return canonical(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("demo, stem", DEMOS, ids=[stem for _, stem in DEMOS])
+def test_classify_report_matches_its_golden_file(tmp_path, demo, stem):
+    assert main(["demo", *demo, "--out", str(tmp_path),
+                 "--json", str(tmp_path / "demo.json")]) == 0
+    got = produced(["classify", str(tmp_path / (stem + ".gain"))], tmp_path)
+    assert got == golden("classify_" + stem)
+
+
+def test_search_report_matches_its_golden_file(tmp_path):
+    got = produced(["search", "--base", "k4", "--group", "z2"], tmp_path)
+    assert got == golden("search_k4_z2")

@@ -12,17 +12,16 @@ from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        complete_bipartite, complete_graph, cycle, hypercube,
                        identity_gains, is_connected, kneser, lift, octahedron,
                        petersen, rep_matrix)
-from gaincover import spectral
+from gaincover import cli, spectral
 from gaincover.errors import (ContractViolation, DisconnectedError,
                              InternalConsistencyError, NumericError, ParameterError)
-from gaincover.families import huang_signing, s3_cover_k5
+from gaincover.families import huang_signing, k3n_nonexample, s3_cover_k5
 from gaincover.intpoly import IntPoly, squarefree_part
-from gaincover.search import RANDOM, SearchSpec, assignment_rows
+from gaincover.search import RANDOM, SearchSpec, assignment_rows, run_search
 from gaincover.gains import CoverGraph, gain_row, sheet_table
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                fiber_two_ev, hermitian_eigenvalues,
-                                hermitian_spectrum, spectral_difference_poly,
-                                two_ev_certificate)
+                                fiber_two_ev, hermitian_spectrum,
+                                spectral_difference_poly, two_ev_certificate)
 
 from conftest import (block_check_oracle, edge_lift, edge_rep_matrix, lift_fiber_two_ev,
                       mul_poly, poly_from_roots, poly_pow, prs_squarefree_part,
@@ -167,7 +166,7 @@ def test_char_poly_int_matrix_rejects_bad_input(bad):
 
 
 # ---------------------------------------------------------------------------
-# the Hermitian eigensolver
+# the Hermitian eigensolver: `hermitian_spectrum` is its one-matrix route
 
 
 def test_hermitian_eigenvalues_matches_numpy_on_random_hermitian(rng):
@@ -177,24 +176,26 @@ def test_hermitian_eigenvalues_matches_numpy_on_random_hermitian(rng):
         h = (m + m.conj().T) / 2
         hr = h.real + h.real.T
         for mat in (h, hr, hr.astype(np.float32)):
-            ours = hermitian_eigenvalues(mat)
-            assert ours.dtype == np.float64 and ours.shape == (n,)
-            assert np.all(np.diff(ours) >= 0)
+            spec = hermitian_spectrum(mat)
+            assert spec.dimension == n
+            assert all(isinstance(v, float) for v in spec.values)
+            assert list(spec.values) == sorted(spec.values, reverse=True)
+            ours = np.sort(np.repeat(spec.values, [mult for _, mult in spec]))
             ref = np.sort(np.linalg.eigvalsh(mat.astype(np.result_type(mat, np.float64))))
             assert np.abs(ours - ref).max() < 1e-9
-    assert hermitian_eigenvalues(np.array([[-2.5]])).tolist() == [-2.5]
+    assert hermitian_spectrum(np.array([[-2.5]])).pairs == ((-2.5, 1),)
 
 
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ContractViolation):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        hermitian_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.float64(5.0), np.zeros(3), np.zeros((2, 3)),
                                  np.zeros((2, 2, 2))])
 def test_hermitian_eigenvalues_rejects_non_square(bad):
-    with pytest.raises(ContractViolation):
-        hermitian_eigenvalues(bad)
+    with pytest.raises(ContractViolation, match="square"):
+        hermitian_spectrum(bad)
 
 
 @pytest.mark.parametrize("bad", [[[0.0, 1.0], [1.0, math.nan]],
@@ -205,7 +206,7 @@ def test_hermitian_eigenvalues_rejects_non_finite(bad):
     # NaN compares false in the Hermitian test, and eigvalsh itself returns a
     # spectrum for [[0,1],[1,nan]], so only the finite check stops these
     with pytest.raises(NumericError):
-        hermitian_eigenvalues(np.array(bad))
+        hermitian_spectrum(np.array(bad))
 
 
 def test_hermitian_eigenvalues_maps_linalg_error(monkeypatch):
@@ -214,7 +215,7 @@ def test_hermitian_eigenvalues_maps_linalg_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(NumericError, match="did not converge"):
-        hermitian_eigenvalues(np.eye(3))
+        hermitian_spectrum(np.eye(3))
 
 
 def test_zero_matrix_spectrum():
@@ -410,7 +411,6 @@ def test_difference_poly_refuses_a_cover_that_is_not_a_lift():
     assert (0, 3) not in f.base.edges
     edges = set(f.cover.graph.edges)
     (u, v) = next(e for e in sorted(edges) if e[0] // r == 0 and e[1] // r == 1)
-    spectral.spectral_difference_poly.cache_clear()  # f's entry would answer for broken
     broken = GainGraph(f.base, f.group, f.gains)
     object.__setattr__(broken, "cover", CoverGraph(
         Graph(f.cover.graph.n, (edges - {(u, v)}) | {(u, 3 * r + u % r)}), f.base, r))
@@ -430,10 +430,62 @@ def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, mo
 
     monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
     spectral.char_poly.cache_clear()
-    spectral.spectral_difference_poly.cache_clear()
     cert = classify_two_ev(f)
     assert not cert.is_two_ev
     assert sizes == [base.n * (r - 1)]
+
+
+def test_a_hit_report_takes_only_the_base_char_poly(monkeypatch):
+    # the hit's certificate carries the char poly on W, so the report of the
+    # cover takes no exact char poly but the base's
+    f = huang_signing(5)
+    sizes = []
+    real = spectral.char_poly_int_matrix
+
+    def recording(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
+    spectral.char_poly.cache_clear()
+    spectral.distinct_eigenvalue_count.cache_clear()
+    report = cli.gain_report(f)
+    assert report["two_ev"]["is_two_ev"]
+    assert sizes == [f.base.n]
+
+
+def _search_hits(base, group):
+    return [(h.gain, h.two_ev) for h in run_search(SearchSpec(base, group)).records]
+
+
+def test_a_hit_certificate_carries_the_char_poly_on_the_fiber_sum_zero_space():
+    cases = [(f, classify_two_ev(f)) for f in map(huang_signing, range(1, 7))]
+    cases.append((s3_cover_k5(), classify_two_ev(s3_cover_k5())))
+    for base, group in [(complete_graph(4), GroupSpec.cyclic(2)),
+                        (complete_graph(6), GroupSpec.cyclic(2)),
+                        (octahedron(), GroupSpec.cyclic(2)),
+                        (complete_bipartite(4, 4), GroupSpec.cyclic(2)),
+                        (complete_bipartite(3, 3), GroupSpec.cyclic(3)),
+                        (complete_graph(5), GroupSpec.cyclic(3)),
+                        (complete_graph(4), GroupSpec.abelian(2, 2))]:
+        cases += _search_hits(base, group)
+    for f, cert in cases:
+        assert cert.is_two_ev
+        assert cert.new_poly == spectral_difference_poly(f) == _lift_over_base(f), f.gains
+    # irrational roots, integer roots of equal and of unequal multiplicity
+    certs = [cert for _, cert in cases]
+    assert any(c.theta != round(c.theta) for c in certs)
+    assert any(c.theta == round(c.theta) and c.mult_theta == c.mult_tau for c in certs)
+    assert {(2, 1, 3), (-2, 3, 1), (4, 1, 5), (-4, 5, 1), (3, 2, 8), (2, 3, 9)} <= {
+        (c.lambda_, c.mult_theta, c.mult_tau) for c in certs}
+
+
+def test_a_miss_certificate_carries_the_char_poly_on_the_fiber_sum_zero_space(rng):
+    for f in (k3n_nonexample(2), _random_gain(rng, hypercube(3), GroupSpec.cyclic(3))):
+        cert = classify_two_ev(f)
+        assert not cert.is_two_ev
+        assert cert.new_poly == spectral_difference_poly(f) == _lift_over_base(f)
+        assert cert.new_distinct == squarefree_part(cert.new_poly).degree
 
 
 def quotient_verdict(f):
