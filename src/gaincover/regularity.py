@@ -1,9 +1,14 @@
 """Combinatorial regularity certificates.
 
 Walk regularity, distance-regularity with intersection arrays, strong
-regularity, antipodality, antipodal-cover-of-complete-graph parameters, and
-the column-count verifier that ties the gain structure of a two-eigenvalue
-cover over a strongly regular base to (a - lambda)/r and c/r.
+regularity, antipodality, the (n, r, c2) of a diameter-3 antipodal
+distance-regular graph, and the column-count verifier that ties the gain
+structure of a two-eigenvalue cover over a strongly regular base to
+(a - lambda)/r and c/r.
+
+Whether a lift's antipodal classes are its fibers, and how its c2 relates to
+lambda, are not facts of one graph: the theorem harness `verify_drackn`
+checks them.
 """
 
 from __future__ import annotations
@@ -231,56 +236,28 @@ def is_antipodal(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# antipodal covers of complete graphs
-
-
-def drackn_parameters(cover: CoverGraph, cert: TwoEvCertificate, found, classes):
-    """(n, r, t) when the cover is a distance-regular antipodal cover of K_n.
-
-    `found` is the lift's drackn and `classes` its antipodal classes, as
-    `regularity_certificate` decides them. Requires a complete base; returns
-    `found` when the lift is also 2ev and connected, its antipodal classes are
-    the fibers, and t = (a - lambda)/r, with a = n - 2, is a positive integer
-    equal to c2. None otherwise.
-    """
-    base = cover.base
-    n = base.n
-    if base.m != n * (n - 1) // 2:
-        raise ParameterError("antipodal-cover parameters require a complete base")
-    if found is None or not cert.is_two_ev or not cert.cover_connected:
-        return None
-    if set(classes) != set(cover.fibers()):
-        return None
-    t, rem = divmod(n - 2 - cert.lambda_, cover.r)
-    if rem != 0 or t <= 0 or t != found[2]:
-        return None
-    return found
-
-
-# ---------------------------------------------------------------------------
 # column counts of a normalized 2ev gain over a strongly regular base
 
 
-def lemma_column_counts(f: GainGraph, lam=None, v0=0):
-    """Column-count certificate of a cyclic gain normalized at v0.
+def lemma_column_counts(f: GainGraph):
+    """Column-count certificate of a cyclic gain normalized at vertex 0.
 
     Computes t = (a - lambda)/r and s = c/r for a complete or strongly regular
     base. `fiber_two_ev` decides from the gains, without building the lift,
-    whether the lift is 2ev and gives its lambda; a supplied lambda must equal
-    it, and is required when the lift is not 2ev. For a 2ev lift with integral
-    counts the counts are verified on the gain matrix (`_verify_counts`); a
-    violation there is an internal consistency error.
+    whether the lift is 2ev and gives its lambda; a lift that is not 2ev raises
+    ParameterError. Every gain that `normalize` or a search produces is
+    normalized at vertex 0, the root of its spanning tree. Integral counts are
+    verified on the gain matrix (`_verify_counts`); a violation there is an
+    internal consistency error.
     """
     grp = f.group
     if not grp.is_abelian or len(grp.orders) != 1:
         raise ParameterError("column counts are defined for cyclic gain groups")
     r = grp.orders[0]
     base = f.base
-    if not 0 <= v0 < base.n:
-        raise ParameterError(f"vertex {v0} out of range")
-    for w in base.neighbors[v0]:
-        if f.gain(v0, w) != grp.identity():
-            raise ContractViolation(f"gain not normalized at vertex {v0}")
+    for w in base.neighbors[0]:
+        if f.gain(0, w) != grp.identity():
+            raise ContractViolation("gain not normalized at vertex 0")
 
     n = base.n
     if base.m == n * (n - 1) // 2:
@@ -292,34 +269,25 @@ def lemma_column_counts(f: GainGraph, lam=None, v0=0):
         a, c = srg.a, srg.c
 
     hit, lams = fiber_two_ev(base, *gain_row(f))
-    two_ev, exact = bool(hit[0]), int(lams[0])
-    if not two_ev:
-        if lam is None:
-            raise ParameterError("lambda must be supplied when the lift is not "
-                                 "a two-eigenvalue cover")
-    elif lam is None:
-        lam = exact
-    elif lam != exact:
-        raise InternalConsistencyError(
-            f"supplied lambda {lam} disagrees with the exact {exact}")
+    if not hit[0]:
+        raise ParameterError("column counts need a two-eigenvalue lift")
+    lam = int(lams[0])
 
     t = Fraction(a - lam) / r
     s = None if c is None else Fraction(c, r)
     integral = (t.denominator == 1 and t >= 0
                 and (s is None or (s.denominator == 1 and s >= 0)))
-
-    verified = two_ev and integral
-    if verified:
-        _verify_counts(f, v0, r, int(t), None if s is None else int(s))
-    return ColumnCountCertificate(t=t, s=s, integral=integral, verified_counts=verified)
+    if integral:
+        _verify_counts(f, r, int(t), None if s is None else int(s))
+    return ColumnCountCertificate(t=t, s=s, integral=integral, verified_counts=integral)
 
 
-def _verify_counts(f: GainGraph, v0, r, t, s):
-    """Raise unless, over the neighbors of v0 in each row, every neighborhood
+def _verify_counts(f: GainGraph, r, t, s):
+    """Raise unless, over the neighbors of vertex 0 in each row, every neighborhood
     column carries each nontrivial power t times and every distance-2 column
     carries each power s times (s is None for a complete base)."""
     base = f.base
-    dist = base.distance_table.dist[v0].tolist()
+    dist = base.distance_table.dist[0].tolist()
     for col, d in enumerate(dist):
         if d == 1:
             first, want, what = 1, t, "nontrivial power"
@@ -353,9 +321,10 @@ def two_ev_divisibility_obstruction(base: Graph, r):
 
 def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> RegularityCertificate:
     """Full combinatorial certificate for a graph, or a lift with its
-    certificate; raises ParameterError for a lift without it."""
-    cover = x if isinstance(x, CoverGraph) else None
-    g = cover.graph if cover is not None else x
+    certificate; raises ParameterError for a lift without it. A lift's
+    certificate is its bare graph's: the two-eigenvalue certificate only
+    bounds the powers that decide walk regularity."""
+    g = x.graph if isinstance(x, CoverGraph) else x
     walk = is_walk_regular(x, cert)
     if not is_connected(g):
         return RegularityCertificate(walk_regular=walk)
@@ -366,10 +335,6 @@ def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> Regularit
     drackn = None
     if drg is not None and drg.d == 3 and anti:
         drackn = (len(classes), len(classes[0]), drg.c[1])
-    if cover is not None:
-        base = cover.base
-        complete = base.m == base.n * (base.n - 1) // 2
-        drackn = drackn_parameters(cover, cert, drackn, classes) if complete else None
     return RegularityCertificate(walk_regular=walk, srg=srg, drg=drg,
                                  antipodal=anti, antipodal_classes=classes,
                                  drackn=drackn)

@@ -219,10 +219,11 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0) -> VerifySummary:
 
 
 def _verify_exhaustive(base, r, budget, theorem, key, check):
-    """Classify every normalized Z_r gain on base and run `check(f, reg)` on
-    each gain f with a connected 2ev lift, with reg the lift's regularity
-    certificate. check returns a failure detail, or a false value when the
-    theorem holds; a failure raises FalsificationError(theorem, detail, f).
+    """Classify every normalized Z_r gain on base and run `check(rec)` on the
+    record of each gain f with a connected 2ev lift, which carries f, its 2ev
+    certificate and its lift's regularity certificate. check returns a failure
+    detail, or a false value when the theorem holds; a failure raises
+    FalsificationError(theorem, detail, f).
     Disconnected 2ev lifts are recorded as not-applicable under `key`.
     Refuses with BudgetError when the enumeration exceeds budget."""
     spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
@@ -235,7 +236,7 @@ def _verify_exhaustive(base, r, budget, theorem, key, check):
             rec.theorem_checks[key] = "not-applicable"
             continue
         rec.regularity = regularity_certificate(f.cover, cert)
-        problem = check(f, rec.regularity)
+        problem = check(rec)
         if problem:
             raise FalsificationError(theorem, problem, f)
         rec.theorem_checks[key] = "pass"
@@ -245,11 +246,18 @@ def _verify_exhaustive(base, r, budget, theorem, key, check):
 
 def verify_drackn(n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
     """Every connected 2ev cyclic cover of a complete graph must be a
-    distance-regular antipodal cover of it, with consistent parameters."""
+    distance-regular antipodal cover of it (a drackn) whose antipodal classes
+    are the fibers, with r * c2 = n - 2 - lambda."""
 
-    def check(f, reg):
+    def check(rec):
+        reg = rec.regularity
         if reg.drackn is None:
             return "connected 2ev cover of a complete graph is not a drackn"
+        if reg.antipodal_classes != rec.gain.cover.fibers():
+            return "antipodal classes of the drackn are not the fibers"
+        c2, lam = reg.drackn[2], rec.two_ev.lambda_
+        if r * c2 != n - 2 - lam:
+            return f"r * c2 = {r * c2} but n - 2 - lambda = {n - 2 - lam}"
 
     return _verify_exhaustive(complete_graph(n), r, budget, "drackn-cover-of-complete-graph",
                               "drackn", check)
@@ -299,15 +307,15 @@ def verify_bipartite_cover(m, n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
     """Connected 2ev cyclic covers of complete bipartite graphs force m = n
     and r | n, and the lift is bipartite distance-regular with diameter 4."""
 
-    def check(f, reg):
+    def check(rec):
         problems = []
         if m != n:
             problems.append(f"sides differ ({m},{n})")
         if n % r != 0:
             problems.append(f"{r} does not divide {n}")
-        if not _connected_bipartite(f.cover.graph):
+        if not _connected_bipartite(rec.gain.cover.graph):
             problems.append("lift is not bipartite")
-        if reg.drg is None or reg.drg.d != 4:
+        if rec.regularity.drg is None or rec.regularity.drg.d != 4:
             problems.append("lift is not distance-regular of diameter 4")
         return "; ".join(problems)
 

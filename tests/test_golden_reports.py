@@ -1,5 +1,5 @@
-"""Golden reports: the JSON of `classify` on the demo gains and of one
-exhaustive `search`, outside `meta`, against files in tests/data.
+"""Golden reports: the JSON of `classify` on the demo gains and of three
+exhaustive searches, outside `meta`, against files in tests/data.
 
 The files hold the reports with `meta` and the input path dropped. Integers,
 booleans and other strings are compared exactly; decimal float strings are
@@ -64,3 +64,16 @@ def test_classify_report_matches_its_golden_file(tmp_path, demo, stem):
 def test_search_report_matches_its_golden_file(tmp_path):
     got = produced(["search", "--base", "k4", "--group", "z2"], tmp_path)
     assert got == golden("search_k4_z2")
+
+
+# (base, group) of an exhaustive search: the one connected hit of K5/Z2 is a
+# (5,2,3) drackn; the octahedron is not complete, and its two connected Z2
+# hits are antipodal but not distance-regular, so their drackn is null
+DRACKN_SEARCHES = [("k5", "z2"), ("octahedron", "z2")]
+
+
+@pytest.mark.parametrize("base, group", DRACKN_SEARCHES,
+                         ids=[f"{b}_{g}" for b, g in DRACKN_SEARCHES])
+def test_drackn_search_report_matches_its_golden_file(tmp_path, base, group):
+    got = produced(["search", "--base", base, "--group", group], tmp_path)
+    assert got == golden(f"search_{base}_{group}")

@@ -16,7 +16,7 @@ from gaincover.errors import (ContractViolation, DisconnectedError,
 from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
                                 huang_signing, s3_cover_k5)
 from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
-                                  drackn_parameters, regularity_certificate,
+                                  regularity_certificate,
                                   two_ev_divisibility_obstruction)
 from gaincover.search import SearchSpec, run_search, verify_drackn
 from gaincover.spectral import distinct_eigenvalue_count
@@ -381,12 +381,6 @@ def test_drackn_absent_for_disconnected_double():
     assert regularity_certificate(f.cover, cert).drackn is None
 
 
-def test_drackn_requires_complete_base():
-    f = identity_gains(petersen(), GroupSpec.cyclic(2))
-    with pytest.raises(ParameterError):
-        drackn_parameters(f.cover, classify_two_ev(f), None, None)
-
-
 def test_drackn_of_graph():
     assert regularity_certificate(hypercube(3)).drackn == (4, 2, 2)
     assert regularity_certificate(petersen()).drackn is None
@@ -462,6 +456,23 @@ def test_drackn_of_graph_matches_the_counted_parameters():
     assert sorted(found) == [(5, 2, 3)] + [(6, 2, 2)] * 12 + [(6, 2, 4), (7, 2, 5)]
 
 
+def test_lift_certificate_is_its_graphs():
+    # the certificate of a lift with its 2ev certificate states the same facts
+    # as the certificate of the lift's bare graph, on complete bases and others
+    pairs = [(h.gain, h.two_ev) for h in census_drackns()]
+    for base, r in [(octahedron(), 2), (complete_bipartite(4, 4), 2),
+                    (complete_bipartite(3, 3), 3), (hypercube(3), 2)]:
+        summary = run_search(SearchSpec(base, GroupSpec.cyclic(r)))
+        pairs.extend((h.gain, h.two_ev) for h in summary.records if h.two_ev.cover_connected)
+    f = s3_cover_k5()
+    pairs.append((f, classify_two_ev(f)))
+    assert len(pairs) == 15 + 2 + 6 + 2 + 1 + 1
+    for f, cert in pairs:
+        assert cert.is_two_ev and cert.cover_connected
+        want = regularity_certificate(f.cover.graph).as_dict()
+        assert regularity_certificate(f.cover, cert).as_dict() == want
+
+
 # ---------------------------------------------------------------------------
 # column counts
 
@@ -479,18 +490,8 @@ def test_lemma_counts_butson_k22():
 
 
 def test_lemma_counts_petersen_obstruction():
-    f = identity_gains(petersen(), GroupSpec.cyclic(2))
-    cert = lemma_column_counts(f, lam=0)
-    assert cert.s == Fraction(1, 2)
-    assert not cert.integral
     assert two_ev_divisibility_obstruction(petersen(), 2)
     assert not two_ev_divisibility_obstruction(complete_bipartite(3, 3), 3)
-
-
-def test_lemma_counts_rejects_out_of_range_anchor():
-    for v0 in (-1, 4):
-        with pytest.raises(ParameterError, match=f"vertex {v0} out of range"):
-            lemma_column_counts(q3_over_k4_gain(), v0=v0)
 
 
 def test_lemma_counts_requires_normalized_anchor():
@@ -511,27 +512,21 @@ def test_lemma_counts_build_no_lift(monkeypatch):
     monkeypatch.setattr(gains, "CoverGraph", no_cover)
     cert = lemma_column_counts(q3_over_k4_gain())
     assert cert.t == Fraction(2) and cert.verified_counts
-    with pytest.raises(ParameterError, match="lambda must be supplied"):
+    with pytest.raises(ParameterError, match="need a two-eigenvalue lift"):
         lemma_column_counts(butson_gain(fourier_butson(4)))
-
-
-def test_lemma_counts_lambda_mismatch_is_error():
-    with pytest.raises(InternalConsistencyError):
-        lemma_column_counts(q3_over_k4_gain(), lam=5)
-    assert lemma_column_counts(q3_over_k4_gain(), lam=-2).verified_counts
 
 
 def test_column_count_verifier_rejects_wrong_counts():
     f = butson_gain(fourier_butson(2))  # t = 0, s = 1 on K_{2,2}
-    _verify_counts(f, 0, 2, 0, 1)
+    _verify_counts(f, 2, 0, 1)
     with pytest.raises(InternalConsistencyError, match="distance-1 column"):
-        _verify_counts(f, 0, 2, 1, 1)
+        _verify_counts(f, 2, 1, 1)
     with pytest.raises(InternalConsistencyError, match="distance-2 column"):
-        _verify_counts(f, 0, 2, 0, 2)
+        _verify_counts(f, 2, 0, 2)
     # a complete base has no distance-2 block
-    _verify_counts(q3_over_k4_gain(), 0, 2, 2, None)
+    _verify_counts(q3_over_k4_gain(), 2, 2, None)
     with pytest.raises(InternalConsistencyError, match="nontrivial power"):
-        _verify_counts(q3_over_k4_gain(), 0, 2, 1, None)
+        _verify_counts(q3_over_k4_gain(), 2, 1, None)
 
 
 def test_lemma_counts_need_every_character_two_ev():
@@ -539,11 +534,8 @@ def test_lemma_counts_need_every_character_two_ev():
     # +-2, but the order-2 one is singular, so the lift is not 2ev and its
     # distance-2 columns need not carry equal counts
     f = butson_gain(fourier_butson(4))
-    with pytest.raises(ParameterError, match="lambda must be supplied"):
+    with pytest.raises(ParameterError, match="need a two-eigenvalue lift"):
         lemma_column_counts(f)
-    cert = lemma_column_counts(f, lam=0)
-    assert cert.t == Fraction(0) and cert.s == Fraction(1)
-    assert cert.integral and not cert.verified_counts
 
 
 def test_lemma_counts_on_every_normalized_k4_gain():

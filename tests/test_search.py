@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 
@@ -271,7 +272,7 @@ def test_no_verdict_takes_the_char_poly_of_a_lift(monkeypatch):
 
 
 @pytest.mark.parametrize("run_harness, patched, theorem, key, detail", [
-    (lambda: verify_drackn(4, 2), "drackn_parameters",
+    (lambda: verify_drackn(4, 2), "is_distance_regular",
      "drackn-cover-of-complete-graph", "drackn",
      "connected 2ev cover of a complete graph is not a drackn"),
     (lambda: verify_bipartite_cover(2, 2, 2), "is_distance_regular",
@@ -289,6 +290,28 @@ def test_exhaustive_harness_failure_path(monkeypatch, run_harness, patched, theo
     monkeypatch.undo()
     passed = [rec.gain for rec in run_harness().records if rec.theorem_checks == {key: "pass"}]
     assert passed == [info.value.gain]
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("antipodal_classes", ((0, 2), (1, 3), (4, 6), (5, 7)),
+     "antipodal classes of the drackn are not the fibers"),
+    ("drackn", (4, 2, 1), "r * c2 = 2 but n - 2 - lambda = 4"),
+])
+def test_drackn_cover_conditions_each_falsify(monkeypatch, field, value, detail):
+    # the one connected 2ev double of K4 is Q3, a (4, 2, 2) drackn whose
+    # classes are the fibers and whose lambda is -2; plant one wrong fact
+    [witness] = [rec.gain for rec in verify_drackn(4, 2).records
+                 if rec.theorem_checks == {"drackn": "pass"}]
+    real = search.regularity_certificate
+
+    def planted(g, cert=None):
+        return dataclasses.replace(real(g, cert), **{field: value})
+
+    monkeypatch.setattr(search, "regularity_certificate", planted)
+    with pytest.raises(FalsificationError) as info:
+        verify_drackn(4, 2)
+    assert (info.value.theorem, info.value.detail) == ("drackn-cover-of-complete-graph", detail)
+    assert info.value.gain == witness
 
 
 def test_exhaustive_harnesses_default_to_the_search_budget(monkeypatch):
