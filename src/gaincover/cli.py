@@ -1,6 +1,9 @@
 """Command-line surface and JSON reporting.
 
-Subcommands: demo, lift, classify, certify, search, verify. Exit codes:
+Subcommands: demo, lift, classify, certify, search, verify; demo takes a
+family and verify a property as a subcommand of its own. Each command, family
+and property accepts only the flags it reads, after its name; any other flag
+is a usage error. Exit codes:
 0 success / all properties verified, 1 usage or input error, 2 a verified
 property was falsified (its witness gain written as a reproducer file into
 verify --out, or the current directory), 3 numeric failure.
@@ -36,24 +39,18 @@ from .search import (DEFAULT_BUDGET, EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_walk_regularity)
 from .spectral import char_poly, classify_two_ev, hermitian_spectrum
 
-# family name -> (gain builder of the parsed arguments, file stem); a builder
-# whose cover, sized from its arguments, passes MAX_VERTICES is not called
+# family name -> (its size flag or None, gain builder of that flag's value,
+# file stem); a builder whose cover, sized from the value, passes MAX_VERTICES
+# is not called
 DEMO_FAMILIES = {
-    "huang": lambda a: (_bounded(huang_signing, _pow2(a.n + 1), a.n), f"huang_{a.n}"),
-    "cohen-tits": lambda a: (_bounded(cohen_tits_signing, _pow2(a.n + 1), a.n),
-                             f"cohen_tits_{a.n}"),
-    "butson": lambda a: (_bounded(lambda q: butson_gain(fourier_butson(q)),
-                                  2 * max(a.q, 0) ** 2, a.q), f"butson_{a.q}"),
-    "s3k5": lambda a: (s3_cover_k5(), "s3_cover_k5"),
-    "k3n-nonexample": lambda a: (_bounded(k3n_nonexample, 6 * a.n, a.n),
-                                 f"k3n_nonexample_{a.n}"),
-}
-
-VERIFY_ALIASES = {
-    "walk-regularity": "walk-regularity", "5.1": "walk-regularity",
-    "drackn": "drackn", "6.2": "drackn",
-    "srg-cover": "srg-cover", "6.4": "srg-cover",
-    "bipartite": "bipartite", "6.5": "bipartite",
+    "huang": ("--n", lambda n: (_bounded(huang_signing, _pow2(n + 1), n), f"huang_{n}")),
+    "cohen-tits": ("--n", lambda n: (_bounded(cohen_tits_signing, _pow2(n + 1), n),
+                                     f"cohen_tits_{n}")),
+    "butson": ("--q", lambda q: (butson_gain(_bounded(fourier_butson, 2 * max(q, 0) ** 2, q)),
+                                 f"butson_{q}")),
+    "s3k5": (None, lambda _: (s3_cover_k5(), "s3_cover_k5")),
+    "k3n-nonexample": ("--n", lambda n: (_bounded(k3n_nonexample, 6 * n, n),
+                                         f"k3n_nonexample_{n}")),
 }
 
 
@@ -201,7 +198,8 @@ def write_reproducer(theorem, gain, directory):
 
 def cmd_demo(args):
     fam = args.family
-    f, name = DEMO_FAMILIES[fam](args)
+    size, build = DEMO_FAMILIES[fam]
+    f, name = build(size and getattr(args, size[2:]))
     os.makedirs(args.out, exist_ok=True)
     gain_path = os.path.join(args.out, name + ".gain")
     with open(gain_path, "w", newline="\n") as fh:
@@ -238,15 +236,14 @@ def cmd_classify(args):
 def cmd_certify(args):
     with open(args.graphfile) as fh:
         g = parse_edge_list(fh.read())
-    checks = set(args.checks.split(",")) if args.checks else {"walk", "drg", "srg",
-                                                              "antipodal", "drackn"}
-    unknown = checks - {"walk", "drg", "srg", "antipodal", "drackn"}
+    keep = {"walk": "walk_regular", "drg": "intersection_array", "srg": "srg",
+            "antipodal": "antipodal", "drackn": "drackn"}
+    checks = set(args.checks.split(",")) if args.checks else set(keep)
+    unknown = checks - keep.keys()
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     reg = regularity_certificate(g)
     cert = reg.as_dict()
-    keep = {"walk": "walk_regular", "drg": "intersection_array", "srg": "srg",
-            "antipodal": "antipodal", "drackn": "drackn"}
     selected = {keep[c]: cert[keep[c]] for c in checks}
     if "antipodal" in checks:
         selected["antipodal_classes"] = cert["antipodal_classes"]
@@ -263,56 +260,36 @@ def cmd_certify(args):
 
 
 def cmd_search(args):
-    base = named_graph(args.base)
-    group = parse_group_spec(args.group)
-    spec = SearchSpec(base=base, group=group, mode=args.mode,
-                      budget=args.budget, seed=args.seed)
-    summary = run_search(spec)
+    summary = run_search(SearchSpec(base=named_graph(args.base),
+                                    group=parse_group_spec(args.group), mode=args.mode,
+                                    budget=args.budget, seed=args.seed))
     payload = {
         "sampled": summary.sampled,
         "two_ev": summary.two_ev,
         "connected_two_ev": summary.connected_two_ev,
-        "hits": [
-            {
-                "gain": write_gain_file(h.gain),
-                "two_ev": h.two_ev.as_dict(),
-                "regularity": h.regularity.as_dict() if h.regularity else None,
-            }
-            for h in summary.records
-        ],
+        "hits": [{"gain": write_gain_file(h.gain), "two_ev": h.two_ev.as_dict(),
+                  "regularity": h.regularity.as_dict()} for h in summary.records],
     }
     _emit(payload, args.json)
     return 0
 
 
 def cmd_verify(args):
-    prop = VERIFY_ALIASES.get(args.property)
-    if prop is None:
-        raise ParameterError(f"unknown property {args.property!r}; choose from "
-                             f"{sorted(set(VERIFY_ALIASES.values()))} (numeric aliases accepted)")
-    if prop == "walk-regularity":
-        bases = [named_graph(s) for s in args.bases.split("+")]
-        groups = [parse_group_spec(s) for s in args.groups.split("+")]
-        summary = verify_walk_regularity(bases, groups, budget=args.samples,
-                                         seed=args.seed)
-        _emit(summary.as_dict(), args.json)
-    elif prop == "drackn":
-        summary = verify_drackn(args.n, args.r, budget=args.budget)
-        _emit(summary.as_dict(), args.json)
-    elif prop == "srg-cover":
-        if not args.gain:
-            raise ParameterError("srg-cover verification takes --gain <file>")
-        with open(args.gain) as fh:
-            f = parse_gain_file(fh.read())
-        rec = verify_srg_cover(f)
-        _emit({"theorem_checks": rec.theorem_checks,
-               "two_ev": rec.two_ev.as_dict(),
-               "regularity": rec.regularity.as_dict() if rec.regularity else None},
-              args.json)
-    else:
-        summary = verify_bipartite_cover(args.m, args.n, args.r, budget=args.budget)
-        _emit(summary.as_dict(), args.json)
+    _emit(args.harness(args), args.json)
     return 0
+
+
+def _verify_walk(args):
+    bases = [named_graph(s) for s in args.bases.split("+")]
+    groups = [parse_group_spec(s) for s in args.groups.split("+")]
+    return verify_walk_regularity(bases, groups, budget=args.samples, seed=args.seed).as_dict()
+
+
+def _verify_srg(args):
+    with open(args.gain) as fh:
+        rec = verify_srg_cover(parse_gain_file(fh.read()))
+    return {"theorem_checks": rec.theorem_checks, "two_ev": rec.two_ev.as_dict(),
+            "regularity": rec.regularity.as_dict() if rec.regularity else None}
 
 
 # ---------------------------------------------------------------------------
@@ -324,73 +301,94 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _add_global_flags(parser, suppress):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int, default=d if suppress else 0,
-                        help="random seed")
-    parser.add_argument("--budget", type=int, default=d if suppress else DEFAULT_BUDGET,
-                        help="assignment budget for searches")
-    parser.add_argument("--json", metavar="PATH", default=d if suppress else None,
-                        help="write the JSON payload here instead of stdout")
+# the flags that several commands read; each is declared after its command
+SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET, help="assignment budget for searches"),
+    "--json": dict(metavar="PATH", help="write the JSON payload here instead of stdout"),
+}
+
+
+def _with(parser, *flags):
+    """parser, with the named SHARED_FLAGS and --json added."""
+    for flag in (*flags, "--json"):
+        parser.add_argument(flag, **SHARED_FLAGS[flag])
+    return parser
+
+
+def _property(props, name, alias, harness, claim, *flags):
+    """The verify property name, also called alias, which states claim and
+    takes flags: it emits harness(args), and a falsification writes its
+    reproducer into --out."""
+    v = _with(props.add_parser(name, aliases=[alias], help=claim), *flags)
+    v.add_argument("--out", help="directory for reproducer dumps")
+    v.set_defaults(func=cmd_verify, harness=harness)
+    return v
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on the first call and shared after it."""
+    """The argument parser, built on the first call and shared after it. Each
+    command, demo family and verify property takes only the flags it reads."""
     p = _Parser(prog="gaincover",
                 description="Gain graphs, covering-graph lifts, two-eigenvalue "
                             "classification, and regularity certificates.")
-    _add_global_flags(p, suppress=False)
-    # the same flags are accepted after the subcommand and override
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("demo", parents=[common],
-                       help="emit a built-in family's gain file and report")
-    d.add_argument("family", choices=DEMO_FAMILIES)
-    d.add_argument("--n", type=int, default=3)
-    d.add_argument("--q", type=int, default=3)
-    d.add_argument("--out", default=".", help="output directory")
+    d = sub.add_parser("demo", help="emit a built-in family's gain file and report")
+    families = d.add_subparsers(dest="family", required=True)
+    for fam, (size, _) in DEMO_FAMILIES.items():
+        f = _with(families.add_parser(fam))
+        if size:
+            f.add_argument(size, type=int, default=3)
+        f.add_argument("--out", default=".", help="output directory")
     d.set_defaults(func=cmd_demo)
 
-    l = sub.add_parser("lift", parents=[common], help="lift a gain file to its cover edge list")
+    l = sub.add_parser("lift", help="lift a gain file to its cover edge list")
     l.add_argument("gainfile")
-    l.add_argument("--out", default=None)
+    l.add_argument("--out")
     l.set_defaults(func=cmd_lift)
 
-    c = sub.add_parser("classify", parents=[common], help="two-eigenvalue classification of a gain file")
+    c = _with(sub.add_parser("classify", help="two-eigenvalue classification of a gain file"))
     c.add_argument("gainfile")
     c.set_defaults(func=cmd_classify)
 
-    y = sub.add_parser("certify", parents=[common], help="regularity certificates for an edge-list graph")
+    y = _with(sub.add_parser("certify", help="regularity certificates for an edge-list graph"))
     y.add_argument("graphfile")
-    y.add_argument("--checks", default=None,
-                   help="comma subset of walk,drg,srg,antipodal,drackn (default all)")
+    y.add_argument("--checks", help="comma subset of walk,drg,srg,antipodal,drackn "
+                                    "(default all)")
     y.set_defaults(func=cmd_certify)
 
-    s = sub.add_parser("search", parents=[common], help="enumerate gains and report 2ev hits")
+    s = _with(sub.add_parser("search", help="enumerate gains and report 2ev hits"),
+              "--seed", "--budget")
     s.add_argument("--base", required=True, help="k5 | k3,3 | c6 | q3 | petersen | "
                                                  "octahedron | j5,2 | kn7,2 | @file")
     s.add_argument("--group", required=True, help="z2 | z2xz2 | cyclic:4 | abelian:2,3")
     s.add_argument("--mode", choices=(EXHAUSTIVE, RANDOM), default=EXHAUSTIVE)
     s.set_defaults(func=cmd_search)
 
-    v = sub.add_parser("verify", parents=[common], help="machine-check a structure property")
-    v.add_argument("property", help="walk-regularity|drackn|srg-cover|bipartite "
-                                    "(numeric aliases 5.1, 6.2, 6.4, 6.5 accepted)")
-    v.add_argument("--n", type=int, default=4)
-    v.add_argument("--m", type=int, default=2)
-    v.add_argument("--r", type=int, default=2)
-    v.add_argument("--bases", default="k4+k5+k3,3+c6+q3",
-                   help="'+'-joined graph specs (walk-regularity)")
-    v.add_argument("--groups", default="z2+z3+z4+z2xz2",
-                   help="'+'-joined group specs (walk-regularity)")
-    v.add_argument("--samples", type=int, default=200,
-                   help="random samples per base/group pair (walk-regularity)")
-    v.add_argument("--gain", default=None, help="gain file (srg-cover)")
-    v.add_argument("--out", default=None, help="directory for reproducer dumps")
-    v.set_defaults(func=cmd_verify)
+    v = sub.add_parser("verify", help="machine-check a structure property")
+    props = v.add_subparsers(dest="property", required=True)
+    w = _property(props, "walk-regularity", "5.1", _verify_walk,
+                  "2ev covers of walk-regular bases are walk-regular", "--seed")
+    w.add_argument("--bases", default="k4+k5+k3,3+c6+q3", help="'+'-joined graph specs")
+    w.add_argument("--groups", default="z2+z3+z4+z2xz2", help="'+'-joined group specs")
+    w.add_argument("--samples", type=int, default=200,
+                   help="random samples per base/group pair")
+    k = _property(props, "drackn", "6.2",
+                  lambda a: verify_drackn(a.n, a.r, budget=a.budget).as_dict(),
+                  "connected cyclic 2ev covers of K_n are drackns", "--budget")
+    k.add_argument("--n", type=int, default=4)
+    k.add_argument("--r", type=int, default=2)
+    g = _property(props, "srg-cover", "6.4", _verify_srg,
+                  "a 2ev cover of an SRG is distance-regular iff a = lambda")
+    g.add_argument("--gain", required=True, help="gain file")
+    b = _property(props, "bipartite", "6.5",
+                  lambda a: verify_bipartite_cover(a.m, a.n, a.r, budget=a.budget).as_dict(),
+                  "connected cyclic 2ev covers of K_{m,n} are bipartite drgs", "--budget")
+    b.add_argument("--m", type=int, default=2)
+    b.add_argument("--n", type=int, default=4)
+    b.add_argument("--r", type=int, default=2)
     return p
 
 

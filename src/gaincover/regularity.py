@@ -80,7 +80,6 @@ class ColumnCountCertificate:
     t: Fraction
     s: Fraction | None
     integral: bool
-    verified_counts: bool = False
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def lemma_column_counts(f: GainGraph):
                 and (s is None or (s.denominator == 1 and s >= 0)))
     if integral:
         _verify_counts(f, r, int(t), None if s is None else int(s))
-    return ColumnCountCertificate(t=t, s=s, integral=integral, verified_counts=integral)
+    return ColumnCountCertificate(t=t, s=s, integral=integral)
 
 
 def _verify_counts(f: GainGraph, r, t, s):

@@ -155,6 +155,15 @@ def _decided(spec: SearchSpec, table):
         yield (rows, *fiber_two_ev(spec.base, table, rows))
 
 
+def _count_hit(summary: VerifySummary, f: GainGraph, lam) -> TwoEvCertificate:
+    """The 2ev certificate of the hit f with fiber eigenvalue lam, counted in
+    summary."""
+    cert = two_ev_certificate(f, int(lam))
+    summary.two_ev += 1
+    summary.connected_two_ev += cert.cover_connected
+    return cert
+
+
 def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
     """Decide every assignment of spec, counting them and the hits in summary;
     yield (gain, certificate) for each 2ev hit, the only ones lifted."""
@@ -163,10 +172,7 @@ def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
         summary.sampled += len(rows)
         for i in np.flatnonzero(hit).tolist():
             f = gain_of_row(spec, rows[i])
-            cert = two_ev_certificate(f, int(lam[i]))
-            summary.two_ev += 1
-            summary.connected_two_ev += cert.cover_connected
-            yield f, cert
+            yield f, _count_hit(summary, f, lam[i])
 
 
 def run_search(spec: SearchSpec) -> VerifySummary:
@@ -207,10 +213,7 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0) -> VerifySummary:
                     raise FalsificationError(
                         "block-decomposition",
                         f"character spectra deviate from lift spectrum by {dev[i]:.3g}", f)
-                cert = two_ev_certificate(f, int(lam[i]))
-                summary.two_ev += 1
-                summary.connected_two_ev += cert.cover_connected
-                if not is_walk_regular(f.cover, cert):
+                if not is_walk_regular(f.cover, _count_hit(summary, f, lam[i])):
                     raise FalsificationError(
                         "walk-regularity-of-2ev-covers",
                         "2ev cover of a walk-regular base is not walk regular", f)

@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the package's own arithmetic paths."""
 
+import argparse
 import cmath
 import math
 import random
@@ -463,6 +464,19 @@ def plant_audit_failures(monkeypatch, failing):
 
     monkeypatch.setattr(search, "character_block_check", planted)
     return audited
+
+
+def command_parsers(parser, path=()):
+    """(command path, parser) for parser and each parser nested under it,
+    each parser once: an alias names the same parser as its subcommand."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            seen = set()
+            for name, child in action.choices.items():
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    yield from command_parsers(child, (*path, name))
 
 
 @pytest.fixture

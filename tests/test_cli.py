@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import math
 import os
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +15,7 @@ from gaincover.cli import main, named_graph, parse_group_spec
 from gaincover.errors import FalsificationError, ParameterError
 from gaincover.families import butson_gain, fourier_butson, huang_signing
 
-from conftest import plant_audit_failures
+from conftest import command_parsers, plant_audit_failures
 
 
 def run(args, capsys):
@@ -46,8 +49,8 @@ def test_group_specs():
 
 def test_demo_huang(tmp_path, capsys):
     jpath = tmp_path / "report.json"
-    code, out, err = run(["--json", str(jpath), "demo", "huang", "--n", "3",
-                          "--out", str(tmp_path)], capsys)
+    code, out, err = run(["demo", "huang", "--n", "3", "--out", str(tmp_path),
+                          "--json", str(jpath)], capsys)
     assert code == 0
     report = json.loads(jpath.read_text())
     assert report["two_ev"]["is_two_ev"] is True
@@ -61,8 +64,8 @@ def test_demo_huang(tmp_path, capsys):
 
 def test_demo_butson_report(tmp_path, capsys):
     jpath = tmp_path / "b.json"
-    code, _, _ = run(["--json", str(jpath), "demo", "butson", "--q", "3",
-                      "--out", str(tmp_path)], capsys)
+    code, _, _ = run(["demo", "butson", "--q", "3", "--out", str(tmp_path),
+                      "--json", str(jpath)], capsys)
     assert code == 0
     report = json.loads(jpath.read_text())
     arr = report["regularity"]["intersection_array"]
@@ -71,8 +74,8 @@ def test_demo_butson_report(tmp_path, capsys):
 
 def test_demo_k3n_nonexample(tmp_path, capsys):
     jpath = tmp_path / "ne.json"
-    code, _, _ = run(["--json", str(jpath), "demo", "k3n-nonexample", "--n", "2",
-                      "--out", str(tmp_path)], capsys)
+    code, _, _ = run(["demo", "k3n-nonexample", "--n", "2", "--out", str(tmp_path),
+                      "--json", str(jpath)], capsys)
     assert code == 0
     report = json.loads(jpath.read_text())
     assert report["two_ev"]["is_two_ev"] is False
@@ -139,7 +142,7 @@ def test_lift_and_classify_roundtrip(tmp_path, capsys):
     assert code == 0
     assert out.startswith("graph 8\n")
     jpath = tmp_path / "c.json"
-    code, _, _ = run(["--json", str(jpath), "classify", str(gpath)], capsys)
+    code, _, _ = run(["classify", str(gpath), "--json", str(jpath)], capsys)
     assert code == 0
     report = json.loads(jpath.read_text())
     assert report["cover"]["girth"] == 8
@@ -152,7 +155,7 @@ def test_classify_deterministic(tmp_path, capsys):
     reports = []
     for name in ("a.json", "b.json"):
         jpath = tmp_path / name
-        assert run(["--json", str(jpath), "classify", str(gpath)], capsys)[0] == 0
+        assert run(["classify", str(gpath), "--json", str(jpath)], capsys)[0] == 0
         r = json.loads(jpath.read_text())
         r.pop("meta")
         reports.append(r)
@@ -163,8 +166,8 @@ def test_certify_petersen(tmp_path, capsys):
     gpath = tmp_path / "p.edges"
     gpath.write_text(write_edge_list(petersen()))
     jpath = tmp_path / "p.json"
-    code, _, _ = run(["--json", str(jpath), "certify", str(gpath),
-                      "--checks", "drg,srg"], capsys)
+    code, _, _ = run(["certify", str(gpath), "--checks", "drg,srg",
+                      "--json", str(jpath)], capsys)
     assert code == 0
     report = json.loads(jpath.read_text())
     assert report["regularity"]["intersection_array"]["b"] == [3, 2]
@@ -175,8 +178,8 @@ def test_certify_petersen(tmp_path, capsys):
 
 def test_search_json(tmp_path, capsys):
     jpath = tmp_path / "s.json"
-    code, _, _ = run(["--json", str(jpath), "search", "--base", "k4",
-                      "--group", "z2"], capsys)
+    code, _, _ = run(["search", "--base", "k4", "--group", "z2",
+                      "--json", str(jpath)], capsys)
     assert code == 0
     payload = json.loads(jpath.read_text())
     assert payload["sampled"] == 8
@@ -200,8 +203,8 @@ def test_search_reports_the_assignments_decided(capsys, monkeypatch):
 
 def test_verify_drackn_alias(tmp_path, capsys):
     jpath = tmp_path / "v.json"
-    code, _, _ = run(["--json", str(jpath), "verify", "6.2",
-                      "--n", "4", "--r", "2"], capsys)
+    code, _, _ = run(["verify", "6.2", "--n", "4", "--r", "2",
+                      "--json", str(jpath)], capsys)
     assert code == 0
     payload = json.loads(jpath.read_text())
     assert payload == {"sampled": 8, "two_ev": 2, "connected_two_ev": 1,
@@ -213,8 +216,8 @@ def test_verify_srg_cover_cli(tmp_path, capsys):
     gpath = tmp_path / "b3.gain"
     gpath.write_text(write_gain_file(butson_gain(fourier_butson(3))))
     jpath = tmp_path / "v.json"
-    code, _, _ = run(["--json", str(jpath), "verify", "srg-cover",
-                      "--gain", str(gpath)], capsys)
+    code, _, _ = run(["verify", "srg-cover", "--gain", str(gpath),
+                      "--json", str(jpath)], capsys)
     assert code == 0
     payload = json.loads(jpath.read_text())
     assert payload["theorem_checks"]["intersection-array-formula"] == "pass"
@@ -224,6 +227,86 @@ def test_usage_errors_exit_1(capsys):
     assert run(["certify", "/nonexistent/file"], capsys)[0] == 1
     assert run(["search", "--base", "nope", "--group", "z2"], capsys)[0] == 1
     assert run(["verify", "q.e.d."], capsys)[0] == 1
+
+
+# the flags of each command path, demo family and verify property; each is
+# read by that command, and the top-level parser takes none but --help
+ACCEPTED_FLAGS = {
+    (): set(),
+    ("demo",): set(),
+    ("demo", "huang"): {"--n", "--out", "--json"},
+    ("demo", "cohen-tits"): {"--n", "--out", "--json"},
+    ("demo", "butson"): {"--q", "--out", "--json"},
+    ("demo", "s3k5"): {"--out", "--json"},
+    ("demo", "k3n-nonexample"): {"--n", "--out", "--json"},
+    ("lift",): {"--out"},
+    ("classify",): {"--json"},
+    ("certify",): {"--checks", "--json"},
+    ("search",): {"--base", "--group", "--mode", "--budget", "--seed", "--json"},
+    ("verify",): set(),
+    ("verify", "walk-regularity"): {"--bases", "--groups", "--samples", "--seed", "--json",
+                                    "--out"},
+    ("verify", "drackn"): {"--n", "--r", "--budget", "--json", "--out"},
+    ("verify", "srg-cover"): {"--gain", "--json", "--out"},
+    ("verify", "bipartite"): {"--m", "--n", "--r", "--budget", "--json", "--out"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    accepted = {path: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                for path, p in command_parsers(parser)}
+    assert accepted == ACCEPTED_FLAGS
+    assert sum(map(len, accepted.values())) == 44
+    # each numeric alias names its property's parser
+    verify = dict(command_parsers(parser))[("verify",)]
+    props = next(a for a in verify._actions if a.dest == "property").choices
+    for alias, name in [("5.1", "walk-regularity"), ("6.2", "drackn"), ("6.4", "srg-cover"),
+                        ("6.5", "bipartite")]:
+        assert props[alias] is props[name]
+
+
+# argv with flags that its command does not read: each exits 1 before it runs
+@pytest.mark.parametrize("argv", [
+    ["verify", "walk-regularity", "--budget", "5", "--samples", "3"],
+    ["verify", "drackn", "--samples", "9", "--gain", "nofile", "--bases", "zz"],
+    ["demo", "s3k5", "--n", "99", "--q", "7", "--seed", "4", "--budget", "1"],
+    ["lift", "g.gain", "--json", "x"],
+    ["--json", "a.json", "search", "--base", "k4", "--group", "z2", "--json", "b.json"],
+    ["verify", "srg-cover", "--gain", "b3.gain", "--n", "5"],
+])
+def test_flag_the_command_does_not_read_exit_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gain").write_text(write_gain_file(huang_signing(2)))
+    (tmp_path / "b3.gain").write_text(write_gain_file(butson_gain(fourier_butson(3))))
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b3.gain", "g.gain"]
+
+
+def _load_bench_workloads(monkeypatch):
+    """bench/workloads.py, imported from its file for the current test."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["search-exhaustive", "walkreg-random", "classify-large"])
+def test_benchmark_traffic_passes_its_checks(tmp_path, capsys, monkeypatch, workload):
+    # every full-size call the benchmark makes parses, exits 0 and prints JSON
+    # that satisfies the invariants the benchmark checks
+    workloads = _load_bench_workloads(monkeypatch)
+    invocations = workloads.build(workload, workloads.DEFAULT_SEED, str(tmp_path))
+    assert invocations
+    for inv in invocations:
+        code, out, err = run(inv.argv, capsys)
+        assert code == 0, (inv.label, err)
+        assert inv.check(json.loads(out)) == [], inv.label
 
 
 def test_falsification_exit_2(tmp_path, capsys, monkeypatch):
@@ -376,8 +459,8 @@ def test_lapack_failure_through_classify_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_budget_refusal_exit_1(tmp_path, capsys):
-    code, _, err = run(["--budget", "3", "search", "--base", "petersen",
-                        "--group", "z2"], capsys)
+    code, _, err = run(["search", "--base", "petersen", "--group", "z2",
+                        "--budget", "3"], capsys)
     assert code == 1
     assert "budget" in err
     # 2^14365 assignments: the refusal states the count as a power, which in
@@ -416,7 +499,7 @@ def test_wrong_block_decomposition_falsified_at_the_cli(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("argv", [
-    ["--budget", "-5", "search", "--base", "k4", "--group", "z2", "--mode", "random"],
+    ["search", "--base", "k4", "--group", "z2", "--mode", "random", "--budget", "-5"],
     ["search", "--base", "k4", "--group", "z2", "--budget", "-1"],
     ["verify", "walk-regularity", "--bases", "k4", "--groups", "z2", "--samples", "-3"],
 ])

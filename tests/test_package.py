@@ -1,10 +1,11 @@
-import argparse
 import importlib
 import re
 from pathlib import Path
 
 import gaincover
 from gaincover.cli import build_parser
+
+from conftest import command_parsers
 
 
 def test_every_exported_name_resolves():
@@ -33,13 +34,10 @@ def test_readme_library_table_names_exist():
 
 def test_readme_cli_flags_match_the_parser():
     # every --flag in README's CLI section is an option of the parser or of a
-    # subcommand, and every such option but --help is named there
+    # subcommand at any depth, and every such option but --help is named there
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-    parser = build_parser()
-    parsers = [parser, *next(a for a in parser._actions
-                             if isinstance(a, argparse._SubParsersAction)).choices.values()]
-    options = {o for p in parsers for a in p._actions for o in a.option_strings
-               if o.startswith("--")}
+    options = {o for _, p in command_parsers(build_parser()) for a in p._actions
+               for o in a.option_strings if o.startswith("--")}
     assert named == options - {"--help"}
