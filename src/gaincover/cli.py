@@ -297,6 +297,12 @@ def _verify_srg(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise ParameterError and which, with its
+    subparsers, takes each flag only as spelt, never a prefix of it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ParameterError(message)
 

@@ -2,6 +2,11 @@
 eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
 gain graphs, and the two-eigenvalue classifier.
 
+Every exact char poly is taken modulo word-size primes by one stacked
+Hessenberg kernel, `_char_poly_mod`, which runs all its (prime, matrix)
+slices at once, and is CRT-reconstructed against Maclaurin's coefficient
+bound (`_coefficient_bound`).
+
 Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
 one matrix (`hermitian_spectrum`) or a stack: it raises NumericError on
 LAPACK non-convergence or non-finite input. The block-decomposition audit
@@ -16,11 +21,14 @@ scatters the batch's adjacency matrices from `gains.cover_arcs`, the one
 cover layout. The new spectrum of a lift is the spectrum of its adjacency on
 W, the vectors that sum to zero on every fiber. A certificate carries its
 exact characteristic polynomial there, `new_poly`: a hit builds it from the
-verdict, and only a miss takes it, at dimension n(r-1) and never the lift's
-nr, by `spectral_difference_poly`; a miss's count of new distinct eigenvalues
-is the degree of its modularly certified square-free part, never read from
-clustered numeric spectra. Every function that needs a lift reads
-`GainGraph.cover`.
+verdict, and only a miss takes it, by `spectral_difference_poly`, never at
+the lift's dimension nr: abelian gains as the product of the char polys of
+their n-square character matrices modulo primes p = 1 (mod e), e the
+group's exponent, and permutation gains, which have no characters, as the
+char poly of the n(r-1)-square integer matrix on W. A miss's count of new
+distinct eigenvalues is the degree of its modularly certified square-free
+part, never read from clustered numeric spectra. Every function that needs a
+lift reads `GainGraph.cover`.
 """
 
 from __future__ import annotations
@@ -41,53 +49,129 @@ from .intpoly import IntPoly, _is_prime, integer_roots, squarefree_part
 # `hermitian_spectrum` and the audit bound of `character_block_check`
 TOL = 1e-7
 
+# entries in one batch array, float64 lifts in `fiber_two_ev` and int64
+# slices in `_char_poly_mod`: 2**15 of them is 256 KiB
+BATCH_ENTRIES = 2**15
+
+
+def batch_rows(cover_n):
+    """Rows per batch, so that one (rows, cover_n, cover_n) array holds at
+    most BATCH_ENTRIES entries (and at least one row)."""
+    return max(1, BATCH_ENTRIES // max(cover_n, 1) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial
 
 
 def _char_poly_mod(A, p):
-    """Coefficients [c_0, ..., c_n = 1] of det(xI - A) mod p, ascending.
+    """Coefficients [c_0, ..., c_n = 1] of det(xI - A_k) mod p_k, ascending,
+    for each slice A_k of a (K, n, n) integer stack and its modulus p_k, an
+    int of the list p, as a (K, n + 1) int64 array.
 
-    Reduces A mod p to upper Hessenberg form H by similarity, then runs the
+    Reduces each slice mod its p_k to upper Hessenberg form H by similarity,
+    each subdiagonal entry h_m,m-1 scaled to 1 or left 0, then runs the
     Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
     Theory, 2.2.9) for the characteristic polynomials p_m of the leading
     m x m blocks:
 
         p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (prod_{i<j<=m} h_{j,j-1}) p_{i-1}.
 
-    O(n^3) per prime in int64; p is chosen so n*p^2 < 2^63 keeps every dot
-    product exact.
+    A subdiagonal 0 splits H into diagonal blocks whose char polys multiply,
+    so the entries above it, which do not count, are dropped, and every
+    product of subdiagonal entries in the recurrence is 1.
+
+    O(n^3) per slice in int64; each p_k is chosen so n*p_k^2 < 2^63 keeps
+    every dot product exact. The slices run `batch_rows(n)` at a time, each
+    step on all of them at once: each slice takes its own pivot row, and a
+    row is skipped only where its multiplier is zero in every slice.
     """
-    n = A.shape[0]
-    H = A % p
+    n = A.shape[-1]
+    out = np.empty((len(A), n + 1), dtype=np.int64)
+    step = batch_rows(n)
+    for lo in range(0, len(A), step):
+        moduli = p[lo:lo + step]
+        q = np.array(moduli, dtype=np.int64)[:, None]
+        # the two phases are functions of their own, so that a chunk's
+        # Hessenberg form is freed before its recurrence allocates
+        out[lo:lo + step] = _hessenberg_recurrence(
+            _hessenberg_columns(A[lo:lo + step], moduli, q), q)
+    return out
+
+
+def _hessenberg_columns(A, moduli, q):
+    """Upper Hessenberg forms H of the slices of A mod their moduli (the list
+    moduli, and q, the same as a column), returned as their columns, each a
+    contiguous row. Each H is similar to its slice but for blocks that do not
+    count towards the char poly: every subdiagonal entry is 1, or 0 with
+    nothing above it, but the last, which is folded into the column above
+    it. See `_char_poly_mod`."""
+    n = A.shape[-1]
+    H = A % q[:, :, None]
     for m in range(1, n - 1):
-        nz = np.flatnonzero(H[m:, m - 1])
-        if nz.size == 0:
-            continue  # column already reduced
-        i = m + int(nz[0])
-        if i != m:
-            H[[i, m]] = H[[m, i]]
-            H[:, [i, m]] = H[:, [m, i]]
-        u = H[m + 1:, m - 1] * pow(int(H[m, m - 1]), -1, p) % p
-        # H <- L H L^-1 with L = I - u e_m^T. Row m is zero left of column
-        # m-1, and a row with a zero multiplier keeps its values: adjacency
-        # matrices are sparse, so that skips most rows of the early columns
-        rows = m + 1 + np.flatnonzero(u)
-        H[rows, m - 1:] = (H[rows, m - 1:] - np.outer(u[rows - m - 1], H[m, m - 1:])) % p
-        H[:, m] = (H[:, m] + H[:, m + 1:] @ u) % p
-    # row m holds p_m's ascending coefficients; t[i] = prod_{i<j<=m} h_{j,j-1}
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    t = np.zeros(0, dtype=np.int64)
+        # h_m,m-1 = 0 makes H block upper triangular, and the block above it
+        # does not count towards the char poly: it is dropped
+        if not H[:, m:, m - 1].any():
+            H[:, :m, m:] = 0
+            continue  # column already reduced in every slice
+        piv = H[:, m, m - 1]
+        if not piv.all():
+            # swap rows and columns m and i, the first row from m on with a
+            # nonzero in column m-1, in every slice; i = m swaps nothing
+            k = np.arange(len(H))
+            i = (H[:, m:, m - 1] != 0).argmax(axis=1) + m
+            row = H[k, i]
+            H[k, i] = H[:, m]
+            H[:, m] = row
+            col = H[k, :, i]
+            H[k, :, i] = H[:, :, m]
+            H[:, :, m] = col
+            H[piv == 0, :m, m:] = 0  # the slices whose column is reduced
+        # H <- L D H D^-1 L^-1. D scales row m by 1/h_m,m-1 and column m by
+        # h_m,m-1, so that h_m,m-1 = 1 (a slice whose column is already
+        # reduced keeps D = I); L = I - u e_m^T clears column m-1 below row m
+        pivots = piv.tolist()
+        inv = [pow(x, -1, p_k) if x else 1 for x, p_k in zip(pivots, moduli)]
+        pivot_row = H[:, m, m - 1:]
+        pivot_row *= np.array(inv)[:, None]
+        pivot_row %= q
+        # v = (h_m,m-1, u): D^-1 L^-1 = I + (v - e_m) e_m^T sets column m to
+        # H v, the column scaled plus the columns after it times u
+        v = H[:, m:, m - 1].copy()
+        v[:, 0] = [x or 1 for x in pivots]
+        # row m is zero left of column m-1, and a row with a zero multiplier
+        # keeps its values: adjacency matrices are sparse, so that skips most
+        # rows of the early columns
+        nz = 1 + np.flatnonzero(v[:, 1:].sum(axis=0))
+        if nz.size:
+            rows = m + nz
+            H[:, rows, m - 1:] = (H[:, rows, m - 1:]
+                                  - v[:, nz, None] * pivot_row[:, None]) % q[:, :, None]
+        H[:, :, m] = (H[:, :, m:] @ v[:, :, None])[:, :, 0] % q
+    # every subdiagonal entry but the last is now 1, or 0 with nothing above
+    # it; multiplying the column above the last by it folds it in, so every
+    # product of subdiagonal entries in the recurrence is 1
+    if n > 1:
+        last = H[:, :n - 1, n - 1]
+        last *= H[:, n - 1, n - 2, None]
+        last %= q
+    return np.ascontiguousarray(H.transpose(0, 2, 1))
+
+
+def _hessenberg_recurrence(cols, q):
+    """Ascending coefficients of the char polys mod q of the Hessenberg forms
+    whose columns are the rows of cols, by the recurrence of `_char_poly_mod`,
+    one row per slice."""
+    n = cols.shape[-1]
+    # row m of P holds p_m's ascending coefficients
+    P = np.zeros((len(cols), n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
     for m in range(1, n + 1):
-        c = m - 1
-        P[m, 1:] = P[c, :-1]
-        P[m] = (P[m] - H[c, c] * P[c]) % p
-        if c:
-            P[m, :c] = (P[m, :c] - (H[:c, c] * t % p) @ P[:c, :c]) % p
-        if m < n:
-            t = np.append(t, 1) * H[m, c] % p
-    return P[n]
+        P[:, m, 1:] = P[:, m - 1, :-1]
+        row = P[:, m, :m]
+        row -= (cols[:, m - 1, None, :m] @ P[:, :m, :m])[:, 0]
+        row %= q
+    return P[:, n]
 
 
 def _integer_matrix(A):
@@ -116,15 +200,52 @@ def _integer_matrix(A):
     return out
 
 
+def _coefficient_bound(N, F):
+    """Bound on every coefficient of a monic degree-N polynomial whose roots
+    have sum |lambda|^2 <= F: the coefficient of x^(N-i) is +-e_i(lambda),
+    and |e_i(lambda)| <= e_i(|lambda|) <= C(N,i) * (F/N)^(i/2) by Maclaurin's
+    inequality."""
+    f = -(-F // N)  # ceil(F / N)
+    return max(math.isqrt(math.comb(N, i) ** 2 * f**i) + 1 for i in range(N + 1))
+
+
+def _crt_primes(n, bound, e=1):
+    """The fewest primes p = 1 (mod e), descending from the largest with
+    n*p^2 < 2^63, whose product exceeds 2 * bound."""
+    primes, prod = [], 1
+    p = math.isqrt((2**63 - 1) // n)
+    p -= (p - 1) % e
+    while prod <= 2 * bound:
+        while not _is_prime(p):
+            p -= e
+        primes.append(p)
+        prod *= p
+        p -= e
+    return primes
+
+
+def _crt(residues, primes) -> IntPoly:
+    """The polynomial whose coefficients are the signed integers of least
+    absolute value congruent to row j of residues modulo primes[j]."""
+    prod = math.prod(primes)
+    out = [0] * residues.shape[1]
+    for row, p in zip(residues, primes):
+        quo = prod // p
+        weight = quo * pow(quo % p, -1, p)
+        for i, r in enumerate(row.tolist()):
+            out[i] += r * weight
+    half = prod // 2
+    return IntPoly((x + half) % prod - half for x in out)
+
+
 def char_poly_int_matrix(A) -> IntPoly:
     """Exact characteristic polynomial of a square integer matrix.
 
-    Runs `_char_poly_mod` modulo enough word-size primes that their product
-    exceeds twice the coefficient bound max_i C(n,i) * (F/n)^(i/2), with
-    F = ||A||_F^2, then CRT-reconstructs the signed integers. The bound holds
-    for any square matrix: the coefficient of x^(n-i) is +-e_i(lambda), and
-    |e_i(lambda)| <= e_i(|lambda|) <= C(n,i) * (sum |lambda|^2 / n)^(i/2) by
-    Maclaurin's inequality, where sum |lambda|^2 <= F by Schur's inequality.
+    Runs `_char_poly_mod` on one stack of A, one slice per word-size prime,
+    with enough primes that their product exceeds twice the coefficient
+    bound of `_coefficient_bound` with F = ||A||_F^2, then CRT-reconstructs
+    the signed integers. The bound holds for any square matrix, since
+    sum |lambda|^2 <= F by Schur's inequality.
 
     Raises ParameterError when A is not square, or has an entry that is not
     an integer or lies outside int64.
@@ -133,25 +254,9 @@ def char_poly_int_matrix(A) -> IntPoly:
     n = A.shape[0]
     if n == 0:
         return IntPoly((1,))
-    # ceil(F / n), summed in object dtype so that squaring an entry cannot overflow
-    f = -(-int(np.square(A.astype(object)).sum()) // n)
-    bound = max(math.isqrt(math.comb(n, i) ** 2 * f**i) + 1 for i in range(n + 1))
-    primes, prod = [], 1
-    p = math.isqrt((2**63 - 1) // n)
-    while prod <= 2 * bound:
-        while not _is_prime(p):
-            p -= 1
-        primes.append(p)
-        prod *= p
-        p -= 1
-    out = [0] * (n + 1)
-    for p in primes:
-        quo = prod // p
-        weight = quo * pow(quo % p, -1, p)
-        for i, r in enumerate(_char_poly_mod(A, p).tolist()):
-            out[i] += r * weight
-    half = prod // 2
-    return IntPoly((x + half) % prod - half for x in out)
+    # F summed in object dtype, so that squaring an entry cannot overflow
+    primes = _crt_primes(n, _coefficient_bound(n, int(np.square(A.astype(object)).sum())))
+    return _crt(_char_poly_mod(np.broadcast_to(A, (len(primes), n, n)), primes), primes)
 
 
 @lru_cache(maxsize=512)
@@ -336,35 +441,109 @@ class TwoEvCertificate:
         }
 
 
-def spectral_difference_poly(f: GainGraph) -> IntPoly:
-    """Exact characteristic polynomial of the lift's adjacency A on W, the
-    vectors that sum to zero on every fiber: the cover's char poly over the
-    base's.
+def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
+    """The lift's adjacency A on W, the vectors that sum to zero on every
+    fiber, as an n(r-1)-square integer matrix.
 
     W is invariant when every r x r block of A has constant row sums, equal
     to the base adjacency; A then acts on the fiber sums as the base does. In
     the integer basis e_(v,i) - e_(v,0), i = 1..r-1, of W, A is the matrix
-    with entry ((v,i), (u,j)) equal to A((v,i), (u,j)) - A((v,i), (u,0)), of
-    dimension n(r-1). Raises InternalConsistencyError when the blocks of the
-    lift do not have those row sums.
+    with entry ((v,i), (u,j)) equal to A((v,i), (u,j)) - A((v,i), (u,0)).
+    Raises InternalConsistencyError when the blocks of the lift do not have
+    those row sums.
     """
     n, r = f.base.n, f.cover.r
     a = f.cover.graph.adjacency().reshape(n, r, n, r)
     if not (a.sum(axis=3) == f.base.adjacency()[:, None, :]).all():
         raise InternalConsistencyError(
             "lift blocks do not have the base adjacency as row sums; lift is broken")
-    return char_poly_int_matrix(
-        (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(n * (r - 1), n * (r - 1)))
+    return (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(n * (r - 1), n * (r - 1))
 
 
-# float64 entries in one batch array of `fiber_two_ev`: 2**15 of them is 256 KiB
-BATCH_ENTRIES = 2**15
+def _root_of_unity(e, p):
+    """An element of order e in F_p, for a prime p = 1 (mod e): g^((p-1)/e)
+    for the least g >= 2 whose power has that order."""
+    factors = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // e, p)
+        if all(pow(w, e // q, p) != 1 for q in factors):
+            return w
+        g += 1
 
 
-def batch_rows(cover_n):
-    """Assignments per batch, so that one (rows, cover_n, cover_n) float64 array
-    of their lifts holds at most BATCH_ENTRIES entries (and at least one row)."""
-    return max(1, BATCH_ENTRIES // max(cover_n, 1) ** 2)
+def _poly_mul_mod(a, b, q):
+    """Row-wise products of the ascending coefficient rows of a and b, modulo
+    the column q of moduli, one row per modulus."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for j in range(b.shape[1]):
+        part = out[:, j:j + a.shape[1]]
+        part += a * b[:, j, None]
+        part %= q
+    return out
+
+
+def _character_difference_poly(f: GainGraph) -> IntPoly:
+    """`spectral_difference_poly` of abelian gains, from their character
+    matrices.
+
+    The lift is similar to the block diagonal of the character matrices
+    S_chi, and the trivial character gives the base, so the char poly on W is
+    prod_{chi != 1} det(xI - S_chi) in Z[zeta_e][x], e the exponent of the
+    group. Mod a prime p = 1 (mod e), zeta_e maps to an element of order e
+    in F_p, and the product to the char polys of the n-square S_chi mod p.
+    S_conj(chi) is the transpose of S_chi, so each pair {chi, conj chi}
+    takes one char poly, squared; a real character counts once. Every
+    (prime, pair) slice goes through one stack of `_char_poly_mod`; the
+    factors multiply mod p, and only their product, whose coefficients are
+    integers, is CRT-reconstructed. The lift is symmetric, so its
+    eigenvalues on W are real and sum |lambda|^2 = tr(A_lift^2) -
+    tr(A_base^2) = 2m(r-1) is the exact F of `_coefficient_bound`.
+    """
+    base, group = f.base, f.group
+    n, m, r = base.n, base.m, group.sheet_count
+    e = math.lcm(*group.orders)
+    pairs = [c for c in group.elements()[1:] if c <= group.inverse(c)]
+    primes = _crt_primes(n, _coefficient_bound(n * (r - 1), 2 * m * (r - 1)), e)
+    # chi_c(g) = zeta_e^(sum_i c_i g_i e / r_i) for the gain g of each edge
+    edges = base.sorted_edges()
+    gains = np.array([f.gains[uv] for uv in edges], dtype=np.int64).reshape(m, len(group.orders))
+    expo = np.array(pairs) * (e // np.array(group.orders)) @ gains.T % e
+    roots = [_root_of_unity(e, p) for p in primes]
+    powers = np.array([[pow(w, j, p) for j in range(e)] for w, p in zip(roots, primes)],
+                      dtype=np.int64)
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    s = np.zeros((len(primes), len(pairs), n, n), dtype=np.int64)
+    s[:, :, u, v] = powers[:, expo]
+    s[:, :, v, u] = powers[:, -expo % e]
+    polys = _char_poly_mod(s.reshape(-1, n, n), [p for p in primes for _ in pairs])
+    polys = polys.reshape(len(primes), len(pairs), n + 1)
+    factors = [polys[:, j] for j, c in enumerate(pairs)
+               for _ in range(1 if c == group.inverse(c) else 2)]
+    q = np.array(primes, dtype=np.int64)[:, None]
+    out = factors[0]
+    for factor in factors[1:]:
+        out = _poly_mul_mod(out, factor, q)
+    return _crt(out, primes)
+
+
+def spectral_difference_poly(f: GainGraph) -> IntPoly:
+    """Exact characteristic polynomial of the lift's adjacency A on W, the
+    vectors that sum to zero on every fiber: the cover's char poly over the
+    base's.
+
+    Abelian gains take it from their character matrices
+    (`_character_difference_poly`); permutation gains have no characters and
+    take the char poly of `fiber_sum_zero_matrix`, of dimension n(r-1).
+    Raises InternalConsistencyError when the blocks of the lift do not have
+    the base adjacency as row sums.
+    """
+    w = fiber_sum_zero_matrix(f)  # checks the lift's blocks on either route
+    if f.group.is_abelian:
+        return _character_difference_poly(f)
+    return char_poly_int_matrix(w)
+
+
 
 
 def _batch_input(base: Graph, table, rows):

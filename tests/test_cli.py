@@ -285,6 +285,20 @@ def test_flag_the_command_does_not_read_exit_1(tmp_path, capsys, monkeypatch, ar
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b3.gain", "g.gain"]
 
 
+# a prefix of a flag is not the flag: each exits 1 before it runs
+@pytest.mark.parametrize("argv", [
+    ["search", "--bas", "k4", "--group", "z2", "--json", "ab.json"],
+    ["search", "--base", "k4", "--gro", "z2", "--json", "ab.json"],
+    ["search", "--base", "k4", "--group", "z2", "--js", "ab.json"],
+], ids=["bas", "gro", "js"])
+def test_abbreviated_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def _load_bench_workloads(monkeypatch):
     """bench/workloads.py, imported from its file for the current test."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -1,5 +1,6 @@
-"""Golden reports: the JSON of `classify` on the demo gains and of three
-exhaustive searches, outside `meta`, against files in tests/data.
+"""Golden reports: the JSON of `classify` on the demo gains and on three
+abelian gains whose lifts are not 2ev, and of three exhaustive searches,
+outside `meta`, against files in tests/data.
 
 The files hold the reports with `meta` and the input path dropped. Integers,
 booleans and other strings are compared exactly; decimal float strings are
@@ -58,6 +59,18 @@ def test_classify_report_matches_its_golden_file(tmp_path, demo, stem):
     assert main(["demo", *demo, "--out", str(tmp_path),
                  "--json", str(tmp_path / "demo.json")]) == 0
     got = produced(["classify", str(tmp_path / (stem + ".gain"))], tmp_path)
+    assert got == golden("classify_" + stem)
+
+
+# gain files in tests/data, abelian and not 2ev: the random Q5/Z3 and
+# K(8,2)/Z4 gains that bench/workloads.py draws at its default seed, and a
+# random Q3/Z5 gain, whose single characters have char polys outside Z[x]
+MISSES = ["random_q5_z3", "random_kn8_2_z4", "random_q3_z5"]
+
+
+@pytest.mark.parametrize("stem", MISSES)
+def test_abelian_miss_report_matches_its_golden_file(tmp_path, stem):
+    got = produced(["classify", os.path.join(DATA, stem + ".gain")], tmp_path)
     assert got == golden("classify_" + stem)
 
 

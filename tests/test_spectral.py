@@ -20,7 +20,7 @@ from gaincover.intpoly import IntPoly, squarefree_part
 from gaincover.search import RANDOM, SearchSpec, assignment_rows, run_search
 from gaincover.gains import CoverGraph, gain_row, sheet_table
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                fiber_two_ev, hermitian_spectrum,
+                                fiber_sum_zero_matrix, fiber_two_ev, hermitian_spectrum,
                                 spectral_difference_poly, two_ev_certificate)
 
 from conftest import (block_check_oracle, edge_lift, edge_rep_matrix, lift_fiber_two_ev,
@@ -163,6 +163,42 @@ def test_char_poly_general_int_matrix():
 def test_char_poly_int_matrix_rejects_bad_input(bad):
     with pytest.raises(ParameterError):
         char_poly_int_matrix(bad)
+
+
+def _char_poly_mod_oracle(a, p):
+    return [c % p for c in fl_bigint_char_poly(a)]
+
+
+def test_stacked_char_poly_mod_matches_each_slice_alone(rng, monkeypatch):
+    big = spectral._crt_primes(6, 2**200)
+    base = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
+    base[1][0], base[2][0] = 101, 1
+    # the same matrix under 101 and 103 pivots on row 2 and on row 1 of
+    # column 0; the third slice has column 0 already reduced, so its h_10 = 0
+    # splits it; the others are dense and sparse
+    split = [row[:] for row in base]
+    for i in range(1, 6):
+        split[i][0] = 0
+    sparse = [[rng.choice((0, 0, 0, 1, -2)) for _ in range(6)] for _ in range(6)]
+    slices = [base, base, split, [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)], sparse]
+    moduli = [101, 103, 7, big[0], big[1]]
+    assert base[1][0] % 101 == 0 and base[1][0] % 103 != 0
+    stack = spectral._char_poly_mod(np.array(slices, dtype=np.int64), moduli)
+    for a, p, got in zip(slices, moduli, stack.tolist()):
+        alone = spectral._char_poly_mod(np.array([a], dtype=np.int64), [p])
+        assert got == alone[0].tolist() == _char_poly_mod_oracle(a, p), p
+    # stacks of one slice and of several, at n = 0, 1 and 2, and a stack that
+    # runs in chunks of two slices
+    for n in (0, 1, 2):
+        mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        for k in (1, 3):
+            got = spectral._char_poly_mod(np.array(mats[:k], dtype=np.int64).reshape(k, n, n),
+                                          moduli[:k])
+            assert got.tolist() == [_char_poly_mod_oracle(a, p)
+                                    for a, p in zip(mats[:k], moduli)], (n, k)
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 6 * 6)
+    assert spectral._char_poly_mod(np.array(slices, dtype=np.int64), moduli).tolist() == \
+        stack.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +430,23 @@ def test_difference_poly_is_the_char_poly_on_the_fiber_sum_zero_space(rng):
                 f = _random_gain(rng, base, group)
                 quo = spectral_difference_poly(f)
                 assert quo == _lift_over_base(f), (f.gains, group)
+                assert quo == char_poly_int_matrix(fiber_sum_zero_matrix(f))
                 assert quo.degree == base.n * (group.sheet_count - 1)
+    # abelian gains take the char poly from their characters: a single
+    # character's char poly has coefficients outside Z for Z5 (above) and Z8,
+    # and Z2 x Z4 and Z3 x Z3 have several cyclic factors
+    for base in bases:
+        for orders in [(4,), (6,), (8,), (2, 4), (3, 3)]:
+            f = _random_gain(rng, base, GroupSpec.abelian(*orders))
+            quo = spectral_difference_poly(f)
+            assert quo == _lift_over_base(f) == char_poly_int_matrix(fiber_sum_zero_matrix(f)), \
+                (f.gains, orders)
+    # an edgeless base: nothing but the eigenvalue 0 is new
+    for n in (1, 3):
+        for r in (2, 3):
+            f = GainGraph(Graph(n, []), GroupSpec.cyclic(r), {})
+            assert spectral_difference_poly(f) == _lift_over_base(f) == char_poly_int_matrix(
+                fiber_sum_zero_matrix(f)) == IntPoly((0,) * (n * (r - 1)) + (1,))
     # Sym(1): W is empty, so nothing is new
     k3 = complete_graph(3)
     assert spectral_difference_poly(
@@ -419,8 +471,9 @@ def test_difference_poly_refuses_a_cover_that_is_not_a_lift():
 
 
 def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, monkeypatch):
-    base, r = kneser(8, 2), 4
-    f = _random_gain(rng, base, GroupSpec.cyclic(r))
+    # an abelian miss takes its char poly on W from its n-square character
+    # matrices, with no call of char_poly_int_matrix; a permutation miss has
+    # no characters and takes one, of the n(r-1)-square matrix on W
     sizes = []
     real = spectral.char_poly_int_matrix
 
@@ -430,9 +483,13 @@ def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, mo
 
     monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
     spectral.char_poly.cache_clear()
-    cert = classify_two_ev(f)
+    cert = classify_two_ev(_random_gain(rng, kneser(8, 2), GroupSpec.cyclic(4)))
     assert not cert.is_two_ev
-    assert sizes == [base.n * (r - 1)]
+    assert sizes == []
+    base, group = complete_graph(5), GroupSpec.permutation(3)
+    cert = classify_two_ev(_random_gain(rng, base, group))
+    assert not cert.is_two_ev
+    assert sizes == [base.n * (group.sheet_count - 1)]
 
 
 def test_a_hit_report_takes_only_the_base_char_poly(monkeypatch):
