@@ -123,8 +123,8 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
 
     x is a graph, or a lift with its certificate. Powers 1..d-1 suffice for
     any d at least the distinct eigenvalue count, since every higher power is
-    a fixed combination of A^0..A^(d-1). A bare graph takes d from the exact
-    square-free part of its char poly. A lift's spectrum is its base's plus
+    a fixed combination of A^0..A^(d-1). A bare graph takes d as its exact
+    `distinct_eigenvalue_count`. A lift's spectrum is its base's plus
     the one on vectors summing to zero on every fiber, so a certificate gives
     d = (base's count) + cert.new_distinct without the lift's char poly.
     Raises ParameterError for a lift without its certificate, so that no char

@@ -2,10 +2,16 @@
 eigenvalues from LAPACK (np.linalg.eigvalsh), character matrices of abelian
 gain graphs, and the two-eigenvalue classifier.
 
-Every exact char poly is taken modulo word-size primes by one stacked
-Hessenberg kernel, `_char_poly_mod`, which runs all its (prime, matrix)
-slices at once, and is CRT-reconstructed against Maclaurin's coefficient
-bound (`_coefficient_bound`).
+A graph's exact char poly and distinct eigenvalue count (`char_poly`,
+`distinct_eigenvalue_count`) are first guessed from its rounded spectrum
+and certified exactly by sparse powers of its adjacency modulo word-size
+primes (`_few_eigenvalue_char_poly`); the graphs the paper is about, with
+few distinct eigenvalues, pass, and need no Hessenberg reduction and no
+square-free part. Every other exact char poly (a graph whose certificate
+fails, an integer matrix, a miss's on W) is taken modulo word-size primes
+by one stacked Hessenberg kernel, `_char_poly_mod`, which runs all its
+(prime, matrix) slices at once, and is CRT-reconstructed against
+Maclaurin's coefficient bound (`_coefficient_bound`).
 
 Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
 one matrix (`hermitian_spectrum`) or a stack: it raises NumericError on
@@ -43,7 +49,8 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import IntPoly, _is_prime, integer_roots, squarefree_part
+from .intpoly import (IntPoly, _gcd_prime, _is_prime, _monic_gcd_mod, integer_roots,
+                      squarefree_part)
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
@@ -259,18 +266,6 @@ def char_poly_int_matrix(A) -> IntPoly:
     return _crt(_char_poly_mod(np.broadcast_to(A, (len(primes), n, n)), primes), primes)
 
 
-@lru_cache(maxsize=512)
-def char_poly(g: Graph) -> IntPoly:
-    """Exact characteristic polynomial of the 0/1 adjacency matrix."""
-    return char_poly_int_matrix(g.adjacency())
-
-
-@lru_cache(maxsize=512)
-def distinct_eigenvalue_count(g: Graph) -> int:
-    """Number of distinct adjacency eigenvalues, via the exact square-free part."""
-    return squarefree_part(char_poly(g)).degree
-
-
 # ---------------------------------------------------------------------------
 # numeric Hermitian eigensolver
 
@@ -353,6 +348,155 @@ def hermitian_spectrum(matrix) -> Spectrum:
         raise ContractViolation("matrix must be square")
     vals, scale = _checked_eigvalsh(A.astype(np.complex128 if np.iscomplexobj(A) else np.float64))
     return cluster_values(vals, float(scale))
+
+
+# ---------------------------------------------------------------------------
+# exact characteristic polynomial of a graph
+
+
+def _rounded_factors(g: Graph):
+    """{k: g_k}, the guess of `_few_eigenvalue_char_poly`: g_k = prod (x -
+    theta) over the clustered eigenvalues theta of multiplicity k of the
+    adjacency of g, rounded to integers; None when the eigensolver fails or a
+    coefficient reaches 2^50, past which a float no longer resolves
+    integers."""
+    try:
+        spectrum = hermitian_spectrum(g.adjacency(dtype=np.float64))
+    except NumericError:
+        return None
+    roots = {}
+    for theta, k in spectrum:
+        roots.setdefault(k, []).append(theta)
+    factors = {}
+    for k, thetas in roots.items():
+        c = np.poly(thetas)[::-1]
+        if not (np.abs(c) < 2**50).all():
+            return None
+        factors[k] = IntPoly(np.rint(c).tolist())
+    return factors
+
+
+def _power_sums(f: IntPoly, count):
+    """The power sums s_0, ..., s_(count-1) of the roots of the monic f, by
+    Newton's identities."""
+    c, d = f.coeffs, f.degree
+    sums = [d]
+    for j in range(1, count):
+        acc = j * c[d - j] if j <= d else 0
+        for i in range(1, min(j - 1, d) + 1):
+            acc += c[d - i] * sums[j - i]
+        sums.append(-acc)
+    return sums
+
+
+def _powers_check_mod(table, m: IntPoly, traces, primes):
+    """True iff m(A) = 0 and tr(A^j) = traces[j] for 0 < j < deg m modulo
+    every prime of the list primes, each with n p^2 < 2^63, where A is the
+    n-square adjacency whose row u has ones at the entries of row u of table,
+    an (n, Delta) array of neighbour lists padded with n.
+
+    Takes A^j = A A^(j-1) for j = 1..deg m on all the primes at once, each
+    step a sum of rows of A^(j-1) over the table, with a zero row n for the
+    padding, and adds c_j A^j into m(A) as it goes.
+    """
+    n, delta = table.shape
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    # residues of the coefficients of m and of the traces, one column per prime
+    coeffs = np.array([[c % p for p in primes] for c in m.coeffs], dtype=np.int64)
+    traces = np.array([[t % p for p in primes] for t in traces], dtype=np.int64)
+    diag = np.arange(n)
+    power = np.zeros((len(primes), n + 1, n), dtype=np.int64)
+    power[:, diag, diag] = 1
+    m_of_a = np.zeros((len(primes), n, n), dtype=np.int64)
+    m_of_a[:, diag, diag] = coeffs[0, :, None]
+    for j in range(1, m.degree + 1):
+        step = np.zeros((len(primes), n, n), dtype=np.int64)
+        for t in range(delta):
+            step += power[:, table[:, t]]
+        step %= q
+        power[:, :n] = step
+        if j < m.degree and (step.trace(axis1=1, axis2=2) % q[:, 0, 0] != traces[j]).any():
+            return False
+        if m.coeffs[j]:
+            m_of_a += coeffs[j, :, None, None] * step
+            m_of_a %= q
+    return not m_of_a.any()
+
+
+def _few_eigenvalue_char_poly(g: Graph):
+    """(char poly, distinct eigenvalue count) of the adjacency A of g, from
+    the guess of `_rounded_factors` certified exactly, or None when the guess
+    or a check fails.
+
+    The guess is a monic g_k in Z[x] for each multiplicity k. The true g_k,
+    whose roots are the eigenvalues of multiplicity k, lies in Z[x]:
+    conjugate eigenvalues of the integer matrix A have equal multiplicities,
+    so its roots are a union of Galois orbits. Nothing about the guess is
+    trusted. The certificate: m = prod_k g_k is square-free (gcd(m, m') = 1
+    modulo one prime), m(A) = 0, and tr(A^j) = sum_k k p_j(g_k) for j < D =
+    deg m, with the power sums p_j of the roots of g_k by Newton's
+    identities. A is symmetric, so m(A) = 0 puts every eigenvalue among the
+    D distinct roots of m; the traces of A^0..A^(D-1) are then a Vandermonde
+    system in the multiplicities of those roots, and the guess solves it. So
+    det(xI - A) = prod_k g_k^k, with D distinct eigenvalues.
+
+    The checks run modulo word-size primes whose product exceeds 2 * max(sum
+    |c_i| Delta^i, n Delta^D), Delta the largest degree and c_i the
+    coefficients of m. Every entry of m(A) lies within that bound, and so
+    does every trace, which lies in [0, n Delta^j]; a predicted trace outside
+    it fails at once. So the checks modulo the primes decide them over Z.
+    The primes run `batch_rows(n)` at a time through `_powers_check_mod`, D
+    sparse steps each.
+    """
+    factors = _rounded_factors(g)
+    if factors is None:
+        return None
+    m = math.prod(factors.values(), start=IntPoly((1,)))
+    n, d = g.n, m.degree
+    q = _gcd_prime(0)
+    if len(_monic_gcd_mod([c % q for c in reversed(m.coeffs)],
+                          [c % q for c in reversed(m.derivative().coeffs)], q)) > 1:
+        return None
+    delta = max(g.degrees)
+    sums = [(k, _power_sums(f, d)) for k, f in factors.items()]
+    traces = [sum(k * s[j] for k, s in sums) for j in range(d)]
+    if not all(0 <= t <= n * delta**j for j, t in enumerate(traces)):
+        return None
+    primes = _crt_primes(n, max(sum(abs(c) * delta**i for i, c in enumerate(m.coeffs)),
+                                n * delta**d))
+    table = np.full((n, delta), n, dtype=np.int64)
+    for u, nbrs in enumerate(g.neighbors):
+        table[u, :len(nbrs)] = nbrs
+    step = batch_rows(n)
+    if not all(_powers_check_mod(table, m, traces, primes[lo:lo + step])
+               for lo in range(0, len(primes), step)):
+        return None
+    return math.prod((f for k, f in factors.items() for _ in range(k)), start=IntPoly((1,))), d
+
+
+@lru_cache(maxsize=512)
+def _char_poly_and_distinct(g: Graph):
+    """(char poly, distinct eigenvalue count) of the adjacency of g, by
+    `_few_eigenvalue_char_poly` where its certificate holds; else the char
+    poly by `char_poly_int_matrix` and None, the count being left to
+    `distinct_eigenvalue_count`, which takes the square-free part for it."""
+    if g.n == 0:
+        return IntPoly((1,)), 0
+    return _few_eigenvalue_char_poly(g) or (char_poly_int_matrix(g.adjacency()), None)
+
+
+def char_poly(g: Graph) -> IntPoly:
+    """Exact characteristic polynomial of the 0/1 adjacency matrix."""
+    return _char_poly_and_distinct(g)[0]
+
+
+@lru_cache(maxsize=512)
+def distinct_eigenvalue_count(g: Graph) -> int:
+    """Number of distinct adjacency eigenvalues, exact: certified with the
+    char poly by `_few_eigenvalue_char_poly`, or else the degree of the
+    exact square-free part of the char poly."""
+    p, count = _char_poly_and_distinct(g)
+    return squarefree_part(p).degree if count is None else count
 
 
 # ---------------------------------------------------------------------------

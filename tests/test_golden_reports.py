@@ -1,6 +1,7 @@
 """Golden reports: the JSON of `classify` on the demo gains and on three
-abelian gains whose lifts are not 2ev, and of three exhaustive searches,
-outside `meta`, against files in tests/data.
+abelian gains whose lifts are not 2ev, of `certify` on two graphs with
+irrational eigenvalues, and of three exhaustive searches, outside `meta`,
+against files in tests/data.
 
 The files hold the reports with `meta` and the input path dropped. Integers,
 booleans and other strings are compared exactly; decimal float strings are
@@ -20,6 +21,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # (demo family and arguments, file stem of its gain file)
 DEMOS = [
     (["huang", "--n", "3"], "huang_3"),
+    (["huang", "--n", "7"], "huang_7"),
     (["cohen-tits", "--n", "4"], "cohen_tits_4"),
     (["butson", "--q", "3"], "butson_3"),
     (["s3k5"], "s3_cover_k5"),
@@ -72,6 +74,18 @@ MISSES = ["random_q5_z3", "random_kn8_2_z4", "random_q3_z5"]
 def test_abelian_miss_report_matches_its_golden_file(tmp_path, stem):
     got = produced(["classify", os.path.join(DATA, stem + ".gain")], tmp_path)
     assert got == golden("classify_" + stem)
+
+
+# edge-list files in tests/data: K_{3,5}, irregular, with eigenvalues 0 and
+# +-sqrt(15), and the cycle C_13, whose eigenvalues but 2 are six irrational
+# values, each of multiplicity 2
+CERTIFIED = ["k3_5", "c13"]
+
+
+@pytest.mark.parametrize("stem", CERTIFIED)
+def test_certify_report_matches_its_golden_file(tmp_path, stem):
+    got = produced(["certify", os.path.join(DATA, stem + ".edges")], tmp_path)
+    assert got == golden("certify_" + stem)
 
 
 def test_search_report_matches_its_golden_file(tmp_path):

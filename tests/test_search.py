@@ -240,18 +240,25 @@ def test_verify_bipartite_reports_a_non_bipartite_lift(monkeypatch):
 
 
 def test_no_verdict_takes_the_char_poly_of_a_lift(monkeypatch):
-    # the char polys taken, cache cleared, are of bases only
+    # the char polys taken, cache cleared, are of bases only: a graph's by
+    # either route, and an integer matrix's
     sizes = []
-    real = spectral.char_poly_int_matrix
+    real_graph, real_matrix = spectral._char_poly_and_distinct, spectral.char_poly_int_matrix
 
-    def recording(a):
+    def recording_graph(g):
+        sizes.append(g.n)
+        return real_graph(g)
+
+    def recording_matrix(a):
         sizes.append(len(a))
-        return real(a)
+        return real_matrix(a)
 
-    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
+    monkeypatch.setattr(spectral, "_char_poly_and_distinct", recording_graph)
+    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording_matrix)
 
     def largest(run):
-        spectral.char_poly.cache_clear()
+        real_graph.cache_clear()
+        spectral.distinct_eigenvalue_count.cache_clear()
         sizes.clear()
         run()
         return max(sizes, default=0)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        character_block_check, classify_two_ev,
                        complete_bipartite, complete_graph, cycle, hypercube,
-                       identity_gains, is_connected, kneser, lift, octahedron,
-                       petersen, rep_matrix)
+                       identity_gains, is_connected, johnson, kneser, lift,
+                       octahedron, petersen, rep_matrix)
 from gaincover import cli, spectral
 from gaincover.errors import (ContractViolation, DisconnectedError,
                              InternalConsistencyError, NumericError, ParameterError)
@@ -20,7 +20,8 @@ from gaincover.intpoly import IntPoly, squarefree_part
 from gaincover.search import RANDOM, SearchSpec, assignment_rows, run_search
 from gaincover.gains import CoverGraph, gain_row, sheet_table
 from gaincover.spectral import (char_poly_int_matrix, cluster_values,
-                                fiber_sum_zero_matrix, fiber_two_ev, hermitian_spectrum,
+                                distinct_eigenvalue_count, fiber_sum_zero_matrix,
+                                fiber_two_ev, hermitian_spectrum,
                                 spectral_difference_poly, two_ev_certificate)
 
 from conftest import (block_check_oracle, edge_lift, edge_rep_matrix, lift_fiber_two_ev,
@@ -199,6 +200,140 @@ def test_stacked_char_poly_mod_matches_each_slice_alone(rng, monkeypatch):
     monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 6 * 6)
     assert spectral._char_poly_mod(np.array(slices, dtype=np.int64), moduli).tolist() == \
         stack.tolist()
+
+
+# ---------------------------------------------------------------------------
+# a graph's char poly from its rounded spectrum, certified by sparse powers
+
+
+def _modular(g):
+    """(char poly, distinct eigenvalue count) of g by the modular route alone."""
+    p = char_poly_int_matrix(g.adjacency())
+    return p, squarefree_part(p).degree
+
+
+def _cold(g):
+    """(char_poly(g), distinct_eigenvalue_count(g)) from cold caches."""
+    spectral._char_poly_and_distinct.cache_clear()
+    distinct_eigenvalue_count.cache_clear()
+    return char_poly(g), distinct_eigenvalue_count(g)
+
+
+def _certified(g):
+    """`_cold(g)`, once the few-eigenvalue route is seen to certify it itself."""
+    got = _cold(g)
+    assert g.n == 0 or spectral._few_eigenvalue_char_poly(g) == got
+    return got
+
+
+def _from_spectrum(pairs):
+    """(prod (x - theta)^m, count) over the (theta, m) pairs of a spectrum
+    with integer eigenvalues."""
+    return (math.prod((poly_pow(IntPoly((-theta, 1)), m) for theta, m in pairs),
+                      start=IntPoly((1,))), len(pairs))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_hypercube_char_poly_is_its_closed_form(n):
+    assert _certified(hypercube(n)) == _from_spectrum(
+        [(n - 2 * i, math.comb(n, i)) for i in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40])
+def test_k3n_char_poly_is_its_closed_form(n):
+    # irregular, with the irrational eigenvalues +-sqrt(3n) when 3n is not a square
+    p = IntPoly((0,) * (n + 1) + (-3 * n, 0, 1))  # x^(n+1) (x^2 - 3n)
+    assert _certified(complete_bipartite(3, n)) == (p, 3)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_kneser_char_poly_is_its_closed_form(n):
+    # K(n,2): C(n-2,2) once, -(n-3) n-1 times, 1 the remaining C(n,2)-n times
+    assert _certified(kneser(n, 2)) == _from_spectrum(
+        [(math.comb(n - 2, 2), 1), (3 - n, n - 1), (1, math.comb(n, 2) - n)])
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (8, 3), (9, 4)])
+def test_johnson_char_poly_is_its_closed_form(n, k):
+    # J(n,k): (k-i)(n-k-i) - i with multiplicity C(n,i) - C(n,i-1)
+    assert _certified(johnson(n, k)) == _from_spectrum(
+        [((k - i) * (n - k - i) - i, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+         for i in range(min(k, n - k) + 1)])
+
+
+@pytest.mark.parametrize("g", [cycle(13), cycle(31), Graph(0, []), Graph(1, []), Graph(5, []),
+                               # K4, C5 and an isolated vertex: irregular, disconnected
+                               Graph(10, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+                                     + [(4 + i, 4 + (i + 1) % 5) for i in range(5)])],
+                         ids=["c13", "c31", "empty0", "empty1", "empty5", "k4+c5+k1"])
+def test_graph_char_poly_matches_the_modular_route(g):
+    assert _certified(g) == _modular(g)
+
+
+def _x(*coeffs):
+    return IntPoly(coeffs)
+
+
+# (graph, a wrong guess of `_rounded_factors`), each caught by one exact check
+WRONG_GUESSES = {
+    # K2's eigenvalues 1 and -1 merged into 0, twice: D = 1 leaves no trace to
+    # check, and only m(A) = A != 0 catches it
+    "merged": (complete_graph(2), {2: _x(0, 1)}),
+    # Q3's 1 and -1 merged into 0, six times: caught by tr(A^2) and m(A)
+    "merged-q3": (hypercube(3), {1: _x(-9, 0, 1), 6: _x(0, 1)}),
+    # Q3's multiplicities of 3 and 1 swapped: m is Q3's minimal polynomial,
+    # and only tr(A) = 0, not 3*2 + 1*(-2), catches it
+    "swapped": (hypercube(3), {3: _x(-3, -2, 1), 1: _x(-3, 2, 1)}),
+    # one coefficient off by one: x^2 - 8 for Q3's x^2 - 9
+    "off-by-one": (hypercube(3), {1: _x(-8, 0, 1), 3: _x(-1, 0, 1)}),
+    # right modulo the first prime the route takes: x^2 + p - 1 for K2's
+    # x^2 - 1 gives m(A) = pI; its coefficient p puts the bound past p/2, so
+    # a second prime is taken, and m(A) != 0 modulo it
+    "congruent": (complete_graph(2), {1: _x(spectral._crt_primes(2, 1)[0] - 1, 0, 1)}),
+    # 3K2's roots 1 and -1 in both g_1 and g_2: the char poly (x^2 - 1)^3 and
+    # every trace are right, but m = (x^2 - 1)^2 counts 4 distinct
+    # eigenvalues; only the square-free check catches it
+    "repeated": (Graph(6, [(0, 1), (2, 3), (4, 5)]), {1: _x(-1, 0, 1), 2: _x(-1, 0, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_GUESSES)
+def test_a_wrong_guess_falls_back_to_the_modular_route(monkeypatch, name):
+    g, guess = WRONG_GUESSES[name]
+    expect = _certified(g)  # the right guess is certified
+    assert expect == _modular(g)
+    monkeypatch.setattr(spectral, "_rounded_factors", lambda h: guess)
+    assert spectral._few_eigenvalue_char_poly(g) is None
+    assert _cold(g) == expect
+
+
+def test_the_certificate_runs_the_primes_in_chunks(monkeypatch):
+    # one prime per pass: a right guess still certifies, and the guess right
+    # modulo the first prime is refuted in the second pass
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", 1)
+    for g in (hypercube(3), complete_bipartite(3, 5)):
+        assert spectral._few_eigenvalue_char_poly(g) == _modular(g)
+    g, guess = WRONG_GUESSES["congruent"]
+    monkeypatch.setattr(spectral, "_rounded_factors", lambda h: guess)
+    assert spectral._few_eigenvalue_char_poly(g) is None
+
+
+def test_a_graph_whose_guess_fails_takes_the_modular_route(rng):
+    # the char poly of a random 64-vertex graph has coefficients far past
+    # 2^50, so the guess gives up and the modular route answers
+    g = random_graph(rng, 64)
+    assert spectral._rounded_factors(g) is None
+    assert _cold(g) == _modular(g)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])))))
+def test_graph_char_poly_matches_the_modular_route_property(case):
+    g = Graph(*case)
+    found = spectral._few_eigenvalue_char_poly(g)
+    assert found is None or found == _modular(g)
+    assert _cold(g) == _modular(g)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +617,7 @@ def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, mo
         return real(a)
 
     monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
-    spectral.char_poly.cache_clear()
+    spectral._char_poly_and_distinct.cache_clear()
     cert = classify_two_ev(_random_gain(rng, kneser(8, 2), GroupSpec.cyclic(4)))
     assert not cert.is_two_ev
     assert sizes == []
@@ -494,21 +629,29 @@ def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, mo
 
 def test_a_hit_report_takes_only_the_base_char_poly(monkeypatch):
     # the hit's certificate carries the char poly on W, so the report of the
-    # cover takes no exact char poly but the base's
+    # cover takes no exact char poly but the base's; Q5 has six distinct
+    # eigenvalues, so the base's is certified from its spectrum, and no
+    # integer matrix goes through the modular kernel
     f = huang_signing(5)
-    sizes = []
-    real = spectral.char_poly_int_matrix
+    graphs, matrices = [], []
+    real_graph, real_matrix = spectral._char_poly_and_distinct, spectral.char_poly_int_matrix
 
-    def recording(a):
-        sizes.append(len(a))
-        return real(a)
+    def recording_graph(g):
+        graphs.append(g.n)
+        return real_graph(g)
 
-    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording)
-    spectral.char_poly.cache_clear()
+    def recording_matrix(a):
+        matrices.append(len(a))
+        return real_matrix(a)
+
+    monkeypatch.setattr(spectral, "_char_poly_and_distinct", recording_graph)
+    monkeypatch.setattr(spectral, "char_poly_int_matrix", recording_matrix)
+    real_graph.cache_clear()
     spectral.distinct_eigenvalue_count.cache_clear()
     report = cli.gain_report(f)
     assert report["two_ev"]["is_two_ev"]
-    assert sizes == [f.base.n]
+    assert set(graphs) == {f.base.n}
+    assert matrices == []
 
 
 def _search_hits(base, group):
