@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .graphs import MAX_VERTICES, Graph, bfs_tree, is_connected, parse_vertex_count
+from .graphs import MAX_VERTICES, Graph, bfs_tree, parse_vertex_count
 
 ABELIAN = "abelian"
 PERMUTATION = "permutation"
@@ -246,31 +246,24 @@ def lift(f: GainGraph) -> CoverGraph:
                       f.base, r)
 
 
-def normalize(f: GainGraph, tree=None) -> GainGraph:
-    """Equivalent gain graph whose gains are the identity on a spanning tree.
+def normalize(f: GainGraph) -> GainGraph:
+    """Equivalent gain graph whose gains are the identity on the BFS tree
+    from vertex 0 (`bfs_tree`), which makes every edge at vertex 0 gain-free.
 
-    Walks the tree from its root applying per-fiber relabelings; the lift of
-    the result is isomorphic to the lift of the input. Default tree: BFS from
-    vertex 0, which also makes every edge at the root gain-free (the root's
-    incident edges are always tree edges).
+    Walks the tree from vertex 0 applying per-fiber relabelings; the lift of
+    the result is isomorphic to the lift of the input.
     """
-    if tree is None:
-        tree = bfs_tree(f.base, 0)
-    tree = tuple(tuple(sorted(e)) for e in tree)
-    _check_spanning_tree(f.base, tree)
-
     grp = f.group
     adj = {v: [] for v in range(f.base.n)}
-    for u, v in tree:
+    for u, v in bfs_tree(f.base):
         adj[u].append(v)
         adj[v].append(u)
 
     # sigma[v] relabels the fiber over v; new gain for u->v is
     # sigma_v^-1 . gain(u->v) . sigma_u, so tree children take
     # sigma_child = gain(parent->child) . sigma_parent.
-    root = tree[0][0] if tree else 0
-    sigma = {root: grp.identity()}
-    stack = [root]
+    sigma = {0: grp.identity()}
+    stack = [0]
     while stack:
         u = stack.pop()
         for w in adj[u]:
@@ -282,16 +275,6 @@ def normalize(f: GainGraph, tree=None) -> GainGraph:
     for (u, v), g in f.gains.items():
         new_gains[(u, v)] = grp.compose(grp.inverse(sigma[v]), grp.compose(g, sigma[u]))
     return GainGraph(f.base, grp, new_gains)
-
-
-def _check_spanning_tree(base: Graph, tree):
-    tset = set(tree)
-    if not tset <= set(base.edges):
-        raise ParameterError("tree contains non-edges of the base")
-    if len(tset) != base.n - 1:
-        raise ParameterError("a spanning tree must have n-1 edges")
-    if not is_connected(Graph(base.n, tset)):
-        raise ParameterError("tree edges do not form a spanning tree")
 
 
 def is_balanced(f: GainGraph) -> bool:

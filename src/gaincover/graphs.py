@@ -147,21 +147,20 @@ def is_connected(g: Graph) -> bool:
     return g.distance_table.is_connected()
 
 
-def bfs_tree(g: Graph, root=0):
-    """Edges of a BFS spanning tree from root; DisconnectedError if not spanning."""
+def bfs_tree(g: Graph):
+    """Edges of a BFS spanning tree from vertex 0; DisconnectedError if not
+    spanning."""
     if g.n == 0:
         return ()
-    parent = [None] * g.n
     seen = [False] * g.n
-    seen[root] = True
-    order = deque([root])
+    seen[0] = True
+    order = deque([0])
     tree = []
     while order:
         u = order.popleft()
         for w in g.neighbors[u]:
             if not seen[w]:
                 seen[w] = True
-                parent[w] = u
                 tree.append((min(u, w), max(u, w)))
                 order.append(w)
     if len(tree) != g.n - 1:

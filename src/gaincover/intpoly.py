@@ -3,8 +3,9 @@
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and the
 characteristic polynomials handled here are always monic, which keeps every
 division below exact. The square-free part is certified modularly: gcds mod
-primes near 2**62 in plain Python ints, joined by the CRT, and accepted only
-when the candidate divides p and p' exactly over Z.
+the largest primes below 2**62 in plain Python ints, joined by the CRT, and
+accepted only when the candidate divides p and p' exactly over Z. Every
+modulus in the package comes from one cached source of primes, `_prime`.
 """
 
 from __future__ import annotations
@@ -161,11 +162,11 @@ def _is_prime(n):
 
 
 @lru_cache(maxsize=None)
-def _gcd_prime(i):
-    """The i-th prime below 2**62, counting down from it."""
-    p = 2**62 - 1 if i == 0 else _gcd_prime(i - 1) - 2
+def _prime(limit, i, e=1):
+    """The i-th prime p = 1 (mod e) at most limit, counting down from it."""
+    p = limit - (limit - 1) % e if i == 0 else _prime(limit, i - 1, e) - e
     while not _is_prime(p):
-        p -= 2
+        p -= e
     return p
 
 
@@ -203,7 +204,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
     The monic gcd g of p and p' lies in Z[x], since p is monic. Its image
     mod any prime q divides the gcd of the images, so every gcd mod q has
-    degree at least deg g. The gcds are taken mod primes near 2**62; primes
+    degree at least deg g. The gcds are taken mod primes below 2**62; primes
     whose gcd is not of the least degree seen are dropped, and the others'
     symmetric residues are joined by the CRT. A candidate is taken once one
     more prime leaves it unchanged and it divides both p and p' over Z: as a
@@ -218,7 +219,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     high, dhigh = p.coeffs[::-1], dp.coeffs[::-1]
     best, res, mod, cand = None, None, 1, None
     for i in itertools.count():
-        q = _gcd_prime(i)
+        q = _prime(2**62, i)
         g = _monic_gcd_mod([c % q for c in high], [c % q for c in dhigh], q)
         if len(g) == 1:
             return p  # deg g = 0 is certified by any one prime

@@ -1,10 +1,10 @@
 """Combinatorial regularity certificates.
 
-Walk regularity, distance-regularity with intersection arrays, strong
-regularity, antipodality, the (n, r, c2) of a diameter-3 antipodal
-distance-regular graph, and the column-count verifier that ties the gain
-structure of a two-eigenvalue cover over a strongly regular base to
-(a - lambda)/r and c/r.
+Walk regularity (from powers of the adjacency modulo word-size primes),
+distance-regularity with intersection arrays, strong regularity,
+antipodality, the (n, r, c2) of a diameter-3 antipodal distance-regular
+graph, and the column-count verifier that ties the gain structure of a
+two-eigenvalue cover over a strongly regular base to (a - lambda)/r and c/r.
 
 Whether a lift's antipodal classes are its fibers, and how its c2 relates to
 lambda, are not facts of one graph: the theorem harness `verify_drackn`
@@ -13,6 +13,7 @@ checks them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph, gain_row
 from .graphs import Graph, is_connected
+from .intpoly import _prime
 from .spectral import TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev
 
 
@@ -109,14 +111,6 @@ class RegularityCertificate:
 # ---------------------------------------------------------------------------
 # walk regularity
 
-# float64 holds every integer below 2**53 exactly
-_FLOAT_EXACT = 2**53
-
-
-def _diag_constant(mat):
-    d = mat.diagonal()
-    return all(x == d[0] for x in d.tolist())
-
 
 def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     """True iff every power of the adjacency matrix has constant diagonal.
@@ -129,34 +123,39 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     d = (base's count) + cert.new_distinct without the lift's char poly.
     Raises ParameterError for a lift without its certificate, so that no char
     poly of a whole lift is taken.
+
+    The powers are taken in float64 on BLAS modulo one prime p at a time,
+    with Delta*p < 2^53 for the largest degree Delta, so every product is
+    exact. A diagonal entry of A^j counts closed walks, at most Delta^(j-1):
+    constant residues modulo primes whose product passes Delta^(d-2) are a
+    constant diagonal.
     """
     cover = x if isinstance(x, CoverGraph) else None
     if cover is not None and cert is None:
         raise ParameterError("a lift needs its two-eigenvalue certificate")
     g = cover.graph if cover is not None else x
-    if g.n <= 1:
-        return True
     if cover is not None:
         top = distinct_eigenvalue_count(cover.base) + cert.new_distinct - 1
     else:
         top = distinct_eigenvalue_count(g) - 1
+    if top < 2:  # A^0 = I, and A^1 has zero diagonal on a simple graph
+        return True
     deg = max(g.degrees)
     a = g.adjacency(dtype=np.float64)
-    power = a.copy()
-    bound = deg  # max possible entry of the current power
-    for _ in range(2, top + 1):
-        bound *= max(deg, 1)
-        # a power's entries, and every partial sum of its dot products, are at
-        # most bound: below 2**53 float64 (on BLAS) is exact, past it the
-        # exact float entries go on as Python ints
-        if bound >= _FLOAT_EXACT and a.dtype != object:
-            power = power.astype(np.int64).astype(object)
-            a = a.astype(np.int64).astype(object)
-        power = np.dot(power, a)
-        if not _diag_constant(power):
-            return False
-    # power 1 has zero diagonal on simple graphs; included for completeness
-    return top < 1 or _diag_constant(a)
+    limit, bound, prod = 2 ** (53 - deg.bit_length()), deg ** (top - 1), 1
+    for i in itertools.count():
+        if prod > bound:
+            return True
+        p = _prime(limit, i)
+        power = a
+        for j in range(2, top + 1):
+            power = power @ a
+            if deg**j >= p:  # else the entries are their own residues
+                np.fmod(power, p, out=power)
+            d = power.diagonal()
+            if not (d == d[0]).all():
+                return False
+        prod *= p
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,9 @@ def _verify_counts(f: GainGraph, r, t, s):
 def two_ev_divisibility_obstruction(base: Graph, r):
     """True when s = c/r is non-integral for the strongly regular base,
     which rules out any two-eigenvalue gain of order r without classifying
-    any gain."""
+    any gain. Raises ParameterError unless r >= 2."""
+    if r < 2:
+        raise ParameterError(f"gain order must be at least 2, got {r}")
     srg = srg_parameters(base)
     if srg is None:
         return False

@@ -57,7 +57,7 @@ class SearchSpec:
             raise ParameterError(f"budget must be non-negative, got {self.budget}")
 
     def spanning_tree(self):
-        return bfs_tree(self.base, 0)
+        return bfs_tree(self.base)
 
     def cotree_edges(self):
         tree = set(self.spanning_tree())

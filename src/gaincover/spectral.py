@@ -49,8 +49,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import (IntPoly, _gcd_prime, _is_prime, _monic_gcd_mod, integer_roots,
-                      squarefree_part)
+from .intpoly import IntPoly, _monic_gcd_mod, _prime, integer_roots, squarefree_part
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
@@ -219,15 +218,11 @@ def _coefficient_bound(N, F):
 def _crt_primes(n, bound, e=1):
     """The fewest primes p = 1 (mod e), descending from the largest with
     n*p^2 < 2^63, whose product exceeds 2 * bound."""
+    limit = math.isqrt((2**63 - 1) // n)
     primes, prod = [], 1
-    p = math.isqrt((2**63 - 1) // n)
-    p -= (p - 1) % e
     while prod <= 2 * bound:
-        while not _is_prime(p):
-            p -= e
-        primes.append(p)
-        prod *= p
-        p -= e
+        primes.append(_prime(limit, len(primes), e))
+        prod *= primes[-1]
     return primes
 
 
@@ -453,7 +448,7 @@ def _few_eigenvalue_char_poly(g: Graph):
         return None
     m = math.prod(factors.values(), start=IntPoly((1,)))
     n, d = g.n, m.degree
-    q = _gcd_prime(0)
+    q = _prime(2**62, 0)
     if len(_monic_gcd_mod([c % q for c in reversed(m.coeffs)],
                           [c % q for c in reversed(m.derivative().coeffs)], q)) > 1:
         return None
@@ -476,13 +471,16 @@ def _few_eigenvalue_char_poly(g: Graph):
 
 @lru_cache(maxsize=512)
 def _char_poly_and_distinct(g: Graph):
-    """(char poly, distinct eigenvalue count) of the adjacency of g, by
-    `_few_eigenvalue_char_poly` where its certificate holds; else the char
-    poly by `char_poly_int_matrix` and None, the count being left to
-    `distinct_eigenvalue_count`, which takes the square-free part for it."""
+    """(char poly, distinct eigenvalue count) of the adjacency of g, exact:
+    by `_few_eigenvalue_char_poly` where its certificate holds, else by
+    `char_poly_int_matrix` and the degree of its square-free part."""
     if g.n == 0:
         return IntPoly((1,)), 0
-    return _few_eigenvalue_char_poly(g) or (char_poly_int_matrix(g.adjacency()), None)
+    found = _few_eigenvalue_char_poly(g)
+    if found is not None:
+        return found
+    p = char_poly_int_matrix(g.adjacency())
+    return p, squarefree_part(p).degree
 
 
 def char_poly(g: Graph) -> IntPoly:
@@ -490,13 +488,10 @@ def char_poly(g: Graph) -> IntPoly:
     return _char_poly_and_distinct(g)[0]
 
 
-@lru_cache(maxsize=512)
 def distinct_eigenvalue_count(g: Graph) -> int:
-    """Number of distinct adjacency eigenvalues, exact: certified with the
-    char poly by `_few_eigenvalue_char_poly`, or else the degree of the
-    exact square-free part of the char poly."""
-    p, count = _char_poly_and_distinct(g)
-    return squarefree_part(p).degree if count is None else count
+    """Number of distinct adjacency eigenvalues, exact; see
+    `_char_poly_and_distinct`."""
+    return _char_poly_and_distinct(g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +601,12 @@ def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
 
 def _root_of_unity(e, p):
     """An element of order e in F_p, for a prime p = 1 (mod e): g^((p-1)/e)
-    for the least g >= 2 whose power has that order."""
-    factors = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
+    for the least g >= 2 whose power is 1 at no proper divisor of e."""
+    divisors = [d for d in range(1, e) if e % d == 0]
     g = 2
     while True:
         w = pow(g, (p - 1) // e, p)
-        if all(pow(w, e // q, p) != 1 for q in factors):
+        if all(pow(w, d, p) != 1 for d in divisors):
             return w
         g += 1
 

@@ -169,8 +169,8 @@ def test_normalize_fixed_point():
 
 def test_normalize_tree_gains_identity_and_lift_preserved():
     f = huang_signing(3)
-    tree = bfs_tree(f.base, 0)
-    g = normalize(f, tree)
+    tree = bfs_tree(f.base)
+    g = normalize(f)
     assert all(g.gain(u, v) == (0,) for u, v in tree)
     assert char_poly(lift(g).graph) == char_poly(lift(f).graph)
     from gaincover import girth
@@ -197,13 +197,13 @@ def test_normalize_cycle_concentrates_net_gain(rng):
     net = 0
     for i in range(6):
         net = (net + f.gain(i, (i + 1) % 6)[0]) % 4
-    g = normalize(f, bfs_tree(base, 0))
-    cotree = [e for e in base.sorted_edges() if e not in set(bfs_tree(base, 0))]
+    g = normalize(f)
+    cotree = [e for e in base.sorted_edges() if e not in set(bfs_tree(base))]
     assert len(cotree) == 1
     stored = g.gains[cotree[0]][0]
     # the surviving gain equals the cycle's net gain up to direction
     assert stored in ((net) % 4, (-net) % 4)
-    tree_vals = [g.gains[e] for e in bfs_tree(base, 0)]
+    tree_vals = [g.gains[e] for e in bfs_tree(base)]
     assert all(v == (0,) for v in tree_vals)
 
 
@@ -218,7 +218,7 @@ def test_normalize_permutation_gain():
     from gaincover.families import s3_cover_k5
     f = s3_cover_k5()
     g = normalize(f)
-    tree = bfs_tree(f.base, 0)
+    tree = bfs_tree(f.base)
     ident = f.group.identity()
     assert all(g.gain(u, v) == ident for u, v in tree)
     assert char_poly(lift(g).graph) == char_poly(lift(f).graph)

@@ -245,11 +245,11 @@ def test_distance_table_property(g):
 
 
 def test_bfs_tree():
-    t = bfs_tree(complete_graph(4), 0)
+    t = bfs_tree(complete_graph(4))
     assert t == ((0, 1), (0, 2), (0, 3))
     from gaincover.errors import DisconnectedError
     with pytest.raises(DisconnectedError):
-        bfs_tree(Graph(3, [(0, 1)]), 0)
+        bfs_tree(Graph(3, [(0, 1)]))
 
 
 def test_edge_list_roundtrip():

@@ -104,7 +104,7 @@ def test_squarefree_part_matches_the_prs_oracle(factors, scale):
 def test_squarefree_part_drops_unlucky_primes():
     # 3 and 3 + q are distinct roots that meet mod the first prime q, where
     # the gcd has too high a degree; the next primes decide
-    q = intpoly._gcd_prime(0)
+    q = intpoly._prime(2**62, 0)
     assert squarefree_part(from_roots([3, 3 + q])) == from_roots([3, 3 + q])
     assert squarefree_part(from_roots([5, 5, 3, 3 + q])) == from_roots([5, 3, 3 + q])
     assert squarefree_part(from_roots([5, 5, 3, 3, 3 + q])) == from_roots([5, 3, 3 + q])

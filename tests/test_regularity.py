@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -135,19 +136,35 @@ def test_walk_regular_certificate_bound_property(data):
     check_certificate_bound(f.cover, classify_two_ev(f))
 
 
-def test_walk_regular_switches_to_exact_integers():
-    # 27-regular with 16 distinct eigenvalues: 27^12 passes the float64 guard,
-    # so powers A^12 to A^15 are taken over Python integers
+def test_walk_regular_switches_to_exact_integers(monkeypatch):
+    # 27-regular with 16 distinct eigenvalues: a diagonal entry of A^15 may
+    # reach 27^14 > 2^66, past any one prime p with 27 p < 2^53, so the
+    # powers are taken modulo more than one prime
     g = cycle_complement(30)
     top = distinct_eigenvalue_count(g) - 1
     assert (max(g.degrees), top) == (27, 15)
-    assert 27 ** 11 < regularity._FLOAT_EXACT <= 27 ** 12
+    real, primes = regularity._prime, []
+
+    def recording(limit, i, e=1):
+        primes.append(real(limit, i, e))
+        return primes[-1]
+
+    monkeypatch.setattr(regularity, "_prime", recording)
     assert is_walk_regular(g) and brute_force_walk_regular(g)
+    assert len(primes) > 1 and primes[0] < 27 ** 14 < math.prod(primes)
     # through a lift's certificate bound: two disjoint copies, 16 + 16 - 1 powers
     f = identity_gains(g, GroupSpec.cyclic(2))
     cert = classify_two_ev(f)
     assert cert.new_distinct == 16
     assert check_certificate_bound(f.cover, cert)
+
+
+def test_walk_regular_checks_every_prime(monkeypatch):
+    # the diagonal of A^2 of K_{1,3} holds the degrees 3, 1, 1, 1, constant
+    # mod 2: the product of the primes must pass 3, and mod 3 tells them apart
+    monkeypatch.setattr(regularity, "_prime", lambda limit, i, e=1: (2, 3, 5, 7, 11)[i])
+    assert not is_walk_regular(complete_bipartite(1, 3))
+    assert is_walk_regular(petersen()) and is_walk_regular(hypercube(3))
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +509,12 @@ def test_lemma_counts_butson_k22():
 def test_lemma_counts_petersen_obstruction():
     assert two_ev_divisibility_obstruction(petersen(), 2)
     assert not two_ev_divisibility_obstruction(complete_bipartite(3, 3), 3)
+
+
+@pytest.mark.parametrize("r", [1, 0, -2])
+def test_divisibility_obstruction_needs_an_order_of_at_least_2(r):
+    with pytest.raises(ParameterError):
+        two_ev_divisibility_obstruction(petersen(), r)
 
 
 def test_lemma_counts_requires_normalized_anchor():

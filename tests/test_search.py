@@ -258,7 +258,6 @@ def test_no_verdict_takes_the_char_poly_of_a_lift(monkeypatch):
 
     def largest(run):
         real_graph.cache_clear()
-        spectral.distinct_eigenvalue_count.cache_clear()
         sizes.clear()
         run()
         return max(sizes, default=0)

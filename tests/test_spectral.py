@@ -215,7 +215,6 @@ def _modular(g):
 def _cold(g):
     """(char_poly(g), distinct_eigenvalue_count(g)) from cold caches."""
     spectral._char_poly_and_distinct.cache_clear()
-    distinct_eigenvalue_count.cache_clear()
     return char_poly(g), distinct_eigenvalue_count(g)
 
 
@@ -647,7 +646,6 @@ def test_a_hit_report_takes_only_the_base_char_poly(monkeypatch):
     monkeypatch.setattr(spectral, "_char_poly_and_distinct", recording_graph)
     monkeypatch.setattr(spectral, "char_poly_int_matrix", recording_matrix)
     real_graph.cache_clear()
-    spectral.distinct_eigenvalue_count.cache_clear()
     report = cli.gain_report(f)
     assert report["two_ev"]["is_two_ev"]
     assert set(graphs) == {f.base.n}
