@@ -28,13 +28,13 @@ cover layout. The new spectrum of a lift is the spectrum of its adjacency on
 W, the vectors that sum to zero on every fiber. A certificate carries its
 exact characteristic polynomial there, `new_poly`: a hit builds it from the
 verdict, and only a miss takes it, by `spectral_difference_poly`, never at
-the lift's dimension nr: abelian gains as the product of the char polys of
-their n-square character matrices modulo primes p = 1 (mod e), e the
-group's exponent, and permutation gains, which have no characters, as the
-char poly of the n(r-1)-square integer matrix on W. A miss's count of new
-distinct eigenvalues is the degree of its modularly certified square-free
-part, never read from clustered numeric spectra. Every function that needs a
-lift reads `GainGraph.cover`.
+the lift's dimension nr: abelian gains from the char polys of their n-square
+character matrices modulo primes p = 1 (mod e), e the group's exponent, one
+per pair of conjugate characters, and permutation gains as the char poly of
+the n(r-1)-square integer matrix on W. A miss counts its new distinct
+eigenvalues as the degree of the certified square-free part of a factor with
+the same roots (for abelian gains, one char poly per pair), never from
+numeric spectra. Every function that needs a lift reads `GainGraph.cover`.
 """
 
 from __future__ import annotations
@@ -580,22 +580,24 @@ class TwoEvCertificate:
         }
 
 
-def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
-    """The lift's adjacency A on W, the vectors that sum to zero on every
-    fiber, as an n(r-1)-square integer matrix.
-
-    W is invariant when every r x r block of A has constant row sums, equal
-    to the base adjacency; A then acts on the fiber sums as the base does. In
-    the integer basis e_(v,i) - e_(v,0), i = 1..r-1, of W, A is the matrix
-    with entry ((v,i), (u,j)) equal to A((v,i), (u,j)) - A((v,i), (u,0)).
-    Raises InternalConsistencyError when the blocks of the lift do not have
-    those row sums.
-    """
+def _lift_blocks(f: GainGraph) -> np.ndarray:
+    """The lift's adjacency as (n, r, n, r) blocks; raises InternalConsistencyError
+    unless their row sums are the base adjacency, which keeps W invariant."""
     n, r = f.base.n, f.cover.r
     a = f.cover.graph.adjacency().reshape(n, r, n, r)
     if not (a.sum(axis=3) == f.base.adjacency()[:, None, :]).all():
         raise InternalConsistencyError(
             "lift blocks do not have the base adjacency as row sums; lift is broken")
+    return a
+
+
+def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
+    """The lift's adjacency A on W, the vectors that sum to zero on every
+    fiber, as an n(r-1)-square integer matrix: in the basis e_(v,i) - e_(v,0),
+    i = 1..r-1, entry ((v,i), (u,j)) is A((v,i), (u,j)) - A((v,i), (u,0)).
+    Raises InternalConsistencyError as `_lift_blocks` does."""
+    a = _lift_blocks(f)
+    n, r = a.shape[:2]
     return (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(n * (r - 1), n * (r - 1))
 
 
@@ -622,34 +624,32 @@ def _poly_mul_mod(a, b, q):
     return out
 
 
-def _character_difference_poly(f: GainGraph) -> IntPoly:
-    """`spectral_difference_poly` of abelian gains, from their character
-    matrices.
+def _character_difference_poly(f: GainGraph):
+    """`spectral_difference_poly` of abelian gains, (P, Q), from their
+    character matrices S_chi.
 
-    The lift is similar to the block diagonal of the character matrices
-    S_chi, and the trivial character gives the base, so the char poly on W is
-    prod_{chi != 1} det(xI - S_chi) in Z[zeta_e][x], e the exponent of the
-    group. Mod a prime p = 1 (mod e), zeta_e maps to an element of order e
-    in F_p, and the product to the char polys of the n-square S_chi mod p.
-    S_conj(chi) is the transpose of S_chi, so each pair {chi, conj chi}
-    takes one char poly, squared; a real character counts once. Every
-    (prime, pair) slice goes through one stack of `_char_poly_mod`; the
-    factors multiply mod p, and only their product, whose coefficients are
-    integers, is CRT-reconstructed. The lift is symmetric, so its
-    eigenvalues on W are real and sum |lambda|^2 = tr(A_lift^2) -
-    tr(A_base^2) = 2m(r-1) is the exact F of `_coefficient_bound`.
+    The lift is similar to the block diagonal of the S_chi, and the trivial
+    character gives the base, so P = prod_{chi != 1} h_chi, h_chi = det(xI -
+    S_chi) in Z[zeta_e][x], e the group's exponent. S_conj(chi) is the
+    transpose of S_chi, so P = Q R: Q takes one h_chi per pair {chi, conj
+    chi}, a real character a pair of one, and R one per pair of two (R = Q
+    when no character is real). Galois maps pairs to pairs, so Q and R lie in
+    Z[x]; ||S_chi||_F^2 = 2m, so `_coefficient_bound(nk, 2mk)`, k pairs,
+    bounds both. Mod a prime p = 1 (mod e), zeta_e maps to an element of
+    order e in F_p; every (prime, pair) slice goes through one stack of
+    `_char_poly_mod`, and the factors multiply mod p, pairs of two first.
     """
-    base, group = f.base, f.group
-    n, m, r = base.n, base.m, group.sheet_count
+    base, group, n, m = f.base, f.group, f.base.n, f.base.m
     e = math.lcm(*group.orders)
-    pairs = [c for c in group.elements()[1:] if c <= group.inverse(c)]
-    primes = _crt_primes(n, _coefficient_bound(n * (r - 1), 2 * m * (r - 1)), e)
+    twos = [c for c in group.elements()[1:] if c < group.inverse(c)]
+    pairs = twos + [c for c in group.elements()[1:] if c == group.inverse(c)]
+    primes = _crt_primes(n, _coefficient_bound(n * len(pairs), 2 * m * len(pairs)), e)
     # chi_c(g) = zeta_e^(sum_i c_i g_i e / r_i) for the gain g of each edge
     edges = base.sorted_edges()
     gains = np.array([f.gains[uv] for uv in edges], dtype=np.int64).reshape(m, len(group.orders))
     expo = np.array(pairs) * (e // np.array(group.orders)) @ gains.T % e
-    roots = [_root_of_unity(e, p) for p in primes]
-    powers = np.array([[pow(w, j, p) for j in range(e)] for w, p in zip(roots, primes)],
+    zetas = [_root_of_unity(e, p) for p in primes]
+    powers = np.array([[pow(w, j, p) for j in range(e)] for w, p in zip(zetas, primes)],
                       dtype=np.int64)
     u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     s = np.zeros((len(primes), len(pairs), n, n), dtype=np.int64)
@@ -657,32 +657,28 @@ def _character_difference_poly(f: GainGraph) -> IntPoly:
     s[:, :, v, u] = powers[:, -expo % e]
     polys = _char_poly_mod(s.reshape(-1, n, n), [p for p in primes for _ in pairs])
     polys = polys.reshape(len(primes), len(pairs), n + 1)
-    factors = [polys[:, j] for j, c in enumerate(pairs)
-               for _ in range(1 if c == group.inverse(c) else 2)]
     q = np.array(primes, dtype=np.int64)[:, None]
-    out = factors[0]
-    for factor in factors[1:]:
-        out = _poly_mul_mod(out, factor, q)
-    return _crt(out, primes)
+    out = np.ones((len(primes), 1), dtype=np.int64)
+    for j in range(len(pairs)):
+        if j == len(twos):
+            r_poly = _crt(out, primes)
+        out = _poly_mul_mod(out, polys[:, j], q)
+    q_poly = _crt(out, primes)
+    return q_poly * (r_poly if len(twos) < len(pairs) else q_poly), q_poly
 
 
-def spectral_difference_poly(f: GainGraph) -> IntPoly:
-    """Exact characteristic polynomial of the lift's adjacency A on W, the
-    vectors that sum to zero on every fiber: the cover's char poly over the
-    base's.
-
-    Abelian gains take it from their character matrices
-    (`_character_difference_poly`); permutation gains have no characters and
-    take the char poly of `fiber_sum_zero_matrix`, of dimension n(r-1).
-    Raises InternalConsistencyError when the blocks of the lift do not have
-    the base adjacency as row sums.
-    """
-    w = fiber_sum_zero_matrix(f)  # checks the lift's blocks on either route
+def spectral_difference_poly(f: GainGraph):
+    """(new_poly, roots): the exact char poly of the lift's adjacency on W,
+    the vectors that sum to zero on every fiber (the cover's over the
+    base's), and a factor of it in Z[x] with the same roots, for abelian
+    gains one char poly per conjugate pair (`_character_difference_poly`),
+    for permutation gains new_poly, the char poly of `fiber_sum_zero_matrix`.
+    Raises InternalConsistencyError as `_lift_blocks` does."""
     if f.group.is_abelian:
+        _lift_blocks(f)  # the check alone, no matrix on W
         return _character_difference_poly(f)
-    return char_poly_int_matrix(w)
-
-
+    new_poly = char_poly_int_matrix(fiber_sum_zero_matrix(f))
+    return new_poly, new_poly
 
 
 def _batch_input(base: Graph, table, rows):
@@ -811,18 +807,18 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
 def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
-    The verdict is `fiber_two_ev`'s, on a batch of one. Only on a miss is the
-    exact char poly on W taken from the lift, to report the number of distinct
-    new eigenvalues as the degree of its square-free part.
+    The verdict is `fiber_two_ev`'s, on a batch of one. Only a miss takes the
+    exact char poly on W, and counts its distinct new eigenvalues as the
+    degree of the square-free part of `spectral_difference_poly`'s roots.
     """
     if not is_connected(f.base):
         raise DisconnectedError("two-eigenvalue classification requires a connected base")
     hit, lam = fiber_two_ev(f.base, *gain_row(f))
     if hit[0]:
         return two_ev_certificate(f, int(lam[0]))
-    new_poly = spectral_difference_poly(f)
+    new_poly, roots = spectral_difference_poly(f)
     return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover.graph),
-                            new_distinct=squarefree_part(new_poly).degree, new_poly=new_poly)
+                            new_distinct=squarefree_part(roots).degree, new_poly=new_poly)
 
 
 # ---------------------------------------------------------------------------

@@ -531,7 +531,7 @@ def test_base_poly_always_divides_cover(rng):
         gains = {e: tuple(rng.randrange(r) for r in group.orders)
                  for e in base.edges}
         f = GainGraph(base, group, gains)
-        quo = spectral_difference_poly(f)
+        quo = spectral_difference_poly(f)[0]
         assert quo == _lift_over_base(f)
         assert quo.degree == base.n * (group.sheet_count - 1)
         assert quo.is_monic
@@ -562,7 +562,7 @@ def test_difference_poly_is_the_char_poly_on_the_fiber_sum_zero_space(rng):
         for group in groups:
             for _ in range(3):
                 f = _random_gain(rng, base, group)
-                quo = spectral_difference_poly(f)
+                quo = spectral_difference_poly(f)[0]
                 assert quo == _lift_over_base(f), (f.gains, group)
                 assert quo == char_poly_int_matrix(fiber_sum_zero_matrix(f))
                 assert quo.degree == base.n * (group.sheet_count - 1)
@@ -572,21 +572,21 @@ def test_difference_poly_is_the_char_poly_on_the_fiber_sum_zero_space(rng):
     for base in bases:
         for orders in [(4,), (6,), (8,), (2, 4), (3, 3)]:
             f = _random_gain(rng, base, GroupSpec.abelian(*orders))
-            quo = spectral_difference_poly(f)
+            quo = spectral_difference_poly(f)[0]
             assert quo == _lift_over_base(f) == char_poly_int_matrix(fiber_sum_zero_matrix(f)), \
                 (f.gains, orders)
     # an edgeless base: nothing but the eigenvalue 0 is new
     for n in (1, 3):
         for r in (2, 3):
             f = GainGraph(Graph(n, []), GroupSpec.cyclic(r), {})
-            assert spectral_difference_poly(f) == _lift_over_base(f) == char_poly_int_matrix(
+            assert spectral_difference_poly(f)[0] == _lift_over_base(f) == char_poly_int_matrix(
                 fiber_sum_zero_matrix(f)) == IntPoly((0,) * (n * (r - 1)) + (1,))
     # Sym(1): W is empty, so nothing is new
     k3 = complete_graph(3)
     assert spectral_difference_poly(
-        GainGraph(k3, GroupSpec.permutation(1), {e: (0,) for e in k3.edges})) == IntPoly((1,))
+        GainGraph(k3, GroupSpec.permutation(1), {e: (0,) for e in k3.edges}))[0] == IntPoly((1,))
     f = s3_cover_k5()
-    assert spectral_difference_poly(f) == _lift_over_base(f) == poly_pow(IntPoly((-4, 0, 1)), 5)
+    assert spectral_difference_poly(f)[0] == _lift_over_base(f) == poly_pow(IntPoly((-4, 0, 1)), 5)
 
 
 def test_difference_poly_refuses_a_cover_that_is_not_a_lift():
@@ -669,7 +669,7 @@ def test_a_hit_certificate_carries_the_char_poly_on_the_fiber_sum_zero_space():
         cases += _search_hits(base, group)
     for f, cert in cases:
         assert cert.is_two_ev
-        assert cert.new_poly == spectral_difference_poly(f) == _lift_over_base(f), f.gains
+        assert cert.new_poly == spectral_difference_poly(f)[0] == _lift_over_base(f), f.gains
     # irrational roots, integer roots of equal and of unequal multiplicity
     certs = [cert for _, cert in cases]
     assert any(c.theta != round(c.theta) for c in certs)
@@ -682,8 +682,52 @@ def test_a_miss_certificate_carries_the_char_poly_on_the_fiber_sum_zero_space(rn
     for f in (k3n_nonexample(2), _random_gain(rng, hypercube(3), GroupSpec.cyclic(3))):
         cert = classify_two_ev(f)
         assert not cert.is_two_ev
-        assert cert.new_poly == spectral_difference_poly(f) == _lift_over_base(f)
+        assert cert.new_poly == spectral_difference_poly(f)[0] == _lift_over_base(f)
         assert cert.new_distinct == squarefree_part(cert.new_poly).degree
+
+
+def _pair_count(group):
+    """Number of pairs {chi, conj chi} of nontrivial characters of an abelian
+    group, a real character (one of order 2) counting as a pair of one."""
+    real = sum(all(2 * c % r == 0 for c, r in zip(g, group.orders))
+               for g in itertools.product(*map(range, group.orders))) - 1
+    return (group.order - 1 + real) // 2
+
+
+def test_a_miss_counts_its_new_eigenvalues_from_one_char_poly_per_conjugate_pair(rng):
+    # an abelian miss counts its new distinct eigenvalues from roots, one
+    # char poly per conjugate pair, which divides the char poly on W, has its
+    # roots, and is bounded as a char poly of n * pairs rows
+    cases = []
+    for orders in [(3,), (4,), (5,), (6,), (8,), (2, 4), (3, 3)]:
+        group = GroupSpec.abelian(*orders)
+        while sum(f.group is group for f in cases) < 2:
+            base = random_graph(rng, rng.randint(4, 7), 0.6)
+            if is_connected(base):
+                cases.append(_random_gain(rng, base, group))
+    # misses whose roots repeat: every character matrix of identity gains is
+    # the base adjacency, and k3n_nonexample's one signed matrix has three
+    # distinct eigenvalues; squarefree_part cannot stop at its first prime
+    repeated = [identity_gains(base, GroupSpec.cyclic(r))
+                for base in (cycle(5), petersen()) for r in (3, 4, 5)]
+    repeated.append(k3n_nonexample(2))
+    misses = 0
+    for f in cases + repeated:
+        cert = classify_two_ev(f)
+        if cert.is_two_ev:
+            continue
+        misses += 1
+        new_poly, roots = spectral_difference_poly(f)
+        pairs = _pair_count(f.group)
+        assert cert.new_poly == new_poly == char_poly_int_matrix(fiber_sum_zero_matrix(f))
+        assert roots.degree == f.base.n * pairs and new_poly.divmod_monic(roots)[1].is_zero
+        assert cert.new_distinct == prs_squarefree_part(_lift_over_base(f)).degree \
+            == prs_squarefree_part(roots).degree, (f.gains, f.group)
+        bound = spectral._coefficient_bound(roots.degree, 2 * f.base.m * pairs)
+        assert max(map(abs, roots.coeffs)) <= bound
+        if f in repeated:
+            assert prs_squarefree_part(roots).degree < roots.degree
+    assert misses >= 12 + len(repeated)
 
 
 def quotient_verdict(f):
