@@ -163,9 +163,12 @@ def _is_prime(n):
 
 @lru_cache(maxsize=None)
 def _prime(limit, i, e=1):
-    """The i-th prime p = 1 (mod e) at most limit, counting down from it."""
+    """The i-th prime p = 1 (mod e) at most limit, counting down from it.
+    Raises ValueError when fewer than i + 1 such primes exist."""
     p = limit - (limit - 1) % e if i == 0 else _prime(limit, i - 1, e) - e
     while not _is_prime(p):
+        if p < 2:
+            raise ValueError(f"fewer than {i + 1} primes = 1 (mod {e}) are at most {limit}")
         p -= e
     return p
 

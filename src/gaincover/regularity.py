@@ -13,7 +13,6 @@ checks them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,8 +22,8 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import _prime
-from .spectral import TwoEvCertificate, distinct_eigenvalue_count, fiber_two_ev
+from .spectral import (TwoEvCertificate, _crt_primes, _powers_mod, distinct_eigenvalue_count,
+                       fiber_two_ev)
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,11 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     Raises ParameterError for a lift without its certificate, so that no char
     poly of a whole lift is taken.
 
-    The powers are taken in float64 on BLAS modulo one prime p at a time,
-    with Delta*p < 2^53 for the largest degree Delta, so every product is
-    exact. A diagonal entry of A^j counts closed walks, at most Delta^(j-1):
-    constant residues modulo primes whose product passes Delta^(d-2) are a
-    constant diagonal.
+    The powers up to A^(d-2) come from `spectral._powers_mod` modulo one
+    prime p at a time, with Delta*p < 2^53 for the largest degree Delta, so
+    they are exact, and A^(d-1) only on its diagonal. A diagonal entry of A^j
+    counts closed walks, at most Delta^(j-1): constant residues modulo the
+    primes `_crt_primes` takes for Delta^(d-2) are a constant diagonal.
     """
     cover = x if isinstance(x, CoverGraph) else None
     if cover is not None and cert is None:
@@ -142,20 +141,16 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
         return True
     deg = max(g.degrees)
     a = g.adjacency(dtype=np.float64)
-    limit, bound, prod = 2 ** (53 - deg.bit_length()), deg ** (top - 1), 1
-    for i in itertools.count():
-        if prod > bound:
-            return True
-        p = _prime(limit, i)
-        power = a
-        for j in range(2, top + 1):
-            power = power @ a
-            if deg**j >= p:  # else the entries are their own residues
-                np.fmod(power, p, out=power)
-            d = power.diagonal()
-            if not (d == d[0]).all():
+    for p in _crt_primes(2 ** (53 - deg.bit_length()), deg ** (top - 1)):
+        powers = _powers_mod(a, deg, [p], top - 1)
+        power = next(powers)  # A, whose diagonal is zero
+        for power in powers:
+            if len(set(power[0].diagonal().tolist())) > 1:
                 return False
-        prod *= p
+        # of A^top only the diagonal, each entry a sum of at most deg residues
+        if len({x % p for x in (power[0] * a).sum(axis=1).tolist()}) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ gain graphs, and the two-eigenvalue classifier.
 
 A graph's exact char poly and distinct eigenvalue count (`char_poly`,
 `distinct_eigenvalue_count`) are first guessed from its rounded spectrum
-and certified exactly by sparse powers of its adjacency modulo word-size
-primes (`_few_eigenvalue_char_poly`); the graphs the paper is about, with
-few distinct eigenvalues, pass, and need no Hessenberg reduction and no
+and certified exactly (`_few_eigenvalue_char_poly`) on the powers of its
+adjacency modulo primes below 2^26, from `_powers_mod`, the one BLAS kernel
+of A^j mod p, which the walk check shares; the graphs the paper is about,
+with few distinct eigenvalues, pass, and need no Hessenberg reduction and no
 square-free part. Every other exact char poly (a graph whose certificate
 fails, an integer matrix, a miss's on W) is taken modulo word-size primes
 by one stacked Hessenberg kernel, `_char_poly_mod`, which runs all its
@@ -215,10 +216,9 @@ def _coefficient_bound(N, F):
     return max(math.isqrt(math.comb(N, i) ** 2 * f**i) + 1 for i in range(N + 1))
 
 
-def _crt_primes(n, bound, e=1):
-    """The fewest primes p = 1 (mod e), descending from the largest with
-    n*p^2 < 2^63, whose product exceeds 2 * bound."""
-    limit = math.isqrt((2**63 - 1) // n)
+def _crt_primes(limit, bound, e=1):
+    """The fewest primes p = 1 (mod e), descending from the largest at most
+    limit, whose product exceeds 2 * bound."""
     primes, prod = [], 1
     while prod <= 2 * bound:
         primes.append(_prime(limit, len(primes), e))
@@ -257,7 +257,8 @@ def char_poly_int_matrix(A) -> IntPoly:
     if n == 0:
         return IntPoly((1,))
     # F summed in object dtype, so that squaring an entry cannot overflow
-    primes = _crt_primes(n, _coefficient_bound(n, int(np.square(A.astype(object)).sum())))
+    primes = _crt_primes(math.isqrt((2**63 - 1) // n),
+                         _coefficient_bound(n, int(np.square(A.astype(object)).sum())))
     return _crt(_char_poly_mod(np.broadcast_to(A, (len(primes), n, n)), primes), primes)
 
 
@@ -349,14 +350,18 @@ def hermitian_spectrum(matrix) -> Spectrum:
 # exact characteristic polynomial of a graph
 
 
-def _rounded_factors(g: Graph):
+# primes of `_few_eigenvalue_char_poly`: below 2^26, p^2 + p is exact in float64
+_CERTIFICATE_LIMIT = 2**26
+
+
+def _rounded_factors(a):
     """{k: g_k}, the guess of `_few_eigenvalue_char_poly`: g_k = prod (x -
     theta) over the clustered eigenvalues theta of multiplicity k of the
-    adjacency of g, rounded to integers; None when the eigensolver fails or a
-    coefficient reaches 2^50, past which a float no longer resolves
+    float64 adjacency a, rounded to integers; None when the eigensolver fails
+    or a coefficient reaches 2^50, past which a float no longer resolves
     integers."""
     try:
-        spectrum = hermitian_spectrum(g.adjacency(dtype=np.float64))
+        spectrum = hermitian_spectrum(a)
     except NumericError:
         return None
     roots = {}
@@ -384,38 +389,24 @@ def _power_sums(f: IntPoly, count):
     return sums
 
 
-def _powers_check_mod(table, m: IntPoly, traces, primes):
-    """True iff m(A) = 0 and tr(A^j) = traces[j] for 0 < j < deg m modulo
-    every prime of the list primes, each with n p^2 < 2^63, where A is the
-    n-square adjacency whose row u has ones at the entries of row u of table,
-    an (n, Delta) array of neighbour lists padded with n.
+def _powers_mod(a, delta, primes, top):
+    """A^1, ..., A^top of the n-square 0/1 float64 adjacency a, of largest
+    degree delta, modulo the K primes of the list primes: float64 stacks of
+    K slices, slice k modulo primes[k], or of one slice that serves them all.
 
-    Takes A^j = A A^(j-1) for j = 1..deg m on all the primes at once, each
-    step a sum of rows of A^(j-1) over the table, with a zero row n for the
-    padding, and adds c_j A^j into m(A) as it goes.
+    Each step is one BLAS product A^j = A^(j-1) A on the stack as one (K n, n)
+    matrix, exact while delta * p < 2^53: an entry sums at most delta
+    residues. An entry of A^j counts walks, at most delta^(j-1); until that
+    reaches the least prime, A^j is its own residue and np.fmod is not called.
     """
-    n, delta = table.shape
-    q = np.array(primes, dtype=np.int64)[:, None, None]
-    # residues of the coefficients of m and of the traces, one column per prime
-    coeffs = np.array([[c % p for p in primes] for c in m.coeffs], dtype=np.int64)
-    traces = np.array([[t % p for p in primes] for t in traces], dtype=np.int64)
-    diag = np.arange(n)
-    power = np.zeros((len(primes), n + 1, n), dtype=np.int64)
-    power[:, diag, diag] = 1
-    m_of_a = np.zeros((len(primes), n, n), dtype=np.int64)
-    m_of_a[:, diag, diag] = coeffs[0, :, None]
-    for j in range(1, m.degree + 1):
-        step = np.zeros((len(primes), n, n), dtype=np.int64)
-        for t in range(delta):
-            step += power[:, table[:, t]]
-        step %= q
-        power[:, :n] = step
-        if j < m.degree and (step.trace(axis1=1, axis2=2) % q[:, 0, 0] != traces[j]).any():
-            return False
-        if m.coeffs[j]:
-            m_of_a += coeffs[j, :, None, None] * step
-            m_of_a %= q
-    return not m_of_a.any()
+    n, least, power = len(a), min(primes), a[None]
+    for j in range(1, top + 1):
+        if j > 1:  # one slice as it is, K slices as one (K n, n) matrix
+            power = power @ a if len(power) == 1 else (power.reshape(-1, n) @ a).reshape(-1, n, n)
+        if delta ** (j - 1) >= least:
+            q = np.array(primes, dtype=np.float64)[:, None, None]
+            power = np.fmod(power, q, out=power if len(power) == len(q) else None)
+        yield power
 
 
 def _few_eigenvalue_char_poly(g: Graph):
@@ -435,15 +426,16 @@ def _few_eigenvalue_char_poly(g: Graph):
     system in the multiplicities of those roots, and the guess solves it. So
     det(xI - A) = prod_k g_k^k, with D distinct eigenvalues.
 
-    The checks run modulo word-size primes whose product exceeds 2 * max(sum
-    |c_i| Delta^i, n Delta^D), Delta the largest degree and c_i the
-    coefficients of m. Every entry of m(A) lies within that bound, and so
-    does every trace, which lies in [0, n Delta^j]; a predicted trace outside
-    it fails at once. So the checks modulo the primes decide them over Z.
-    The primes run `batch_rows(n)` at a time through `_powers_check_mod`, D
-    sparse steps each.
+    The checks run modulo primes below `_CERTIFICATE_LIMIT` whose product
+    exceeds 2 * max(sum |c_i| Delta^i, n Delta^D), Delta the largest degree
+    and c_i the coefficients of m. Every entry of m(A) lies within that
+    bound, and so does every trace, which lies in [0, n Delta^j]; a predicted
+    trace outside it fails at once. So the checks modulo the primes decide
+    them over Z. The primes run `batch_rows(n)` at a time through
+    `_powers_mod`, D BLAS products each, and m(A) sums c_j A^j as they come.
     """
-    factors = _rounded_factors(g)
+    a = g.adjacency(dtype=np.float64)
+    factors = _rounded_factors(a)
     if factors is None:
         return None
     m = math.prod(factors.values(), start=IntPoly((1,)))
@@ -457,15 +449,23 @@ def _few_eigenvalue_char_poly(g: Graph):
     traces = [sum(k * s[j] for k, s in sums) for j in range(d)]
     if not all(0 <= t <= n * delta**j for j, t in enumerate(traces)):
         return None
-    primes = _crt_primes(n, max(sum(abs(c) * delta**i for i, c in enumerate(m.coeffs)),
-                                n * delta**d))
-    table = np.full((n, delta), n, dtype=np.int64)
-    for u, nbrs in enumerate(g.neighbors):
-        table[u, :len(nbrs)] = nbrs
-    step = batch_rows(n)
-    if not all(_powers_check_mod(table, m, traces, primes[lo:lo + step])
-               for lo in range(0, len(primes), step)):
-        return None
+    primes = _crt_primes(_CERTIFICATE_LIMIT, max(
+        sum(abs(c) * delta**i for i, c in enumerate(m.coeffs)), n * delta**d))
+    for lo in range(0, len(primes), batch_rows(n)):
+        chunk = primes[lo:lo + batch_rows(n)]
+        q = np.array(chunk, dtype=np.float64)[:, None, None]
+        # residues of the coefficients of m and of the traces, one row per prime
+        coeffs = np.array([[c % p for c in m.coeffs] for p in chunk], dtype=np.float64)
+        want = np.array([[t % p for t in traces] for p in chunk], dtype=np.float64)
+        m_of_a = coeffs[:, 0, None, None] * np.eye(n)
+        for j, power in enumerate(_powers_mod(a, delta, chunk, d), 1):
+            if j < d and (np.fmod(power.trace(axis1=1, axis2=2), q[:, 0, 0]) != want[:, j]).any():
+                return None
+            if m.coeffs[j]:
+                m_of_a += coeffs[:, j, None, None] * power
+                np.fmod(m_of_a, q, out=m_of_a)
+        if m_of_a.any():
+            return None
     return math.prod((f for k, f in factors.items() for _ in range(k)), start=IntPoly((1,))), d
 
 
@@ -643,7 +643,8 @@ def _character_difference_poly(f: GainGraph):
     e = math.lcm(*group.orders)
     twos = [c for c in group.elements()[1:] if c < group.inverse(c)]
     pairs = twos + [c for c in group.elements()[1:] if c == group.inverse(c)]
-    primes = _crt_primes(n, _coefficient_bound(n * len(pairs), 2 * m * len(pairs)), e)
+    primes = _crt_primes(math.isqrt((2**63 - 1) // n),
+                         _coefficient_bound(n * len(pairs), 2 * m * len(pairs)), e)
     # chi_c(g) = zeta_e^(sum_i c_i g_i e / r_i) for the gain g of each edge
     edges = base.sorted_edges()
     gains = np.array([f.gains[uv] for uv in edges], dtype=np.int64).reshape(m, len(group.orders))

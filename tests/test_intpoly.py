@@ -110,6 +110,15 @@ def test_squarefree_part_drops_unlucky_primes():
     assert squarefree_part(from_roots([5, 5, 3, 3, 3 + q])) == from_roots([5, 3, 3 + q])
 
 
+def test_prime_counts_down_and_raises_past_the_last_prime():
+    assert [intpoly._prime(13, i) for i in range(6)] == [13, 11, 7, 5, 3, 2]
+    assert [intpoly._prime(50, i, 7) for i in range(2)] == [43, 29]
+    # no prime = 1 (mod 7) is at most 10, and only three primes at most 5
+    for args in ((10, 0, 7), (5, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            intpoly._prime(*args)
+
+
 def test_squarefree_decomposition():
     p = from_roots([1, 1, 1, -2, -2, 5])
     dec = squarefree_decomposition(p)

@@ -11,7 +11,7 @@ from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
                        hypercube, identity_gains, is_antipodal,
                        is_distance_regular, is_walk_regular, johnson, kneser,
                        lemma_column_counts, lift, line_graph, octahedron,
-                       petersen, regularity, srg_parameters)
+                       petersen, regularity, spectral, srg_parameters)
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
 from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
@@ -143,13 +143,14 @@ def test_walk_regular_switches_to_exact_integers(monkeypatch):
     g = cycle_complement(30)
     top = distinct_eigenvalue_count(g) - 1
     assert (max(g.degrees), top) == (27, 15)
-    real, primes = regularity._prime, []
+    real, primes = regularity._crt_primes, []
 
-    def recording(limit, i, e=1):
-        primes.append(real(limit, i, e))
-        return primes[-1]
+    def recording(limit, bound, e=1):
+        found = real(limit, bound, e)
+        primes.extend(found)
+        return found
 
-    monkeypatch.setattr(regularity, "_prime", recording)
+    monkeypatch.setattr(regularity, "_crt_primes", recording)
     assert is_walk_regular(g) and brute_force_walk_regular(g)
     assert len(primes) > 1 and primes[0] < 27 ** 14 < math.prod(primes)
     # through a lift's certificate bound: two disjoint copies, 16 + 16 - 1 powers
@@ -161,8 +162,12 @@ def test_walk_regular_switches_to_exact_integers(monkeypatch):
 
 def test_walk_regular_checks_every_prime(monkeypatch):
     # the diagonal of A^2 of K_{1,3} holds the degrees 3, 1, 1, 1, constant
-    # mod 2: the product of the primes must pass 3, and mod 3 tells them apart
-    monkeypatch.setattr(regularity, "_prime", lambda limit, i, e=1: (2, 3, 5, 7, 11)[i])
+    # mod 2: the product of the primes must pass 3, and mod 3 tells them apart.
+    # The exact distinct counts are cached first, so that only the walk
+    # check's `_crt_primes` draws on the small primes
+    for g in (complete_bipartite(1, 3), petersen(), hypercube(3)):
+        distinct_eigenvalue_count(g)
+    monkeypatch.setattr(spectral, "_prime", lambda limit, i, e=1: (2, 3, 5, 7, 11)[i])
     assert not is_walk_regular(complete_bipartite(1, 3))
     assert is_walk_regular(petersen()) and is_walk_regular(hypercube(3))
 

@@ -171,7 +171,7 @@ def _char_poly_mod_oracle(a, p):
 
 
 def test_stacked_char_poly_mod_matches_each_slice_alone(rng, monkeypatch):
-    big = spectral._crt_primes(6, 2**200)
+    big = spectral._crt_primes(math.isqrt((2**63 - 1) // 6), 2**200)  # 6 p^2 < 2^63
     base = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
     base[1][0], base[2][0] = 101, 1
     # the same matrix under 101 and 103 pivots on row 2 and on row 1 of
@@ -203,7 +203,7 @@ def test_stacked_char_poly_mod_matches_each_slice_alone(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a graph's char poly from its rounded spectrum, certified by sparse powers
+# a graph's char poly from its rounded spectrum, certified by powers mod p
 
 
 def _modular(g):
@@ -263,8 +263,14 @@ def test_johnson_char_poly_is_its_closed_form(n, k):
 @pytest.mark.parametrize("g", [cycle(13), cycle(31), Graph(0, []), Graph(1, []), Graph(5, []),
                                # K4, C5 and an isolated vertex: irregular, disconnected
                                Graph(10, [(u, v) for u in range(4) for v in range(u + 1, 4)]
-                                     + [(4 + i, 4 + (i + 1) % 5) for i in range(5)])],
-                         ids=["c13", "c31", "empty0", "empty1", "empty5", "k4+c5+k1"])
+                                     + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]),
+                               # the complement of C30, 27-regular with 16 distinct
+                               # eigenvalues: A^j is reduced mod p long before j = D, and
+                               # a coefficient's residue times it nears p^2, exact in
+                               # float64 only for p below 2^26
+                               Graph(30, [(u, v) for u in range(30) for v in range(u + 2, 30)
+                                          if (u, v) != (0, 29)])],
+                         ids=["c13", "c31", "empty0", "empty1", "empty5", "k4+c5+k1", "co-c30"])
 def test_graph_char_poly_matches_the_modular_route(g):
     assert _certified(g) == _modular(g)
 
@@ -288,7 +294,8 @@ WRONG_GUESSES = {
     # right modulo the first prime the route takes: x^2 + p - 1 for K2's
     # x^2 - 1 gives m(A) = pI; its coefficient p puts the bound past p/2, so
     # a second prime is taken, and m(A) != 0 modulo it
-    "congruent": (complete_graph(2), {1: _x(spectral._crt_primes(2, 1)[0] - 1, 0, 1)}),
+    "congruent": (complete_graph(2),
+                  {1: _x(spectral._crt_primes(spectral._CERTIFICATE_LIMIT, 1)[0] - 1, 0, 1)}),
     # 3K2's roots 1 and -1 in both g_1 and g_2: the char poly (x^2 - 1)^3 and
     # every trace are right, but m = (x^2 - 1)^2 counts 4 distinct
     # eigenvalues; only the square-free check catches it
@@ -312,16 +319,56 @@ def test_the_certificate_runs_the_primes_in_chunks(monkeypatch):
     monkeypatch.setattr(spectral, "BATCH_ENTRIES", 1)
     for g in (hypercube(3), complete_bipartite(3, 5)):
         assert spectral._few_eigenvalue_char_poly(g) == _modular(g)
+    # Q8 takes two primes below 2^26, so two passes
+    assert spectral._few_eigenvalue_char_poly(hypercube(8)) == _from_spectrum(
+        [(8 - 2 * i, math.comb(8, i)) for i in range(9)])
     g, guess = WRONG_GUESSES["congruent"]
     monkeypatch.setattr(spectral, "_rounded_factors", lambda h: guess)
     assert spectral._few_eigenvalue_char_poly(g) is None
+
+
+def _int_powers_mod(g, primes, top):
+    """A^1, ..., A^top of g's adjacency in Python ints, each reduced modulo
+    every prime of primes, as nested lists."""
+    a = g.adjacency().astype(object)
+    power, out = a, []
+    for _ in range(top):
+        out.append([(power % p).tolist() for p in primes])
+        power = power.dot(a)
+    return out
+
+
+@pytest.mark.parametrize("g, top", [
+    (complete_graph(64), 10), (complete_bipartite(3, 40), 8),
+    *((random_graph(random.Random(n), n, 0.3 + n / 60), 12) for n in (1, 2, 7, 19, 33))],
+    ids=["k64", "k3,40", "random1", "random2", "random7", "random19", "random33"])
+def test_power_kernel_matches_python_int_powers(monkeypatch, g, top):
+    # the largest prime of each caller's range, the certificate's below 2^26
+    # and the walk check's with Delta p < 2^53, stacked with a small prime,
+    # which the powers reach at once
+    delta = max(g.degrees)
+    primes = [spectral._prime(2**26, 0), spectral._prime((2**53 - 1) // max(delta, 1), 0), 7]
+    a, want = g.adjacency(dtype=np.float64), _int_powers_mod(g, primes, top)
+
+    def check(lo, hi):
+        got = [np.broadcast_to(power, (hi - lo, g.n, g.n)).astype(np.int64).tolist()
+               for power in spectral._powers_mod(a, delta, primes[lo:hi], top)]
+        assert got == [w[lo:hi] for w in want], primes[lo:hi]
+
+    check(0, 3)
+    # in chunks of `batch_rows` primes, as the certificate runs them: one each
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", g.n * g.n)
+    step = spectral.batch_rows(g.n)
+    assert step == 1
+    for lo in range(0, 3, step):
+        check(lo, lo + step)
 
 
 def test_a_graph_whose_guess_fails_takes_the_modular_route(rng):
     # the char poly of a random 64-vertex graph has coefficients far past
     # 2^50, so the guess gives up and the modular route answers
     g = random_graph(rng, 64)
-    assert spectral._rounded_factors(g) is None
+    assert spectral._rounded_factors(g.adjacency(dtype=np.float64)) is None
     assert _cold(g) == _modular(g)
 
 
