@@ -126,24 +126,19 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     The powers up to A^(d-2) come from `spectral._powers_mod` modulo one
     prime p at a time, with Delta*p < 2^53 for the largest degree Delta, so
     they are exact, and A^(d-1) only on its diagonal. A diagonal entry of A^j
-    counts closed walks, at most Delta^(j-1): constant residues modulo the
-    primes `_crt_primes` takes for Delta^(d-2) are a constant diagonal.
+    counts closed walks, in [0, Delta^(j-1)]: constant residues modulo primes
+    whose product exceeds 2 ceil(Delta^(d-2) / 2) are a constant diagonal.
     """
-    cover = x if isinstance(x, CoverGraph) else None
-    if cover is not None and cert is None:
+    g = x.graph if isinstance(x, CoverGraph) else x
+    if g is not x and cert is None:
         raise ParameterError("a lift needs its two-eigenvalue certificate")
-    g = cover.graph if cover is not None else x
-    if cover is not None:
-        top = distinct_eigenvalue_count(cover.base) + cert.new_distinct - 1
-    else:
-        top = distinct_eigenvalue_count(g) - 1
+    top = (distinct_eigenvalue_count(x.base) + cert.new_distinct if g is not x
+           else distinct_eigenvalue_count(g)) - 1
     if top < 2:  # A^0 = I, and A^1 has zero diagonal on a simple graph
         return True
-    deg = max(g.degrees)
-    a = g.adjacency(dtype=np.float64)
-    for p in _crt_primes(2 ** (53 - deg.bit_length()), deg ** (top - 1)):
-        powers = _powers_mod(a, deg, [p], top - 1)
-        power = next(powers)  # A, whose diagonal is zero
+    deg, a = max(g.degrees), g.adjacency(dtype=np.float64)
+    for p in _crt_primes(2 ** (53 - deg.bit_length()), (deg ** (top - 1) + 1) // 2):
+        power = next(powers := _powers_mod(a, deg, [p], top - 1))  # A, whose diagonal is zero
         for power in powers:
             if len(set(power[0].diagonal().tolist())) > 1:
                 return False

@@ -71,6 +71,10 @@ def batch_rows(cover_n):
 # exact characteristic polynomial
 
 
+def _int64_limit(n):  # the largest p with n*p^2 < 2^63, the bound on `_char_poly_mod`'s moduli
+    return math.isqrt((2**63 - 1) // n)
+
+
 def _char_poly_mod(A, p):
     """Coefficients [c_0, ..., c_n = 1] of det(xI - A_k) mod p_k, ascending,
     for each slice A_k of a (K, n, n) integer stack and its modulus p_k, an
@@ -88,10 +92,10 @@ def _char_poly_mod(A, p):
     so the entries above it, which do not count, are dropped, and every
     product of subdiagonal entries in the recurrence is 1.
 
-    O(n^3) per slice in int64; each p_k is chosen so n*p_k^2 < 2^63 keeps
-    every dot product exact. The slices run `batch_rows(n)` at a time, each
-    step on all of them at once: each slice takes its own pivot row, and a
-    row is skipped only where its multiplier is zero in every slice.
+    O(n^3) per slice in int64, exact for p_k up to `_int64_limit(n)`. The
+    slices run `batch_rows(n)` at a time, each step on all of them at once:
+    each slice takes its own pivot row, and a row is skipped only where its
+    multiplier is zero in every slice.
     """
     n = A.shape[-1]
     out = np.empty((len(A), n + 1), dtype=np.int64)
@@ -257,7 +261,7 @@ def char_poly_int_matrix(A) -> IntPoly:
     if n == 0:
         return IntPoly((1,))
     # F summed in object dtype, so that squaring an entry cannot overflow
-    primes = _crt_primes(math.isqrt((2**63 - 1) // n),
+    primes = _crt_primes(_int64_limit(n),
                          _coefficient_bound(n, int(np.square(A.astype(object)).sum())))
     return _crt(_char_poly_mod(np.broadcast_to(A, (len(primes), n, n)), primes), primes)
 
@@ -389,22 +393,22 @@ def _power_sums(f: IntPoly, count):
     return sums
 
 
-def _powers_mod(a, delta, primes, top):
-    """A^1, ..., A^top of the n-square 0/1 float64 adjacency a, of largest
-    degree delta, modulo the K primes of the list primes: float64 stacks of
-    K slices, slice k modulo primes[k], or of one slice that serves them all.
+def _powers_mod(a, delta, primes, top, rows=slice(None)):
+    """The r rows `rows` of A^1, ..., A^top, A the n-square 0/1 adjacency a
+    of largest degree delta, modulo the K primes of the list primes: float64
+    (K, r, n) stacks, slice k modulo primes[k], or one slice for them all.
 
-    Each step is one BLAS product A^j = A^(j-1) A on the stack as one (K n, n)
+    Each step is one BLAS product A^j = A^(j-1) A on the stack as one (K r, n)
     matrix, exact while delta * p < 2^53: an entry sums at most delta
     residues. An entry of A^j counts walks, at most delta^(j-1); until that
     reaches the least prime, A^j is its own residue and np.fmod is not called.
     """
-    n, least, power = len(a), min(primes), a[None]
+    n, least, power, q = len(a), min(primes), a[None, rows], None
     for j in range(1, top + 1):
-        if j > 1:  # one slice as it is, K slices as one (K n, n) matrix
-            power = power @ a if len(power) == 1 else (power.reshape(-1, n) @ a).reshape(-1, n, n)
+        if j > 1:  # one slice before the first reduction, then K slices as one (K r, n) matrix
+            power = power @ a if q is None else (power.reshape(-1, n) @ a).reshape(power.shape)
         if delta ** (j - 1) >= least:
-            q = np.array(primes, dtype=np.float64)[:, None, None]
+            q = np.array(primes, dtype=np.float64)[:, None, None] if q is None else q
             power = np.fmod(power, q, out=power if len(power) == len(q) else None)
         yield power
 
@@ -431,41 +435,42 @@ def _few_eigenvalue_char_poly(g: Graph):
     and c_i the coefficients of m. Every entry of m(A) lies within that
     bound, and so does every trace, which lies in [0, n Delta^j]; a predicted
     trace outside it fails at once. So the checks modulo the primes decide
-    them over Z. The primes run `batch_rows(n)` at a time through
-    `_powers_mod`, D BLAS products each, and m(A) sums c_j A^j as they come.
+    them over Z. All the primes run through `_powers_mod` at once, on blocks
+    of rows within max(BATCH_ENTRIES, n^2) entries a stack, so each power
+    before the first reduction is taken once; m(A) sums c_j A^j as they come.
     """
     a = g.adjacency(dtype=np.float64)
     factors = _rounded_factors(a)
     if factors is None:
         return None
     m = math.prod(factors.values(), start=IntPoly((1,)))
-    n, d = g.n, m.degree
+    n, d, delta = g.n, m.degree, max(g.degrees)
     q = _prime(2**62, 0)
     if len(_monic_gcd_mod([c % q for c in reversed(m.coeffs)],
                           [c % q for c in reversed(m.derivative().coeffs)], q)) > 1:
         return None
-    delta = max(g.degrees)
     sums = [(k, _power_sums(f, d)) for k, f in factors.items()]
     traces = [sum(k * s[j] for k, s in sums) for j in range(d)]
-    if not all(0 <= t <= n * delta**j for j, t in enumerate(traces)):
+    if traces[0] != n or not all(0 <= t <= n * delta**j for j, t in enumerate(traces)):
         return None
-    primes = _crt_primes(_CERTIFICATE_LIMIT, max(
-        sum(abs(c) * delta**i for i, c in enumerate(m.coeffs)), n * delta**d))
-    for lo in range(0, len(primes), batch_rows(n)):
-        chunk = primes[lo:lo + batch_rows(n)]
-        q = np.array(chunk, dtype=np.float64)[:, None, None]
-        # residues of the coefficients of m and of the traces, one row per prime
-        coeffs = np.array([[c % p for c in m.coeffs] for p in chunk], dtype=np.float64)
-        want = np.array([[t % p for t in traces] for p in chunk], dtype=np.float64)
-        m_of_a = coeffs[:, 0, None, None] * np.eye(n)
-        for j, power in enumerate(_powers_mod(a, delta, chunk, d), 1):
-            if j < d and (np.fmod(power.trace(axis1=1, axis2=2), q[:, 0, 0]) != want[:, j]).any():
-                return None
+    primes = _crt_primes(_CERTIFICATE_LIMIT, max(  # 1: an edgeless graph takes a prime too
+        sum(abs(c) * delta**i for i, c in enumerate(m.coeffs)), n * delta**d, 1))
+    q = np.array(primes, dtype=np.float64)[:, None, None]
+    # residues, one row per prime, of m's coefficients and of minus the traces
+    coeffs = np.array([[c % p for c in m.coeffs] for p in primes], dtype=np.float64)
+    rest = np.array([[-t % p for t in traces + [0]] for p in primes], dtype=np.float64)
+    step = max(1, max(BATCH_ENTRIES, n * n) // (len(primes) * n))  # rows per block
+    for lo in range(0, n, step):
+        m_of_a = coeffs[:, 0, None, None] * np.eye(min(step, n - lo), n, lo)
+        for j, power in enumerate(_powers_mod(a, delta, primes, d, slice(lo, lo + step)), 1):
+            rest[:, j] += power.trace(lo, axis1=1, axis2=2)
             if m.coeffs[j]:
                 m_of_a += coeffs[:, j, None, None] * power
                 np.fmod(m_of_a, q, out=m_of_a)
         if m_of_a.any():
             return None
+    if np.fmod(rest[:, 1:d], q[:, :, 0]).any():
+        return None
     return math.prod((f for k, f in factors.items() for _ in range(k)), start=IntPoly((1,))), d
 
 
@@ -643,7 +648,7 @@ def _character_difference_poly(f: GainGraph):
     e = math.lcm(*group.orders)
     twos = [c for c in group.elements()[1:] if c < group.inverse(c)]
     pairs = twos + [c for c in group.elements()[1:] if c == group.inverse(c)]
-    primes = _crt_primes(math.isqrt((2**63 - 1) // n),
+    primes = _crt_primes(_int64_limit(n),
                          _coefficient_bound(n * len(pairs), 2 * m * len(pairs)), e)
     # chi_c(g) = zeta_e^(sum_i c_i g_i e / r_i) for the gain g of each edge
     edges = base.sorted_edges()

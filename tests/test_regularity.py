@@ -164,12 +164,21 @@ def test_walk_regular_checks_every_prime(monkeypatch):
     # the diagonal of A^2 of K_{1,3} holds the degrees 3, 1, 1, 1, constant
     # mod 2: the product of the primes must pass 3, and mod 3 tells them apart.
     # The exact distinct counts are cached first, so that only the walk
-    # check's `_crt_primes` draws on the small primes
+    # check's `_crt_primes` draws on the small primes. It draws the fewest
+    # whose product passes Delta^(top-1): 3 for K_{1,3} and Petersen, 9 for Q3
     for g in (complete_bipartite(1, 3), petersen(), hypercube(3)):
         distinct_eigenvalue_count(g)
-    monkeypatch.setattr(spectral, "_prime", lambda limit, i, e=1: (2, 3, 5, 7, 11)[i])
+    drawn = []
+
+    def small(limit, i, e=1):
+        drawn.append((2, 3, 5, 7, 11)[i])
+        return drawn[-1]
+
+    monkeypatch.setattr(spectral, "_prime", small)
     assert not is_walk_regular(complete_bipartite(1, 3))
+    assert drawn == [2, 3]
     assert is_walk_regular(petersen()) and is_walk_regular(hypercube(3))
+    assert drawn == [2, 3] + [2, 3] + [2, 3, 5]
 
 
 # ---------------------------------------------------------------------------

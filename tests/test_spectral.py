@@ -171,7 +171,7 @@ def _char_poly_mod_oracle(a, p):
 
 
 def test_stacked_char_poly_mod_matches_each_slice_alone(rng, monkeypatch):
-    big = spectral._crt_primes(math.isqrt((2**63 - 1) // 6), 2**200)  # 6 p^2 < 2^63
+    big = spectral._crt_primes(spectral._int64_limit(6), 2**200)  # 6 p^2 < 2^63
     base = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
     base[1][0], base[2][0] = 101, 1
     # the same matrix under 101 and 103 pivots on row 2 and on row 1 of
@@ -296,6 +296,10 @@ WRONG_GUESSES = {
     # a second prime is taken, and m(A) != 0 modulo it
     "congruent": (complete_graph(2),
                   {1: _x(spectral._crt_primes(spectral._CERTIFICATE_LIMIT, 1)[0] - 1, 0, 1)}),
+    # K_{1,3}'s 0 counted once, not twice: m = x^3 - 3x, m(A) = 0, and
+    # tr(A), tr(A^2) are right, but the guess's degree 3 is not n = 4; only
+    # tr(A^0) catches it
+    "short": (complete_bipartite(1, 3), {1: _x(0, -3, 0, 1)}),
     # 3K2's roots 1 and -1 in both g_1 and g_2: the char poly (x^2 - 1)^3 and
     # every trace are right, but m = (x^2 - 1)^2 counts 4 distinct
     # eigenvalues; only the square-free check catches it
@@ -314,17 +318,32 @@ def test_a_wrong_guess_falls_back_to_the_modular_route(monkeypatch, name):
 
 
 def test_the_certificate_runs_the_primes_in_chunks(monkeypatch):
-    # one prime per pass: a right guess still certifies, and the guess right
-    # modulo the first prime is refuted in the second pass
+    # every prime at once, in blocks of rows of about n^2 entries each: one
+    # block per prime. A right guess still certifies, summing its traces over
+    # the blocks, and the guess right modulo the first prime is refuted
     monkeypatch.setattr(spectral, "BATCH_ENTRIES", 1)
     for g in (hypercube(3), complete_bipartite(3, 5)):
         assert spectral._few_eigenvalue_char_poly(g) == _modular(g)
-    # Q8 takes two primes below 2^26, so two passes
-    assert spectral._few_eigenvalue_char_poly(hypercube(8)) == _from_spectrum(
-        [(8 - 2 * i, math.comb(8, i)) for i in range(9)])
-    g, guess = WRONG_GUESSES["congruent"]
-    monkeypatch.setattr(spectral, "_rounded_factors", lambda h: guess)
-    assert spectral._few_eigenvalue_char_poly(g) is None
+    # Q8 takes two primes below 2^26, so two blocks of 128 rows
+    blocks = []
+    real = spectral._powers_mod
+
+    def recording(a, delta, primes, top, rows):
+        blocks.append((len(primes), rows))
+        return real(a, delta, primes, top, rows)
+
+    monkeypatch.setattr(spectral, "_powers_mod", recording)
+    q8 = _from_spectrum([(8 - 2 * i, math.comb(8, i)) for i in range(9)])
+    assert spectral._few_eigenvalue_char_poly(hypercube(8)) == q8
+    assert blocks == [(2, slice(0, 128)), (2, slice(128, 256))]
+    # Q8's multiplicities of 8 and 6 swapped: m(A) = 0 in every block, and
+    # only the traces summed over both blocks refute it
+    swapped = {1: _x(-48, 2, 1), 8: _x(-48, -2, 1), 28: _x(-16, 0, 1), 56: _x(-4, 0, 1),
+               70: _x(0, 1)}
+    for guess in (swapped, WRONG_GUESSES["congruent"][1]):
+        monkeypatch.setattr(spectral, "_rounded_factors", lambda h: guess)
+        g = hypercube(8) if guess is swapped else WRONG_GUESSES["congruent"][0]
+        assert spectral._few_eigenvalue_char_poly(g) is None
 
 
 def _int_powers_mod(g, primes, top):
@@ -342,7 +361,7 @@ def _int_powers_mod(g, primes, top):
     (complete_graph(64), 10), (complete_bipartite(3, 40), 8),
     *((random_graph(random.Random(n), n, 0.3 + n / 60), 12) for n in (1, 2, 7, 19, 33))],
     ids=["k64", "k3,40", "random1", "random2", "random7", "random19", "random33"])
-def test_power_kernel_matches_python_int_powers(monkeypatch, g, top):
+def test_power_kernel_matches_python_int_powers(g, top):
     # the largest prime of each caller's range, the certificate's below 2^26
     # and the walk check's with Delta p < 2^53, stacked with a small prime,
     # which the powers reach at once
@@ -350,18 +369,18 @@ def test_power_kernel_matches_python_int_powers(monkeypatch, g, top):
     primes = [spectral._prime(2**26, 0), spectral._prime((2**53 - 1) // max(delta, 1), 0), 7]
     a, want = g.adjacency(dtype=np.float64), _int_powers_mod(g, primes, top)
 
-    def check(lo, hi):
-        got = [np.broadcast_to(power, (hi - lo, g.n, g.n)).astype(np.int64).tolist()
-               for power in spectral._powers_mod(a, delta, primes[lo:hi], top)]
-        assert got == [w[lo:hi] for w in want], primes[lo:hi]
+    def check(lo, hi, rows=slice(None)):
+        got = [np.broadcast_to(power, (hi - lo, len(a[rows]), g.n)).astype(np.int64).tolist()
+               for power in spectral._powers_mod(a, delta, primes[lo:hi], top, rows)]
+        assert got == [[x[rows] for x in w[lo:hi]] for w in want], (primes[lo:hi], rows)
 
     check(0, 3)
-    # in chunks of `batch_rows` primes, as the certificate runs them: one each
-    monkeypatch.setattr(spectral, "BATCH_ENTRIES", g.n * g.n)
-    step = spectral.batch_rows(g.n)
-    assert step == 1
-    for lo in range(0, 3, step):
-        check(lo, lo + step)
+    # one prime at a time, as the walk check runs them, and the primes
+    # together on blocks of rows, as the certificate runs them
+    for lo in range(3):
+        check(lo, lo + 1)
+    for rows in (slice(0, 1), slice(g.n // 2, g.n)):
+        check(0, 3, rows)
 
 
 def test_a_graph_whose_guess_fails_takes_the_modular_route(rng):
