@@ -29,7 +29,7 @@ from .errors import (BudgetError, DisconnectedError, FalsificationError,
                      NumericError, ParameterError, ParseError)
 from .families import (butson_gain, cohen_tits_signing, fourier_butson,
                        huang_signing, k3n_nonexample, s3_cover_k5)
-from .gains import GainGraph, GroupSpec, parse_gain_file, write_gain_file
+from .gains import CoverGraph, GainGraph, GroupSpec, parse_gain_file, write_gain_file
 from .graphs import (MAX_VERTICES, Graph, complete_bipartite, complete_graph, cycle,
                      girth, hypercube, is_connected, johnson, kneser, octahedron,
                      parse_edge_list, petersen, write_edge_list)
@@ -62,15 +62,16 @@ def _spectrum_json(spec):
     return [[_fmt(v), int(m)] for v, m in spec]
 
 
-def graph_report(g: Graph, p):
-    """Report of g, whose characteristic polynomial is p."""
+def graph_report(x, p):
+    """Report of x, a graph or a lift, whose characteristic polynomial is p."""
+    g = x.graph if isinstance(x, CoverGraph) else x
     spec = hermitian_spectrum(g.adjacency(dtype=float))
     return {
         "n": g.n,
         "m": g.m,
         "regular": g.degrees[0] if g.n and g.is_regular() else None,
-        "girth": girth(g),
-        "connected": is_connected(g),
+        "girth": girth(x),
+        "connected": is_connected(x),
         "char_poly": [int(c) for c in p.coeffs],
         "spectrum": _spectrum_json(spec),
     }
@@ -87,7 +88,7 @@ def gain_report(f: GainGraph):
                   "vertices": f.base.n, "edges": f.base.m},
         "base": graph_report(f.base, p_base),
         # the cover's char poly is the base's times the one on W
-        "cover": graph_report(f.cover.graph, p_base * cert.new_poly)
+        "cover": graph_report(f.cover, p_base * cert.new_poly)
                  | {"fibers": f.cover.r},
         "two_ev": cert.as_dict(),
         "regularity": reg.as_dict(),

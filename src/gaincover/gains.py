@@ -17,13 +17,14 @@ from them, and `GainGraph.cover` keeps a gain graph's one lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .graphs import MAX_VERTICES, Graph, bfs_tree, parse_vertex_count
+from .graphs import (MAX_VERTICES, NO_TRANSLATIONS, Graph, bfs_tree, distances,
+                     parse_vertex_count)
 
 ABELIAN = "abelian"
 PERMUTATION = "permutation"
@@ -119,6 +120,11 @@ class GroupSpec:
             out = [e + (x,) for e in out for x in range(r)]
         return out
 
+    @cached_property
+    def translations(self):
+        """A lift's translations: the `sheet_table` of every element, or none."""
+        return sheet_table(self, self.elements()) if self.is_abelian else NO_TRANSLATIONS
+
     def describe(self):
         if self.is_abelian:
             if len(self.orders) == 1:
@@ -179,11 +185,17 @@ def identity_gains(base: Graph, group: GroupSpec) -> GainGraph:
 
 @dataclass(frozen=True)
 class CoverGraph:
-    """Lifted graph; cover vertex (v, j) is stored as v*r + j."""
+    """Lifted graph, vertex (v, j) stored as v*r + j; `graphs.DistanceTable` translations."""
 
     graph: Graph
     base: Graph
     r: int
+    translations: np.ndarray = field(default_factory=NO_TRANSLATIONS.copy, compare=False)
+
+    @cached_property
+    def distance_table(self):
+        """The `graphs.distances` rows of the sources, built once per lift."""
+        return distances(self.graph, self.translations)
 
     def fiber(self, v):
         return tuple(v * self.r + j for j in range(self.r))
@@ -228,7 +240,7 @@ def cover_arcs(base: Graph, act):
     broadcast: each lift has the edges src[i, j] -- dst[..., i, j].
     """
     r = act.shape[-1]
-    tail, head = np.array(base.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    tail, head = base.edge_array.T
     return tail[:, None] * r + np.arange(r), head[:, None] * r + act
 
 
@@ -243,7 +255,7 @@ def lift(f: GainGraph) -> CoverGraph:
     src, dst = cover_arcs(f.base, table[rows[0]])
     r = f.group.sheet_count
     return CoverGraph(Graph(f.base.n * r, zip(src.ravel().tolist(), dst.ravel().tolist())),
-                      f.base, r)
+                      f.base, r, f.group.translations)
 
 
 def normalize(f: GainGraph) -> GainGraph:

@@ -63,17 +63,24 @@ class Graph:
 
     @cached_property
     def distance_table(self):
-        """The `distances` table, built once per graph."""
+        """The `distances` table, every vertex a source, built once per graph."""
         return distances(self)
+
+    @cached_property
+    def edge_array(self):
+        """`sorted_edges()` as a read-only (m, 2) int64 array."""
+        e = np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+        e.flags.writeable = False
+        return e
 
     def is_regular(self):
         return self.n == 0 or len(set(self.degrees)) == 1
 
     def adjacency(self, dtype=np.int64):
+        """A fresh 0/1 adjacency matrix, scattered from `edge_array`."""
         a = np.zeros((self.n, self.n), dtype=dtype)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
+        u, v = self.edge_array.T
+        a[u, v] = a[v, u] = 1
         return a
 
     def sorted_edges(self):
@@ -83,47 +90,48 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# the trivial group's translations: every vertex is a source
+NO_TRANSLATIONS = np.zeros((1, 1), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class DistanceTable:
-    """All-pairs hop distances, UNREACHABLE (-1) marking different components,
-    and the girth (None for forests)."""
+    """Hop distances from one source per orbit of a group of automorphisms
+    (UNREACHABLE elsewhere) and the girth (None for forests); row t of the (w, w)
+    `translations` sends v*w + j to v*w + translations[t, j], 0 to t; row v is from v*w."""
 
     dist: np.ndarray
     girth: int | None
+    translations: np.ndarray
 
     def __post_init__(self):
         self.dist.flags.writeable = False
 
-    @property
-    def n(self):
-        return self.dist.shape[0]
-
     def diameter(self):
         """Largest finite distance; None for the empty graph."""
-        if self.n == 0:
-            return None
-        return int(self.dist.max(initial=0))
+        return int(self.dist.max(initial=0)) if self.dist.shape[1] else None
 
     def is_connected(self):
-        return self.n <= 1 or not (self.dist == UNREACHABLE).any()
+        return self.dist.shape[1] <= 1 or not (self.dist[0] == UNREACHABLE).any()
 
 
-def distances(g: Graph) -> DistanceTable:
-    """All-pairs hop distances and the girth, from one frontier expansion from
-    every vertex at once; `Graph.distance_table` keeps them.
+def distances(g: Graph, translations=NO_TRANSLATIONS) -> DistanceTable:
+    """The `DistanceTable` of g from the sources of `translations` (by
+    default every vertex), by one frontier expansion from all of them at once.
 
     With L the 0/1 matrix of the pairs at distance d, (L @ A)[u, v] counts the
     neighbours of v at distance d from u, and the pairs it reaches that are
     not yet reached are at distance d + 1. A v at distance d from u with a
     neighbour also at distance d closes a walk of odd length 2d + 1; a v at
     distance d + 1 with two neighbours at distance d closes one of even
-    length 2d + 2. A shortest cycle is isometric, so the first d with either
-    witness gives the girth. Float64 keeps the matmul on BLAS; the counts are
-    at most the valency, so they are exact.
+    length 2d + 2. A shortest cycle is isometric, and an automorphism moves
+    one through any vertex onto one through a source, so the first d with
+    either witness gives the girth. Float64 keeps the matmul on BLAS; the
+    counts are at most the valency, so they are exact.
     """
     a = g.adjacency(dtype=np.float64)
-    dist = np.full((g.n, g.n), UNREACHABLE, dtype=np.int64)
-    frontier = np.eye(g.n, dtype=bool)
+    frontier = np.arange(0, g.n, len(translations))[:, None] == np.arange(g.n)
+    dist = np.full(frontier.shape, UNREACHABLE, dtype=np.int64)
     reached = frontier.copy()
     best = None
     d = 0
@@ -140,11 +148,11 @@ def distances(g: Graph) -> DistanceTable:
         reached |= step
         frontier = step
         d += 1
-    return DistanceTable(dist, best)
+    return DistanceTable(dist, best, translations)
 
 
-def is_connected(g: Graph) -> bool:
-    return g.distance_table.is_connected()
+def is_connected(x) -> bool:
+    return x.distance_table.is_connected()
 
 
 def bfs_tree(g: Graph):
@@ -168,10 +176,9 @@ def bfs_tree(g: Graph):
     return tuple(sorted(tree))
 
 
-def girth(g: Graph):
-    """Length of the shortest cycle, or None for forests; read off
-    `Graph.distance_table`."""
-    return g.distance_table.girth
+def girth(x):
+    """Shortest cycle length of x, a graph or a lift; None for forests."""
+    return x.distance_table.girth
 
 
 # ---------------------------------------------------------------------------

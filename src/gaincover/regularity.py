@@ -22,8 +22,9 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph, gain_row
 from .graphs import Graph, is_connected
-from .spectral import (TwoEvCertificate, _crt_primes, _powers_mod, distinct_eigenvalue_count,
-                       fiber_two_ev)
+from .intpoly import IntPoly, integer_roots
+from .spectral import (TwoEvCertificate, _crt_primes, _powers_mod, char_poly,
+                       distinct_eigenvalue_count, fiber_two_ev)
 
 
 @dataclass(frozen=True)
@@ -117,17 +118,15 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     x is a graph, or a lift with its certificate. Powers 1..d-1 suffice for
     any d at least the distinct eigenvalue count, since every higher power is
     a fixed combination of A^0..A^(d-1). A bare graph takes d as its exact
-    `distinct_eigenvalue_count`. A lift's spectrum is its base's plus
-    the one on vectors summing to zero on every fiber, so a certificate gives
-    d = (base's count) + cert.new_distinct without the lift's char poly.
-    Raises ParameterError for a lift without its certificate, so that no char
-    poly of a whole lift is taken.
+    `distinct_eigenvalue_count`, a lift (base's count) + cert.new_distinct,
+    with no char poly of its own (ParameterError without the certificate).
 
     The powers up to A^(d-2) come from `spectral._powers_mod` modulo one
     prime p at a time, with Delta*p < 2^53 for the largest degree Delta, so
-    they are exact, and A^(d-1) only on its diagonal. A diagonal entry of A^j
-    counts closed walks, in [0, Delta^(j-1)]: constant residues modulo primes
-    whose product exceeds 2 ceil(Delta^(d-2) / 2) are a constant diagonal.
+    they are exact, and A^(d-1) only on its diagonal, all on the rows of x's
+    sources, whose translations carry every vertex's closed walks. A diagonal
+    entry of A^j counts closed walks, in [0, Delta^(j-1)]: constant residues
+    modulo primes past 2 ceil(Delta^(d-2) / 2) are a constant diagonal.
     """
     g = x.graph if isinstance(x, CoverGraph) else x
     if g is not x and cert is None:
@@ -136,53 +135,68 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
            else distinct_eigenvalue_count(g)) - 1
     if top < 2:  # A^0 = I, and A^1 has zero diagonal on a simple graph
         return True
+    rows = np.arange(0, g.n, len(x.translations) if g is not x else 1)
     deg, a = max(g.degrees), g.adjacency(dtype=np.float64)
     for p in _crt_primes(2 ** (53 - deg.bit_length()), (deg ** (top - 1) + 1) // 2):
-        power = next(powers := _powers_mod(a, deg, [p], top - 1))  # A, whose diagonal is zero
+        power = next(powers := _powers_mod(a, deg, [p], top - 1, rows))  # A, whose diagonal is zero
         for power in powers:
-            if len(set(power[0].diagonal().tolist())) > 1:
+            if len(set(power[0, np.arange(len(rows)), rows].tolist())) > 1:
                 return False
         # of A^top only the diagonal, each entry a sum of at most deg residues
-        if len({x % p for x in (power[0] * a).sum(axis=1).tolist()}) > 1:
+        if len({x % p for x in (power[0] * a[rows]).sum(axis=1).tolist()}) > 1:
             return False
     return True
+
+
+def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
+    """The range of a lift's distinct eigenvalue count, the base's values and
+    cert.new_distinct on W (ParameterError without cert); for a hit, those of
+    x^2 - lambda x - mu's roots not the base's (irrational: both or neither)."""
+    if cert is None:
+        raise ParameterError("a lift needs its two-eigenvalue certificate")
+    base = distinct_eigenvalue_count(cover.base)
+    if not cert.is_two_ev:
+        return range(max(base, cert.new_distinct), base + cert.new_distinct + 1)
+    p, q = char_poly(cover.base), IntPoly((-cert.mu, -cert.lambda_, 1))
+    roots = integer_roots(q)
+    new = sum(p(t) != 0 for t in roots) if roots else 2 * bool(p.divmod_monic(q)[1])
+    return range(base + new, base + new + 1)
 
 
 # ---------------------------------------------------------------------------
 # distance-regularity
 
 
-def is_distance_regular(g: Graph):
+def is_distance_regular(x, cert: TwoEvCertificate | None = None):
     """Intersection array {b_0,...,b_{d-1}; c_1,...,c_d}, or None when the
     graph is not distance-regular (and for a single vertex).
 
-    Read off the distance table: for every pair (u, v) at distance i, b counts
-    the neighbours of v at distance i + 1 from u and c those at distance
-    i - 1. The graph is distance-regular iff both depend on i alone.
+    x is a graph, or a lift with its certificate. For every pair (u, v) at
+    distance i in x's distance rows (`graphs.distances`), b counts the
+    neighbours of v at distance i + 1 from the source u and c those at i - 1,
+    the entries of L_(i+1) A and L_(i-1) A, L_j the 0/1 rows of distance j:
+    distance-regular iff both depend on i alone. A distance-regular graph of
+    diameter d has d + 1 distinct eigenvalues (Brouwer, Cohen and Neumaier),
+    so a lift whose `_distinct_counts` leave that out is refused first.
     """
-    table = g.distance_table
+    g = x.graph if isinstance(x, CoverGraph) else x
+    table = x.distance_table
     if not table.is_connected():
         raise DisconnectedError("distance-regularity requires a connected graph")
-    if not g.is_regular():
+    d = table.diameter()  # 0 for a single vertex, which has no intersection array
+    if not d or (g is not x and d + 1 not in _distinct_counts(x, cert)) or not g.is_regular():
         return None
-    d = table.diameter()
-    if not d:
-        return None  # a single vertex has no intersection array
-    dist = table.dist
-    b = np.zeros_like(dist)
-    c = np.zeros_like(dist)
-    for col in np.array(g.neighbors).T:
-        step = dist[:, col] - dist  # d(u, w) - d(u, v), w a neighbour of v
-        b += step == 1
-        c += step == -1
-    counts = []
-    for x in (b, c):
-        per_class = np.zeros(d + 1, dtype=x.dtype)
-        per_class[dist] = x
-        if not (per_class[dist] == x).all():
-            return None
-        counts.append(per_class.tolist())
-    return IntersectionArray(tuple(counts[0][:d]), tuple(counts[1][1:]), d)
+    dist, a = table.dist, g.adjacency(dtype=np.float64)
+    b, c = [0] * (d + 1), [0] * (d + 1)
+    for j in range(d + 1):
+        near = (dist == j).astype(np.float64) @ a  # neighbours at distance j from the source
+        for i, out in ((j - 1, b), (j + 1, c)):
+            if 0 <= i <= d:
+                counts = near[dist == i]
+                if (counts != counts[0]).any():
+                    return None
+                out[i] = int(counts[0])
+    return IntersectionArray(tuple(b[:d]), tuple(c[1:]), d)
 
 
 def _srg_of_array(n, arr):
@@ -200,27 +214,38 @@ def srg_parameters(g: Graph):
     return _srg_of_array(g.n, is_distance_regular(g))
 
 
-def is_antipodal(g: Graph):
+def is_antipodal(x):
     """(flag, classes): whether 'same vertex or at maximal distance' is an
-    equivalence relation. Diameter <= 1 counts as antipodal with singleton
-    classes (the degenerate complete-graph case)."""
-    table = g.distance_table
+    equivalence relation on x, a graph or a lift. Diameter <= 1 counts as
+    antipodal with singleton classes (the degenerate complete-graph case).
+    Label each v by the least vertex of F_v, v and the vertices at maximal
+    distance: the relation is an equivalence iff F_v = {u : label u = label
+    v} for every v. Translation t sends a source s to s + t and F_s onto
+    F_(s+t), so the labels and the check come from x's distance rows.
+    """
+    g = x.graph if isinstance(x, CoverGraph) else x
+    table = x.distance_table
     if not table.is_connected():
         raise DisconnectedError("antipodality requires a connected graph")
     diam = table.diameter()
     if diam is None or diam <= 1:
         return True, tuple((v,) for v in range(g.n))
-    dist = table.dist
-    classes = {}
-    for u in range(g.n):
-        far = np.nonzero(dist[u] == diam)[0]
-        classes[u] = tuple(sorted([u, *far.tolist()]))
-    for u in range(g.n):
-        for v in classes[u]:
-            if classes[v] != classes[u]:
-                return False, None
-    unique = sorted(set(classes.values()))
-    return True, tuple(unique)
+    t = table.translations
+    w, far = len(t), table.dist == diam
+    far[np.arange(len(far)), np.arange(0, g.n, w)] = True
+    # F_s meets its first fiber in sheets j, and F_(s+t) in sheets t[t, j]
+    fibers = far.reshape(len(far), -1, w)
+    first = fibers.any(axis=2).argmax(axis=1)
+    sheets = fibers[np.arange(len(far)), first]
+    label = first[:, None] * w + np.where(sheets[:, None, :], t, w).min(axis=2)
+    # moved[t, u] is the label of u moved by translation t
+    moved = label[:, t].transpose(1, 0, 2).reshape(w, -1)
+    if not (far[:, None, :] == (moved == label[:, :, None])).all():
+        return False, None
+    classes = {}  # by label, the least member: in the order of first members
+    for v, least in enumerate(label.ravel().tolist()):
+        classes.setdefault(least, []).append(v)
+    return True, tuple(map(tuple, classes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +337,15 @@ def two_ev_divisibility_obstruction(base: Graph, r):
 def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> RegularityCertificate:
     """Full combinatorial certificate for a graph, or a lift with its
     certificate; raises ParameterError for a lift without it. A lift's
-    certificate is its bare graph's: the two-eigenvalue certificate only
-    bounds the powers that decide walk regularity."""
+    certificate is its bare graph's; its two-eigenvalue certificate only
+    bounds the distinct eigenvalue count."""
     g = x.graph if isinstance(x, CoverGraph) else x
     walk = is_walk_regular(x, cert)
-    if not is_connected(g):
+    if not is_connected(x):
         return RegularityCertificate(walk_regular=walk)
-    drg = is_distance_regular(g)
+    drg = is_distance_regular(x, cert)
     srg = _srg_of_array(g.n, drg)
-    anti, classes = is_antipodal(g)
+    anti, classes = is_antipodal(x)
     # diameter 3 and antipodal: a cover of K_n with n classes of r = 1 + k3
     drackn = None
     if drg is not None and drg.d == 3 and anti:

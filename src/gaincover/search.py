@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, FalsificationError, ParameterError
-from .gains import GainGraph, GroupSpec, sheet_table
+from .gains import CoverGraph, GainGraph, GroupSpec, sheet_table
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, is_walk_regular,
                          regularity_certificate, srg_parameters)
@@ -316,7 +316,7 @@ def verify_bipartite_cover(m, n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
             problems.append(f"sides differ ({m},{n})")
         if n % r != 0:
             problems.append(f"{r} does not divide {n}")
-        if not _connected_bipartite(rec.gain.cover.graph):
+        if not _connected_bipartite(rec.gain.cover):
             problems.append("lift is not bipartite")
         if rec.regularity.drg is None or rec.regularity.drg.d != 4:
             problems.append("lift is not distance-regular of diameter 4")
@@ -326,8 +326,8 @@ def verify_bipartite_cover(m, n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
                               "bipartite-drg-cover", check)
 
 
-def _connected_bipartite(g: Graph) -> bool:
-    """Bipartiteness of a connected graph: no edge joins two vertices at the
-    same distance from vertex 0 (read off `Graph.distance_table`)."""
-    dist = g.distance_table.dist[0]
-    return all(dist[u] != dist[v] for u, v in g.edges)
+def _connected_bipartite(x) -> bool:
+    """Whether no edge of x, a connected graph or lift, is level from vertex 0."""
+    dist = x.distance_table.dist[0]
+    u, v = (x.graph if isinstance(x, CoverGraph) else x).edge_array.T
+    return bool((dist[u] != dist[v]).all())

@@ -50,7 +50,8 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import IntPoly, _monic_gcd_mod, _prime, integer_roots, squarefree_part
+from .intpoly import (IntPoly, _kronecker, _monic_gcd_mod, _prime, integer_roots,
+                      squarefree_part)
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
@@ -431,19 +432,21 @@ def _few_eigenvalue_char_poly(g: Graph):
     det(xI - A) = prod_k g_k^k, with D distinct eigenvalues.
 
     The checks run modulo primes below `_CERTIFICATE_LIMIT` whose product
-    exceeds 2 * max(sum |c_i| Delta^i, n Delta^D), Delta the largest degree
-    and c_i the coefficients of m. Every entry of m(A) lies within that
-    bound, and so does every trace, which lies in [0, n Delta^j]; a predicted
-    trace outside it fails at once. So the checks modulo the primes decide
-    them over Z. All the primes run through `_powers_mod` at once, on blocks
-    of rows within max(BATCH_ENTRIES, n^2) entries a stack, so each power
-    before the first reduction is taken once; m(A) sums c_j A^j as they come.
+    P exceeds B = max(|c_0| + sum_(i>=1) |c_i| Delta^(i-1), n Delta^(D-2)),
+    Delta the largest degree and c_i the coefficients of m. An entry of A^i,
+    i >= 1, counts walks whose last step is forced, at most Delta^(i-1), so
+    |m(A)| <= B entrywise; tr(A^j), j >= 1, lies in [0, n Delta^(j-1)], and a
+    predicted trace outside it fails at once. So each check tests an |x| <=
+    B < P for zero, which x = 0 (mod P) decides, with no factor 2 for a sign.
+    All the primes run through `_powers_mod` at once, on blocks of rows within
+    max(BATCH_ENTRIES, n^2) entries a stack, so each power before the first
+    reduction is taken once; m(A) sums c_j A^j as they come.
     """
     a = g.adjacency(dtype=np.float64)
     factors = _rounded_factors(a)
     if factors is None:
         return None
-    m = math.prod(factors.values(), start=IntPoly((1,)))
+    m = _kronecker([(f, 1) for f in factors.values()])
     n, d, delta = g.n, m.degree, max(g.degrees)
     q = _prime(2**62, 0)
     if len(_monic_gcd_mod([c % q for c in reversed(m.coeffs)],
@@ -451,10 +454,11 @@ def _few_eigenvalue_char_poly(g: Graph):
         return None
     sums = [(k, _power_sums(f, d)) for k, f in factors.items()]
     traces = [sum(k * s[j] for k, s in sums) for j in range(d)]
-    if traces[0] != n or not all(0 <= t <= n * delta**j for j, t in enumerate(traces)):
+    if traces[0] != n or not all(0 <= t <= n * delta**j for j, t in enumerate(traces[1:])):
         return None
-    primes = _crt_primes(_CERTIFICATE_LIMIT, max(  # 1: an edgeless graph takes a prime too
-        sum(abs(c) * delta**i for i, c in enumerate(m.coeffs)), n * delta**d, 1))
+    primes = _crt_primes(_CERTIFICATE_LIMIT, (max(  # a product past B, not 2B
+        abs(m.coeffs[0]) + sum(abs(c) * delta**i for i, c in enumerate(m.coeffs[1:])),
+        n * delta ** max(d - 2, 0)) + 1) // 2)
     q = np.array(primes, dtype=np.float64)[:, None, None]
     # residues, one row per prime, of m's coefficients and of minus the traces
     coeffs = np.array([[c % p for c in m.coeffs] for p in primes], dtype=np.float64)
@@ -471,7 +475,7 @@ def _few_eigenvalue_char_poly(g: Graph):
             return None
     if np.fmod(rest[:, 1:d], q[:, :, 0]).any():
         return None
-    return math.prod((f for k, f in factors.items() for _ in range(k)), start=IntPoly((1,))), d
+    return _kronecker([(f, k) for k, f in factors.items()]), d
 
 
 @lru_cache(maxsize=512)
@@ -517,7 +521,7 @@ def _character_stack(base: Graph, group, gains, chars) -> np.ndarray:
     g = np.array(group.elements(), dtype=np.int64)
     angle = np.exp(2j * math.pi * (chars[:, None, :] * g / orders).sum(axis=2))
     val = angle[:, gains].swapaxes(0, 1)
-    u, v = np.array(base.sorted_edges(), dtype=np.int64).reshape(-1, 2).T
+    u, v = base.edge_array.T
     s = np.zeros(val.shape[:2] + (base.n, base.n), dtype=np.complex128)
     s[..., u, v], s[..., v, u] = val, val.conj()
     return s
@@ -657,7 +661,7 @@ def _character_difference_poly(f: GainGraph):
     zetas = [_root_of_unity(e, p) for p in primes]
     powers = np.array([[pow(w, j, p) for j in range(e)] for w, p in zip(zetas, primes)],
                       dtype=np.int64)
-    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    u, v = base.edge_array.T
     s = np.zeros((len(primes), len(pairs), n, n), dtype=np.int64)
     s[:, :, u, v] = powers[:, expo]
     s[:, :, v, u] = powers[:, -expo % e]
@@ -763,13 +767,6 @@ def fiber_two_ev(base: Graph, table, rows):
     return hit, lam
 
 
-def _binomial_power(a, m, step):
-    """(x^step - a)^m as an IntPoly, from its binomial coefficients."""
-    coeffs = [0] * (step * m + 1)
-    coeffs[::step] = [math.comb(m, j) * (-a) ** (m - j) for j in range(m + 1)]
-    return IntPoly(coeffs)
-
-
 def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
     """Certificate of f, whose lift `fiber_two_ev` found 2ev with this lambda.
 
@@ -786,7 +783,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         if rem:
             raise InternalConsistencyError("new-eigenvalue multiplicity is not integral")
         theta, tau, m_tau = float(hi), float(lo), dim - m_theta
-        new_poly = _binomial_power(hi, m_theta, 1) * _binomial_power(lo, m_tau, 1)
+        new_poly = _kronecker(((IntPoly((-hi, 1)), m_theta), (IntPoly((-lo, 1)), m_tau)))
     else:
         # conjugate irrational roots carry equal multiplicity, so zero trace
         # forces lambda = 0 and an even dimension
@@ -795,7 +792,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         sq = math.sqrt(lam * lam + 4 * k)
         theta, tau = (lam + sq) / 2.0, (lam - sq) / 2.0
         m_theta = m_tau = dim // 2
-        new_poly = _binomial_power(k, m_theta, 2)  # (x^2 - k)^(dim/2)
+        new_poly = _kronecker(((IntPoly((-k, 0, 1)), m_theta),))  # (x^2 - k)^(dim/2)
     return TwoEvCertificate(
         is_two_ev=True,
         theta=theta,
@@ -804,7 +801,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         mult_tau=m_tau,
         lambda_=lam,
         mu=k,
-        cover_connected=is_connected(f.cover.graph),
+        cover_connected=is_connected(f.cover),
         new_distinct=2,
         new_poly=new_poly,
     )
@@ -823,7 +820,7 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     if hit[0]:
         return two_ev_certificate(f, int(lam[0]))
     new_poly, roots = spectral_difference_poly(f)
-    return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover.graph),
+    return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover),
                             new_distinct=squarefree_part(roots).degree, new_poly=new_poly)
 
 

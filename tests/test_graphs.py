@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,20 @@ def _graphs_on(n):
 @given(st.integers(0, 12).flatmap(_graphs_on))
 def test_distance_table_property(g):
     assert_matches_the_bfs_oracles(g)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 9).flatmap(_graphs_on))
+def test_adjacency_is_a_fresh_matrix_of_the_edges(g):
+    # scattered from the graph's read-only edge array, a new array each call
+    a = g.adjacency()
+    want = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        want[u, v] = want[v, u] = 1
+    assert a.dtype == np.int64 and (a == want).all()
+    a += 1
+    assert (g.adjacency(dtype=np.float64) == want).all()
+    assert not g.edge_array.flags.writeable
 
 
 def test_bfs_tree():

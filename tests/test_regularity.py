@@ -14,8 +14,8 @@ from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
                        petersen, regularity, spectral, srg_parameters)
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
-from gaincover.families import (butson_gain, cohen_tits_cover, fourier_butson,
-                                huang_signing, s3_cover_k5)
+from gaincover.families import (butson_gain, cohen_tits_cover, cohen_tits_signing,
+                                fourier_butson, huang_signing, k3n_nonexample, s3_cover_k5)
 from gaincover.regularity import (IntersectionArray, SrgParams, _verify_counts,
                                   regularity_certificate,
                                   two_ev_divisibility_obstruction)
@@ -504,6 +504,90 @@ def test_lift_certificate_is_its_graphs():
         assert regularity_certificate(f.cover, cert).as_dict() == want
 
 
+@st.composite
+def abelian_lifts(draw):
+    """A random abelian gain graph on a small base; a balanced one, whose lift
+    is disconnected, one time in four."""
+    base = draw(st.sampled_from([complete_graph(3), complete_graph(4), cycle(5), cycle(6),
+                                 complete_bipartite(2, 3), hypercube(3), octahedron(),
+                                 petersen(), Graph(4, [(0, 1), (1, 2), (2, 3)]),
+                                 Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])]))
+    group = draw(st.sampled_from([GroupSpec.cyclic(r) for r in (2, 3, 4, 5)]
+                                 + [GroupSpec.abelian(2, 2), GroupSpec.abelian(2, 3)]))
+    elements = group.elements()
+    balanced = draw(st.integers(0, 3)) == 0
+    return GainGraph(base, group, {e: elements[0] if balanced else draw(st.sampled_from(elements))
+                                   for e in base.sorted_edges()})
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(abelian_lifts())
+def test_the_fiber_rows_state_what_the_whole_lift_does(f):
+    # a lift's n sheet-0 rows give the connectivity, girth, diameter,
+    # intersection array, antipodal classes and walk regularity that the
+    # same lift gives as a bare graph, every vertex a source
+    cover, cert = f.cover, classify_two_ev(f)
+    g = cover.graph
+    rows, table = cover.distance_table, g.distance_table
+    assert rows.dist.shape == (f.base.n, g.n)
+    assert (rows.dist == table.dist[::cover.r]).all()
+    assert ((rows.is_connected(), rows.girth, rows.diameter())
+            == (table.is_connected(), table.girth, table.diameter()))
+    assert is_walk_regular(cover, cert) == is_walk_regular(g)
+    if not rows.is_connected():
+        with pytest.raises(DisconnectedError):
+            is_distance_regular(cover, cert)
+        with pytest.raises(DisconnectedError):
+            is_antipodal(cover)
+        return
+    assert is_distance_regular(cover, cert) == is_distance_regular(g)
+    assert is_antipodal(cover) == is_antipodal(g)
+
+
+def test_the_fiber_rows_property_sees_every_kind_of_lift():
+    # the drawn lifts include disconnected ones, distance-regular ones and
+    # antipodal ones that are not distance-regular
+    seen = set()
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(abelian_lifts())
+    def record(f):
+        cover = f.cover
+        if not cover.distance_table.is_connected():
+            seen.add("disconnected")
+            return
+        drg = is_distance_regular(cover, classify_two_ev(f)) is not None
+        seen.add("drg" if drg else "antipodal" if is_antipodal(cover)[0] else "other")
+
+    record()
+    assert seen == {"disconnected", "drg", "antipodal", "other"}
+
+
+def test_a_permutation_lift_takes_every_vertex_as_a_source():
+    cover = s3_cover_k5().cover
+    assert cover.distance_table.dist.shape == (cover.graph.n, cover.graph.n)
+
+
+@pytest.mark.parametrize("name, counted, array", [
+    ("huang 3", False, None), ("huang 5", False, None), ("huang 7", False, None),
+    ("butson 8", False, None), ("cohen-tits 4", True, "{4,3,3,1;1,1,3,4}"),
+    ("k3n 3", True, None)])
+def test_the_eigenvalue_count_decides_before_the_intersection_numbers(name, counted, array):
+    # a distance-regular graph of diameter d has d + 1 distinct eigenvalues;
+    # a lift whose certified count leaves that out is refused before the
+    # counting step, the only reader of the lift's adjacency matrix
+    family, n = name.split()
+    f = {"huang": huang_signing, "butson": lambda q: butson_gain(fourier_butson(q)),
+         "cohen-tits": cohen_tits_signing, "k3n": k3n_nonexample}[family](int(n))
+    cover, cert = f.cover, classify_two_ev(f)
+    assert cover.distance_table.is_connected()
+    calls, adjacency = [], cover.graph.adjacency
+    object.__setattr__(cover.graph, "adjacency", lambda *a, **k: calls.append(1) or adjacency(*a, **k))
+    arr = is_distance_regular(cover, cert)
+    assert bool(calls) == counted
+    assert (arr and str(arr)) == array
+
+
 # ---------------------------------------------------------------------------
 # column counts
 
@@ -627,9 +711,9 @@ def test_lift_without_its_certificate_is_refused(monkeypatch):
 def test_regularity_certificate_decides_each_verdict_once(monkeypatch):
     calls = {"is_distance_regular": 0, "is_antipodal": 0}
     for name in calls:
-        def counted(g, name=name, real=getattr(regularity, name)):
+        def counted(*args, name=name, real=getattr(regularity, name)):
             calls[name] += 1
-            return real(g)
+            return real(*args)
         monkeypatch.setattr(regularity, name, counted)
     summary = verify_drackn(6, 2)
     assert summary.connected_two_ev == summary.verified == 13

@@ -7,7 +7,7 @@ import pytest
 
 from gaincover import (GainGraph, GroupSpec, char_poly, complete_bipartite,
                        complete_graph, cycle, hypercube, lift, octahedron,
-                       parse_gain_file, petersen)
+                       parse_gain_file, petersen, write_gain_file)
 from gaincover import spectral
 from gaincover.errors import BudgetError, FalsificationError, ParameterError
 from gaincover import cli, gains, graphs, regularity, search
@@ -494,13 +494,15 @@ def test_walk_regularity_failures_come_in_row_order(monkeypatch, after, theorem)
 
 @pytest.fixture
 def built_tables(monkeypatch):
-    """The graphs whose distance table is built while the test runs."""
+    """(vertices, source rows) of each distance table built while the test
+    runs."""
     built = []
     real = graphs.distances
 
-    def counting_distances(g):
-        built.append(g)
-        return real(g)
+    def counting_distances(g, *args):
+        table = real(g, *args)
+        built.append(table.dist.shape[::-1])
+        return table
 
     for name, module in list(sys.modules.items()):
         if name.startswith("gaincover") and getattr(module, "distances", None) is real:
@@ -519,9 +521,23 @@ def test_each_hit_builds_one_distance_table(built_tables):
 def test_a_report_builds_one_distance_table_per_graph(built_tables):
     # girth, connectivity and the regularity verdicts of the base and the
     # cover all read the two tables
+    # the cover's, from its 16 sheet-0 vertices
     report = cli.gain_report(huang_signing(4))
     assert report["cover"]["girth"] == 6
-    assert [g.n for g in built_tables] == [16, 32]
+    assert built_tables == [(16, 16), (32, 16)]
+
+
+def test_a_lift_takes_one_distance_row_per_fiber(built_tables, tmp_path):
+    # classify of Huang Q6 and a search over K6 read each lift's distances
+    # from its n sheet-0 rows, never from all N of its vertices
+    path = tmp_path / "huang6.gain"
+    path.write_text(write_gain_file(huang_signing(6)))
+    assert cli.main(["classify", str(path), "--json", str(tmp_path / "out.json")]) == 0
+    assert built_tables == [(64, 64), (128, 64)]
+    built_tables.clear()
+    assert cli.main(["search", "--base", "k6", "--group", "z2",
+                     "--json", str(tmp_path / "hits.json")]) == 0
+    assert built_tables == [(12, 6)] * 14
 
 
 def test_run_search_counts_the_assignments_it_decided():

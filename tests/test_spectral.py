@@ -232,10 +232,43 @@ def _from_spectrum(pairs):
                       start=IntPoly((1,))), len(pairs))
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_hypercube_char_poly_is_its_closed_form(n):
     assert _certified(hypercube(n)) == _from_spectrum(
         [(n - 2 * i, math.comb(n, i)) for i in range(n + 1)])
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_a_large_cube_certifies_on_two_primes(monkeypatch, n):
+    # the zero tests need a product of primes past B = max(|c_0| + sum |c_i|
+    # Delta^(i-1), n Delta^(D-2)), not past 2 max(sum |c_i| Delta^i, n
+    # Delta^D), which takes 3 primes below 2^26 for Q11 and Q12. A stand-in
+    # graph has Q_n's size and degree, and the guess is Q_n's spectrum; the
+    # run stops once the primes are drawn
+    spectrum = {}
+    for i in range(n + 1):
+        spectrum.setdefault(math.comb(n, i), []).append(n - 2 * i)
+    guess = {k: math.prod((IntPoly((-t, 1)) for t in ts), start=IntPoly((1,)))
+             for k, ts in spectrum.items()}
+    m = math.prod(guess.values(), start=IntPoly((1,)))
+    old_bound = max(sum(abs(c) * n**i for i, c in enumerate(m.coeffs)), 2**n * n**m.degree)
+    assert len(spectral._crt_primes(spectral._CERTIFICATE_LIMIT, old_bound)) == 3
+    drawn, real = [], spectral._crt_primes
+
+    def stop(limit, bound):
+        drawn.extend(real(limit, bound))
+        raise _Stop
+
+    monkeypatch.setattr(spectral, "_rounded_factors", lambda a: guess)
+    monkeypatch.setattr(spectral, "_crt_primes", stop)
+    cube = type("Cube", (), {"n": 2**n, "degrees": (n,), "adjacency": lambda self, dtype: None})
+    with pytest.raises(_Stop):
+        spectral._few_eigenvalue_char_poly(cube())
+    assert len(drawn) == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40])
