@@ -190,7 +190,7 @@ class CoverGraph:
     graph: Graph
     base: Graph
     r: int
-    translations: np.ndarray = field(default_factory=NO_TRANSLATIONS.copy, compare=False)
+    translations: np.ndarray = field(compare=False)
 
     @cached_property
     def distance_table(self):
@@ -252,9 +252,9 @@ def lift(f: GainGraph) -> CoverGraph:
     every fiber by a fixed group element is an automorphism of the lift.
     """
     table, rows = gain_row(f)
-    src, dst = cover_arcs(f.base, table[rows[0]])
-    r = f.group.sheet_count
-    return CoverGraph(Graph(f.base.n * r, zip(src.ravel().tolist(), dst.ravel().tolist())),
+    e = np.stack([x.ravel() for x in cover_arcs(f.base, table[rows[0]])], axis=1)
+    r = f.group.sheet_count  # src < dst on every arc, each arc once
+    return CoverGraph(Graph.from_edge_array(f.base.n * r, e[np.lexsort(e.T[::-1])]),
                       f.base, r, f.group.translations)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -45,6 +45,13 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
 
+    @classmethod
+    def from_edge_array(cls, n, e):
+        """The graph on 0..n-1 whose `edge_array` is e, unchecked: sorted, distinct, u < v."""
+        g, e.flags.writeable = cls.__new__(cls), False
+        g.__dict__.update(n=n, edges=frozenset(zip(*e.T.tolist())), edge_array=e)
+        return g
+
     @property
     def m(self):
         return len(self.edges)
@@ -69,7 +76,7 @@ class Graph:
     @cached_property
     def edge_array(self):
         """`sorted_edges()` as a read-only (m, 2) int64 array."""
-        e = np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+        e = np.fromiter(chain.from_iterable(sorted(self.edges)), np.int64).reshape(-1, 2)
         e.flags.writeable = False
         return e
 
@@ -130,7 +137,7 @@ def distances(g: Graph, translations=NO_TRANSLATIONS) -> DistanceTable:
     counts are at most the valency, so they are exact.
     """
     a = g.adjacency(dtype=np.float64)
-    frontier = np.arange(0, g.n, len(translations))[:, None] == np.arange(g.n)
+    frontier = np.eye(g.n, dtype=bool)[::len(translations)]
     dist = np.full(frontier.shape, UNREACHABLE, dtype=np.int64)
     reached = frontier.copy()
     best = None

@@ -11,7 +11,6 @@ modulus in the package comes from one cached source of primes, `_prime`.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 
@@ -71,7 +70,16 @@ class IntPoly:
         return self + other.scale(-1)
 
     def __mul__(self, other):
-        return _kronecker(((self, 1), (other, 1)))
+        if self.is_zero or other.is_zero:
+            return IntPoly()
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return IntPoly(out)
 
     def scale(self, k):
         return IntPoly(c * k for c in self.coeffs)
@@ -126,32 +134,6 @@ class IntPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
-
-
-def _kronecker(factors):
-    """prod f^k over the pairs (f, k) of factors by Kronecker substitution:
-    each f is x^low g(x^step), step common to all, and the g at x = 2^(8w)
-    make one big-integer product. prod ||f||_1^k < 2^(8w-2) bounds every
-    coefficient, so one is a w-byte digit read signed, plus the borrow below."""
-    if any(f.is_zero and k for f, k in factors):
-        return IntPoly()
-    low = [next((i for i, c in enumerate(f.coeffs) if c), 0) for f, _ in factors]
-    step = math.gcd(*(i - lo for (f, _), lo in zip(factors, low)
-                      for i, c in enumerate(f.coeffs) if c)) or 1
-    w = math.prod(sum(map(abs, f.coeffs)) ** max(k, 1) for f, k in factors).bit_length() // 8 + 2
-    value = 1
-    for (f, k), lo in zip(factors, low):  # g(2^(8w)): positive coefficients less negative ones
-        pos, neg = (b"".join(max(s * c, 0).to_bytes(w, "little") for c in f.coeffs[lo::step])
-                    for s in (1, -1))
-        value *= (int.from_bytes(pos, "little") - int.from_bytes(neg, "little")) ** k
-    digits = value.to_bytes(w * (1 + sum(k * (f.degree - lo) // step for (f, k), lo
-                                         in zip(factors, low))), "little", signed=True)
-    signed = [int.from_bytes(digits[i:i + w], "little", signed=True)
-              for i in range(0, len(digits), w)]
-    shift = sum(k * lo for (_, k), lo in zip(factors, low))
-    out = [0] * (shift + step * (len(signed) - 1) + 1)
-    out[shift::step] = [d + (below < 0) for d, below in zip(signed, [0] + signed)]
-    return IntPoly(out)
 
 
 def _is_prime(n):

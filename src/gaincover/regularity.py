@@ -13,6 +13,7 @@ checks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import IntPoly, integer_roots
+from .intpoly import IntPoly
 from .spectral import (TwoEvCertificate, _crt_primes, _powers_mod, char_poly,
                        distinct_eigenvalue_count, fiber_two_ev)
 
@@ -135,15 +136,15 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
            else distinct_eigenvalue_count(g)) - 1
     if top < 2:  # A^0 = I, and A^1 has zero diagonal on a simple graph
         return True
-    rows = np.arange(0, g.n, len(x.translations) if g is not x else 1)
+    w = len(x.translations) if g is not x else 1  # row v is from source v*w: entry (v, v*w)
     deg, a = max(g.degrees), g.adjacency(dtype=np.float64)
     for p in _crt_primes(2 ** (53 - deg.bit_length()), (deg ** (top - 1) + 1) // 2):
-        power = next(powers := _powers_mod(a, deg, [p], top - 1, rows))  # A, whose diagonal is zero
+        power = next(powers := _powers_mod(a, deg, [p], top - 1, slice(None, None, w)))  # A
         for power in powers:
-            if len(set(power[0, np.arange(len(rows)), rows].tolist())) > 1:
+            if len(set(power[0].ravel()[::g.n + w].tolist())) > 1:
                 return False
         # of A^top only the diagonal, each entry a sum of at most deg residues
-        if len({x % p for x in (power[0] * a[rows]).sum(axis=1).tolist()}) > 1:
+        if len({x % p for x in (power[0] * a[::w]).sum(axis=1).tolist()}) > 1:
             return False
     return True
 
@@ -151,15 +152,17 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
 def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
     """The range of a lift's distinct eigenvalue count, the base's values and
     cert.new_distinct on W (ParameterError without cert); for a hit, those of
-    x^2 - lambda x - mu's roots not the base's (irrational: both or neither)."""
+    x^2 - lambda x - mu's roots not the base's: (lambda +- s) / 2 for a square
+    discriminant s^2, else a conjugate pair, both roots of the base's or neither."""
     if cert is None:
         raise ParameterError("a lift needs its two-eigenvalue certificate")
     base = distinct_eigenvalue_count(cover.base)
     if not cert.is_two_ev:
         return range(max(base, cert.new_distinct), base + cert.new_distinct + 1)
-    p, q = char_poly(cover.base), IntPoly((-cert.mu, -cert.lambda_, 1))
-    roots = integer_roots(q)
-    new = sum(p(t) != 0 for t in roots) if roots else 2 * bool(p.divmod_monic(q)[1])
+    p, lam, disc = char_poly(cover.base), cert.lambda_, cert.lambda_**2 + 4 * cert.mu
+    s = math.isqrt(disc)
+    new = ((p((lam + s) // 2) != 0) + (p((lam - s) // 2) != 0) if s * s == disc
+           else 2 * bool(p.divmod_monic(IntPoly((-cert.mu, -lam, 1)))[1]))
     return range(base + new, base + new + 1)
 
 
@@ -173,8 +176,7 @@ def is_distance_regular(x, cert: TwoEvCertificate | None = None):
 
     x is a graph, or a lift with its certificate. For every pair (u, v) at
     distance i in x's distance rows (`graphs.distances`), b counts the
-    neighbours of v at distance i + 1 from the source u and c those at i - 1,
-    the entries of L_(i+1) A and L_(i-1) A, L_j the 0/1 rows of distance j:
+    neighbours of v at distance i + 1 from the source u and c those at i - 1:
     distance-regular iff both depend on i alone. A distance-regular graph of
     diameter d has d + 1 distinct eigenvalues (Brouwer, Cohen and Neumaier),
     so a lift whose `_distinct_counts` leave that out is refused first.
@@ -186,17 +188,21 @@ def is_distance_regular(x, cert: TwoEvCertificate | None = None):
     d = table.diameter()  # 0 for a single vertex, which has no intersection array
     if not d or (g is not x and d + 1 not in _distinct_counts(x, cert)) or not g.is_regular():
         return None
-    dist, a = table.dist, g.adjacency(dtype=np.float64)
-    b, c = [0] * (d + 1), [0] * (d + 1)
-    for j in range(d + 1):
-        near = (dist == j).astype(np.float64) @ a  # neighbours at distance j from the source
-        for i, out in ((j - 1, b), (j + 1, c)):
-            if 0 <= i <= d:
-                counts = near[dist == i]
-                if (counts != counts[0]).any():
-                    return None
-                out[i] = int(counts[0])
-    return IntersectionArray(tuple(b[:d]), tuple(c[1:]), d)
+    dist = table.dist
+    b = np.zeros_like(dist)
+    c = np.zeros_like(dist)
+    for col in np.array(g.neighbors).T:
+        step = dist[:, col] - dist  # d(u, w) - d(u, v), w a neighbour of v
+        b += step == 1
+        c += step == -1
+    counts = []
+    for m in (b, c):
+        per_class = np.zeros(d + 1, dtype=m.dtype)
+        per_class[dist] = m
+        if not (per_class[dist] == m).all():
+            return None
+        counts.append(per_class.tolist())
+    return IntersectionArray(tuple(counts[0][:d]), tuple(counts[1][1:]), d)
 
 
 def _srg_of_array(n, arr):
@@ -221,8 +227,7 @@ def is_antipodal(x):
     Label each v by the least vertex of F_v, v and the vertices at maximal
     distance: the relation is an equivalence iff F_v = {u : label u = label
     v} for every v. Translation t sends a source s to s + t and F_s onto
-    F_(s+t), so the labels and the check come from x's distance rows.
-    """
+    F_(s+t), so the labels and the check come from x's distance rows."""
     g = x.graph if isinstance(x, CoverGraph) else x
     table = x.distance_table
     if not table.is_connected():
@@ -232,7 +237,7 @@ def is_antipodal(x):
         return True, tuple((v,) for v in range(g.n))
     t = table.translations
     w, far = len(t), table.dist == diam
-    far[np.arange(len(far)), np.arange(0, g.n, w)] = True
+    far.ravel()[::g.n + w] = True  # each source, (v, v*w)
     # F_s meets its first fiber in sheets j, and F_(s+t) in sheets t[t, j]
     fibers = far.reshape(len(far), -1, w)
     first = fibers.any(axis=2).argmax(axis=1)

@@ -50,8 +50,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import GainGraph, cover_arcs, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import (IntPoly, _kronecker, _monic_gcd_mod, _prime, integer_roots,
-                      squarefree_part)
+from .intpoly import IntPoly, _monic_gcd_mod, _prime, integer_roots, squarefree_part
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
@@ -446,7 +445,7 @@ def _few_eigenvalue_char_poly(g: Graph):
     factors = _rounded_factors(a)
     if factors is None:
         return None
-    m = _kronecker([(f, 1) for f in factors.values()])
+    m = math.prod(factors.values(), start=IntPoly((1,)))
     n, d, delta = g.n, m.degree, max(g.degrees)
     q = _prime(2**62, 0)
     if len(_monic_gcd_mod([c % q for c in reversed(m.coeffs)],
@@ -475,7 +474,7 @@ def _few_eigenvalue_char_poly(g: Graph):
             return None
     if np.fmod(rest[:, 1:d], q[:, :, 0]).any():
         return None
-    return _kronecker([(f, k) for k, f in factors.items()]), d
+    return math.prod((f for k, f in factors.items() for _ in range(k)), start=IntPoly((1,))), d
 
 
 @lru_cache(maxsize=512)
@@ -767,6 +766,13 @@ def fiber_two_ev(base: Graph, table, rows):
     return hit, lam
 
 
+def _binomial_power(a, m, step):
+    """(x^step - a)^m as an IntPoly, from its binomial coefficients."""
+    coeffs = [0] * (step * m + 1)
+    coeffs[::step] = [math.comb(m, j) * (-a) ** (m - j) for j in range(m + 1)]
+    return IntPoly(coeffs)
+
+
 def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
     """Certificate of f, whose lift `fiber_two_ev` found 2ev with this lambda.
 
@@ -783,7 +789,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         if rem:
             raise InternalConsistencyError("new-eigenvalue multiplicity is not integral")
         theta, tau, m_tau = float(hi), float(lo), dim - m_theta
-        new_poly = _kronecker(((IntPoly((-hi, 1)), m_theta), (IntPoly((-lo, 1)), m_tau)))
+        new_poly = _binomial_power(hi, m_theta, 1) * _binomial_power(lo, m_tau, 1)
     else:
         # conjugate irrational roots carry equal multiplicity, so zero trace
         # forces lambda = 0 and an even dimension
@@ -792,7 +798,7 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
         sq = math.sqrt(lam * lam + 4 * k)
         theta, tau = (lam + sq) / 2.0, (lam - sq) / 2.0
         m_theta = m_tau = dim // 2
-        new_poly = _kronecker(((IntPoly((-k, 0, 1)), m_theta),))  # (x^2 - k)^(dim/2)
+        new_poly = _binomial_power(k, m_theta, 2)  # (x^2 - k)^(dim/2)
     return TwoEvCertificate(
         is_two_ev=True,
         theta=theta,

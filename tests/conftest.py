@@ -184,7 +184,7 @@ def edge_lift(f: GainGraph) -> CoverGraph:
         act = sheet_action(f.group, g)
         for j in range(r):
             edges.append((u * r + j, v * r + act[j]))
-    return CoverGraph(Graph(f.base.n * r, edges), f.base, r)
+    return CoverGraph(Graph(f.base.n * r, edges), f.base, r, f.group.translations)
 
 
 def edge_rep_matrix(f: GainGraph, j):

@@ -32,30 +32,6 @@ def test_arithmetic_matches_oracle():
     assert a(7) == 1 - 21 + 98
 
 
-def test_kronecker_product_matches_the_schoolbook_product(rng):
-    # signed coefficients from 0 and +-1 up to about 3000 bits, including the
-    # zero polynomial and constants, some of the form x^low g(x^step); a
-    # product of two, and a power
-    def draw():
-        bits = rng.choice([0, 1, 2, 7, 8, 63, 64, 65, 500, 3000])
-        dense = [rng.randint(-2**bits, 2**bits) for _ in range(rng.choice([0, 1, 1, 2, 5, 17]))]
-        low, step = rng.randrange(4), rng.choice([1, 1, 2, 3])
-        sparse = [0] * (low + step * len(dense))
-        sparse[low::step] = dense
-        return rng.choice([dense, sparse])
-
-    for _ in range(400):
-        a, b, k = draw(), draw(), rng.randrange(5)
-        assert IntPoly(a) * IntPoly(b) == IntPoly(mul_poly(a, b) if a and b else ())
-        power = [1]
-        for _ in range(k):
-            power = mul_poly(power, a) if a else []
-        assert intpoly._kronecker(((IntPoly(a), k),)) == IntPoly(power)
-    assert IntPoly((7,)) * IntPoly((-3,)) == IntPoly((-21,))
-    assert intpoly._kronecker(((IntPoly((1, 1)), 0),)) == IntPoly((1,))
-    assert IntPoly() * IntPoly((2,)) == IntPoly()
-
-
 def test_division_roundtrip():
     d = IntPoly((-1, 1))  # x - 1
     q = IntPoly((3, 0, 1))

@@ -698,7 +698,8 @@ def test_difference_poly_refuses_a_cover_that_is_not_a_lift():
     (u, v) = next(e for e in sorted(edges) if e[0] // r == 0 and e[1] // r == 1)
     broken = GainGraph(f.base, f.group, f.gains)
     object.__setattr__(broken, "cover", CoverGraph(
-        Graph(f.cover.graph.n, (edges - {(u, v)}) | {(u, 3 * r + u % r)}), f.base, r))
+        Graph(f.cover.graph.n, (edges - {(u, v)}) | {(u, 3 * r + u % r)}), f.base, r,
+        f.group.translations))
     with pytest.raises(InternalConsistencyError):
         spectral_difference_poly(broken)
 
