@@ -252,9 +252,9 @@ def lift(f: GainGraph) -> CoverGraph:
     every fiber by a fixed group element is an automorphism of the lift.
     """
     table, rows = gain_row(f)
-    e = np.stack([x.ravel() for x in cover_arcs(f.base, table[rows[0]])], axis=1)
-    r = f.group.sheet_count  # src < dst on every arc, each arc once
-    return CoverGraph(Graph.from_edge_array(f.base.n * r, e[np.lexsort(e.T[::-1])]),
+    src, dst = cover_arcs(f.base, table[rows[0]])
+    r = f.group.sheet_count
+    return CoverGraph(Graph(f.base.n * r, zip(src.ravel().tolist(), dst.ravel().tolist())),
                       f.base, r, f.group.translations)
 
 

@@ -45,13 +45,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
 
-    @classmethod
-    def from_edge_array(cls, n, e):
-        """The graph on 0..n-1 whose `edge_array` is e, unchecked: sorted, distinct, u < v."""
-        g, e.flags.writeable = cls.__new__(cls), False
-        g.__dict__.update(n=n, edges=frozenset(zip(*e.T.tolist())), edge_array=e)
-        return g
-
     @property
     def m(self):
         return len(self.edges)

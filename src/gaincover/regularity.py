@@ -23,7 +23,6 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph, gain_row
 from .graphs import Graph, is_connected
-from .intpoly import IntPoly
 from .spectral import (TwoEvCertificate, _crt_primes, _powers_mod, char_poly,
                        distinct_eigenvalue_count, fiber_two_ev)
 
@@ -153,16 +152,22 @@ def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
     """The range of a lift's distinct eigenvalue count, the base's values and
     cert.new_distinct on W (ParameterError without cert); for a hit, those of
     x^2 - lambda x - mu's roots not the base's: (lambda +- s) / 2 for a square
-    discriminant s^2, else a conjugate pair, both roots of the base's or neither."""
+    discriminant s^2, else a conjugate pair, both roots of the base's char poly
+    p or neither, as p mod x^2 - lambda x - mu = a x + b is zero or not."""
     if cert is None:
         raise ParameterError("a lift needs its two-eigenvalue certificate")
     base = distinct_eigenvalue_count(cover.base)
     if not cert.is_two_ev:
         return range(max(base, cert.new_distinct), base + cert.new_distinct + 1)
-    p, lam, disc = char_poly(cover.base), cert.lambda_, cert.lambda_**2 + 4 * cert.mu
-    s = math.isqrt(disc)
-    new = ((p((lam + s) // 2) != 0) + (p((lam - s) // 2) != 0) if s * s == disc
-           else 2 * bool(p.divmod_monic(IntPoly((-cert.mu, -lam, 1)))[1]))
+    p, lam, mu = char_poly(cover.base), cert.lambda_, cert.mu
+    s = math.isqrt(lam * lam + 4 * mu)
+    if s * s == lam * lam + 4 * mu:
+        new = (p((lam + s) // 2) != 0) + (p((lam - s) // 2) != 0)
+    else:
+        a = b = 0  # Horner, x^2 = lambda x + mu
+        for c in reversed(p.coeffs):
+            a, b = a * lam + b, a * mu + c
+        new = 2 * bool(a or b)
     return range(base + new, base + new + 1)
 
 
