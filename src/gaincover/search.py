@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, FalsificationError, ParameterError
-from .gains import CoverGraph, GainGraph, GroupSpec, sheet_table
+from .gains import CoverGraph, GainGraph, GroupSpec
 from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
 from .regularity import (RegularityCertificate, is_walk_regular,
                          regularity_certificate, srg_parameters)
@@ -167,7 +167,7 @@ def _count_hit(summary: VerifySummary, f: GainGraph, lam) -> TwoEvCertificate:
 def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
     """Decide every assignment of spec, counting them and the hits in summary;
     yield (gain, certificate) for each 2ev hit, the only ones lifted."""
-    table = sheet_table(spec.group, spec.group.elements())
+    table = spec.group.translations  # every element's sheet table: the group is abelian
     for rows, hit, lam in _decided(spec, table):
         summary.sampled += len(rows)
         for i in np.flatnonzero(hit).tolist():
@@ -203,7 +203,7 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0) -> VerifySummary:
     summary = VerifySummary()
     for base, group in itertools.product(bases, groups):
         spec = SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
-        table = sheet_table(group, group.elements())
+        table = spec.group.translations
         for rows, hit, lam in _decided(spec, table):
             ok, dev = character_block_check(base, group, table, rows)
             summary.sampled += len(rows)
