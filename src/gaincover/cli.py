@@ -37,7 +37,7 @@ from .regularity import regularity_certificate
 from .search import (DEFAULT_BUDGET, EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_bipartite_cover, verify_drackn, verify_srg_cover,
                      verify_walk_regularity)
-from .spectral import char_poly, classify_two_ev, hermitian_spectrum
+from .spectral import char_poly, classify_two_ev, cover_spectrum, graph_spectrum
 
 # family name -> (its size flag or None, gain builder of that flag's value,
 # file stem); a builder whose cover, sized from the value, passes MAX_VERTICES
@@ -62,10 +62,10 @@ def _spectrum_json(spec):
     return [[_fmt(v), int(m)] for v, m in spec]
 
 
-def graph_report(x, p):
-    """Report of x, a graph or a lift, whose characteristic polynomial is p."""
+def graph_report(x, p, spec):
+    """Report of x, a graph or a lift, whose characteristic polynomial is p
+    and whose clustered spectrum is spec."""
     g = x.graph if isinstance(x, CoverGraph) else x
-    spec = hermitian_spectrum(g.adjacency(dtype=float))
     return {
         "n": g.n,
         "m": g.m,
@@ -86,9 +86,10 @@ def gain_report(f: GainGraph):
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "gain", "group": f.group.describe(),
                   "vertices": f.base.n, "edges": f.base.m},
-        "base": graph_report(f.base, p_base),
-        # the cover's char poly is the base's times the one on W
-        "cover": graph_report(f.cover, p_base * cert.new_poly)
+        "base": graph_report(f.base, p_base, graph_spectrum(f.base)),
+        # the cover's char poly is the base's times the one on W; for abelian
+        # gains its spectrum is the base's and its character blocks'
+        "cover": graph_report(f.cover, p_base * cert.new_poly, cover_spectrum(f))
                  | {"fibers": f.cover.r},
         "two_ev": cert.as_dict(),
         "regularity": reg.as_dict(),
@@ -251,7 +252,7 @@ def cmd_certify(args):
     payload = {
         "tool": {"name": "gaincover", "version": __version__},
         "input": {"kind": "graph", "path": args.graphfile},
-        "graph": graph_report(g, char_poly(g)),
+        "graph": graph_report(g, char_poly(g), graph_spectrum(g)),
         "regularity": selected,
     }
     if reg.drg is not None and "drg" in checks:

@@ -12,7 +12,9 @@ are supported at lift level only, with no character machinery.
 
 Only this module builds the array form of a gain (`sheet_table`, `gain_row`)
 and the cover layout (`cover_arcs`: vertex (v, j) is v*r + j); `lift` builds
-from them, and `GainGraph.cover` keeps a gain graph's one lift.
+from them, and `GainGraph.row` and `GainGraph.cover` keep a gain graph's one
+row and one lift. A gain is checked once, when the gain graph is built: the
+parser checks each on its line, and a search's row indexes the elements.
 """
 
 from __future__ import annotations
@@ -103,13 +105,15 @@ class GroupSpec:
         return tuple(a[b[x]] for x in range(self.degree))
 
     def validate_element(self, g):
+        """g as a tuple of ints, once it is an element: a residue tuple (looked
+        up in the cached set of elements) or a permutation of the sheets."""
+        g = tuple(map(int, g))
         if self.is_abelian:
-            if len(g) != len(self.orders) or any(not 0 <= x < r for x, r in zip(g, self.orders)):
+            if g not in self._element_set:
                 raise ParameterError(f"residue tuple {g} invalid for orders {self.orders}")
-        else:
-            if sorted(g) != list(range(self.degree)):
-                raise ParameterError(f"{g} is not a permutation of 0..{self.degree - 1}")
-        return tuple(int(x) for x in g)
+        elif sorted(g) != list(range(self.degree)):
+            raise ParameterError(f"{g} is not a permutation of 0..{self.degree - 1}")
+        return g
 
     def elements(self):
         """All elements in lexicographic order (abelian only)."""
@@ -119,6 +123,10 @@ class GroupSpec:
         for r in self.orders:
             out = [e + (x,) for e in out for x in range(r)]
         return out
+
+    @cached_property
+    def _element_set(self):
+        return frozenset(self.elements())
 
     @cached_property
     def translations(self):
@@ -156,6 +164,18 @@ class GainGraph:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "gains", stored)
 
+    @classmethod
+    def _checked(cls, base, group, gains, row=None):
+        """The gain graph of gains already checked: valid elements of group,
+        keyed by exactly base's edges (u, v), u < v. row, when given, is its
+        `row`, in the form of `gain_row` on some sheet table."""
+        f = object.__new__(cls)
+        for name, value in (("base", base), ("group", group), ("gains", gains)):
+            object.__setattr__(f, name, value)
+        if row is not None:
+            f.__dict__["row"] = row
+        return f
+
     def gain(self, u, v):
         """Gain for walking u -> v (inverse of the stored value when u > v)."""
         if u < v:
@@ -171,6 +191,12 @@ class GainGraph:
 
     def __repr__(self):
         return f"GainGraph(n={self.base.n}, m={self.base.m}, group={self.group.describe()})"
+
+    @cached_property
+    def row(self):
+        """The `gain_row` of this gain graph, built once; a gain graph that a
+        search built from its row has that row on the group's `translations`."""
+        return gain_row(self)
 
     @cached_property
     def cover(self):
@@ -251,7 +277,7 @@ def lift(f: GainGraph) -> CoverGraph:
     gains this is translation on the group's own element set, so relabeling
     every fiber by a fixed group element is an automorphism of the lift.
     """
-    table, rows = gain_row(f)
+    table, rows = f.row
     src, dst = cover_arcs(f.base, table[rows[0]])
     r = f.group.sheet_count
     return CoverGraph(Graph(f.base.n * r, zip(src.ravel().tolist(), dst.ravel().tolist())),
@@ -361,8 +387,8 @@ def parse_gain_file(text: str) -> GainGraph:
     if n * group.sheet_count > MAX_VERTICES:
         raise ParseError(f"a cover of {n} x {group.sheet_count} vertices exceeds the "
                          f"limit of {MAX_VERTICES}")
-    base = Graph(n, gains.keys())
-    return GainGraph(base, group, gains)
+    # every gain was checked on its line, and the base has exactly its edges
+    return GainGraph._checked(Graph(n, gains.keys()), group, gains)
 
 
 def _parse_group(fields, ln):

@@ -2,8 +2,11 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and the
 characteristic polynomials handled here are always monic, which keeps every
-division below exact. The square-free part is certified modularly: gcds mod
-the largest primes below 2**62 in plain Python ints, joined by the CRT, and
+division below exact. A gcd modulo a prime runs Euclid's algorithm on arrays
+(`_monic_gcd_mod`), in int64 for a word-size prime. Whether a monic
+polynomial is square-free takes one such gcd (`squarefree_mod`), for a prime
+that the caller has at hand. The square-free part itself is certified
+modularly: gcds mod the largest primes below 2**62, joined by the CRT, and
 accepted only when the candidate divides p and p' exactly over Z. Every
 modulus in the package comes from one cached source of primes, `_prime`.
 """
@@ -11,7 +14,10 @@ modulus in the package comes from one cached source of primes, `_prime`.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+
+import numpy as np
 
 
 def _trim(coeffs):
@@ -173,37 +179,65 @@ def _prime(limit, i, e=1):
     return p
 
 
+def _crt_primes(limit, bound, e=1):
+    """The fewest primes p = 1 (mod e), descending from the largest at most
+    limit, whose product exceeds 2 * bound."""
+    return list(_prime_stream(limit, bound, e))
+
+
+def _prime_stream(limit, bound, e=1):
+    """The primes of `_crt_primes`, each drawn only when it is asked for."""
+    i, prod = 0, 1
+    while prod <= 2 * bound:
+        yield (p := _prime(limit, i, e))
+        i, prod = i + 1, prod * p
+
+
 def _strip(c):
-    """c without its leading zeros."""
-    i = 0
-    while i < len(c) and c[i] == 0:
-        i += 1
-    return c[i:]
+    """The array c without its leading zeros."""
+    nz = np.flatnonzero(c)
+    return c[nz[0]:] if len(nz) else c[:0]
 
 
 def _monic_gcd_mod(a, b, q):
-    """Monic gcd of a and b mod the prime q, by Euclid's algorithm.
+    """Monic gcd of a and b mod the prime q, by Euclid's algorithm, each step
+    of a division one array operation on the divisor: in int64 while q^2 <
+    2^63, so that every product fits, else on Python ints.
 
-    a and b are coefficient lists, highest degree first, reduced mod q, a
-    with a nonzero lead; so is the result.
+    a and b are coefficient sequences, highest degree first, reduced mod q, a
+    with a nonzero lead; so is the result, an array.
     """
-    b = _strip(b)
-    while b:
-        inv = pow(b[0], -1, q)
-        rem = a[:]
-        db = len(b)
-        for i in range(len(rem) - db + 1):
-            c = rem[i] * inv % q
+    dtype = np.int64 if q * q < 2**63 else object
+    a, b = np.array(a, dtype=dtype), _strip(np.array(b, dtype=dtype))
+    while len(b):
+        inv = pow(int(b[0]), -1, q)
+        rem = a.copy()
+        for i in range(len(rem) - len(b) + 1):
+            c = int(rem[i]) * inv % q
             if c:
-                for j in range(1, db):
-                    rem[i + j] = (rem[i + j] - c * b[j]) % q
-        a, b = b, _strip(rem[max(len(rem) - db + 1, 0):])
-    inv = pow(a[0], -1, q)
-    return [c * inv % q for c in a]
+                part = rem[i:i + len(b)]
+                part -= c * b
+                part %= q
+        a, b = b, _strip(rem[max(len(rem) - len(b) + 1, 0):])
+    return a * pow(int(a[0]), -1, q) % q
+
+
+def squarefree_mod(coeffs, q) -> bool:
+    """Whether the monic polynomial p of ascending coefficients coeffs (ints)
+    is square-free modulo the prime q: gcd(p, p') = 1 mod q. Then p is
+    square-free over Z too, since a repeated monic factor of p over Z divides
+    p and p' modulo every prime; the converse can fail, for the q that divide
+    the discriminant."""
+    high = [int(c) % q for c in reversed(coeffs)]
+    d = len(high) - 1
+    return len(_monic_gcd_mod(high, [(d - i) * c % q for i, c in enumerate(high[:-1])], q)) == 1
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
-    """p / gcd(p, p') for monic p: again monic, with the same root set.
+    """p / gcd(p, p') for monic p: again monic, with the same root set. A
+    miss counts its distinct new eigenvalues by `squarefree_mod` first and
+    takes this only where its roots repeat; so does a graph whose char poly
+    is not certified from its spectrum, and the tests take it as an oracle.
 
     The monic gcd g of p and p' lies in Z[x], since p is monic. Its image
     mod any prime q divides the gcd of the images, so every gcd mod q has
@@ -279,3 +313,74 @@ def cyclotomic(r: int) -> IntPoly:
         if r % d == 0:
             p = p.div_exact(cyclotomic(d))
     return p
+
+
+# ---------------------------------------------------------------------------
+# the integer side of the exact char polys of `spectral`: coefficient bounds,
+# CRT reconstruction, power sums and arithmetic modulo primes
+
+
+def _coefficient_bound(N, F):
+    """Bound on every coefficient of a monic degree-N polynomial whose roots
+    have sum |lambda|^2 <= F: the coefficient of x^(N-i) is +-e_i(lambda),
+    and |e_i(lambda)| <= e_i(|lambda|) <= C(N,i) * (F/N)^(i/2) by Maclaurin's
+    inequality."""
+    f = -(-F // N)  # ceil(F / N)
+    return max(math.isqrt(math.comb(N, i) ** 2 * f**i) + 1 for i in range(N + 1))
+
+
+def _crt(residues, primes) -> IntPoly:
+    """The polynomial whose coefficients are the signed integers of least
+    absolute value congruent to row j of residues modulo primes[j]."""
+    prod = math.prod(primes)
+    out = [0] * residues.shape[1]
+    for row, p in zip(residues, primes):
+        quo = prod // p
+        weight = quo * pow(quo % p, -1, p)
+        for i, r in enumerate(row.tolist()):
+            out[i] += r * weight
+    half = prod // 2
+    return IntPoly((x + half) % prod - half for x in out)
+
+
+def _power_sums(f: IntPoly, count):
+    """The power sums s_0, ..., s_(count-1) of the roots of the monic f, by
+    Newton's identities."""
+    c, d = f.coeffs, f.degree
+    sums = [d]
+    for j in range(1, count):
+        acc = j * c[d - j] if j <= d else 0
+        for i in range(1, min(j - 1, d) + 1):
+            acc += c[d - i] * sums[j - i]
+        sums.append(-acc)
+    return sums
+
+
+def _root_of_unity(e, p):
+    """An element of order e in F_p, for a prime p = 1 (mod e): g^((p-1)/e)
+    for the least g >= 2 whose power is 1 at no proper divisor of e."""
+    divisors = [d for d in range(1, e) if e % d == 0]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // e, p)
+        if all(pow(w, d, p) != 1 for d in divisors):
+            return w
+        g += 1
+
+
+def _poly_mul_mod(a, b, q):
+    """Row-wise products of the ascending coefficient rows of a and b, modulo
+    the column q of moduli, one row per modulus."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for j in range(b.shape[1]):
+        part = out[:, j:j + a.shape[1]]
+        part += a * b[:, j, None]
+        part %= q
+    return out
+
+
+def _binomial_power(a, m, step):
+    """(x^step - a)^m as an IntPoly, from its binomial coefficients."""
+    coeffs = [0] * (step * m + 1)
+    coeffs[::step] = [math.comb(m, j) * (-a) ** (m - j) for j in range(m + 1)]
+    return IntPoly(coeffs)

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
-from .gains import CoverGraph, GainGraph, gain_row
+from .gains import CoverGraph, GainGraph
 from .graphs import Graph, is_connected
-from .spectral import (TwoEvCertificate, _crt_primes, _powers_mod, char_poly,
-                       distinct_eigenvalue_count, fiber_two_ev)
+from .intpoly import _prime_stream
+from .spectral import (TwoEvCertificate, _powers_mod, char_poly, distinct_eigenvalue_count,
+                       fiber_two_ev)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,9 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     they are exact, and A^(d-1) only on its diagonal, all on the rows of x's
     sources, whose translations carry every vertex's closed walks. A diagonal
     entry of A^j counts closed walks, in [0, Delta^(j-1)]: constant residues
-    modulo primes past 2 ceil(Delta^(d-2) / 2) are a constant diagonal.
+    modulo primes past 2 ceil(Delta^(d-2) / 2) are a constant diagonal. Each
+    prime is drawn only once the one before it has passed, so a lift that is
+    not walk-regular is mostly refused on the first.
     """
     g = x.graph if isinstance(x, CoverGraph) else x
     if g is not x and cert is None:
@@ -137,7 +139,7 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
         return True
     w = len(x.translations) if g is not x else 1  # row v is from source v*w: entry (v, v*w)
     deg, a = max(g.degrees), g.adjacency(dtype=np.float64)
-    for p in _crt_primes(2 ** (53 - deg.bit_length()), (deg ** (top - 1) + 1) // 2):
+    for p in _prime_stream(2 ** (53 - deg.bit_length()), (deg ** (top - 1) + 1) // 2):
         power = next(powers := _powers_mod(a, deg, [p], top - 1, slice(None, None, w)))  # A
         for power in powers:
             if len(set(power[0].ravel()[::g.n + w].tolist())) > 1:
@@ -291,11 +293,13 @@ def lemma_column_counts(f: GainGraph):
             raise ParameterError("base must be complete or strongly regular")
         a, c = srg.a, srg.c
 
-    hit, lams = fiber_two_ev(base, *gain_row(f))
+    hit, lams = fiber_two_ev(base, *f.row)
     if not hit[0]:
         raise ParameterError("column counts need a two-eigenvalue lift")
     lam = int(lams[0])
 
+    # imported here: no command reads column counts, and each would pay for it
+    from fractions import Fraction
     t = Fraction(a - lam) / r
     s = None if c is None else Fraction(c, r)
     integral = (t.denominator == 1 and t >= 0

@@ -142,10 +142,11 @@ def assignment_rows(spec: SearchSpec):
 
 
 def gain_of_row(spec: SearchSpec, row) -> GainGraph:
-    """The gain graph of one row of `assignment_rows`."""
+    """The gain graph of one row of `assignment_rows`, whose `GainGraph.row`
+    is that row on the group's sheet table, so that its lift reads the row."""
     elements = spec.group.elements()
-    return GainGraph(spec.base, spec.group,
-                     {e: elements[i] for e, i in zip(spec.base.sorted_edges(), row.tolist())})
+    gains = {e: elements[i] for e, i in zip(spec.base.sorted_edges(), row.tolist())}
+    return GainGraph._checked(spec.base, spec.group, gains, (spec.group.translations, row[None]))
 
 
 def _decided(spec: SearchSpec, table):

@@ -16,11 +16,14 @@ Maclaurin's coefficient bound (`_coefficient_bound`).
 
 Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
 one matrix (`hermitian_spectrum`) or a stack: it raises NumericError on
-LAPACK non-convergence or non-finite input. The block-decomposition audit
-(`character_block_check`) takes a batch of abelian gains in the kernel's
-array form and, per batch, solves one stack of character matrices, Hermitian
-by construction, and one stack of lifts scattered as `fiber_two_ev` scatters
-them, with no gain graph and no lift built.
+LAPACK non-convergence or non-finite input. A graph's are solved once
+(`graph_spectrum`), and an abelian lift's (`cover_spectrum`) are its base's
+and those of one real symmetric matrix per class of characters, never from
+the lift. The block-decomposition audit (`character_block_check`) takes a
+batch of abelian gains in the kernel's array form and, per batch, solves one
+stack of character matrices, Hermitian by construction, and one stack of
+lifts scattered as `fiber_two_ev` scatters them, with no gain graph and no
+lift built.
 
 The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
 from the gains for a batch of assignments at once, without the lift: it
@@ -33,9 +36,10 @@ the lift's dimension nr: abelian gains from the char polys of their n-square
 character matrices modulo primes p = 1 (mod e), e the group's exponent, one
 per pair of conjugate characters, and permutation gains as the char poly of
 the n(r-1)-square integer matrix on W. A miss counts its new distinct
-eigenvalues as the degree of the certified square-free part of a factor with
-the same roots (for abelian gains, one char poly per pair), never from
-numeric spectra. Every function that needs a lift reads `GainGraph.cover`.
+eigenvalues on a factor with the same roots (for abelian gains, one char
+poly per pair), never from numeric spectra: its degree where its residues
+are square-free, else that of its certified square-free part. Every function
+that needs a lift reads `GainGraph.cover`.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ import numpy as np
 
 from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
-from .gains import GainGraph, cover_arcs, gain_row
+from .gains import GainGraph, cover_arcs
 from .graphs import Graph, is_connected
-from .intpoly import IntPoly, _monic_gcd_mod, _prime, integer_roots, squarefree_part
+from .intpoly import (IntPoly, _binomial_power, _coefficient_bound, _crt, _crt_primes,
+                      _poly_mul_mod, _power_sums, _root_of_unity, integer_roots,
+                      squarefree_mod, squarefree_part)
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
@@ -211,39 +217,6 @@ def _integer_matrix(A):
     return out
 
 
-def _coefficient_bound(N, F):
-    """Bound on every coefficient of a monic degree-N polynomial whose roots
-    have sum |lambda|^2 <= F: the coefficient of x^(N-i) is +-e_i(lambda),
-    and |e_i(lambda)| <= e_i(|lambda|) <= C(N,i) * (F/N)^(i/2) by Maclaurin's
-    inequality."""
-    f = -(-F // N)  # ceil(F / N)
-    return max(math.isqrt(math.comb(N, i) ** 2 * f**i) + 1 for i in range(N + 1))
-
-
-def _crt_primes(limit, bound, e=1):
-    """The fewest primes p = 1 (mod e), descending from the largest at most
-    limit, whose product exceeds 2 * bound."""
-    primes, prod = [], 1
-    while prod <= 2 * bound:
-        primes.append(_prime(limit, len(primes), e))
-        prod *= primes[-1]
-    return primes
-
-
-def _crt(residues, primes) -> IntPoly:
-    """The polynomial whose coefficients are the signed integers of least
-    absolute value congruent to row j of residues modulo primes[j]."""
-    prod = math.prod(primes)
-    out = [0] * residues.shape[1]
-    for row, p in zip(residues, primes):
-        quo = prod // p
-        weight = quo * pow(quo % p, -1, p)
-        for i, r in enumerate(row.tolist()):
-            out[i] += r * weight
-    half = prod // 2
-    return IntPoly((x + half) % prod - half for x in out)
-
-
 def char_poly_int_matrix(A) -> IntPoly:
     """Exact characteristic polynomial of a square integer matrix.
 
@@ -350,6 +323,21 @@ def hermitian_spectrum(matrix) -> Spectrum:
     return cluster_values(vals, float(scale))
 
 
+@lru_cache(maxsize=512)
+def _adjacency_eigenvalues(g: Graph):
+    """The ascending eigenvalues of g's adjacency, read-only, from
+    `_checked_eigvalsh`, solved once per graph."""
+    vals = _checked_eigvalsh(g.adjacency(dtype=np.float64))[0]
+    vals.flags.writeable = False
+    return vals
+
+
+def graph_spectrum(g: Graph) -> Spectrum:
+    """`hermitian_spectrum` of g's adjacency, whose max row sum is the largest
+    degree, from `_adjacency_eigenvalues`."""
+    return cluster_values(_adjacency_eigenvalues(g), max(g.degrees, default=0))
+
+
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial of a graph
 
@@ -358,14 +346,14 @@ def hermitian_spectrum(matrix) -> Spectrum:
 _CERTIFICATE_LIMIT = 2**26
 
 
-def _rounded_factors(a):
+def _rounded_factors(g: Graph):
     """{k: g_k}, the guess of `_few_eigenvalue_char_poly`: g_k = prod (x -
-    theta) over the clustered eigenvalues theta of multiplicity k of the
-    float64 adjacency a, rounded to integers; None when the eigensolver fails
-    or a coefficient reaches 2^50, past which a float no longer resolves
+    theta) over the clustered eigenvalues theta of multiplicity k of g's
+    `graph_spectrum`, rounded to integers; None when the eigensolver fails or
+    a coefficient reaches 2^50, past which a float no longer resolves
     integers."""
     try:
-        spectrum = hermitian_spectrum(a)
+        spectrum = graph_spectrum(g)
     except NumericError:
         return None
     roots = {}
@@ -378,19 +366,6 @@ def _rounded_factors(a):
             return None
         factors[k] = IntPoly(np.rint(c).tolist())
     return factors
-
-
-def _power_sums(f: IntPoly, count):
-    """The power sums s_0, ..., s_(count-1) of the roots of the monic f, by
-    Newton's identities."""
-    c, d = f.coeffs, f.degree
-    sums = [d]
-    for j in range(1, count):
-        acc = j * c[d - j] if j <= d else 0
-        for i in range(1, min(j - 1, d) + 1):
-            acc += c[d - i] * sums[j - i]
-        sums.append(-acc)
-    return sums
 
 
 def _powers_mod(a, delta, primes, top, rows=slice(None)):
@@ -423,12 +398,13 @@ def _few_eigenvalue_char_poly(g: Graph):
     conjugate eigenvalues of the integer matrix A have equal multiplicities,
     so its roots are a union of Galois orbits. Nothing about the guess is
     trusted. The certificate: m = prod_k g_k is square-free (gcd(m, m') = 1
-    modulo one prime), m(A) = 0, and tr(A^j) = sum_k k p_j(g_k) for j < D =
-    deg m, with the power sums p_j of the roots of g_k by Newton's
-    identities. A is symmetric, so m(A) = 0 puts every eigenvalue among the
-    D distinct roots of m; the traces of A^0..A^(D-1) are then a Vandermonde
-    system in the multiplicities of those roots, and the guess solves it. So
-    det(xI - A) = prod_k g_k^k, with D distinct eigenvalues.
+    modulo the first of the primes below), m(A) = 0, and tr(A^j) = sum_k k
+    p_j(g_k) for j < D = deg m, with the power sums p_j of the roots of g_k
+    by Newton's identities. A is symmetric, so m(A) = 0 puts every
+    eigenvalue among the D distinct roots of m; the traces of A^0..A^(D-1)
+    are then a Vandermonde system in the multiplicities of those roots, and
+    the guess solves it. So det(xI - A) = prod_k g_k^k, with D distinct
+    eigenvalues.
 
     The checks run modulo primes below `_CERTIFICATE_LIMIT` whose product
     P exceeds B = max(|c_0| + sum_(i>=1) |c_i| Delta^(i-1), n Delta^(D-2)),
@@ -441,16 +417,11 @@ def _few_eigenvalue_char_poly(g: Graph):
     max(BATCH_ENTRIES, n^2) entries a stack, so each power before the first
     reduction is taken once; m(A) sums c_j A^j as they come.
     """
-    a = g.adjacency(dtype=np.float64)
-    factors = _rounded_factors(a)
+    factors = _rounded_factors(g)
     if factors is None:
         return None
     m = math.prod(factors.values(), start=IntPoly((1,)))
     n, d, delta = g.n, m.degree, max(g.degrees)
-    q = _prime(2**62, 0)
-    if len(_monic_gcd_mod([c % q for c in reversed(m.coeffs)],
-                          [c % q for c in reversed(m.derivative().coeffs)], q)) > 1:
-        return None
     sums = [(k, _power_sums(f, d)) for k, f in factors.items()]
     traces = [sum(k * s[j] for k, s in sums) for j in range(d)]
     if traces[0] != n or not all(0 <= t <= n * delta**j for j, t in enumerate(traces[1:])):
@@ -458,7 +429,9 @@ def _few_eigenvalue_char_poly(g: Graph):
     primes = _crt_primes(_CERTIFICATE_LIMIT, (max(  # a product past B, not 2B
         abs(m.coeffs[0]) + sum(abs(c) * delta**i for i, c in enumerate(m.coeffs[1:])),
         n * delta ** max(d - 2, 0)) + 1) // 2)
-    q = np.array(primes, dtype=np.float64)[:, None, None]
+    if not squarefree_mod(m.coeffs, primes[0]):
+        return None
+    a, q = g.adjacency(dtype=np.float64), np.array(primes, dtype=np.float64)[:, None, None]
     # residues, one row per prime, of m's coefficients and of minus the traces
     coeffs = np.array([[c % p for c in m.coeffs] for p in primes], dtype=np.float64)
     rest = np.array([[-t % p for t in traces + [0]] for p in primes], dtype=np.float64)
@@ -539,10 +512,54 @@ def rep_matrix(f: GainGraph, j) -> np.ndarray:
         raise ParameterError("character matrices require an abelian gain group")
     if len(tuple(j)) != len(orders):
         raise ParameterError(f"character index must have {len(orders)} components")
-    table, rows = gain_row(f)
+    table, rows = f.row
     s = _character_stack(f.base, f.group, table[rows, 0], [tuple(j)])[0, 0]
     s.flags.writeable = False
     return s
+
+
+def _character_classes(f: GainGraph):
+    """(e, twos, reals, expo) for abelian gains: e the group's exponent, its
+    nontrivial characters one per pair {chi, conj chi}, first those of the
+    pairs of two (twos), then the real ones, and expo[c, i] the k with chi_c
+    = zeta_e^k at the gain of edge i of f.base.sorted_edges()."""
+    group, orders, (table, rows) = f.group, np.array(f.group.orders), f.row
+    e, elements = math.lcm(*group.orders), group.elements()
+    twos = [c for c in elements[1:] if c < group.inverse(c)]
+    reals = [c for c in elements[1:] if c == group.inverse(c)]
+    # the gain of edge i is the element that sends sheet 0, the identity, to table[rows[0, i], 0]
+    gains = np.array(elements, dtype=np.int64)[table[rows[0], 0]]
+    return e, twos, reals, np.array(twos + reals) * (e // orders) @ gains.T % e
+
+
+def cover_spectrum(f: GainGraph) -> Spectrum:
+    """`hermitian_spectrum` of the lift of f; for abelian gains without the
+    lift, whose adjacency is similar to the block diagonal of the character
+    matrices S_chi, S_1 the base's. Its eigenvalues are then the base's
+    (`_adjacency_eigenvalues`) and those of one real symmetric matrix per
+    class of `_character_classes`: S_chi of a real chi, and for a pair {chi,
+    conj chi} the 2n-square [[Re S, -Im S], [Im S, Re S]] of S = S_chi, whose
+    spectrum is the pair's union, with entries from a table of the cos and
+    sin of the e-th roots of unity. They are clustered at the lift's max row
+    sum, the base's largest degree. Permutation gains take the whole lift."""
+    if not f.group.is_abelian:
+        return hermitian_spectrum(f.cover.graph.adjacency(dtype=np.float64))
+    n, (u, v) = f.base.n, f.base.edge_array.T
+    e, twos, reals, expo = _character_classes(f)
+    turn = 2 * math.pi * np.arange(e) / e
+    re, im, k = np.cos(turn)[expo], np.sin(turn)[expo], len(twos)
+    vals = [_adjacency_eigenvalues(f.base)]
+    if reals:
+        s = np.zeros((len(reals), n, n))
+        s[:, u, v] = s[:, v, u] = re[k:]
+        vals.append(_eigvalsh(s).ravel())
+    if twos:
+        s = np.zeros((k, 2, n, 2, n))
+        s[:, 0, u, 0, v] = s[:, 0, v, 0, u] = s[:, 1, u, 1, v] = s[:, 1, v, 1, u] = re[:k]
+        s[:, 1, u, 0, v] = s[:, 0, v, 1, u] = im[:k]
+        s[:, 1, v, 0, u] = s[:, 0, u, 1, v] = -im[:k]
+        vals.append(_eigvalsh(s.reshape(k, 2 * n, 2 * n)).ravel())
+    return cluster_values(np.concatenate(vals), max(f.base.degrees, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -588,53 +605,39 @@ class TwoEvCertificate:
         }
 
 
-def _lift_blocks(f: GainGraph) -> np.ndarray:
-    """The lift's adjacency as (n, r, n, r) blocks; raises InternalConsistencyError
-    unless their row sums are the base adjacency, which keeps W invariant."""
-    n, r = f.base.n, f.cover.r
-    a = f.cover.graph.adjacency().reshape(n, r, n, r)
-    if not (a.sum(axis=3) == f.base.adjacency()[:, None, :]).all():
+def _lift_arcs(f: GainGraph):
+    """The arcs (x, y) of f's lift, each edge both ways, as int64 arrays.
+    Raises InternalConsistencyError unless the lift's adjacency has the base
+    adjacency as fiber row sums, which keeps W invariant, in O(edges) memory:
+    the fiber pairs (x // r, y // r) are the base's arcs, each r times, and
+    no (x, fiber of y) repeats, so each x has one neighbour over each base
+    neighbour of its fiber's vertex and none elsewhere."""
+    n, r, e, b = f.base.n, f.cover.r, f.cover.graph.edge_array, f.base.edge_array
+    x, y = np.concatenate([e, e[:, ::-1]]).T
+    pairs, fibers = np.sort(x * n + y // r), np.sort(x // r * n + y // r)
+    arcs = np.repeat(np.sort(np.concatenate([b @ [n, 1], b @ [1, n]])), r)
+    if len(fibers) != len(arcs) or (fibers != arcs).any() or (pairs[1:] == pairs[:-1]).any():
         raise InternalConsistencyError(
             "lift blocks do not have the base adjacency as row sums; lift is broken")
-    return a
+    return x, y
 
 
 def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
     """The lift's adjacency A on W, the vectors that sum to zero on every
     fiber, as an n(r-1)-square integer matrix: in the basis e_(v,i) - e_(v,0),
     i = 1..r-1, entry ((v,i), (u,j)) is A((v,i), (u,j)) - A((v,i), (u,0)).
-    Raises InternalConsistencyError as `_lift_blocks` does."""
-    a = _lift_blocks(f)
-    n, r = a.shape[:2]
-    return (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(n * (r - 1), n * (r - 1))
-
-
-def _root_of_unity(e, p):
-    """An element of order e in F_p, for a prime p = 1 (mod e): g^((p-1)/e)
-    for the least g >= 2 whose power is 1 at no proper divisor of e."""
-    divisors = [d for d in range(1, e) if e % d == 0]
-    g = 2
-    while True:
-        w = pow(g, (p - 1) // e, p)
-        if all(pow(w, d, p) != 1 for d in divisors):
-            return w
-        g += 1
-
-
-def _poly_mul_mod(a, b, q):
-    """Row-wise products of the ascending coefficient rows of a and b, modulo
-    the column q of moduli, one row per modulus."""
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
-    for j in range(b.shape[1]):
-        part = out[:, j:j + a.shape[1]]
-        part += a * b[:, j, None]
-        part %= q
-    return out
+    Raises InternalConsistencyError as `_lift_arcs` does."""
+    x, y = _lift_arcs(f)
+    n, r = f.base.n, f.cover.r
+    keep = x % r > 0  # the arcs from the rows (v, i), i >= 1
+    a = np.zeros((n * (r - 1), n, r), dtype=np.int64)
+    a[x[keep] // r * (r - 1) + x[keep] % r - 1, y[keep] // r, y[keep] % r] = 1
+    return (a[:, :, 1:] - a[:, :, :1]).reshape(n * (r - 1), n * (r - 1))
 
 
 def _character_difference_poly(f: GainGraph):
-    """`spectral_difference_poly` of abelian gains, (P, Q), from their
-    character matrices S_chi.
+    """`spectral_difference_poly` of abelian gains, (P, Q, distinct), from
+    their character matrices S_chi.
 
     The lift is similar to the block diagonal of the S_chi, and the trivial
     character gives the base, so P = prod_{chi != 1} h_chi, h_chi = det(xI -
@@ -646,21 +649,19 @@ def _character_difference_poly(f: GainGraph):
     bounds both. Mod a prime p = 1 (mod e), zeta_e maps to an element of
     order e in F_p; every (prime, pair) slice goes through one stack of
     `_char_poly_mod`, and the factors multiply mod p, pairs of two first.
+    Q is monic, so when its residues modulo the first prime are square-free
+    (`squarefree_mod`) it has distinct = deg Q distinct roots; else distinct
+    is the degree of its square-free part.
     """
-    base, group, n, m = f.base, f.group, f.base.n, f.base.m
-    e = math.lcm(*group.orders)
-    twos = [c for c in group.elements()[1:] if c < group.inverse(c)]
-    pairs = twos + [c for c in group.elements()[1:] if c == group.inverse(c)]
+    n, m = f.base.n, f.base.m
+    e, twos, reals, expo = _character_classes(f)
+    pairs = twos + reals
     primes = _crt_primes(_int64_limit(n),
                          _coefficient_bound(n * len(pairs), 2 * m * len(pairs)), e)
-    # chi_c(g) = zeta_e^(sum_i c_i g_i e / r_i) for the gain g of each edge
-    edges = base.sorted_edges()
-    gains = np.array([f.gains[uv] for uv in edges], dtype=np.int64).reshape(m, len(group.orders))
-    expo = np.array(pairs) * (e // np.array(group.orders)) @ gains.T % e
     zetas = [_root_of_unity(e, p) for p in primes]
     powers = np.array([[pow(w, j, p) for j in range(e)] for w, p in zip(zetas, primes)],
                       dtype=np.int64)
-    u, v = base.edge_array.T
+    u, v = f.base.edge_array.T
     s = np.zeros((len(primes), len(pairs), n, n), dtype=np.int64)
     s[:, :, u, v] = powers[:, expo]
     s[:, :, v, u] = powers[:, -expo % e]
@@ -673,21 +674,25 @@ def _character_difference_poly(f: GainGraph):
             r_poly = _crt(out, primes)
         out = _poly_mul_mod(out, polys[:, j], q)
     q_poly = _crt(out, primes)
-    return q_poly * (r_poly if len(twos) < len(pairs) else q_poly), q_poly
+    distinct = (q_poly.degree if squarefree_mod(out[0], primes[0])
+                else squarefree_part(q_poly).degree)
+    return q_poly * (r_poly if reals else q_poly), q_poly, distinct
 
 
 def spectral_difference_poly(f: GainGraph):
-    """(new_poly, roots): the exact char poly of the lift's adjacency on W,
-    the vectors that sum to zero on every fiber (the cover's over the
-    base's), and a factor of it in Z[x] with the same roots, for abelian
-    gains one char poly per conjugate pair (`_character_difference_poly`),
-    for permutation gains new_poly, the char poly of `fiber_sum_zero_matrix`.
-    Raises InternalConsistencyError as `_lift_blocks` does."""
+    """(new_poly, roots, distinct): the exact char poly of the lift's
+    adjacency on W, the vectors that sum to zero on every fiber (the cover's
+    over the base's), a factor of it in Z[x] with the same roots, and the
+    number of those roots. For abelian gains, roots takes one char poly per
+    conjugate pair (`_character_difference_poly`); for permutation gains it
+    is new_poly, the char poly of `fiber_sum_zero_matrix`, and distinct the
+    degree of its square-free part. Raises InternalConsistencyError as
+    `_lift_arcs` does."""
     if f.group.is_abelian:
-        _lift_blocks(f)  # the check alone, no matrix on W
+        _lift_arcs(f)  # the check alone, no matrix on W
         return _character_difference_poly(f)
     new_poly = char_poly_int_matrix(fiber_sum_zero_matrix(f))
-    return new_poly, new_poly
+    return new_poly, new_poly, squarefree_part(new_poly).degree
 
 
 def _batch_input(base: Graph, table, rows):
@@ -766,13 +771,6 @@ def fiber_two_ev(base: Graph, table, rows):
     return hit, lam
 
 
-def _binomial_power(a, m, step):
-    """(x^step - a)^m as an IntPoly, from its binomial coefficients."""
-    coeffs = [0] * (step * m + 1)
-    coeffs[::step] = [math.comb(m, j) * (-a) ** (m - j) for j in range(m + 1)]
-    return IntPoly(coeffs)
-
-
 def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
     """Certificate of f, whose lift `fiber_two_ev` found 2ev with this lambda.
 
@@ -817,17 +815,17 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     """Classify whether the lift of f is a two-eigenvalue cover of its base.
 
     The verdict is `fiber_two_ev`'s, on a batch of one. Only a miss takes the
-    exact char poly on W, and counts its distinct new eigenvalues as the
-    degree of the square-free part of `spectral_difference_poly`'s roots.
+    exact char poly on W, and counts its distinct new eigenvalues as
+    `spectral_difference_poly` does.
     """
     if not is_connected(f.base):
         raise DisconnectedError("two-eigenvalue classification requires a connected base")
-    hit, lam = fiber_two_ev(f.base, *gain_row(f))
+    hit, lam = fiber_two_ev(f.base, *f.row)
     if hit[0]:
         return two_ev_certificate(f, int(lam[0]))
-    new_poly, roots = spectral_difference_poly(f)
+    new_poly, _, distinct = spectral_difference_poly(f)
     return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover),
-                            new_distinct=squarefree_part(roots).degree, new_poly=new_poly)
+                            new_distinct=distinct, new_poly=new_poly)
 
 
 # ---------------------------------------------------------------------------

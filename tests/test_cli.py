@@ -13,7 +13,7 @@ from gaincover import (cli, parse_gain_file, petersen, regularity, search, spect
                        write_edge_list, write_gain_file)
 from gaincover.cli import main, named_graph, parse_group_spec
 from gaincover.errors import FalsificationError, ParameterError
-from gaincover.families import butson_gain, fourier_butson, huang_signing
+from gaincover.families import butson_gain, fourier_butson, huang_signing, s3_cover_k5
 
 from conftest import command_parsers, plant_audit_failures
 
@@ -470,6 +470,52 @@ def test_lapack_failure_through_classify_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(["classify", str(gpath)], capsys)
     assert code == 3
     assert "numeric failure" in err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_two_runs_print_the_same_json_outside_meta(tmp_path, capsys):
+    # a 2ev hit, an abelian miss and a permutation gain, a search and a
+    # certify, each run twice in one interpreter: once with the exact and
+    # numeric spectra of its graphs still to solve, once from their caches
+    (tmp_path / "huang_4.gain").write_text(write_gain_file(huang_signing(4)))
+    (tmp_path / "s3k5.gain").write_text(write_gain_file(s3_cover_k5()))
+    commands = [["classify", str(tmp_path / "huang_4.gain")],
+                ["classify", str(DATA / "random_kn8_2_z4.gain")],
+                ["classify", str(tmp_path / "s3k5.gain")],
+                ["search", "--base", "k4,4", "--group", "z2", "--mode", "exhaustive"],
+                ["certify", str(DATA / "k3_5.edges")]]
+    for argv in commands:
+        texts = []
+        for cold in (True, False):
+            if cold:
+                spectral._char_poly_and_distinct.cache_clear()
+                spectral._adjacency_eigenvalues.cache_clear()
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            payload = json.loads(out)
+            payload.pop("meta", None)
+            texts.append(json.dumps(payload, indent=2, sort_keys=True))
+        assert texts[0] == texts[1], argv
+
+
+@pytest.mark.parametrize("group, identity, gain, message", [
+    ("cyclic 3", "0", "3", "line 5: residue tuple (3,) invalid for orders (3,)"),
+    ("abelian 2 3", "0,0", "1,-1", "line 5: residue tuple (1, -1) invalid for orders (2, 3)"),
+    ("abelian 2 3", "0,0", "1", "line 5: residue tuple (1,) invalid for orders (2, 3)"),
+    ("perm 3", "perm 0,1,2", "perm 0,0,1", "line 5: (0, 0, 1) is not a permutation of 0..2"),
+    ("perm 3", "perm 0,1,2", "perm 0,1", "line 5: (0, 1) is not a permutation of 0..2"),
+])
+def test_gain_that_is_not_an_element_exit_1_with_its_line(tmp_path, capsys, group, identity,
+                                                            gain, message):
+    gpath = tmp_path / "bad.gain"
+    gpath.write_text(f"gainfile 1\ngroup {group}\nvertices 3\nedge 0 1 {identity}\n"
+                     f"edge 1 2 {gain}\nedge 0 2 {identity}\n")
+    for command in ("classify", "lift"):
+        code, out, err = run([command, str(gpath)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_budget_refusal_exit_1(tmp_path, capsys):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
                        complete_bipartite, complete_graph, cycle, folded_cube,
-                       hypercube, identity_gains, is_antipodal,
+                       hypercube, identity_gains, intpoly, is_antipodal,
                        is_distance_regular, is_walk_regular, johnson, kneser,
                        lemma_column_counts, lift, line_graph, octahedron,
-                       petersen, regularity, spectral, srg_parameters)
+                       petersen, regularity, srg_parameters)
 from gaincover.errors import (ContractViolation, DisconnectedError,
                               InternalConsistencyError, ParameterError)
 from gaincover.families import (butson_gain, cohen_tits_cover, cohen_tits_signing,
@@ -143,14 +143,14 @@ def test_walk_regular_switches_to_exact_integers(monkeypatch):
     g = cycle_complement(30)
     top = distinct_eigenvalue_count(g) - 1
     assert (max(g.degrees), top) == (27, 15)
-    real, primes = regularity._crt_primes, []
+    real, primes = regularity._prime_stream, []
 
     def recording(limit, bound, e=1):
-        found = real(limit, bound, e)
-        primes.extend(found)
-        return found
+        for p in real(limit, bound, e):
+            primes.append(p)
+            yield p
 
-    monkeypatch.setattr(regularity, "_crt_primes", recording)
+    monkeypatch.setattr(regularity, "_prime_stream", recording)
     assert is_walk_regular(g) and brute_force_walk_regular(g)
     assert len(primes) > 1 and primes[0] < 27 ** 14 < math.prod(primes)
     # through a lift's certificate bound: two disjoint copies, 16 + 16 - 1 powers
@@ -164,7 +164,7 @@ def test_walk_regular_checks_every_prime(monkeypatch):
     # the diagonal of A^2 of K_{1,3} holds the degrees 3, 1, 1, 1, constant
     # mod 2: the product of the primes must pass 3, and mod 3 tells them apart.
     # The exact distinct counts are cached first, so that only the walk
-    # check's `_crt_primes` draws on the small primes. It draws the fewest
+    # check's `_prime_stream` draws on the small primes. It draws the fewest
     # whose product passes Delta^(top-1): 3 for K_{1,3} and Petersen, 9 for Q3
     for g in (complete_bipartite(1, 3), petersen(), hypercube(3)):
         distinct_eigenvalue_count(g)
@@ -174,7 +174,7 @@ def test_walk_regular_checks_every_prime(monkeypatch):
         drawn.append((2, 3, 5, 7, 11)[i])
         return drawn[-1]
 
-    monkeypatch.setattr(spectral, "_prime", small)
+    monkeypatch.setattr(intpoly, "_prime", small)
     assert not is_walk_regular(complete_bipartite(1, 3))
     assert drawn == [2, 3]
     assert is_walk_regular(petersen()) and is_walk_regular(hypercube(3))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 
 import numpy as np
@@ -15,11 +16,12 @@ from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
 from gaincover import cli, spectral
 from gaincover.errors import (ContractViolation, DisconnectedError,
                              InternalConsistencyError, NumericError, ParameterError)
-from gaincover.families import huang_signing, k3n_nonexample, s3_cover_k5
-from gaincover.intpoly import IntPoly, squarefree_part
+from gaincover.families import (butson_gain, fourier_butson, huang_signing, k3n_nonexample,
+                                s3_cover_k5)
+from gaincover.intpoly import IntPoly, _prime, squarefree_part
 from gaincover.search import RANDOM, SearchSpec, assignment_rows, run_search
-from gaincover.gains import CoverGraph, gain_row, sheet_table
-from gaincover.spectral import (char_poly_int_matrix, cluster_values,
+from gaincover.gains import CoverGraph, gain_row, parse_gain_file, sheet_table
+from gaincover.spectral import (TOL, char_poly_int_matrix, cluster_values, cover_spectrum,
                                 distinct_eigenvalue_count, fiber_sum_zero_matrix,
                                 fiber_two_ev, hermitian_spectrum,
                                 spectral_difference_poly, two_ev_certificate)
@@ -399,7 +401,7 @@ def test_power_kernel_matches_python_int_powers(g, top):
     # and the walk check's with Delta p < 2^53, stacked with a small prime,
     # which the powers reach at once
     delta = max(g.degrees)
-    primes = [spectral._prime(2**26, 0), spectral._prime((2**53 - 1) // max(delta, 1), 0), 7]
+    primes = [_prime(2**26, 0), _prime((2**53 - 1) // max(delta, 1), 0), 7]
     a, want = g.adjacency(dtype=np.float64), _int_powers_mod(g, primes, top)
 
     def check(lo, hi, rows=slice(None)):
@@ -420,7 +422,7 @@ def test_a_graph_whose_guess_fails_takes_the_modular_route(rng):
     # the char poly of a random 64-vertex graph has coefficients far past
     # 2^50, so the guess gives up and the modular route answers
     g = random_graph(rng, 64)
-    assert spectral._rounded_factors(g.adjacency(dtype=np.float64)) is None
+    assert spectral._rounded_factors(g) is None
     assert _cold(g) == _modular(g)
 
 
@@ -704,6 +706,51 @@ def test_difference_poly_refuses_a_cover_that_is_not_a_lift():
         spectral_difference_poly(broken)
 
 
+def _moved_edge(f, edge, to):
+    """f with its lift's edge replaced by `to`: the cover of a gain graph that
+    is not its lift."""
+    edges = set(f.cover.graph.edges)
+    assert edge in edges and to not in edges
+    broken = GainGraph(f.base, f.group, f.gains)
+    object.__setattr__(broken, "cover", CoverGraph(
+        Graph(f.cover.graph.n, (edges - {edge}) | {to}), f.base, f.cover.r, f.cover.translations))
+    return broken
+
+
+def test_the_lift_check_refuses_a_permutation_cover_that_is_not_a_lift():
+    # K5 over Sym(3): the edge from (0, 1) into the fiber over 1 moved to
+    # (0, 0), which then has two neighbours over 1 while (0, 1) has none, with
+    # every count of edges between two fibers kept; an edge of (0, 0) moved
+    # from the fiber over 2 to the one over 1; an edge dropped; and a path over
+    # Sym(3) with an edge moved over its non-edge
+    f = s3_cover_k5()
+    r = f.cover.r
+    over = {(x, v): [y for y in f.cover.graph.neighbors[x] if y // r == v]
+            for x in (0, 1) for v in (1, 2)}
+    (y0,), (y1,), (y2,) = over[0, 1], over[1, 1], over[0, 2]
+    doubled = _moved_edge(f, (1, y1), (0, y1))
+    other = next(y for y in f.cover.fiber(1) if y != y0)
+    crossed = _moved_edge(f, (0, y2), (0, other))
+    dropped = GainGraph(f.base, f.group, f.gains)
+    object.__setattr__(dropped, "cover", CoverGraph(
+        Graph(f.cover.graph.n, set(f.cover.graph.edges) - {(0, y2)}), f.base, r,
+        f.cover.translations))
+    path = GainGraph(Graph(3, [(0, 1), (1, 2)]), f.group, {(0, 1): (1, 0, 2), (1, 2): (0, 1, 2)})
+    moved = _moved_edge(path, next(e for e in sorted(path.cover.graph.edges) if e[1] // r == 1),
+                        (0, 2 * r))
+    for broken in (doubled, crossed, dropped, moved):
+        with pytest.raises(InternalConsistencyError):
+            spectral_difference_poly(broken)
+        with pytest.raises(InternalConsistencyError):
+            fiber_sum_zero_matrix(broken)
+    # the intact covers pass, and their matrices on W are those of the blocks
+    for g in (f, path):
+        n = g.base.n
+        a = g.cover.graph.adjacency().reshape(n, r, n, r)
+        assert (fiber_sum_zero_matrix(g) == (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(
+            n * (r - 1), n * (r - 1))).all()
+
+
 def test_a_miss_takes_one_char_poly_and_that_on_the_fiber_sum_zero_space(rng, monkeypatch):
     # an abelian miss takes its char poly on W from its n-square character
     # matrices, with no call of char_poly_int_matrix; a permutation miss has
@@ -817,11 +864,11 @@ def test_a_miss_counts_its_new_eigenvalues_from_one_char_poly_per_conjugate_pair
         if cert.is_two_ev:
             continue
         misses += 1
-        new_poly, roots = spectral_difference_poly(f)
+        new_poly, roots, distinct = spectral_difference_poly(f)
         pairs = _pair_count(f.group)
         assert cert.new_poly == new_poly == char_poly_int_matrix(fiber_sum_zero_matrix(f))
         assert roots.degree == f.base.n * pairs and new_poly.divmod_monic(roots)[1].is_zero
-        assert cert.new_distinct == prs_squarefree_part(_lift_over_base(f)).degree \
+        assert cert.new_distinct == distinct == prs_squarefree_part(_lift_over_base(f)).degree \
             == prs_squarefree_part(roots).degree, (f.gains, f.group)
         bound = spectral._coefficient_bound(roots.degree, 2 * f.base.m * pairs)
         assert max(map(abs, roots.coeffs)) <= bound
@@ -1181,3 +1228,94 @@ def test_kernel_matches_lift_oracle_property(data):
              for row in rows]
     table = sheet_table(group, elements)
     assert _kernel_certs(base, table, np.array(rows), gains) == _oracle_certs(gains)
+
+
+# ---------------------------------------------------------------------------
+# a report's cover spectrum from the character blocks, and a miss's count
+# from the residues of its char polys
+
+
+_SPECTRUM_GROUPS = [GroupSpec.cyclic(r) for r in range(2, 7)] + [GroupSpec.abelian(2, 2),
+                                                                  GroupSpec.abelian(2, 3)]
+
+
+def _assert_lift_spectrum(f):
+    """cover_spectrum(f) against the whole lift's: equal multiplicities, and
+    values within TOL * max(1, the lift's largest degree)."""
+    got = cover_spectrum(f)
+    want = hermitian_spectrum(lift(f).graph.adjacency(dtype=np.float64))
+    assert [m for _, m in got] == [m for _, m in want], (f.gains, f.group)
+    scale = max(1, max(f.base.degrees, default=0))
+    assert all(abs(a - b) <= TOL * scale for a, b in zip(got.values, want.values))
+
+
+@pytest.mark.parametrize("text", [
+    "gainfile 1\ngroup cyclic 3\nvertices 1\n",  # edgeless: the gains array has no rows
+    "gainfile 1\ngroup abelian 2 3\nvertices 4\n",
+    "gainfile 1\ngroup cyclic 4\nvertices 2\nedge 0 1 1\n",  # a single edge
+    "gainfile 1\ngroup cyclic 6\nvertices 2\nedge 0 1 3\n",
+    # a disconnected base: two triangles, one balanced and one not
+    "gainfile 1\ngroup cyclic 5\nvertices 6\nedge 0 1 0\nedge 0 2 0\nedge 1 2 0\n"
+    "edge 3 4 1\nedge 3 5 2\nedge 4 5 4\n",
+])
+def test_cover_spectrum_of_small_and_disconnected_bases(text):
+    _assert_lift_spectrum(parse_gain_file(text))
+
+
+def test_cover_spectrum_of_the_families():
+    # Huang's signed cube is the nontrivial Z2 block: the cover's spectrum is
+    # Q_n's with +-sqrt(n), 2^(n-1) times each
+    for n in range(1, 7):
+        f = huang_signing(n)
+        _assert_lift_spectrum(f)
+        got = dict((round(v, 9), m) for v, m in cover_spectrum(f))
+        assert got[round(math.sqrt(n), 9)] == got[round(-math.sqrt(n), 9)] >= 2 ** (n - 1)
+    for f in (butson_gain(fourier_butson(4)), k3n_nonexample(3), s3_cover_k5()):
+        _assert_lift_spectrum(f)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_cover_spectrum_matches_the_whole_lift_property(data):
+    n = data.draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    group = data.draw(st.sampled_from(_SPECTRUM_GROUPS))
+    base = Graph(n, edges)
+    _assert_lift_spectrum(GainGraph(base, group, {e: data.draw(st.sampled_from(group.elements()))
+                                                  for e in base.sorted_edges()}))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_miss_counts_from_the_residues_as_the_square_free_part_does_property(data):
+    base = data.draw(st.sampled_from([complete_graph(4), complete_graph(5), cycle(5), cycle(6),
+                                      petersen(), complete_bipartite(2, 3), hypercube(3)]))
+    group = data.draw(st.sampled_from(_SPECTRUM_GROUPS))
+    f = GainGraph(base, group, {e: data.draw(st.sampled_from(group.elements()))
+                                for e in base.sorted_edges()})
+    cert = classify_two_ev(f)
+    if not cert.is_two_ev:
+        _, roots, distinct = spectral_difference_poly(f)
+        assert cert.new_distinct == distinct == squarefree_part(roots).degree
+
+
+def test_a_miss_takes_the_square_free_part_only_where_its_roots_repeat(monkeypatch):
+    # K(8,2)/Z4's roots are square-free modulo the first prime, so its count
+    # is their degree; the misses of k3n_nonexample, Butson and identity gains
+    # repeat a root, and fall back to the square-free part
+    calls = []
+    real = spectral.squarefree_part
+    monkeypatch.setattr(spectral, "squarefree_part", lambda p: calls.append(p) or real(p))
+    with open(os.path.join(os.path.dirname(__file__), "data", "random_kn8_2_z4.gain")) as fh:
+        f = parse_gain_file(fh.read())
+    cert = classify_two_ev(f)
+    assert not cert.is_two_ev and calls == []
+    assert cert.new_distinct == spectral_difference_poly(f)[1].degree == 56
+    for f in (k3n_nonexample(2), k3n_nonexample(5), butson_gain(fourier_butson(8)),
+              identity_gains(petersen(), GroupSpec.cyclic(3))):
+        calls.clear()
+        cert = classify_two_ev(f)
+        roots = spectral_difference_poly(f)[1]
+        assert not cert.is_two_ev and calls
+        assert cert.new_distinct == prs_squarefree_part(roots).degree < roots.degree
