@@ -13,7 +13,6 @@ checks them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph
 from .graphs import Graph, is_connected
-from .intpoly import _prime_stream
+from .intpoly import _prime_stream, quadratic_roots
 from .spectral import (TwoEvCertificate, _powers_mod, char_poly, distinct_eigenvalue_count,
                        fiber_two_ev)
 
@@ -162,9 +161,9 @@ def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
     if not cert.is_two_ev:
         return range(max(base, cert.new_distinct), base + cert.new_distinct + 1)
     p, lam, mu = char_poly(cover.base), cert.lambda_, cert.mu
-    s = math.isqrt(lam * lam + 4 * mu)
-    if s * s == lam * lam + 4 * mu:
-        new = (p((lam + s) // 2) != 0) + (p((lam - s) // 2) != 0)
+    roots = quadratic_roots(lam, mu)
+    if roots:
+        new = sum(p(x) != 0 for x in roots)
     else:
         a = b = 0  # Horner, x^2 = lambda x + mu
         for c in reversed(p.coeffs):

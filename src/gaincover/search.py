@@ -4,9 +4,11 @@ machine-checked property harnesses for the structure theorems.
 Enumeration fixes a spanning tree to the identity (every cover is reachable
 from such a normalized gain), so the search space is |G|^(m-n+1) over the
 co-tree edges instead of |G|^m. Assignments are decided in batches from
-their gains (`fiber_two_ev`), and only the 2ev hits are lifted; the
-walk-regularity harness audits each batch's block decomposition from the
-gains too (`character_block_check`), so it lifts only its hits as well. A
+their gains (`fiber_two_ev`, on the n(r-1)-square matrices of the lifts'
+adjacency on the fiber-sum-zero space, sized to them), and only the 2ev hits
+are lifted; the walk-regularity harness audits each batch's block
+decomposition from the gains too (`character_block_check`, which batches its
+nr-square lift stacks itself), so it lifts only its hits as well. A
 harness only decides: any falsification of a theorem property raises
 FalsificationError with the offending gain attached. A genuine counterexample
 would mean an implementation bug, so it must stop the run, not get logged and
@@ -108,12 +110,13 @@ def assignment_rows(spec: SearchSpec):
     A row holds one index into spec.group.elements() per edge of
     spec.base.sorted_edges(); tree edges carry the identity, index 0. Exhaustive
     order is lexicographic in (co-tree edge order, group element order); random
-    mode is reproducible from the seed. A batch holds at most `batch_rows` rows.
+    mode is reproducible from the seed. A batch holds at most `batch_rows(d)`
+    rows, d = n(r-1) the dimension of the matrices `fiber_two_ev` squares.
     """
     edges = spec.base.sorted_edges()
     cotree = set(spec.cotree_edges())
     cols = [i for i, e in enumerate(edges) if e in cotree]
-    step = batch_rows(spec.base.n * spec.group.order)
+    step = batch_rows(spec.base.n * (spec.group.order - 1))
     if spec.mode == EXHAUSTIVE:
         total = spec.exhaustive_size()
         if total > spec.budget:

@@ -22,14 +22,16 @@ and those of one real symmetric matrix per class of characters, never from
 the lift. The block-decomposition audit (`character_block_check`) takes a
 batch of abelian gains in the kernel's array form and, per batch, solves one
 stack of character matrices, Hermitian by construction, and one stack of
-lifts scattered as `fiber_two_ev` scatters them, with no gain graph and no
-lift built.
+lifts scattered from the arcs of `gains.cover_arcs`, the one cover layout,
+with no gain graph and no lift built.
 
-The two-eigenvalue verdict is exact and integer (`fiber_two_ev`), decided
-from the gains for a batch of assignments at once, without the lift: it
-scatters the batch's adjacency matrices from `gains.cover_arcs`, the one
-cover layout. The new spectrum of a lift is the spectrum of its adjacency on
-W, the vectors that sum to zero on every fiber. A certificate carries its
+The new spectrum of a lift is the spectrum of its adjacency on W, the
+vectors that sum to zero on every fiber. The two-eigenvalue verdict is exact
+and integer (`fiber_two_ev`), decided from the gains for a batch of
+assignments at once, on the n(r-1)-square matrices of the adjacency on W,
+scattered from two (r-1)-square blocks per edge (`_fiber_sum_zero_stack`,
+the one builder of those matrices), without the lift and without any
+nr-square matrix. A certificate carries its
 exact characteristic polynomial there, `new_poly`: a hit builds it from the
 verdict, and only a miss takes it, by `spectral_difference_poly`, never at
 the lift's dimension nr: abelian gains from the char polys of their n-square
@@ -55,15 +57,16 @@ from .errors import (ContractViolation, DisconnectedError,
 from .gains import GainGraph, cover_arcs
 from .graphs import Graph, is_connected
 from .intpoly import (IntPoly, _binomial_power, _coefficient_bound, _crt, _crt_primes,
-                      _poly_mul_mod, _power_sums, _root_of_unity, integer_roots,
+                      _poly_mul_mod, _power_sums, _root_of_unity, quadratic_roots,
                       squarefree_mod, squarefree_part)
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
 TOL = 1e-7
 
-# entries in one batch array, float64 lifts in `fiber_two_ev` and int64
-# slices in `_char_poly_mod`: 2**15 of them is 256 KiB
+# entries in one batch array, float64 matrices on W in `fiber_two_ev`, float64
+# lifts in `character_block_check` and int64 slices in `_char_poly_mod`: 2**15
+# of them is 256 KiB
 BATCH_ENTRIES = 2**15
 
 
@@ -447,7 +450,7 @@ def _few_eigenvalue_char_poly(g: Graph):
             return None
     if np.fmod(rest[:, 1:d], q[:, :, 0]).any():
         return None
-    return math.prod((f for k, f in factors.items() for _ in range(k)), start=IntPoly((1,))), d
+    return math.prod((f ** k for k, f in factors.items()), start=IntPoly((1,))), d
 
 
 @lru_cache(maxsize=512)
@@ -605,9 +608,8 @@ class TwoEvCertificate:
         }
 
 
-def _lift_arcs(f: GainGraph):
-    """The arcs (x, y) of f's lift, each edge both ways, as int64 arrays.
-    Raises InternalConsistencyError unless the lift's adjacency has the base
+def _check_lift(f: GainGraph):
+    """Raises InternalConsistencyError unless the lift's adjacency has the base
     adjacency as fiber row sums, which keeps W invariant, in O(edges) memory:
     the fiber pairs (x // r, y // r) are the base's arcs, each r times, and
     no (x, fiber of y) repeats, so each x has one neighbour over each base
@@ -619,20 +621,17 @@ def _lift_arcs(f: GainGraph):
     if len(fibers) != len(arcs) or (fibers != arcs).any() or (pairs[1:] == pairs[:-1]).any():
         raise InternalConsistencyError(
             "lift blocks do not have the base adjacency as row sums; lift is broken")
-    return x, y
 
 
 def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
     """The lift's adjacency A on W, the vectors that sum to zero on every
     fiber, as an n(r-1)-square integer matrix: in the basis e_(v,i) - e_(v,0),
-    i = 1..r-1, entry ((v,i), (u,j)) is A((v,i), (u,j)) - A((v,i), (u,0)).
-    Raises InternalConsistencyError as `_lift_arcs` does."""
-    x, y = _lift_arcs(f)
-    n, r = f.base.n, f.cover.r
-    keep = x % r > 0  # the arcs from the rows (v, i), i >= 1
-    a = np.zeros((n * (r - 1), n, r), dtype=np.int64)
-    a[x[keep] // r * (r - 1) + x[keep] % r - 1, y[keep] // r, y[keep] % r] = 1
-    return (a[:, :, 1:] - a[:, :, :1]).reshape(n * (r - 1), n * (r - 1))
+    i = 1..r-1, entry ((v,i), (u,j)) is A((v,i), (u,j)) - A((v,i), (u,0)),
+    the one slice of `_fiber_sum_zero_stack` on f's row. Raises
+    InternalConsistencyError as `_check_lift` does."""
+    _check_lift(f)
+    table, rows = f.row
+    return _fiber_sum_zero_stack(f.base, table, rows)[0].astype(np.int64)
 
 
 def _character_difference_poly(f: GainGraph):
@@ -687,9 +686,9 @@ def spectral_difference_poly(f: GainGraph):
     conjugate pair (`_character_difference_poly`); for permutation gains it
     is new_poly, the char poly of `fiber_sum_zero_matrix`, and distinct the
     degree of its square-free part. Raises InternalConsistencyError as
-    `_lift_arcs` does."""
+    `_check_lift` does."""
     if f.group.is_abelian:
-        _lift_arcs(f)  # the check alone, no matrix on W
+        _check_lift(f)
         return _character_difference_poly(f)
     new_poly = char_poly_int_matrix(fiber_sum_zero_matrix(f))
     return new_poly, new_poly, squarefree_part(new_poly).degree
@@ -712,19 +711,32 @@ def _batch_input(base: Graph, table, rows):
     return table, rows
 
 
-def _lift_batches(base: Graph, table, rows):
-    """(lo, a, src, dst) for each run of `batch_rows` rows from row lo on: a is
-    the (B, nr, nr) float64 adjacency stack of their lifts, scattered from the
-    arcs src[i, j] -- dst[b, i, j] of `gains.cover_arcs`."""
-    size = base.n * table.shape[1]
-    step = batch_rows(size)
-    for lo in range(0, len(rows), step):
-        src, dst = cover_arcs(base, table[rows[lo:lo + step]])
-        b = np.arange(len(dst))[:, None, None]
-        a = np.zeros((len(dst), size, size))
-        a[b, src, dst] = 1
-        a[b, dst, src] = 1
-        yield lo, a, src, dst
+def _fiber_sum_zero_stack(base: Graph, table, rows):
+    """The (B, d, d) float64 stack, B = len(rows) and d = n(r-1), of the
+    lifts' adjacency A on W, the vectors that sum to zero on every fiber, in
+    the basis e_(v,i) - e_(v,0), i = 1..r-1.
+
+    An edge u < v whose gain acts on the sheets as t, a row of table, has the
+    lift block P at (u, v), P[i, t[i]] = 1, and its transpose at (v, u). In
+    this basis they become F = P[1:, 1:] - P[1:, :1], F[i, j] = [t[i] = j] -
+    [t[i] = 0], and G = H^T, H = P[1:, 1:] - P[:1, 1:], H[i, j] = [t[i] = j]
+    - [t[0] = j], for i, j = 1..r-1, every entry -1, 0 or 1. F and H are
+    taken once per table row, or, when the table has more rows than the
+    batch has gains, once per row that the batch uses, so that no temporary
+    outgrows the stack."""
+    n, r = base.n, table.shape[1]
+    if len(table) > rows.size:
+        used = np.zeros(len(table), dtype=bool)
+        used[rows] = True
+        table, rows = table[used], (np.cumsum(used) - 1)[rows]
+    sheets = np.arange(1, r)
+    p = table[:, 1:, None] == sheets  # P[1:, 1:]
+    pos = np.arange(n * (r - 1)).reshape(n, r - 1)  # row and column (v, i) of the stack
+    u, v = pos[base.edge_array[:, 0], :, None], pos[base.edge_array[:, 1], None, :]
+    w = np.zeros((len(rows), n * (r - 1), n * (r - 1)))
+    w[:, u, v] = np.subtract(p, table[:, 1:, None] == 0, dtype=np.float64)[rows]
+    w[:, v, u] = np.subtract(p, table[:, :1, None] == sheets, dtype=np.float64)[rows]
+    return w
 
 
 def fiber_two_ev(base: Graph, table, rows):
@@ -736,13 +748,16 @@ def fiber_two_ev(base: Graph, table, rows):
     entry per row; where hit is true the lift is 2ev and lam is its lambda.
 
     A, the lift's adjacency, preserves the space W of vectors that sum to zero
-    on every fiber, and carries the new spectrum there. Block (u, w) of A^2 is
-    sum_v P_uv P_vw over the sheet matrices of the 2-paths u-v-w, and the
-    diagonal blocks are deg(u)*I, so a 2ev lift needs a regular base of valency
-    k; it is 2ev iff A^2 - lambda*A - k*I vanishes on W, i.e. every r x r block
-    has constant rows, with lambda read from the block of the least edge. The
-    rows are decided `batch_rows` at a time, with one batched float64 matmul
-    (on BLAS; the entries are 2-path counts of at most k, so they are exact).
+    on every fiber, and carries the new spectrum there. The diagonal blocks of
+    A^2 are deg(u)*I, so a 2ev lift needs a regular base of valency k, and it
+    is 2ev iff M^2 - lambda*M - k*I = 0 for M, the n(r-1)-square matrix of A
+    on W (`_fiber_sum_zero_stack`). M has entries -1, 0 and 1 and a zero
+    diagonal. At row a = (x, 1) of the least edge x - y, whose gain sends
+    sheet 1 to t1, M_ab is 1 at column b = (y, t1), or -1 at b = (y, 1) when
+    t1 = 0; off the diagonal the test reads (M^2)_ab = lambda*M_ab, which gives
+    lambda. The test itself is (M - lambda/2 I)^2 = (lambda^2/4 + k) I: one
+    batched float64 matmul (on BLAS) per `batch_rows(n(r-1))` rows, exact,
+    since every entry is a small multiple of 1/4.
 
     Raises ParameterError unless table is a 2-D array of sheet permutations
     and rows a 2-D array of indices into it with one column per edge.
@@ -753,21 +768,21 @@ def fiber_two_ev(base: Graph, table, rows):
     r = table.shape[1]
     if r < 2 or not base.edges or not base.is_regular():
         return hit, lam
-    n, k, size = base.n, base.degrees[0], base.n * r
-    diag = np.arange(size)
-    for lo, a, src, dst in _lift_batches(base, table, rows):
-        b = np.arange(len(dst))
-        a2 = a @ a
-        # the least edge joins sheet 0 of its tail, x, to y over its head, and
-        # sheet 1 to some other z there; when the block has constant rows, A^2
-        # at (x, y) exceeds A^2 at (x, z) by exactly lambda
-        x, y, z = src[0, 0], dst[:, 0, 0], dst[:, 0, 1]
-        lam_b = (a2[b, x, y] - a2[b, x, z]).astype(np.int64)
-        a2 -= lam_b[:, None, None] * a
-        a2[:, diag, diag] -= k
-        blocks = a2.reshape(len(dst), n, r, n, r)
-        hit[lo:lo + len(dst)] = (blocks == blocks[..., :1]).all(axis=(1, 2, 3, 4))
-        lam[lo:lo + len(dst)] = lam_b
+    k, diag = base.degrees[0], np.arange(base.n * (r - 1))
+    x, y = base.edge_array[0] * (r - 1)
+    cols = y + np.maximum(table[:, 1] - 1, 0)  # column b for each gain of the least edge
+    step = batch_rows(len(diag))
+    for lo in range(0, len(rows), step):
+        batch = rows[lo:lo + step]
+        w = _fiber_sum_zero_stack(base, table, batch)
+        b, col = np.arange(len(w)), cols[batch[:, 0]]
+        lam_b = np.einsum("bj,bj->b", w[:, x], w[b, :, col]) * w[b, x, col]
+        w[:, diag, diag] = -lam_b[:, None] / 2
+        w = w @ w  # (M - lambda/2 I)^2; rebinding w frees M, so two stacks at most
+        w[:, diag, diag] -= (lam_b * lam_b / 4 + k)[:, None]
+        hit[lo:lo + len(w)] = ~w.reshape(len(w), -1).any(axis=1)
+        lam[lo:lo + len(w)] = lam_b
+        del w  # so the next batch's stack is built beside no other
     return hit, lam
 
 
@@ -780,9 +795,9 @@ def two_ev_certificate(f: GainGraph, lam) -> TwoEvCertificate:
     """
     base, r = f.base, f.group.sheet_count
     k, dim = base.degrees[0], base.n * (r - 1)
-    roots = integer_roots(IntPoly((-k, -lam, 1)))
+    roots = quadratic_roots(lam, k)
     if roots:
-        hi, lo = sorted(roots, reverse=True)
+        hi, lo = roots
         m_theta, rem = divmod(-dim * lo, hi - lo)
         if rem:
             raise InternalConsistencyError("new-eigenvalue multiplicity is not integral")
@@ -843,10 +858,11 @@ def character_block_check(base: Graph, group, table, rows):
     identity. For abelian gains the cover adjacency is similar to the block
     diagonal of the character matrices, so the sorted concatenation of their
     eigenvalues must match the sorted eigenvalues of the lift within TOL *
-    max(1, the lift's max row sum). Each run of `batch_rows` rows takes one
-    batched eigensolve over its (B, |G|, n, n) character stack, Hermitian by
-    construction, and one over its (B, nr, nr) lift stack, checked finite and
-    Hermitian as in `hermitian_spectrum`. Returns (ok, dev), a bool and a
+    max(1, the lift's max row sum). Each run of `batch_rows(nr)` rows takes
+    one batched eigensolve over its (B, |G|, n, n) character stack, Hermitian
+    by construction, and one over its (B, nr, nr) lift stack, scattered from
+    the arcs of `gains.cover_arcs` and checked finite and Hermitian as in
+    `hermitian_spectrum`. Returns (ok, dev), a bool and a
     float64 array with one entry per row.
 
     Raises ParameterError for a group that is not abelian, or a table whose
@@ -859,9 +875,15 @@ def character_block_check(base: Graph, group, table, rows):
         raise ParameterError(f"sheet table rows must act on the {group.order} group elements")
     ok = np.zeros(len(rows), dtype=bool)
     dev = np.zeros(len(rows))
-    chars = group.elements()
-    for lo, a, _, _ in _lift_batches(base, table, rows):
-        stack = _character_stack(base, group, table[rows[lo:lo + len(a)], 0], chars)
+    chars, size = group.elements(), base.n * group.order
+    step = batch_rows(size)
+    for lo in range(0, len(rows), step):
+        act = table[rows[lo:lo + step]]
+        src, dst = cover_arcs(base, act)
+        b = np.arange(len(act))[:, None, None]
+        a = np.zeros((len(act), size, size))
+        a[b, src, dst] = a[b, dst, src] = 1
+        stack = _character_stack(base, group, act[..., 0], chars)
         union = np.sort(_eigvalsh(stack).reshape(len(a), -1), axis=1)
         cover_vals, scale = _checked_eigvalsh(a)
         dev_b = np.abs(union - cover_vals).max(axis=1, initial=0.0)

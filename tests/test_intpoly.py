@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaincover import intpoly
-from gaincover.intpoly import IntPoly, cyclotomic, integer_roots, squarefree_part
+from gaincover.intpoly import (IntPoly, cyclotomic, integer_roots, quadratic_roots,
+                               squarefree_part)
 
 from conftest import (mul_poly, poly_from_roots, poly_gcd, poly_pow,
                       prs_squarefree_part, squarefree_decomposition)
@@ -147,6 +148,27 @@ def test_integer_roots_with_multiplicity():
     p = from_roots([0, 0, 2, -3])
     assert integer_roots(p) == {0: 2, 2: 1, -3: 1}
     assert integer_roots(IntPoly((-2, 0, 1))) == {}  # x^2 - 2 has no integer roots
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=4), st.integers(0, 13))
+def test_power_by_squaring_matches_repeated_products(coeffs, k):
+    p = IntPoly(coeffs)
+    assert p ** k == poly_pow(p, k)
+
+
+def test_power_needs_a_non_negative_exponent():
+    with pytest.raises(ValueError):
+        IntPoly((1, 1)) ** -1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(-40, 40), st.integers(-400, 400))
+def test_quadratic_roots_match_trial_division(lam, mu):
+    roots = integer_roots(IntPoly((-mu, -lam, 1)))
+    want = sorted((x for x, m in roots.items() for _ in range(m)), reverse=True)
+    got = quadratic_roots(lam, mu)
+    assert (list(got) if got else []) == want
 
 
 def test_cyclotomic_small_orders():

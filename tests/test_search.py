@@ -359,7 +359,8 @@ def test_batch_size_does_not_change_the_hits(monkeypatch, rows):
     walk = verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(3)], budget=50, seed=2)
     drackn = verify_drackn(5, 2)
     for (base, group), hits in zip(cases, want):
-        monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * (base.n * group.order) ** 2)
+        # a batch's stack is d-square, d = n(r-1), the dimension of A on W
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * (base.n * (group.order - 1)) ** 2)
         spec = SearchSpec(base, group)
         assert {len(b) for b in search.assignment_rows(spec)} <= {rows, spec.exhaustive_size() % rows}
         assert _records(run_search(spec).records) == hits
@@ -368,11 +369,11 @@ def test_batch_size_does_not_change_the_hits(monkeypatch, rows):
         all_rows = np.concatenate(list(search.assignment_rows(spec)))
         hit, lam = spectral.fiber_two_ev(base, table, all_rows)
         assert int(hit.sum()) == len(hits)
-    monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * 10 ** 2)
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * 5 ** 2)
     patched = verify_drackn(5, 2)
     assert patched.as_dict() == drackn.as_dict()
     assert [r.two_ev for r in patched.records] == [r.two_ev for r in drackn.records]
-    monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * 12 ** 2)
+    monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * 8 ** 2)
     assert verify_walk_regularity([complete_graph(4)], [GroupSpec.cyclic(3)], budget=50,
                                   seed=2).as_dict() == walk.as_dict()
 
@@ -380,7 +381,7 @@ def test_batch_size_does_not_change_the_hits(monkeypatch, rows):
 def test_batches_stay_within_the_entry_cap():
     for base, group in [(complete_graph(6), GroupSpec.cyclic(3)), (petersen(), GroupSpec.cyclic(2)),
                         (hypercube(3), GroupSpec.cyclic(2))]:
-        n = base.n * group.order
+        n = base.n * (group.order - 1)  # the dimension of the kernel's stack
         spec = SearchSpec(base, group, mode=RANDOM, budget=1000)
         for rows in search.assignment_rows(spec):
             assert len(rows) * n * n <= spectral.BATCH_ENTRIES

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,10 +305,25 @@ def test_johnson_char_poly_is_its_closed_form(n, k):
                                # a coefficient's residue times it nears p^2, exact in
                                # float64 only for p below 2^26
                                Graph(30, [(u, v) for u in range(30) for v in range(u + 2, 30)
-                                          if (u, v) != (0, 29)])],
-                         ids=["c13", "c31", "empty0", "empty1", "empty5", "k4+c5+k1", "co-c30"])
+                                          if (u, v) != (0, 29)]),
+                               # Paley(13): g_6 = x^2 + x - 3, a quadratic taken to the
+                               # sixth power by squaring
+                               Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
+                                          if (v - u) % 13 in (1, 3, 4, 9, 10, 12)])],
+                         ids=["c13", "c31", "empty0", "empty1", "empty5", "k4+c5+k1", "co-c30",
+                              "paley13"])
 def test_graph_char_poly_matches_the_modular_route(g):
     assert _certified(g) == _modular(g)
+
+
+def test_a_quadratic_factor_of_multiplicity_six_certifies():
+    # Paley(13): 6 once and the roots of x^2 + x - 3 six times each
+    paley = Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13)
+                       if (v - u) % 13 in (1, 3, 4, 9, 10, 12)])
+    assert spectral._rounded_factors(paley) == {1: IntPoly((-6, 1)), 6: IntPoly((-3, 1, 1))}
+    poly, distinct = spectral._few_eigenvalue_char_poly(paley)
+    assert (poly, distinct) == (char_poly_int_matrix(paley.adjacency()), 3)
+    assert poly == poly_pow(IntPoly((-3, 1, 1)), 6) * IntPoly((-6, 1))
 
 
 def _x(*coeffs):
@@ -1228,6 +1244,150 @@ def test_kernel_matches_lift_oracle_property(data):
              for row in rows]
     table = sheet_table(group, elements)
     assert _kernel_certs(base, table, np.array(rows), gains) == _oracle_certs(gains)
+
+
+_W_BASES = [complete_graph(4), cycle(5), complete_bipartite(3, 3), hypercube(3), petersen(),
+            complete_graph(2),
+            complete_bipartite(2, 3), Graph(4, [(0, 1), (1, 2), (2, 3)]),  # not regular
+            Graph(1, []), Graph(3, []),  # edgeless
+            Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # disconnected, regular
+            Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])]  # disconnected, not regular
+_W_GROUPS = [GroupSpec.cyclic(r) for r in range(2, 7)] + [GroupSpec.abelian(2, 2),
+                                                          GroupSpec.permutation(3)]
+
+
+@pytest.mark.parametrize("group", _W_GROUPS,
+                         ids=["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "Sym3"])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_the_kernel_on_w_matches_the_lift_oracle_property(group, data):
+    base = data.draw(st.sampled_from(_W_BASES))
+    elements = (group.elements() if group.is_abelian
+                else list(itertools.permutations(range(group.degree))))
+    # the identity, index 0, on about half the edges, so that hits occur
+    index = st.one_of(st.just(0), st.integers(0, len(elements) - 1))
+    rows = data.draw(st.lists(st.lists(index, min_size=base.m, max_size=base.m),
+                              min_size=1, max_size=5))
+    gains = [GainGraph(base, group, {e: elements[i] for e, i in zip(base.sorted_edges(), row)})
+             for row in rows]
+    table = sheet_table(group, elements)
+    want = _oracle_certs(gains)
+    assert _kernel_certs(base, table, np.array(rows, dtype=np.int64).reshape(len(rows), base.m),
+                         gains) == want
+    assert [_kernel_certs(base, *gain_row(f), [f])[0] for f in gains] == want
+
+
+@pytest.mark.parametrize("base, group, hits", [
+    (complete_graph(7), GroupSpec.cyclic(2), 2),
+    (complete_graph(6), GroupSpec.cyclic(3), 1),
+    (hypercube(4), GroupSpec.cyclic(2), 1),
+], ids=["K7/Z2", "K6/Z3", "Q4/Z2"])
+def test_exhaustive_hit_counts(base, group, hits):
+    spec = SearchSpec(base, group)
+    table = group.translations
+    assert sum(int(fiber_two_ev(base, table, rows)[0].sum())
+               for rows in assignment_rows(spec)) == hits
+
+
+def _switched(f, v, g):
+    """f switched at vertex v by g: the lift with (v, j) relabelled (v, g(j)),
+    an isomorphic cover with the same spectrum."""
+    grp = f.group
+    gains = {(a, b): (grp.compose(g, x) if b == v else
+                      grp.compose(x, grp.inverse(g)) if a == v else x)
+             for (a, b), x in f.gains.items()}
+    return GainGraph(f.base, grp, gains)
+
+
+def test_a_switched_hit_keeps_its_verdict_and_lambda():
+    # a normalized hit has the identity on its least edge, where the kernel
+    # reads lambda; switching at the edge's ends moves that gain to every
+    # element, so lambda is also read where M is -1 (sheet 1 sent to sheet 0),
+    # e.g. for K4 with every edge negative, whose signed adjacency I - J has
+    # lambda = -2
+    hits = [s3_cover_k5()]
+    for base, group in [(complete_graph(4), GroupSpec.cyclic(2)),
+                        (complete_graph(4), GroupSpec.cyclic(3)),
+                        (complete_graph(4), GroupSpec.abelian(2, 2)),
+                        (complete_bipartite(3, 3), GroupSpec.cyclic(3)),
+                        (octahedron(), GroupSpec.cyclic(2))]:
+        gains = spec_gains(SearchSpec(base, group))
+        hits += [f for f, c in zip(gains, _oracle_certs(gains)) if c]
+    lams = set()
+    for f in hits:
+        want = _oracle_certs([f])[0]
+        x, y = f.base.sorted_edges()[0]
+        elements = (f.group.elements() if f.group.is_abelian
+                    else list(itertools.permutations(range(f.group.degree))))
+        for v, g in itertools.product((x, y), elements):
+            h = _switched(f, v, g)
+            assert _kernel_certs(h.base, *gain_row(h), [h]) == _oracle_certs([h]) == [want]
+        lams.add(want.lambda_)
+    assert lams == {-2, 0, 2}
+
+
+def test_the_stack_on_w_is_the_lift_on_w(rng):
+    perms = list(itertools.permutations(range(3)))
+    cases = []
+    for base, group in [(complete_graph(4), GroupSpec.cyclic(3)),
+                        (complete_bipartite(3, 3), GroupSpec.abelian(2, 2)),
+                        (cycle(5), GroupSpec.cyclic(5)), (cycle(3), GroupSpec.cyclic(7))]:
+        spec = SearchSpec(base, group, mode=RANDOM, budget=20, seed=3)
+        cases.append((base, group.translations, np.concatenate(list(assignment_rows(spec))),
+                      spec_gains(spec)))
+    k5 = complete_graph(5)
+    gains = [GainGraph(k5, GroupSpec.permutation(3), {e: rng.choice(perms) for e in k5.edges})
+             for _ in range(10)]
+    rows = np.array([[perms.index(f.gains[e]) for e in k5.sorted_edges()] for f in gains])
+    cases.append((k5, sheet_table(GroupSpec.permutation(3), perms), rows, gains))
+    for base, table, rows, gains in cases:
+        stack = spectral._fiber_sum_zero_stack(base, table, rows)
+        assert stack.dtype == np.float64 and len(stack) == len(gains)
+        for i, (w, f) in enumerate(zip(stack, gains)):
+            # one row alone, which for C3/Z7 uses fewer gains than the table has
+            assert (spectral._fiber_sum_zero_stack(base, table, rows[i:i + 1])[0] == w).all()
+            # the lift's own adjacency in the basis e_(v,i) - e_(v,0)
+            n, r = base.n, f.cover.r
+            a = f.cover.graph.adjacency().reshape(n, r, n, r)
+            assert (w == (a[:, 1:, :, 1:] - a[:, 1:, :, :1]).reshape(n * (r - 1), -1)).all()
+            assert (w == fiber_sum_zero_matrix(f)).all()
+
+
+def test_the_verdict_builds_nothing_of_the_lift_size():
+    # Huang's signed Q9: the lift is 1024-square, 8 MiB in float64; A on W is
+    # 512-square, 2 MiB
+    f = huang_signing(9)
+    table, rows = f.row
+    f.base.edge_array, f.base.degrees  # the base's cached arrays, built before tracing
+    tracemalloc.start()
+    try:
+        hit, lam = fiber_two_ev(f.base, table, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit.tolist() == [True] and lam.tolist() == [0]
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("base, r", [(complete_graph(2), 512), (complete_graph(4), 256)],
+                         ids=["K2/Z512", "K4/Z256"])
+def test_the_verdict_takes_no_table_sized_arrays(base, r):
+    # a search hands the verdict all r translations of the group; each of the
+    # two one-row batches takes its d-square stack on W, d = n(r-1), and the
+    # stack's square, but no block of a table row it does not use
+    table = GroupSpec.cyclic(r).translations
+    rows = np.array([[0] * base.m, [1] * base.m])
+    d = base.n * (r - 1)
+    base.edge_array, base.degrees  # the base's cached arrays, built before tracing
+    tracemalloc.start()
+    try:
+        hit, lam = fiber_two_ev(base, table, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K2's lifts are matchings (lambda = 0); K4's identity lift is r copies of K4
+    assert hit.tolist() == [True, base.n == 2] and lam.tolist()[0] == base.n - 2
+    assert peak < 2.5 * d * d * 8
 
 
 # ---------------------------------------------------------------------------
