@@ -2,13 +2,13 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and the
 characteristic polynomials handled here are always monic, which keeps every
-division below exact. A gcd modulo a prime runs Euclid's algorithm on arrays
-(`_monic_gcd_mod`), in int64 for a word-size prime. Whether a monic
-polynomial is square-free takes one such gcd (`squarefree_mod`), for a prime
-that the caller has at hand. The square-free part itself is certified
-modularly: gcds mod the largest primes below 2**62, joined by the CRT, and
-accepted only when the candidate divides p and p' exactly over Z. Every
-modulus in the package comes from one cached source of primes, `_prime`.
+division below exact. A gcd modulo a prime runs Euclid's algorithm on int64
+arrays (`_monic_gcd_mod`). The square-free part, the package's one test of
+square-freeness and one count of distinct roots, is certified modularly:
+gcds mod the largest primes below `_CERTIFICATE_LIMIT`, joined by the CRT,
+and accepted only when the candidate divides p and p' exactly over Z; a
+square-free p takes one gcd. Every modulus in the package comes from one
+cached source of primes, `_prime`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+# primes below 2^26: p^2 + p is exact in float64 (the certified char poly's
+# powers), and p^2 < 2^63 in int64 (`_monic_gcd_mod`)
+_CERTIFICATE_LIMIT = 2**26
 
 
 def _trim(coeffs):
@@ -213,15 +217,14 @@ def _strip(c):
 
 
 def _monic_gcd_mod(a, b, q):
-    """Monic gcd of a and b mod the prime q, by Euclid's algorithm, each step
-    of a division one array operation on the divisor: in int64 while q^2 <
-    2^63, so that every product fits, else on Python ints.
+    """Monic gcd of a and b mod a prime q with q^2 < 2^63, by Euclid's
+    algorithm in int64, each step of a division one array operation on the
+    divisor.
 
     a and b are coefficient sequences, highest degree first, reduced mod q, a
     with a nonzero lead; so is the result, an array.
     """
-    dtype = np.int64 if q * q < 2**63 else object
-    a, b = np.array(a, dtype=dtype), _strip(np.array(b, dtype=dtype))
+    a, b = np.array(a, dtype=np.int64), _strip(np.array(b, dtype=np.int64))
     while len(b):
         inv = pow(int(b[0]), -1, q)
         rem = a.copy()
@@ -235,31 +238,20 @@ def _monic_gcd_mod(a, b, q):
     return a * pow(int(a[0]), -1, q) % q
 
 
-def squarefree_mod(coeffs, q) -> bool:
-    """Whether the monic polynomial p of ascending coefficients coeffs (ints)
-    is square-free modulo the prime q: gcd(p, p') = 1 mod q. Then p is
-    square-free over Z too, since a repeated monic factor of p over Z divides
-    p and p' modulo every prime; the converse can fail, for the q that divide
-    the discriminant."""
-    high = [int(c) % q for c in reversed(coeffs)]
-    d = len(high) - 1
-    return len(_monic_gcd_mod(high, [(d - i) * c % q for i, c in enumerate(high[:-1])], q)) == 1
-
-
 def squarefree_part(p: IntPoly) -> IntPoly:
-    """p / gcd(p, p') for monic p: again monic, with the same root set. A
-    miss counts its distinct new eigenvalues by `squarefree_mod` first and
-    takes this only where its roots repeat; so does a graph whose char poly
-    is not certified from its spectrum, and the tests take it as an oracle.
+    """p / gcd(p, p') for monic p: again monic, with the same root set, so
+    its degree counts p's distinct roots. Every distinct eigenvalue count of
+    the package is this degree.
 
     The monic gcd g of p and p' lies in Z[x], since p is monic. Its image
     mod any prime q divides the gcd of the images, so every gcd mod q has
-    degree at least deg g. The gcds are taken mod primes below 2**62; primes
-    whose gcd is not of the least degree seen are dropped, and the others'
-    symmetric residues are joined by the CRT. A candidate is taken once one
-    more prime leaves it unchanged and it divides both p and p' over Z: as a
-    common divisor it divides g, and its degree is at least deg g, so it is g.
-    Raises ValueError unless p is monic.
+    degree at least deg g: a gcd of degree 0 mod any one prime certifies a
+    square-free p. Else the gcds are taken mod primes below
+    `_CERTIFICATE_LIMIT`; primes whose gcd is not of the least degree seen
+    are dropped, and the others' symmetric residues are joined by the CRT. A
+    candidate is taken once one more prime leaves it unchanged and it divides
+    both p and p' over Z: as a common divisor it divides g, and its degree is
+    at least deg g, so it is g. Raises ValueError unless p is monic.
     """
     if not p.is_monic:
         raise ValueError("square-free part requires a monic polynomial")
@@ -269,17 +261,17 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     high, dhigh = p.coeffs[::-1], dp.coeffs[::-1]
     best, res, mod, cand = None, None, 1, None
     for i in itertools.count():
-        q = _prime(2**62, i)
+        q = _prime(_CERTIFICATE_LIMIT, i)
         g = _monic_gcd_mod([c % q for c in high], [c % q for c in dhigh], q)
         if len(g) == 1:
-            return p  # deg g = 0 is certified by any one prime
+            return p
         if best is not None and len(g) > best:
             continue  # an unlucky prime
         if best is None or len(g) < best:
             best, res, mod = len(g), [0] * len(g), 1
         # CRT: res = res mod the old modulus, = g mod q
         inv = pow(mod % q, -1, q)
-        res = [x + mod * ((y - x) * inv % q) for x, y in zip(res, g)]
+        res = [x + mod * ((y - x) * inv % q) for x, y in zip(res, g.tolist())]
         mod *= q
         half = mod // 2
         new = IntPoly((x + half) % mod - half for x in reversed(res))
@@ -299,33 +291,6 @@ def quadratic_roots(lam, mu):
     if s * s != disc:
         return None
     return (lam + s) // 2, (lam - s) // 2
-
-
-def integer_roots(p: IntPoly):
-    """Integer roots with multiplicities, by divisor trial on the constant term.
-
-    For small-degree polynomials: the test oracles' quadratic x^2 - lambda*x -
-    k of a 2ev verdict, whose roots the package takes by `quadratic_roots`.
-    The benchmark's per-layer trace names it, so it stays here.
-    """
-    roots = {}
-    while not p.is_zero and p.coeffs[0] == 0:
-        roots[0] = roots.get(0, 0) + 1
-        p = IntPoly(p.coeffs[1:])
-    if p.degree <= 0:
-        return roots
-    c0 = abs(p.coeffs[0])
-    cands = set()
-    d = 1
-    while d * d <= c0:
-        if c0 % d == 0:
-            cands.update((d, -d, c0 // d, -(c0 // d)))
-        d += 1
-    for r in sorted(cands):
-        while p.degree > 0 and p(r) == 0:
-            roots[r] = roots.get(r, 0) + 1
-            p = p.div_exact(IntPoly((-r, 1)))
-    return roots
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,16 @@ A graph's exact char poly and distinct eigenvalue count (`char_poly`,
 and certified exactly (`_few_eigenvalue_char_poly`) on the powers of its
 adjacency modulo primes below 2^26, from `_powers_mod`, the one BLAS kernel
 of A^j mod p, which the walk check shares; the graphs the paper is about,
-with few distinct eigenvalues, pass, and need no Hessenberg reduction and no
-square-free part. Every other exact char poly (a graph whose certificate
-fails, an integer matrix, a miss's on W) is taken modulo word-size primes
-by one stacked Hessenberg kernel, `_char_poly_mod`, which runs all its
-(prime, matrix) slices at once, and is CRT-reconstructed against
-Maclaurin's coefficient bound (`_coefficient_bound`).
+with few distinct eigenvalues, pass, and need no Hessenberg reduction. Every
+other exact char poly (a graph whose certificate fails, an integer matrix, a
+miss's on W) is taken modulo word-size primes by one stacked Hessenberg
+kernel, `_char_poly_mod`, which runs all its (prime, matrix) slices at once,
+and is CRT-reconstructed against Maclaurin's coefficient bound
+(`_coefficient_bound`). Every distinct eigenvalue count, never from numeric
+spectra, is the degree of a certified square-free part
+(`intpoly.squarefree_part`, one gcd for a square-free polynomial): of the
+certificate's m, of the char poly of a graph it does not certify, and of a
+miss's factor with the roots of its char poly on W.
 
 Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
 one matrix (`hermitian_spectrum`) or a stack: it raises NumericError on
@@ -37,11 +41,8 @@ verdict, and only a miss takes it, by `spectral_difference_poly`, never at
 the lift's dimension nr: abelian gains from the char polys of their n-square
 character matrices modulo primes p = 1 (mod e), e the group's exponent, one
 per pair of conjugate characters, and permutation gains as the char poly of
-the n(r-1)-square integer matrix on W. A miss counts its new distinct
-eigenvalues on a factor with the same roots (for abelian gains, one char
-poly per pair), never from numeric spectra: its degree where its residues
-are square-free, else that of its certified square-free part. Every function
-that needs a lift reads `GainGraph.cover`.
+the n(r-1)-square integer matrix on W. Every function that needs a lift
+reads `GainGraph.cover`.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, NumericError, ParameterError)
 from .gains import GainGraph, cover_arcs
 from .graphs import Graph, is_connected
-from .intpoly import (IntPoly, _binomial_power, _coefficient_bound, _crt, _crt_primes,
-                      _poly_mul_mod, _power_sums, _root_of_unity, quadratic_roots,
-                      squarefree_mod, squarefree_part)
+from .intpoly import (_CERTIFICATE_LIMIT, IntPoly, _binomial_power, _coefficient_bound, _crt,
+                      _crt_primes, _poly_mul_mod, _power_sums, _root_of_unity, quadratic_roots,
+                      squarefree_part)
 
 # relative tolerance of the numeric spectra: the clustering gap of
 # `hermitian_spectrum` and the audit bound of `character_block_check`
@@ -345,10 +346,6 @@ def graph_spectrum(g: Graph) -> Spectrum:
 # exact characteristic polynomial of a graph
 
 
-# primes of `_few_eigenvalue_char_poly`: below 2^26, p^2 + p is exact in float64
-_CERTIFICATE_LIMIT = 2**26
-
-
 def _rounded_factors(g: Graph):
     """{k: g_k}, the guess of `_few_eigenvalue_char_poly`: g_k = prod (x -
     theta) over the clustered eigenvalues theta of multiplicity k of g's
@@ -400,13 +397,13 @@ def _few_eigenvalue_char_poly(g: Graph):
     whose roots are the eigenvalues of multiplicity k, lies in Z[x]:
     conjugate eigenvalues of the integer matrix A have equal multiplicities,
     so its roots are a union of Galois orbits. Nothing about the guess is
-    trusted. The certificate: m = prod_k g_k is square-free (gcd(m, m') = 1
-    modulo the first of the primes below), m(A) = 0, and tr(A^j) = sum_k k
-    p_j(g_k) for j < D = deg m, with the power sums p_j of the roots of g_k
-    by Newton's identities. A is symmetric, so m(A) = 0 puts every
-    eigenvalue among the D distinct roots of m; the traces of A^0..A^(D-1)
-    are then a Vandermonde system in the multiplicities of those roots, and
-    the guess solves it. So det(xI - A) = prod_k g_k^k, with D distinct
+    trusted. The certificate: m = prod_k g_k is square-free (its own
+    `squarefree_part`, which takes one gcd for a square-free m), m(A) = 0,
+    and tr(A^j) = sum_k k p_j(g_k) for j < D = deg m, with the power sums p_j
+    of the roots of g_k by Newton's identities. A is symmetric, so m(A) = 0
+    puts every eigenvalue among the D distinct roots of m; the traces of
+    A^0..A^(D-1) are then a Vandermonde system in the multiplicities of
+    those roots, and the guess solves it. So det(xI - A) = prod_k g_k^k, with D distinct
     eigenvalues.
 
     The checks run modulo primes below `_CERTIFICATE_LIMIT` whose product
@@ -429,11 +426,11 @@ def _few_eigenvalue_char_poly(g: Graph):
     traces = [sum(k * s[j] for k, s in sums) for j in range(d)]
     if traces[0] != n or not all(0 <= t <= n * delta**j for j, t in enumerate(traces[1:])):
         return None
+    if squarefree_part(m) != m:
+        return None
     primes = _crt_primes(_CERTIFICATE_LIMIT, (max(  # a product past B, not 2B
         abs(m.coeffs[0]) + sum(abs(c) * delta**i for i, c in enumerate(m.coeffs[1:])),
         n * delta ** max(d - 2, 0)) + 1) // 2)
-    if not squarefree_mod(m.coeffs, primes[0]):
-        return None
     a, q = g.adjacency(dtype=np.float64), np.array(primes, dtype=np.float64)[:, None, None]
     # residues, one row per prime, of m's coefficients and of minus the traces
     coeffs = np.array([[c % p for c in m.coeffs] for p in primes], dtype=np.float64)
@@ -635,8 +632,9 @@ def fiber_sum_zero_matrix(f: GainGraph) -> np.ndarray:
 
 
 def _character_difference_poly(f: GainGraph):
-    """`spectral_difference_poly` of abelian gains, (P, Q, distinct), from
-    their character matrices S_chi.
+    """(P, Q) of abelian gains, from their character matrices S_chi: P the
+    char poly on W of `spectral_difference_poly`, and Q a factor of it with
+    the same roots.
 
     The lift is similar to the block diagonal of the S_chi, and the trivial
     character gives the base, so P = prod_{chi != 1} h_chi, h_chi = det(xI -
@@ -648,9 +646,6 @@ def _character_difference_poly(f: GainGraph):
     bounds both. Mod a prime p = 1 (mod e), zeta_e maps to an element of
     order e in F_p; every (prime, pair) slice goes through one stack of
     `_char_poly_mod`, and the factors multiply mod p, pairs of two first.
-    Q is monic, so when its residues modulo the first prime are square-free
-    (`squarefree_mod`) it has distinct = deg Q distinct roots; else distinct
-    is the degree of its square-free part.
     """
     n, m = f.base.n, f.base.m
     e, twos, reals, expo = _character_classes(f)
@@ -673,25 +668,24 @@ def _character_difference_poly(f: GainGraph):
             r_poly = _crt(out, primes)
         out = _poly_mul_mod(out, polys[:, j], q)
     q_poly = _crt(out, primes)
-    distinct = (q_poly.degree if squarefree_mod(out[0], primes[0])
-                else squarefree_part(q_poly).degree)
-    return q_poly * (r_poly if reals else q_poly), q_poly, distinct
+    return q_poly * (r_poly if reals else q_poly), q_poly
 
 
 def spectral_difference_poly(f: GainGraph):
-    """(new_poly, roots, distinct): the exact char poly of the lift's
-    adjacency on W, the vectors that sum to zero on every fiber (the cover's
-    over the base's), a factor of it in Z[x] with the same roots, and the
-    number of those roots. For abelian gains, roots takes one char poly per
-    conjugate pair (`_character_difference_poly`); for permutation gains it
-    is new_poly, the char poly of `fiber_sum_zero_matrix`, and distinct the
-    degree of its square-free part. Raises InternalConsistencyError as
-    `_check_lift` does."""
+    """(new_poly, distinct): the exact char poly of the lift's adjacency on W,
+    the vectors that sum to zero on every fiber (the cover's over the
+    base's), and the number of its distinct roots, the degree of the
+    square-free part of a factor with the same roots. For abelian gains that
+    factor takes one char poly per conjugate pair (`_character_difference_poly`);
+    for permutation gains it is new_poly, the char poly of
+    `fiber_sum_zero_matrix`. Raises InternalConsistencyError as `_check_lift`
+    does."""
     if f.group.is_abelian:
         _check_lift(f)
-        return _character_difference_poly(f)
-    new_poly = char_poly_int_matrix(fiber_sum_zero_matrix(f))
-    return new_poly, new_poly, squarefree_part(new_poly).degree
+        new_poly, roots = _character_difference_poly(f)
+    else:
+        new_poly = roots = char_poly_int_matrix(fiber_sum_zero_matrix(f))
+    return new_poly, squarefree_part(roots).degree
 
 
 def _batch_input(base: Graph, table, rows):
@@ -838,7 +832,7 @@ def classify_two_ev(f: GainGraph) -> TwoEvCertificate:
     hit, lam = fiber_two_ev(f.base, *f.row)
     if hit[0]:
         return two_ev_certificate(f, int(lam[0]))
-    new_poly, _, distinct = spectral_difference_poly(f)
+    new_poly, distinct = spectral_difference_poly(f)
     return TwoEvCertificate(is_two_ev=False, cover_connected=is_connected(f.cover),
                             new_distinct=distinct, new_poly=new_poly)
 

@@ -13,7 +13,6 @@ from gaincover import (GainGraph, Graph, GroupSpec, IntPoly, TwoEvCertificate,
                        complete_bipartite, search)
 from gaincover.errors import DisconnectedError, ParameterError
 from gaincover.gains import CoverGraph
-from gaincover.intpoly import integer_roots
 from gaincover.search import assignment_rows, gain_of_row
 from gaincover.spectral import TOL, rep_matrix
 
@@ -114,6 +113,30 @@ def squarefree_decomposition(p: IntPoly):
         d = c - b.derivative()
         i += 1
     return out
+
+
+def integer_roots(p: IntPoly):
+    """Integer roots with multiplicities, by divisor trial on the constant
+    term (test-local oracle for `quadratic_roots` and for the quadratic
+    x^2 - lambda*x - k of a 2ev verdict)."""
+    roots = {}
+    while not p.is_zero and p.coeffs[0] == 0:
+        roots[0] = roots.get(0, 0) + 1
+        p = IntPoly(p.coeffs[1:])
+    if p.degree <= 0:
+        return roots
+    c0 = abs(p.coeffs[0])
+    cands = set()
+    d = 1
+    while d * d <= c0:
+        if c0 % d == 0:
+            cands.update((d, -d, c0 // d, -(c0 // d)))
+        d += 1
+    for r in sorted(cands):
+        while p.degree > 0 and p(r) == 0:
+            roots[r] = roots.get(r, 0) + 1
+            p = p.div_exact(IntPoly((-r, 1)))
+    return roots
 
 
 def poly_real_roots(p: IntPoly):

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaincover import intpoly
-from gaincover.intpoly import (IntPoly, cyclotomic, integer_roots, quadratic_roots,
-                               squarefree_part)
+from gaincover.intpoly import IntPoly, cyclotomic, quadratic_roots, squarefree_part
 
-from conftest import (mul_poly, poly_from_roots, poly_gcd, poly_pow,
+from conftest import (integer_roots, mul_poly, poly_from_roots, poly_gcd, poly_pow,
                       prs_squarefree_part, squarefree_decomposition)
 
 
@@ -102,13 +101,27 @@ def test_squarefree_part_matches_the_prs_oracle(factors, scale):
     assert squarefree_part(q) == prs_squarefree_part(q)
 
 
-def test_squarefree_part_drops_unlucky_primes():
+def test_squarefree_part_drops_unlucky_primes(monkeypatch):
     # 3 and 3 + q are distinct roots that meet mod the first prime q, where
     # the gcd has too high a degree; the next primes decide
-    q = intpoly._prime(2**62, 0)
-    assert squarefree_part(from_roots([3, 3 + q])) == from_roots([3, 3 + q])
+    q = intpoly._prime(intpoly._CERTIFICATE_LIMIT, 0)
+    p = from_roots([3, 3 + q])
+    high, dhigh = ([c % q for c in a.coeffs[::-1]] for a in (p, p.derivative()))
+    assert intpoly._monic_gcd_mod(high, dhigh, q).tolist() == [1, q - 3]  # x - 3, degree 1
+    assert squarefree_part(p) == p
     assert squarefree_part(from_roots([5, 5, 3, 3 + q])) == from_roots([5, 3, 3 + q])
     assert squarefree_part(from_roots([5, 5, 3, 3, 3 + q])) == from_roots([5, 3, 3 + q])
+    # an unlucky second prime, after a lucky first, is skipped, and the first
+    # and third primes decide; a residue of it joined by the CRT would keep
+    # the candidate from ever settling
+    q2, real = intpoly._prime(intpoly._CERTIFICATE_LIMIT, 1), intpoly._prime
+
+    def first_four(limit, i, e=1):
+        assert i < 4
+        return real(limit, i, e)
+
+    monkeypatch.setattr(intpoly, "_prime", first_four)
+    assert squarefree_part(from_roots([5, 5, 3, 3 + q2])) == from_roots([5, 3, 3 + q2])
 
 
 def test_prime_counts_down_and_raises_past_the_last_prime():

@@ -14,7 +14,7 @@ from gaincover import (GainGraph, Graph, GroupSpec, char_poly,
                        complete_bipartite, complete_graph, cycle, hypercube,
                        identity_gains, is_connected, johnson, kneser, lift,
                        octahedron, petersen, rep_matrix)
-from gaincover import cli, spectral
+from gaincover import cli, intpoly, spectral
 from gaincover.errors import (ContractViolation, DisconnectedError,
                              InternalConsistencyError, NumericError, ParameterError)
 from gaincover.families import (butson_gain, fourier_butson, huang_signing, k3n_nonexample,
@@ -880,7 +880,8 @@ def test_a_miss_counts_its_new_eigenvalues_from_one_char_poly_per_conjugate_pair
         if cert.is_two_ev:
             continue
         misses += 1
-        new_poly, roots, distinct = spectral_difference_poly(f)
+        new_poly, distinct = spectral_difference_poly(f)
+        roots = spectral._character_difference_poly(f)[1]
         pairs = _pair_count(f.group)
         assert cert.new_poly == new_poly == char_poly_int_matrix(fiber_sum_zero_matrix(f))
         assert roots.degree == f.base.n * pairs and new_poly.divmod_monic(roots)[1].is_zero
@@ -1448,7 +1449,7 @@ def test_cover_spectrum_matches_the_whole_lift_property(data):
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(st.data())
-def test_a_miss_counts_from_the_residues_as_the_square_free_part_does_property(data):
+def test_a_miss_counts_its_new_eigenvalues_as_the_prs_oracle_does_property(data):
     base = data.draw(st.sampled_from([complete_graph(4), complete_graph(5), cycle(5), cycle(6),
                                       petersen(), complete_bipartite(2, 3), hypercube(3)]))
     group = data.draw(st.sampled_from(_SPECTRUM_GROUPS))
@@ -1456,26 +1457,27 @@ def test_a_miss_counts_from_the_residues_as_the_square_free_part_does_property(d
                                 for e in base.sorted_edges()})
     cert = classify_two_ev(f)
     if not cert.is_two_ev:
-        _, roots, distinct = spectral_difference_poly(f)
-        assert cert.new_distinct == distinct == squarefree_part(roots).degree
+        roots = spectral._character_difference_poly(f)[1]
+        assert cert.new_distinct == spectral_difference_poly(f)[1] == \
+            prs_squarefree_part(roots).degree
 
 
-def test_a_miss_takes_the_square_free_part_only_where_its_roots_repeat(monkeypatch):
-    # K(8,2)/Z4's roots are square-free modulo the first prime, so its count
-    # is their degree; the misses of k3n_nonexample, Butson and identity gains
-    # repeat a root, and fall back to the square-free part
+def test_a_miss_with_square_free_roots_takes_one_gcd(monkeypatch):
+    # K(8,2)/Z4's Q is square-free, which one gcd modulo the first prime
+    # decides; the misses of k3n_nonexample, Butson and identity gains repeat
+    # a root, take more primes, and count as the PRS oracle does
     calls = []
-    real = spectral.squarefree_part
-    monkeypatch.setattr(spectral, "squarefree_part", lambda p: calls.append(p) or real(p))
+    real = intpoly._monic_gcd_mod
+    monkeypatch.setattr(intpoly, "_monic_gcd_mod", lambda *a: calls.append(a) or real(*a))
     with open(os.path.join(os.path.dirname(__file__), "data", "random_kn8_2_z4.gain")) as fh:
         f = parse_gain_file(fh.read())
-    cert = classify_two_ev(f)
-    assert not cert.is_two_ev and calls == []
-    assert cert.new_distinct == spectral_difference_poly(f)[1].degree == 56
+    assert spectral_difference_poly(f)[1] == spectral._character_difference_poly(f)[1].degree \
+        == 56 and len(calls) == 1
+    assert classify_two_ev(f).new_distinct == 56
     for f in (k3n_nonexample(2), k3n_nonexample(5), butson_gain(fourier_butson(8)),
               identity_gains(petersen(), GroupSpec.cyclic(3))):
         calls.clear()
         cert = classify_two_ev(f)
-        roots = spectral_difference_poly(f)[1]
-        assert not cert.is_two_ev and calls
+        roots = spectral._character_difference_poly(f)[1]
+        assert not cert.is_two_ev and len(calls) > 1
         assert cert.new_distinct == prs_squarefree_part(roots).degree < roots.degree
