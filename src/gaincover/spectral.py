@@ -403,8 +403,8 @@ def _few_eigenvalue_char_poly(g: Graph):
     of the roots of g_k by Newton's identities. A is symmetric, so m(A) = 0
     puts every eigenvalue among the D distinct roots of m; the traces of
     A^0..A^(D-1) are then a Vandermonde system in the multiplicities of
-    those roots, and the guess solves it. So det(xI - A) = prod_k g_k^k, with D distinct
-    eigenvalues.
+    those roots, and the guess solves it. So det(xI - A) = prod_k g_k^k,
+    with D distinct eigenvalues.
 
     The checks run modulo primes below `_CERTIFICATE_LIMIT` whose product
     P exceeds B = max(|c_0| + sum_(i>=1) |c_i| Delta^(i-1), n Delta^(D-2)),
