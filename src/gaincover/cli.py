@@ -39,18 +39,16 @@ from .search import (DEFAULT_BUDGET, EXHAUSTIVE, RANDOM, SearchSpec, run_search,
                      verify_walk_regularity)
 from .spectral import char_poly, classify_two_ev, cover_spectrum, graph_spectrum
 
-# family name -> (its size flag or None, gain builder of that flag's value,
-# file stem); a builder whose cover, sized from the value, passes MAX_VERTICES
-# is not called
+# family name -> (its size flag or None, file stem, gain builder of that
+# flag's value); the files are <stem>_<value>, or <stem> without a size flag.
+# A builder whose cover, sized from the value, passes MAX_VERTICES is not called
 DEMO_FAMILIES = {
-    "huang": ("--n", lambda n: (_bounded(huang_signing, _pow2(n + 1), n), f"huang_{n}")),
-    "cohen-tits": ("--n", lambda n: (_bounded(cohen_tits_signing, _pow2(n + 1), n),
-                                     f"cohen_tits_{n}")),
-    "butson": ("--q", lambda q: (butson_gain(_bounded(fourier_butson, 2 * max(q, 0) ** 2, q)),
-                                 f"butson_{q}")),
-    "s3k5": (None, lambda _: (s3_cover_k5(), "s3_cover_k5")),
-    "k3n-nonexample": ("--n", lambda n: (_bounded(k3n_nonexample, 6 * n, n),
-                                         f"k3n_nonexample_{n}")),
+    "huang": ("--n", "huang", lambda n: _bounded(huang_signing, _pow2(n + 1), n)),
+    "cohen-tits": ("--n", "cohen_tits", lambda n: _bounded(cohen_tits_signing, _pow2(n + 1), n)),
+    "butson": ("--q", "butson",
+               lambda q: butson_gain(_bounded(fourier_butson, 2 * max(q, 0) ** 2, q))),
+    "s3k5": (None, "s3_cover_k5", lambda _: s3_cover_k5()),
+    "k3n-nonexample": ("--n", "k3n_nonexample", lambda n: _bounded(k3n_nonexample, 6 * n, n)),
 }
 
 
@@ -199,15 +197,15 @@ def write_reproducer(theorem, gain, directory):
 
 
 def cmd_demo(args):
-    fam = args.family
-    size, build = DEMO_FAMILIES[fam]
-    f, name = build(size and getattr(args, size[2:]))
+    size, stem, build = DEMO_FAMILIES[args.family]
+    value = size and getattr(args, size[2:])
+    f, name = build(value), f"{stem}_{value}" if size else stem
     os.makedirs(args.out, exist_ok=True)
     gain_path = os.path.join(args.out, name + ".gain")
     with open(gain_path, "w", newline="\n") as fh:
         fh.write(write_gain_file(f))
     report = gain_report(f)
-    report["input"]["family"] = fam
+    report["input"]["family"] = args.family
     report["input"]["gain_file"] = gain_path
     _emit(report, args.json or os.path.join(args.out, name + ".json"))
     print(f"wrote {gain_path}", file=sys.stderr)
@@ -345,11 +343,14 @@ def build_parser():
 
     d = sub.add_parser("demo", help="emit a built-in family's gain file and report")
     families = d.add_subparsers(dest="family", required=True)
-    for fam, (size, _) in DEMO_FAMILIES.items():
-        f = _with(families.add_parser(fam))
+    for fam, (size, stem, _) in DEMO_FAMILIES.items():
+        f = families.add_parser(fam)
         if size:
             f.add_argument(size, type=int, default=3)
         f.add_argument("--out", default=".", help="output directory")
+        name = f"{stem}_{size[2:].upper()}" if size else stem
+        f.add_argument("--json", metavar="PATH",
+                       help=f"write the JSON payload here instead of OUT/{name}.json")
     d.set_defaults(func=cmd_demo)
 
     l = sub.add_parser("lift", help="lift a gain file to its cover edge list")

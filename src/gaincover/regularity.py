@@ -14,6 +14,7 @@ checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Rational
 
 import numpy as np
 
@@ -78,8 +79,8 @@ class ColumnCountCertificate:
     """t = (a - lambda)/r and s = c/r; integral reports whether both are
     non-negative integers (r | c is necessary for any 2ev cover)."""
 
-    t: Fraction
-    s: Fraction | None
+    t: Rational  # a Fraction, imported only where one is made
+    s: Rational | None
     integral: bool
 
 

@@ -3,12 +3,13 @@ machine-checked property harnesses for the structure theorems.
 
 Enumeration fixes a spanning tree to the identity (every cover is reachable
 from such a normalized gain), so the search space is |G|^(m-n+1) over the
-co-tree edges instead of |G|^m. Assignments are decided in batches from
-their gains (`fiber_two_ev`, on the n(r-1)-square matrices of the lifts'
-adjacency on the fiber-sum-zero space, sized to them), and only the 2ev hits
-are lifted; the walk-regularity harness audits each batch's block
-decomposition from the gains too (`character_block_check`, which batches its
-nr-square lift stacks itself), so it lifts only its hits as well. A
+co-tree edges instead of |G|^m. One driver, `_two_ev_hits`, decides
+assignments in batches from their gains (`fiber_two_ev`, on the n(r-1)-square
+matrices of the lifts' adjacency on the fiber-sum-zero space, sized to them),
+and lifts only the 2ev hits, for the search and every harness alike; the
+walk-regularity harness turns on its per-batch audit of the block
+decomposition, also from the gains (`character_block_check`, which batches
+its nr-square lift stacks itself), so it lifts only its hits as well. A
 harness only decides: any falsification of a theorem property raises
 FalsificationError with the offending gain attached. A genuine counterexample
 would mean an implementation bug, so it must stop the run, not get logged and
@@ -152,31 +153,31 @@ def gain_of_row(spec: SearchSpec, row) -> GainGraph:
     return GainGraph._checked(spec.base, spec.group, gains, (spec.group.translations, row[None]))
 
 
-def _decided(spec: SearchSpec, table):
-    """(rows, hit, lam) for each batch of `assignment_rows`, as `fiber_two_ev`
-    decides it on table, the sheet table of spec.group.elements()."""
-    for rows in assignment_rows(spec):
-        yield (rows, *fiber_two_ev(spec.base, table, rows))
-
-
-def _count_hit(summary: VerifySummary, f: GainGraph, lam) -> TwoEvCertificate:
-    """The 2ev certificate of the hit f with fiber eigenvalue lam, counted in
-    summary."""
-    cert = two_ev_certificate(f, int(lam))
-    summary.two_ev += 1
-    summary.connected_two_ev += cert.cover_connected
-    return cert
-
-
-def _two_ev_hits(spec: SearchSpec, summary: VerifySummary):
-    """Decide every assignment of spec, counting them and the hits in summary;
-    yield (gain, certificate) for each 2ev hit, the only ones lifted."""
+def _two_ev_hits(spec: SearchSpec, summary: VerifySummary, audit=False):
+    """Decide every assignment of spec by `fiber_two_ev`, one batch of
+    `assignment_rows` at a time, counting them and the hits in summary; yield
+    (gain, certificate) for each 2ev hit, the only ones lifted. With audit,
+    each batch's block decomposition is checked by `character_block_check`
+    too, and a row whose audit fails raises FalsificationError in row order,
+    before that row is yielded; only hits and such rows become gain graphs."""
     table = spec.group.translations  # every element's sheet table: the group is abelian
-    for rows, hit, lam in _decided(spec, table):
+    for rows in assignment_rows(spec):
+        hit, lam = fiber_two_ev(spec.base, table, rows)
+        if audit:
+            ok, dev = character_block_check(spec.base, spec.group, table, rows)
+        else:
+            ok = np.ones_like(hit)
         summary.sampled += len(rows)
-        for i in np.flatnonzero(hit).tolist():
+        for i in np.flatnonzero(hit | ~ok).tolist():
             f = gain_of_row(spec, rows[i])
-            yield f, _count_hit(summary, f, lam[i])
+            if not ok[i]:
+                raise FalsificationError(
+                    "block-decomposition",
+                    f"character spectra deviate from lift spectrum by {dev[i]:.3g}", f)
+            cert = two_ev_certificate(f, int(lam[i]))
+            summary.two_ev += 1
+            summary.connected_two_ev += cert.cover_connected
+            yield f, cert
 
 
 def run_search(spec: SearchSpec) -> VerifySummary:
@@ -196,10 +197,10 @@ def run_search(spec: SearchSpec) -> VerifySummary:
 def verify_walk_regularity(bases, groups, budget=200, seed=0) -> VerifySummary:
     """Walk-regular bases stay walk-regular in every 2ev cover (cyclic and
     abelian alike); also audits every sample's character block decomposition
-    against its spectrum. Both are decided per batch from the gains, by
-    `fiber_two_ev` and `character_block_check`; only the 2ev hits and the
-    audit failures are built as gain graphs, and only the hits are lifted.
-    Within a sample the audit's failure comes first.
+    against its spectrum. Both run on the one hit driver, `_two_ev_hits`,
+    with its audit on: only the 2ev hits and the audit failures are built as
+    gain graphs, only the hits are lifted, and within a sample the audit's
+    failure comes first.
     """
     for base in bases:
         if not is_walk_regular(base):
@@ -207,21 +208,12 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0) -> VerifySummary:
     summary = VerifySummary()
     for base, group in itertools.product(bases, groups):
         spec = SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
-        table = spec.group.translations
-        for rows, hit, lam in _decided(spec, table):
-            ok, dev = character_block_check(base, group, table, rows)
-            summary.sampled += len(rows)
-            for i in np.flatnonzero(~ok | hit).tolist():
-                f = gain_of_row(spec, rows[i])
-                if not ok[i]:
-                    raise FalsificationError(
-                        "block-decomposition",
-                        f"character spectra deviate from lift spectrum by {dev[i]:.3g}", f)
-                if not is_walk_regular(f.cover, _count_hit(summary, f, lam[i])):
-                    raise FalsificationError(
-                        "walk-regularity-of-2ev-covers",
-                        "2ev cover of a walk-regular base is not walk regular", f)
-                summary.verified += 1
+        for f, cert in _two_ev_hits(spec, summary, audit=True):
+            if not is_walk_regular(f.cover, cert):
+                raise FalsificationError(
+                    "walk-regularity-of-2ev-covers",
+                    "2ev cover of a walk-regular base is not walk regular", f)
+            summary.verified += 1
     return summary
 
 

@@ -22,12 +22,11 @@ Numeric eigenvalues come from one validated route, `_checked_eigvalsh`, for
 one matrix (`hermitian_spectrum`) or a stack: it raises NumericError on
 LAPACK non-convergence or non-finite input. A graph's are solved once
 (`graph_spectrum`), and an abelian lift's (`cover_spectrum`) are its base's
-and those of one real symmetric matrix per class of characters, never from
-the lift. The block-decomposition audit (`character_block_check`) takes a
-batch of abelian gains in the kernel's array form and, per batch, solves one
-stack of character matrices, Hermitian by construction, and one stack of
-lifts scattered from the arcs of `gains.cover_arcs`, the one cover layout,
-with no gain graph and no lift built.
+and those of `_class_eigenvalues`, the one float route for character
+spectra, batched, never from the lift. The block-decomposition audit
+(`character_block_check`) checks that route for a batch of abelian gains in
+the kernel's array form against one stack of lifts scattered from the arcs
+of `gains.cover_arcs`, the one cover layout, with no gain graph built.
 
 The new spectrum of a lift is the spectrum of its adjacency on W, the
 vectors that sum to zero on every fiber. The two-eigenvalue verdict is exact
@@ -479,26 +478,6 @@ def distinct_eigenvalue_count(g: Graph) -> int:
 # character matrices of abelian gain graphs
 
 
-def _character_stack(base: Graph, group, gains, chars) -> np.ndarray:
-    """Character matrices of a batch of abelian gains on base, stacked as a
-    (B, C, n, n) complex array: matrix (b, c) is S_c of the gains whose edge i
-    of base.sorted_edges() carries element gains[b, i] of group.elements().
-
-    One angle table holds character c at element g, prod_p exp(2*pi*i * c_p
-    g_p / r_p), for every row c of chars and every element g; the stack is
-    scattered from it. See `rep_matrix`.
-    """
-    orders = group.orders
-    chars = np.mod(np.asarray(chars, dtype=np.int64).reshape(len(chars), -1), orders)
-    g = np.array(group.elements(), dtype=np.int64)
-    angle = np.exp(2j * math.pi * (chars[:, None, :] * g / orders).sum(axis=2))
-    val = angle[:, gains].swapaxes(0, 1)
-    u, v = base.edge_array.T
-    s = np.zeros(val.shape[:2] + (base.n, base.n), dtype=np.complex128)
-    s[..., u, v], s[..., v, u] = val, val.conj()
-    return s
-
-
 def rep_matrix(f: GainGraph, j) -> np.ndarray:
     """Character matrix S_j as a read-only complex array; j = all-zeros
     reproduces the base adjacency.
@@ -513,53 +492,70 @@ def rep_matrix(f: GainGraph, j) -> np.ndarray:
     if len(tuple(j)) != len(orders):
         raise ParameterError(f"character index must have {len(orders)} components")
     table, rows = f.row
-    s = _character_stack(f.base, f.group, table[rows, 0], [tuple(j)])[0, 0]
+    g = np.array(f.group.elements(), dtype=np.int64)[table[rows[0], 0]]
+    val = np.exp(2j * math.pi * (np.mod(tuple(j), orders) * g / orders).sum(axis=1))
+    u, v = f.base.edge_array.T
+    s = np.zeros((f.base.n, f.base.n), dtype=np.complex128)
+    s[u, v], s[v, u] = val, val.conj()
     s.flags.writeable = False
     return s
 
 
-def _character_classes(f: GainGraph):
+def _character_classes(group, gains):
     """(e, twos, reals, expo) for abelian gains: e the group's exponent, its
     nontrivial characters one per pair {chi, conj chi}, first those of the
-    pairs of two (twos), then the real ones, and expo[c, i] the k with chi_c
-    = zeta_e^k at the gain of edge i of f.base.sorted_edges()."""
-    group, orders, (table, rows) = f.group, np.array(f.group.orders), f.row
-    e, elements = math.lcm(*group.orders), group.elements()
+    pairs of two (twos), then the real ones, and expo[..., c, i] the k with
+    chi_c = zeta_e^k at element gains[..., i] of group.elements(), the gain
+    of edge i of the base's sorted_edges()."""
+    orders, elements, e = np.array(group.orders), group.elements(), math.lcm(*group.orders)
     twos = [c for c in elements[1:] if c < group.inverse(c)]
     reals = [c for c in elements[1:] if c == group.inverse(c)]
-    # the gain of edge i is the element that sends sheet 0, the identity, to table[rows[0, i], 0]
-    gains = np.array(elements, dtype=np.int64)[table[rows[0], 0]]
-    return e, twos, reals, np.array(twos + reals) * (e // orders) @ gains.T % e
+    chars = np.array(twos + reals, dtype=np.int64).reshape(-1, len(orders)) * (e // orders)
+    g = np.array(elements, dtype=np.int64)[gains]
+    return e, twos, reals, chars @ np.swapaxes(g, -1, -2) % e
+
+
+def _class_eigenvalues(base: Graph, group, gains):
+    """The (..., n(|G| - 1)) eigenvalues of the nontrivial character matrices
+    S_chi of abelian gains on base, gains[..., i] the index in
+    group.elements() of the gain of edge i of base.sorted_edges(), from one
+    real symmetric matrix per class of `_character_classes`: S_chi of a real
+    chi, and for a pair {chi, conj chi} the 2n-square [[Re S, -Im S], [Im S,
+    Re S]] of S = S_chi, whose spectrum is the pair's union, with entries from
+    the cos and sin of the e-th roots of unity. One eigensolve takes the
+    batch's real classes, and one its pairs."""
+    n, (u, v) = base.n, base.edge_array.T
+    e, twos, reals, expo = _character_classes(group, gains)
+    turn = 2 * math.pi * np.arange(e) / e
+    re, im, k, batch = np.cos(turn)[expo], np.sin(turn)[expo], len(twos), expo.shape[:-2]
+    vals = []
+    if reals:
+        s = np.zeros(batch + (len(reals), n, n))
+        s[..., u, v] = s[..., v, u] = re[..., k:, :]
+        vals.append(_eigvalsh(s).reshape(batch + (-1,)))
+    if twos:
+        s = np.zeros(batch + (k, 2, n, 2, n))
+        c, d = re[..., :k, :], im[..., :k, :]
+        s[..., 0, u, 0, v] = s[..., 0, v, 0, u] = s[..., 1, u, 1, v] = s[..., 1, v, 1, u] = c
+        s[..., 1, u, 0, v] = s[..., 0, v, 1, u] = d
+        s[..., 1, v, 0, u] = s[..., 0, u, 1, v] = -d
+        vals.append(_eigvalsh(s.reshape(batch + (k, 2 * n, 2 * n))).reshape(batch + (-1,)))
+    return np.concatenate(vals, axis=-1)
 
 
 def cover_spectrum(f: GainGraph) -> Spectrum:
     """`hermitian_spectrum` of the lift of f; for abelian gains without the
     lift, whose adjacency is similar to the block diagonal of the character
     matrices S_chi, S_1 the base's. Its eigenvalues are then the base's
-    (`_adjacency_eigenvalues`) and those of one real symmetric matrix per
-    class of `_character_classes`: S_chi of a real chi, and for a pair {chi,
-    conj chi} the 2n-square [[Re S, -Im S], [Im S, Re S]] of S = S_chi, whose
-    spectrum is the pair's union, with entries from a table of the cos and
-    sin of the e-th roots of unity. They are clustered at the lift's max row
-    sum, the base's largest degree. Permutation gains take the whole lift."""
+    (`_adjacency_eigenvalues`) and those of `_class_eigenvalues` on a batch
+    of one, clustered at the lift's max row sum, the base's largest degree;
+    permutation gains take the whole lift."""
     if not f.group.is_abelian:
         return hermitian_spectrum(f.cover.graph.adjacency(dtype=np.float64))
-    n, (u, v) = f.base.n, f.base.edge_array.T
-    e, twos, reals, expo = _character_classes(f)
-    turn = 2 * math.pi * np.arange(e) / e
-    re, im, k = np.cos(turn)[expo], np.sin(turn)[expo], len(twos)
-    vals = [_adjacency_eigenvalues(f.base)]
-    if reals:
-        s = np.zeros((len(reals), n, n))
-        s[:, u, v] = s[:, v, u] = re[k:]
-        vals.append(_eigvalsh(s).ravel())
-    if twos:
-        s = np.zeros((k, 2, n, 2, n))
-        s[:, 0, u, 0, v] = s[:, 0, v, 0, u] = s[:, 1, u, 1, v] = s[:, 1, v, 1, u] = re[:k]
-        s[:, 1, u, 0, v] = s[:, 0, v, 1, u] = im[:k]
-        s[:, 1, v, 0, u] = s[:, 0, u, 1, v] = -im[:k]
-        vals.append(_eigvalsh(s.reshape(k, 2 * n, 2 * n)).ravel())
-    return cluster_values(np.concatenate(vals), max(f.base.degrees, default=0))
+    table, rows = f.row
+    new = _class_eigenvalues(f.base, f.group, table[rows, 0])[0]
+    return cluster_values(np.concatenate([_adjacency_eigenvalues(f.base), new]),
+                          max(f.base.degrees, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +643,8 @@ def _character_difference_poly(f: GainGraph):
     order e in F_p; every (prime, pair) slice goes through one stack of
     `_char_poly_mod`, and the factors multiply mod p, pairs of two first.
     """
-    n, m = f.base.n, f.base.m
-    e, twos, reals, expo = _character_classes(f)
+    n, m, (table, rows) = f.base.n, f.base.m, f.row
+    e, twos, reals, expo = _character_classes(f.group, table[rows[0], 0])
     pairs = twos + reals
     primes = _crt_primes(_int64_limit(n),
                          _coefficient_bound(n * len(pairs), 2 * m * len(pairs)), e)
@@ -850,11 +846,12 @@ def character_block_check(base: Graph, group, table, rows):
     f.group, *gain_row(f))`. The gain of row b on edge i is element
     table[rows[b, i], 0] of group.elements(), the image of sheet 0, the
     identity. For abelian gains the cover adjacency is similar to the block
-    diagonal of the character matrices, so the sorted concatenation of their
-    eigenvalues must match the sorted eigenvalues of the lift within TOL *
-    max(1, the lift's max row sum). Each run of `batch_rows(nr)` rows takes
-    one batched eigensolve over its (B, |G|, n, n) character stack, Hermitian
-    by construction, and one over its (B, nr, nr) lift stack, scattered from
+    diagonal of the character matrices, so the base's eigenvalues
+    (`_adjacency_eigenvalues`) joined with `_class_eigenvalues`, the route of
+    `cover_spectrum`, must match the sorted eigenvalues of the lift within
+    TOL * max(1, the lift's max row sum). Each run of `batch_rows(nr)` rows
+    takes the batched eigensolves of `_class_eigenvalues`, one per kind of
+    class present, and one over its (B, nr, nr) lift stack, scattered from
     the arcs of `gains.cover_arcs` and checked finite and Hermitian as in
     `hermitian_spectrum`. Returns (ok, dev), a bool and a
     float64 array with one entry per row.
@@ -869,7 +866,7 @@ def character_block_check(base: Graph, group, table, rows):
         raise ParameterError(f"sheet table rows must act on the {group.order} group elements")
     ok = np.zeros(len(rows), dtype=bool)
     dev = np.zeros(len(rows))
-    chars, size = group.elements(), base.n * group.order
+    size, base_vals = base.n * group.order, _adjacency_eigenvalues(base)
     step = batch_rows(size)
     for lo in range(0, len(rows), step):
         act = table[rows[lo:lo + step]]
@@ -877,8 +874,9 @@ def character_block_check(base: Graph, group, table, rows):
         b = np.arange(len(act))[:, None, None]
         a = np.zeros((len(act), size, size))
         a[b, src, dst] = a[b, dst, src] = 1
-        stack = _character_stack(base, group, act[..., 0], chars)
-        union = np.sort(_eigvalsh(stack).reshape(len(a), -1), axis=1)
+        new = _class_eigenvalues(base, group, act[..., 0])
+        union = np.sort(np.concatenate(
+            [np.broadcast_to(base_vals, (len(a), base.n)), new], axis=1), axis=1)
         cover_vals, scale = _checked_eigvalsh(a)
         dev_b = np.abs(union - cover_vals).max(axis=1, initial=0.0)
         ok[lo:lo + len(a)] = dev_b <= TOL * np.maximum(scale, 1.0)

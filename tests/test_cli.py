@@ -546,16 +546,56 @@ def test_bad_tolerance_exit_1(tmp_path, capsys, tol):
 
 
 def test_wrong_block_decomposition_falsified_at_the_cli(tmp_path, capsys, monkeypatch):
-    # character spectra scaled by 1.2 miss a lift of K4 by 0.6, far past the
-    # audit's real bound
-    real = spectral._character_stack
-    monkeypatch.setattr(spectral, "_character_stack", lambda *args: 1.2 * real(*args))
+    # nontrivial character spectra scaled by 1.2 miss a lift of K4 by 0.503,
+    # far past the audit's real bound
+    real = spectral._class_eigenvalues
+    monkeypatch.setattr(spectral, "_class_eigenvalues", lambda *args: 1.2 * real(*args))
     code, stdout, err = run(["verify", "walk-regularity", "--bases", "k4+c6", "--groups",
                              "z3", "--samples", "5", "--out", str(tmp_path)], capsys)
     assert code == 2 and stdout == ""
     path = os.path.join(str(tmp_path), "falsification_block-decomposition.gain")
     assert err == ("FALSIFIED block-decomposition: character spectra deviate from lift "
-                   f"spectrum by 0.6 (reproducer: {path})\n")
+                   f"spectrum by 0.503 (reproducer: {path})\n")
+
+
+def test_json_help_names_where_the_payload_goes_by_default(tmp_path, capsys):
+    # each demo family writes its payload beside its gain file, never to
+    # stdout, and its --json help names that file; every other command's
+    # payload goes to stdout
+    defaults = {"huang": "huang_N", "cohen-tits": "cohen_tits_N", "butson": "butson_Q",
+                "k3n-nonexample": "k3n_nonexample_N", "s3k5": "s3_cover_k5"}
+    helps = {path: " ".join(parser.format_help().split())
+             for path, parser in command_parsers(cli.build_parser())
+             if any("--json" in a.option_strings for a in parser._actions)}
+    assert {path[1] for path in helps if path[0] == "demo"} == set(defaults)
+    for path, text in helps.items():
+        if path[0] != "demo":
+            assert "--json PATH write the JSON payload here instead of stdout" in text
+            continue
+        name = defaults[path[1]]
+        assert f"--json PATH write the JSON payload here instead of OUT/{name}.json" in text
+        code, out, _ = run(["demo", path[1], "--out", str(tmp_path)], capsys)
+        assert code == 0 and out == ""
+        assert (tmp_path / (name.replace("_N", "_3").replace("_Q", "_3") + ".json")).is_file()
+
+
+def test_a_fault_in_the_printed_route_is_falsified_at_the_cli(tmp_path, capsys, monkeypatch):
+    # the pair blocks' imaginary part dropped: each conjugate pair solved as
+    # two copies of Re S_chi, as real characters. `classify` prints that
+    # route (`cover_spectrum`), and the walk harness's audit reads it too
+    real = spectral._character_classes
+
+    def no_imaginary_part(group, gains):
+        e, twos, reals, expo = real(group, gains)
+        pairs = expo[..., :len(twos), :]
+        return e, [], twos + twos + reals, np.concatenate([pairs, expo], axis=-2)
+
+    monkeypatch.setattr(spectral, "_character_classes", no_imaginary_part)
+    code, stdout, err = run(["verify", "walk-regularity", "--bases", "k4", "--groups", "z3",
+                             "--samples", "5", "--out", str(tmp_path)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("FALSIFIED block-decomposition: character spectra deviate")
+    assert os.listdir(tmp_path) == ["falsification_block-decomposition.gain"]
 
 
 @pytest.mark.parametrize("argv", [

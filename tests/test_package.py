@@ -1,5 +1,10 @@
+import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import gaincover
@@ -41,3 +46,29 @@ def test_readme_cli_flags_match_the_parser():
     options = {o for _, p in command_parsers(build_parser()) for a in p._actions
                for o in a.option_strings if o.startswith("--")}
     assert named == options - {"--help"}
+
+
+def test_every_private_definition_is_used_elsewhere_in_src():
+    # a top-level _private function or class that no other code in src/
+    # names, outside its own body, is a leftover feeder of a replaced route
+    defined, used = set(), set()
+    for path in Path(gaincover.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_"):
+                defined.add(owner)
+            used |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {owner}
+    assert len(defined) > 50
+    assert sorted(defined - used) == []
+
+
+def test_column_count_hints_resolve_without_importing_fractions():
+    hints = typing.get_type_hints(gaincover.regularity.ColumnCountCertificate)
+    assert set(hints) == {"t", "s", "integral"}
+    # no command reads column counts, so importing the CLI does not load fractions
+    src = str(Path(gaincover.__file__).parents[1])
+    probe = "import sys, gaincover.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "False\n"

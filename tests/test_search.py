@@ -454,15 +454,43 @@ def test_walk_regularity_harness_lifts_only_its_hits(built_lifts, monkeypatch):
 
 
 def test_walk_regularity_harness_solves_two_stacks_per_batch(monkeypatch):
-    # 20 base/group pairs of one batch each: one character stack and one lift
-    # stack per batch, not two eigensolves per sample
+    # 20 base/group pairs of one batch each: per batch, one stack per kind of
+    # character class present and one lift stack, not eigensolves per sample.
+    # The bases' own eigenvalues are solved first, so that the count does not
+    # depend on what earlier tests left in their cache.
+    for base in WALKREG_BASES:
+        spectral._adjacency_eigenvalues(base)
     solved = []
     real = spectral._eigvalsh
     monkeypatch.setattr(spectral, "_eigvalsh", lambda a: solved.append(a.shape) or real(a))
     summary = verify_walk_regularity(WALKREG_BASES, WALKREG_GROUPS, budget=20, seed=1)
     assert summary.sampled == 400
-    assert len(solved) == 40
+    # Z2 and Z2xZ2 have real characters only, Z3 one conjugate pair, Z4 both
+    assert len(solved) == len(WALKREG_BASES) * (2 + 2 + 3 + 2) == 45
     assert all(shape[0] == 20 for shape in solved)
+
+
+def test_walk_regularity_audits_the_printed_spectrum(monkeypatch):
+    # every audited row's union of character spectra is the spectrum that
+    # `classify` prints for its gain graph, `cover_spectrum`'s, exactly
+    audited = []
+    real = spectral._class_eigenvalues
+
+    def recording(base, group, gains):
+        audited.append((base, group, gains, real(base, group, gains)))
+        return audited[-1][-1]
+
+    monkeypatch.setattr(spectral, "_class_eigenvalues", recording)
+    verify_walk_regularity(WALKREG_BASES, WALKREG_GROUPS, budget=20, seed=1)
+    monkeypatch.undo()
+    assert len(audited) == len(WALKREG_BASES) * len(WALKREG_GROUPS)
+    for base, group, gains, new in audited:
+        spec = SearchSpec(base, group, mode=RANDOM, budget=20, seed=1)
+        assert len(gains) == len(new) == 20
+        for row, vals in zip(gains, new):
+            union = np.concatenate([spectral._adjacency_eigenvalues(base), vals])
+            assert (spectral.cluster_values(union, max(base.degrees))
+                    == spectral.cover_spectrum(search.gain_of_row(spec, row)))
 
 
 def test_walk_regularity_reports_the_first_audit_failure(monkeypatch):
