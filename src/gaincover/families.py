@@ -10,44 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 from .gains import CoverGraph, GainGraph, GroupSpec, lift
 from .graphs import Graph, complete_bipartite, complete_graph, hypercube
 from .intpoly import IntPoly, cyclotomic
 
 
-def _sign_matrix(n):
-    """The recursive +-1 signing of the n-cube adjacency:
-    A_1 = [[0,1],[1,0]], A_n = [[A_{n-1}, I], [I, -A_{n-1}]]."""
-    a = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    for _ in range(n - 1):
-        h = a.shape[0]
-        eye = np.eye(h, dtype=np.int64)
-        a = np.block([[a, eye], [eye, -a]])
-    return a
-
-
 def huang_signing(n) -> GainGraph:
-    """Z2 gain on hypercube(n) read off the recursive sign matrix.
+    """Z2 gain on hypercube(n): Huang's recursive signing of the n-cube,
+    A_1 = [[0,1],[1,0]], A_n = [[A_{n-1}, I], [I, -A_{n-1}]], in closed form.
 
-    Residue 0 where the matrix entry is +1, residue 1 where -1. Every 4-cycle
-    of the cube picks up an odd number of residue-1 edges, so the character
-    matrix squares to n*I and the lift has no 4-cycles.
+    The edge u < v = u + 2^b lies in a diagonal block, negated once, at each
+    recursion level above b where u's bit is set: its gain is the parity of
+    u's bits above b (residue 1 for an entry -1). Every 4-cycle of the cube
+    picks up an odd number of residue-1 edges, so the character matrix
+    squares to n*I and the lift has no 4-cycles.
     """
     if n < 1:
         raise ParameterError("dimension must be at least 1")
-    signs = _sign_matrix(n)
     base = hypercube(n)
-    group = GroupSpec.cyclic(2)
-    gains = {}
-    for u, v in base.edges:
-        entry = int(signs[u, v])
-        if entry == 0:
-            raise ParameterError("sign matrix support mismatch")  # pragma: no cover
-        gains[(u, v)] = (0,) if entry > 0 else (1,)
-    return GainGraph(base, group, gains)
+    gains = {(u, v): (((u >> (v - u).bit_length()).bit_count()) & 1,) for u, v in base.edges}
+    return GainGraph(base, GroupSpec.cyclic(2), gains)
 
 
 def cohen_tits_signing(n) -> GainGraph:

@@ -2,13 +2,15 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and the
 characteristic polynomials handled here are always monic, which keeps every
-division below exact. A gcd modulo a prime runs Euclid's algorithm on int64
-arrays (`_monic_gcd_mod`). The square-free part, the package's one test of
-square-freeness and one count of distinct roots, is certified modularly:
-gcds mod the largest primes below `_CERTIFICATE_LIMIT`, joined by the CRT,
-and accepted only when the candidate divides p and p' exactly over Z; a
-square-free p takes one gcd. Every modulus in the package comes from one
-cached source of primes, `_prime`.
+division below exact. A product is numpy's convolution on object arrays of
+Python ints. A gcd modulo a prime runs Euclid's algorithm on int64 arrays
+(`_monic_gcd_mod`). The package's one CRT, `_crt`, is one object-dtype dot
+product of its weights with the residue rows, and one symmetric lift. The
+square-free part, the package's one test of square-freeness and one count of
+distinct roots, is certified modularly: gcds mod the largest primes below
+`_CERTIFICATE_LIMIT`, joined by `_crt`, and accepted only when the candidate
+divides p and p' exactly over Z; a square-free p takes one gcd. Every
+modulus in the package comes from one cached source of primes, `_prime`.
 """
 
 from __future__ import annotations
@@ -82,14 +84,9 @@ class IntPoly:
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return IntPoly()
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return IntPoly(out)
+        # numpy's convolution on Python ints, exact at any size
+        return IntPoly(np.convolve(np.array(self.coeffs, dtype=object),
+                                   np.array(other.coeffs, dtype=object)))
 
     def __pow__(self, k):
         """self^k for an int k >= 0, by repeated squaring."""
@@ -248,10 +245,10 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     degree at least deg g: a gcd of degree 0 mod any one prime certifies a
     square-free p. Else the gcds are taken mod primes below
     `_CERTIFICATE_LIMIT`; primes whose gcd is not of the least degree seen
-    are dropped, and the others' symmetric residues are joined by the CRT. A
-    candidate is taken once one more prime leaves it unchanged and it divides
-    both p and p' over Z: as a common divisor it divides g, and its degree is
-    at least deg g, so it is g. Raises ValueError unless p is monic.
+    are dropped, and the others' gcds are joined by `_crt`. A candidate is
+    taken once one more prime leaves it unchanged and it divides both p and
+    p' over Z: as a common divisor it divides g, and its degree is at least
+    deg g, so it is g. Raises ValueError unless p is monic.
     """
     if not p.is_monic:
         raise ValueError("square-free part requires a monic polynomial")
@@ -259,22 +256,19 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         return p
     dp = p.derivative()
     high, dhigh = p.coeffs[::-1], dp.coeffs[::-1]
-    best, res, mod, cand = None, None, 1, None
+    rows, primes, cand = [], [], None  # the gcds of the least degree seen, ascending
     for i in itertools.count():
         q = _prime(_CERTIFICATE_LIMIT, i)
         g = _monic_gcd_mod([c % q for c in high], [c % q for c in dhigh], q)
         if len(g) == 1:
             return p
-        if best is not None and len(g) > best:
+        if rows and len(g) > len(rows[0]):
             continue  # an unlucky prime
-        if best is None or len(g) < best:
-            best, res, mod = len(g), [0] * len(g), 1
-        # CRT: res = res mod the old modulus, = g mod q
-        inv = pow(mod % q, -1, q)
-        res = [x + mod * ((y - x) * inv % q) for x, y in zip(res, g.tolist())]
-        mod *= q
-        half = mod // 2
-        new = IntPoly((x + half) % mod - half for x in reversed(res))
+        if rows and len(g) < len(rows[0]):
+            rows, primes = [], []
+        rows.append(g[::-1])
+        primes.append(q)
+        new = _crt(np.array(rows), primes)
         if new == cand:
             quo, rem = p.divmod_monic(new)
             if rem.is_zero and dp.divmod_monic(new)[1].is_zero:
@@ -323,14 +317,9 @@ def _crt(residues, primes) -> IntPoly:
     """The polynomial whose coefficients are the signed integers of least
     absolute value congruent to row j of residues modulo primes[j]."""
     prod = math.prod(primes)
-    out = [0] * residues.shape[1]
-    for row, p in zip(residues, primes):
-        quo = prod // p
-        weight = quo * pow(quo % p, -1, p)
-        for i, r in enumerate(row.tolist()):
-            out[i] += r * weight
+    weights = np.array([(quo := prod // p) * pow(quo % p, -1, p) for p in primes], dtype=object)
     half = prod // 2
-    return IntPoly((x + half) % prod - half for x in out)
+    return IntPoly((weights @ residues.astype(object) + half) % prod - half)
 
 
 def _power_sums(f: IntPoly, count):

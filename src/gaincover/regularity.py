@@ -22,7 +22,7 @@ from .errors import (ContractViolation, DisconnectedError,
                      InternalConsistencyError, ParameterError)
 from .gains import CoverGraph, GainGraph
 from .graphs import Graph, is_connected
-from .intpoly import _prime_stream, quadratic_roots
+from .intpoly import IntPoly, _prime_stream, quadratic_roots
 from .spectral import (TwoEvCertificate, _powers_mod, char_poly, distinct_eigenvalue_count,
                        fiber_two_ev)
 
@@ -118,8 +118,9 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     x is a graph, or a lift with its certificate. Powers 1..d-1 suffice for
     any d at least the distinct eigenvalue count, since every higher power is
     a fixed combination of A^0..A^(d-1). A bare graph takes d as its exact
-    `distinct_eigenvalue_count`, a lift (base's count) + cert.new_distinct,
-    with no char poly of its own (ParameterError without the certificate).
+    `distinct_eigenvalue_count`, a lift the upper end of its
+    `_distinct_counts`, with no char poly of its own (ParameterError without
+    the certificate).
 
     The powers up to A^(d-2) come from `spectral._powers_mod` modulo one
     prime p at a time, with Delta*p < 2^53 for the largest degree Delta, so
@@ -131,10 +132,7 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     not walk-regular is mostly refused on the first.
     """
     g = x.graph if isinstance(x, CoverGraph) else x
-    if g is not x and cert is None:
-        raise ParameterError("a lift needs its two-eigenvalue certificate")
-    top = (distinct_eigenvalue_count(x.base) + cert.new_distinct if g is not x
-           else distinct_eigenvalue_count(g)) - 1
+    top = (_distinct_counts(x, cert)[-1] if g is not x else distinct_eigenvalue_count(g)) - 1
     if top < 2:  # A^0 = I, and A^1 has zero diagonal on a simple graph
         return True
     w = len(x.translations) if g is not x else 1  # row v is from source v*w: entry (v, v*w)
@@ -151,11 +149,12 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
 
 
 def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
-    """The range of a lift's distinct eigenvalue count, the base's values and
+    """The range of a lift's distinct eigenvalue count, the package's one
+    count of a lift's eigenvalues, from the base's values and
     cert.new_distinct on W (ParameterError without cert); for a hit, those of
     x^2 - lambda x - mu's roots not the base's: (lambda +- s) / 2 for a square
     discriminant s^2, else a conjugate pair, both roots of the base's char poly
-    p or neither, as p mod x^2 - lambda x - mu = a x + b is zero or not."""
+    p or neither, as x^2 - lambda x - mu divides p or not."""
     if cert is None:
         raise ParameterError("a lift needs its two-eigenvalue certificate")
     base = distinct_eigenvalue_count(cover.base)
@@ -166,10 +165,7 @@ def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
     if roots:
         new = sum(p(x) != 0 for x in roots)
     else:
-        a = b = 0  # Horner, x^2 = lambda x + mu
-        for c in reversed(p.coeffs):
-            a, b = a * lam + b, a * mu + c
-        new = 2 * bool(a or b)
+        new = 2 * bool(p.divmod_monic(IntPoly((-mu, -lam, 1)))[1])
     return range(base + new, base + new + 1)
 
 

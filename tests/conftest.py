@@ -34,8 +34,26 @@ def poly_from_roots(roots):
 
 
 def poly_pow(p: IntPoly, k):
-    """p to the power k, as k products."""
-    return math.prod([p] * k, start=IntPoly((1,)))
+    """p to the power k, as k schoolbook products (test-local oracle for
+    `IntPoly.__pow__`, independent of `IntPoly.__mul__`)."""
+    out = [1]
+    for _ in range(k):
+        out = mul_poly(out, p.coeffs)
+    return IntPoly(out)
+
+
+def garner_crt(residues, primes) -> IntPoly:
+    """The coefficients of least absolute value congruent to row j of residues
+    modulo primes[j], by Garner's incremental CRT, one coefficient at a time
+    (test-local oracle for `intpoly._crt`)."""
+    out = []
+    for column in zip(*(row.tolist() for row in residues)):
+        x, mod = 0, 1
+        for r, p in zip(column, primes):
+            x += mod * ((r - x) * pow(mod, -1, p) % p)
+            mod *= p
+        out.append(x - mod if 2 * x >= mod else x)
+    return IntPoly(out)
 
 
 def _primitive(p: IntPoly) -> IntPoly:

@@ -23,6 +23,23 @@ def test_huang_signing_base_case():
     assert f.gains[(0, 1)] == (0,)  # the 2x2 seed matrix is all +1
 
 
+def _sign_matrix(n):
+    """Huang's recursive +-1 signing of the n-cube adjacency (test-local
+    oracle): A_1 = [[0,1],[1,0]], A_n = [[A_{n-1}, I], [I, -A_{n-1}]]."""
+    a = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    for _ in range(n - 1):
+        eye = np.eye(a.shape[0], dtype=np.int64)
+        a = np.block([[a, eye], [eye, -a]])
+    return a
+
+
+def test_huang_signing_matches_the_sign_recursion():
+    for n in range(1, 12):
+        signs, f = _sign_matrix(n), huang_signing(n)
+        assert set(f.gains) == f.base.edges == {tuple(e) for e in np.argwhere(np.triu(signs))}
+        assert all(f.gains[(u, v)] == ((1 - signs[u, v]) // 2,) for u, v in f.gains), n
+
+
 def test_huang_signing_support_is_hypercube():
     for n in (2, 3, 4):
         f = huang_signing(n)

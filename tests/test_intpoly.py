@@ -1,14 +1,16 @@
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaincover import intpoly
 from gaincover.intpoly import IntPoly, cyclotomic, quadratic_roots, squarefree_part
 
-from conftest import (integer_roots, mul_poly, poly_from_roots, poly_gcd, poly_pow,
-                      prs_squarefree_part, squarefree_decomposition)
+from conftest import (garner_crt, integer_roots, mul_poly, poly_from_roots, poly_gcd,
+                      poly_pow, prs_squarefree_part, squarefree_decomposition)
 
 
 def from_roots(roots):
@@ -30,6 +32,48 @@ def test_arithmetic_matches_oracle():
     assert (a + b).coeffs == (5, -3, 2, 1)
     assert (b - b).is_zero
     assert a(7) == 1 - 21 + 98
+
+
+_coefficient = st.one_of(st.integers(-9, 9), st.integers(-2**260, 2**260),
+                         st.integers(2**200, 2**210))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_coefficient, max_size=12), st.lists(_coefficient, max_size=30))
+@example([], [3, -1])  # zero times a nonzero polynomial
+@example([0, 0], [])  # zero times zero
+@example([-7], [2**200, 0, -(2**205), 1])  # a constant times huge coefficients
+@example([1, 2**201], [5])
+def test_product_matches_the_schoolbook_oracle(a, b):
+    assert IntPoly(a) * IntPoly(b) == IntPoly(mul_poly(a, b)) == IntPoly(b) * IntPoly(a)
+    assert all(type(c) is int for c in (IntPoly(a) * IntPoly(b)).coeffs)
+
+
+_crt_primes = [intpoly._prime(intpoly._CERTIFICATE_LIMIT, i) for i in range(6)] + [3, 5, 7]
+
+
+def _signed_rows(primes, coeffs):
+    return np.array([[c % p for c in coeffs] for p in primes], dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_crt_primes), min_size=1, max_size=6, unique=True), st.data())
+def test_crt_matches_the_garner_oracle(primes, data):
+    # signed integers over the whole symmetric range of the product of the
+    # (odd) primes, negative ones too, and the monic lead of every caller
+    half = math.prod(primes) // 2
+    coeffs = data.draw(st.lists(st.integers(-half, half), min_size=1, max_size=9)) + [1]
+    residues = _signed_rows(primes, coeffs)
+    assert intpoly._crt(residues, primes) == garner_crt(residues, primes) == IntPoly(coeffs)
+
+
+def test_crt_of_one_prime_and_of_the_range_ends():
+    q = intpoly._prime(intpoly._CERTIFICATE_LIMIT, 0)
+    coeffs = [-(q // 2), -1, 0, q // 2, 1]
+    assert intpoly._crt(_signed_rows([q], coeffs), [q]) == IntPoly(coeffs)
+    coeffs = [-52, 52, -1, 1]  # the ends of the symmetric range mod 105
+    residues = _signed_rows([7, 5, 3], coeffs)
+    assert intpoly._crt(residues, [7, 5, 3]) == garner_crt(residues, [7, 5, 3]) == IntPoly(coeffs)
 
 
 def test_division_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaincover import (GainGraph, Graph, GroupSpec, classify_two_ev,
+from gaincover import (GainGraph, Graph, GroupSpec, TwoEvCertificate, classify_two_ev,
                        complete_bipartite, complete_graph, cycle, folded_cube,
                        hypercube, identity_gains, intpoly, is_antipodal,
                        is_distance_regular, is_walk_regular, johnson, kneser,
@@ -706,6 +706,21 @@ def test_lift_without_its_certificate_is_refused(monkeypatch):
     for check in (is_walk_regular, regularity_certificate):
         with pytest.raises(ParameterError, match="needs its two-eigenvalue certificate"):
             check(cover)
+
+
+def test_distinct_counts_of_a_conjugate_pair_with_and_without_the_base():
+    # x^2 + x - 1 has C5's eigenvalues 2cos(2pi/5) and 2cos(4pi/5) as roots,
+    # so a hit with lambda = -1, mu = 1 adds no new value to C5's three
+    c5 = lift(identity_gains(cycle(5), GroupSpec.cyclic(2)))
+    cert = TwoEvCertificate(is_two_ev=True, lambda_=-1, mu=1, new_distinct=2)
+    assert regularity._distinct_counts(c5, cert) == range(3, 4)
+    # x^2 - 3 does not divide Q3's char poly, so Huang's Q3 lift adds both
+    # of +-sqrt(3) to Q3's four values
+    f = huang_signing(3)
+    cert = classify_two_ev(f)
+    assert (cert.lambda_, cert.mu) == (0, 3)
+    assert regularity._distinct_counts(f.cover, cert) == range(6, 7)
+    assert is_walk_regular(f.cover, cert)
 
 
 def test_regularity_certificate_decides_each_verdict_once(monkeypatch):
