@@ -288,8 +288,9 @@ def _verify_walk(args):
 def _verify_srg(args):
     with open(args.gain) as fh:
         rec = verify_srg_cover(parse_gain_file(fh.read()))
+    applies = rec.theorem_checks["drg-iff-a-equals-lambda"] == "pass"
     return {"theorem_checks": rec.theorem_checks, "two_ev": rec.two_ev.as_dict(),
-            "regularity": rec.regularity.as_dict() if rec.regularity else None}
+            "regularity": rec.regularity.as_dict() if applies else None}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ antipodality, the (n, r, c2) of a diameter-3 antipodal distance-regular
 graph, and the column-count verifier that ties the gain structure of a
 two-eigenvalue cover over a strongly regular base to (a - lambda)/r and c/r.
 
+A lift's distinct eigenvalue count is bounded from its 2ev certificate by
+`_distinct_counts`, which `regularity_certificate` takes once for its walk
+and distance checks; a search record takes that certificate on first use.
+
 Whether a lift's antipodal classes are its fibers, and how its c2 relates to
 lambda, are not facts of one graph: the theorem harness `verify_drackn`
 checks them.
@@ -112,15 +116,15 @@ class RegularityCertificate:
 # walk regularity
 
 
-def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
+def is_walk_regular(x, cert: TwoEvCertificate | range | None = None) -> bool:
     """True iff every power of the adjacency matrix has constant diagonal.
 
-    x is a graph, or a lift with its certificate. Powers 1..d-1 suffice for
-    any d at least the distinct eigenvalue count, since every higher power is
-    a fixed combination of A^0..A^(d-1). A bare graph takes d as its exact
-    `distinct_eigenvalue_count`, a lift the upper end of its
-    `_distinct_counts`, with no char poly of its own (ParameterError without
-    the certificate).
+    x is a graph, or a lift with its certificate, or with the range of its
+    `_distinct_counts` already taken from it. Powers 1..d-1 suffice for any d
+    at least the distinct eigenvalue count, since every higher power is a
+    fixed combination of A^0..A^(d-1). A bare graph takes d as its exact
+    `distinct_eigenvalue_count`, a lift the upper end of that range, with no
+    char poly of its own (ParameterError without the certificate).
 
     The powers up to A^(d-2) come from `spectral._powers_mod` modulo one
     prime p at a time, with Delta*p < 2^53 for the largest degree Delta, so
@@ -132,7 +136,7 @@ def is_walk_regular(x, cert: TwoEvCertificate | None = None) -> bool:
     not walk-regular is mostly refused on the first.
     """
     g = x.graph if isinstance(x, CoverGraph) else x
-    top = (_distinct_counts(x, cert)[-1] if g is not x else distinct_eigenvalue_count(g)) - 1
+    top = (_lift_counts(x, cert)[-1] if g is not x else distinct_eigenvalue_count(g)) - 1
     if top < 2:  # A^0 = I, and A^1 has zero diagonal on a simple graph
         return True
     w = len(x.translations) if g is not x else 1  # row v is from source v*w: entry (v, v*w)
@@ -169,15 +173,20 @@ def _distinct_counts(cover: CoverGraph, cert: TwoEvCertificate):
     return range(base + new, base + new + 1)
 
 
+def _lift_counts(cover: CoverGraph, cert):
+    """cert if it is already the `_distinct_counts` range, else that range."""
+    return cert if isinstance(cert, range) else _distinct_counts(cover, cert)
+
+
 # ---------------------------------------------------------------------------
 # distance-regularity
 
 
-def is_distance_regular(x, cert: TwoEvCertificate | None = None):
+def is_distance_regular(x, cert: TwoEvCertificate | range | None = None):
     """Intersection array {b_0,...,b_{d-1}; c_1,...,c_d}, or None when the
     graph is not distance-regular (and for a single vertex).
 
-    x is a graph, or a lift with its certificate. For every pair (u, v) at
+    x and cert are as in `is_walk_regular`. For every pair (u, v) at
     distance i in x's distance rows (`graphs.distances`), b counts the
     neighbours of v at distance i + 1 from the source u and c those at i - 1:
     distance-regular iff both depend on i alone. A distance-regular graph of
@@ -189,7 +198,7 @@ def is_distance_regular(x, cert: TwoEvCertificate | None = None):
     if not table.is_connected():
         raise DisconnectedError("distance-regularity requires a connected graph")
     d = table.diameter()  # 0 for a single vertex, which has no intersection array
-    if not d or (g is not x and d + 1 not in _distinct_counts(x, cert)) or not g.is_regular():
+    if not d or (g is not x and d + 1 not in _lift_counts(x, cert)) or not g.is_regular():
         return None
     dist = table.dist
     b = np.zeros_like(dist)
@@ -347,13 +356,14 @@ def two_ev_divisibility_obstruction(base: Graph, r):
 def regularity_certificate(x, cert: TwoEvCertificate | None = None) -> RegularityCertificate:
     """Full combinatorial certificate for a graph, or a lift with its
     certificate; raises ParameterError for a lift without it. A lift's
-    certificate is its bare graph's; its two-eigenvalue certificate only
-    bounds the distinct eigenvalue count."""
+    certificate is its bare graph's; its 2ev certificate only bounds the
+    distinct eigenvalue count, a range taken once for both checks."""
     g = x.graph if isinstance(x, CoverGraph) else x
-    walk = is_walk_regular(x, cert)
+    counts = _distinct_counts(x, cert) if g is not x else None
+    walk = is_walk_regular(x, counts)
     if not is_connected(x):
         return RegularityCertificate(walk_regular=walk)
-    drg = is_distance_regular(x, cert)
+    drg = is_distance_regular(x, counts)
     srg = _srg_of_array(g.n, drg)
     anti, classes = is_antipodal(x)
     # diameter 3 and antipodal: a cover of K_n with n classes of r = 1 + k3

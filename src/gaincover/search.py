@@ -6,14 +6,14 @@ from such a normalized gain), so the search space is |G|^(m-n+1) over the
 co-tree edges instead of |G|^m. One driver, `_two_ev_hits`, decides
 assignments in batches from their gains (`fiber_two_ev`, on the n(r-1)-square
 matrices of the lifts' adjacency on the fiber-sum-zero space, sized to them),
-and lifts only the 2ev hits, for the search and every harness alike; the
-walk-regularity harness turns on its per-batch audit of the block
-decomposition, also from the gains (`character_block_check`, which batches
-its nr-square lift stacks itself), so it lifts only its hits as well. A
-harness only decides: any falsification of a theorem property raises
-FalsificationError with the offending gain attached. A genuine counterexample
-would mean an implementation bug, so it must stop the run, not get logged and
-skipped; the CLI writes the gain out as a reproducer.
+lifts only the 2ev hits, and yields one `VerificationRecord` per hit, for the
+search and every harness alike; a record's regularity certificate is taken on
+first use. The walk-regularity harness turns on the driver's per-batch audit
+of the block decomposition (`character_block_check`, also from the gains) and
+keeps no records. A harness only decides: any falsification of a theorem
+property raises FalsificationError with the offending gain attached. A
+genuine counterexample would mean an implementation bug, so it must stop the
+run, not get logged and skipped; the CLI writes the gain out as a reproducer.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetError, FalsificationError, ParameterError
 from .gains import CoverGraph, GainGraph, GroupSpec
-from .graphs import Graph, bfs_tree, complete_bipartite, complete_graph
-from .regularity import (RegularityCertificate, is_walk_regular,
-                         regularity_certificate, srg_parameters)
+from .graphs import MAX_VERTICES, Graph, bfs_tree, complete_bipartite, complete_graph
+from .regularity import is_walk_regular, regularity_certificate, srg_parameters
 from .spectral import (TwoEvCertificate, batch_rows, character_block_check,
                        classify_two_ev, fiber_two_ev, two_ev_certificate)
 
@@ -43,6 +43,7 @@ class SearchSpec:
 
     Exhaustive mode refuses to run when |G|^(m-n+1) exceeds the budget;
     random mode draws exactly `budget` independent assignments from `seed`.
+    A spec whose cover would pass MAX_VERTICES is refused when it is made.
     """
 
     base: Graph
@@ -58,6 +59,9 @@ class SearchSpec:
             raise ParameterError("searches enumerate abelian gain groups only")
         if self.budget < 0:
             raise ParameterError(f"budget must be non-negative, got {self.budget}")
+        if self.base.n * self.group.order > MAX_VERTICES:
+            raise ParameterError(f"a cover of {self.base.n} x {self.group.order} vertices "
+                                 f"exceeds the limit of {MAX_VERTICES}")
 
     def spanning_tree(self):
         return bfs_tree(self.base)
@@ -81,8 +85,12 @@ class VerificationRecord:
 
     gain: GainGraph
     two_ev: TwoEvCertificate
-    regularity: RegularityCertificate | None = None
     theorem_checks: dict = field(default_factory=dict)
+
+    @cached_property
+    def regularity(self):
+        """The `regularity_certificate` of the gain's lift, taken on first use."""
+        return regularity_certificate(self.gain.cover, self.two_ev)
 
 
 @dataclass
@@ -156,7 +164,7 @@ def gain_of_row(spec: SearchSpec, row) -> GainGraph:
 def _two_ev_hits(spec: SearchSpec, summary: VerifySummary, audit=False):
     """Decide every assignment of spec by `fiber_two_ev`, one batch of
     `assignment_rows` at a time, counting them and the hits in summary; yield
-    (gain, certificate) for each 2ev hit, the only ones lifted. With audit,
+    a `VerificationRecord` for each 2ev hit, the only ones lifted. With audit,
     each batch's block decomposition is checked by `character_block_check`
     too, and a row whose audit fails raises FalsificationError in row order,
     before that row is yielded; only hits and such rows become gain graphs."""
@@ -174,19 +182,17 @@ def _two_ev_hits(spec: SearchSpec, summary: VerifySummary, audit=False):
                 raise FalsificationError(
                     "block-decomposition",
                     f"character spectra deviate from lift spectrum by {dev[i]:.3g}", f)
-            cert = two_ev_certificate(f, int(lam[i]))
+            rec = VerificationRecord(gain=f, two_ev=two_ev_certificate(f, int(lam[i])))
             summary.two_ev += 1
-            summary.connected_two_ev += cert.cover_connected
-            yield f, cert
+            summary.connected_two_ev += rec.two_ev.cover_connected
+            yield rec
 
 
 def run_search(spec: SearchSpec) -> VerifySummary:
-    """Decide every assignment of spec; the records are the 2ev hits, each with
-    its regularity certificate, and `sampled` counts the assignments decided."""
+    """Decide every assignment of spec; the records are the 2ev hits in row
+    order, and `sampled` counts the assignments decided."""
     summary = VerifySummary()
-    for f, cert in _two_ev_hits(spec, summary):
-        summary.records.append(VerificationRecord(
-            gain=f, two_ev=cert, regularity=regularity_certificate(f.cover, cert)))
+    summary.records = list(_two_ev_hits(spec, summary))
     return summary
 
 
@@ -205,41 +211,34 @@ def verify_walk_regularity(bases, groups, budget=200, seed=0) -> VerifySummary:
     for base in bases:
         if not is_walk_regular(base):
             raise ParameterError("every base must be walk-regular")
+    specs = [SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
+             for base, group in itertools.product(bases, groups)]
     summary = VerifySummary()
-    for base, group in itertools.product(bases, groups):
-        spec = SearchSpec(base=base, group=group, mode=RANDOM, budget=budget, seed=seed)
-        for f, cert in _two_ev_hits(spec, summary, audit=True):
-            if not is_walk_regular(f.cover, cert):
+    for spec in specs:
+        for rec in _two_ev_hits(spec, summary, audit=True):
+            if not is_walk_regular(rec.gain.cover, rec.two_ev):
                 raise FalsificationError(
                     "walk-regularity-of-2ev-covers",
-                    "2ev cover of a walk-regular base is not walk regular", f)
+                    "2ev cover of a walk-regular base is not walk regular", rec.gain)
             summary.verified += 1
     return summary
 
 
 def _verify_exhaustive(base, r, budget, theorem, key, check):
-    """Classify every normalized Z_r gain on base and run `check(rec)` on the
-    record of each gain f with a connected 2ev lift, which carries f, its 2ev
-    certificate and its lift's regularity certificate. check returns a failure
-    detail, or a false value when the theorem holds; a failure raises
-    FalsificationError(theorem, detail, f).
-    Disconnected 2ev lifts are recorded as not-applicable under `key`.
-    Refuses with BudgetError when the enumeration exceeds budget."""
-    spec = SearchSpec(base=base, group=GroupSpec.cyclic(r), mode=EXHAUSTIVE,
-                      budget=budget)
-    summary = VerifySummary()
-    for f, cert in _two_ev_hits(spec, summary):
-        rec = VerificationRecord(gain=f, two_ev=cert)
-        summary.records.append(rec)
-        if not cert.cover_connected:
-            rec.theorem_checks[key] = "not-applicable"
-            continue
-        rec.regularity = regularity_certificate(f.cover, cert)
-        problem = check(rec)
-        if problem:
-            raise FalsificationError(theorem, problem, f)
-        rec.theorem_checks[key] = "pass"
-        summary.verified += 1
+    """`run_search` every normalized Z_r gain on base, then run `check(rec)`
+    on the record of each connected 2ev hit, in row order, recording the
+    outcome under `key`; a disconnected hit is not-applicable, and its
+    regularity is never taken. check returns a failure detail, or a false
+    value when the theorem holds; a failure raises
+    FalsificationError(theorem, detail, gain). Refuses with BudgetError when
+    the enumeration exceeds budget."""
+    summary = run_search(SearchSpec(base=base, group=GroupSpec.cyclic(r), budget=budget))
+    for rec in summary.records:
+        connected = rec.two_ev.cover_connected
+        if connected and (problem := check(rec)):
+            raise FalsificationError(theorem, problem, rec.gain)
+        summary.verified += connected
+        rec.theorem_checks[key] = "pass" if connected else "not-applicable"
     return summary
 
 
@@ -262,14 +261,6 @@ def verify_drackn(n, r, budget=DEFAULT_BUDGET) -> VerifySummary:
                               "drackn", check)
 
 
-def _expected_srg_cover_array(srg, r):
-    k, a, c = srg.k, srg.a, srg.c
-    s, rem = divmod(c, r)
-    if rem:
-        return None
-    return ((k, k - a - 1, c - s, 1), (1, s, k - a - 1, k))
-
-
 def verify_srg_cover(f: GainGraph) -> VerificationRecord:
     """Distance-regularity of a connected 2ev cyclic cover over a strongly
     regular base holds iff a = lambda; when it holds, the intersection array
@@ -282,8 +273,6 @@ def verify_srg_cover(f: GainGraph) -> VerificationRecord:
     if srg is None or not cert.is_two_ev or not cert.cover_connected:
         rec.theorem_checks["drg-iff-a-equals-lambda"] = "not-applicable"
         return rec
-    r = f.group.orders[0]
-    rec.regularity = regularity_certificate(f.cover, cert)
     arr = rec.regularity.drg
     drg_holds = arr is not None
     a_equals_lambda = srg.a == cert.lambda_
@@ -293,7 +282,9 @@ def verify_srg_cover(f: GainGraph) -> VerificationRecord:
             f"distance-regular={drg_holds} but a={srg.a}, lambda={cert.lambda_}", f)
     rec.theorem_checks["drg-iff-a-equals-lambda"] = "pass"
     if drg_holds:
-        expected = _expected_srg_cover_array(srg, r)
+        k, a, c = srg.k, srg.a, srg.c
+        s, rem = divmod(c, f.group.orders[0])
+        expected = None if rem else ((k, k - a - 1, c - s, 1), (1, s, k - a - 1, k))
         if expected is None or (arr.b, arr.c) != expected or arr.d != 4:
             raise FalsificationError(
                 "srg-cover-array-formula",

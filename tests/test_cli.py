@@ -476,28 +476,51 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_two_runs_print_the_same_json_outside_meta(tmp_path, capsys):
-    # a 2ev hit, an abelian miss and a permutation gain, a search and a
-    # certify, each run twice in one interpreter: once with the exact and
-    # numeric spectra of its graphs still to solve, once from their caches
+    # a 2ev hit, an abelian miss and a permutation gain, a search, a
+    # certify, one run of each verify property and a demo, each run twice in
+    # one interpreter: once with the exact and numeric spectra of its graphs
+    # still to solve, once from their caches
     (tmp_path / "huang_4.gain").write_text(write_gain_file(huang_signing(4)))
     (tmp_path / "s3k5.gain").write_text(write_gain_file(s3_cover_k5()))
+    (tmp_path / "butson_3.gain").write_text(write_gain_file(butson_gain(fourier_butson(3))))
+    jpath = tmp_path / "out.json"
     commands = [["classify", str(tmp_path / "huang_4.gain")],
                 ["classify", str(DATA / "random_kn8_2_z4.gain")],
                 ["classify", str(tmp_path / "s3k5.gain")],
                 ["search", "--base", "k4,4", "--group", "z2", "--mode", "exhaustive"],
-                ["certify", str(DATA / "k3_5.edges")]]
+                ["certify", str(DATA / "k3_5.edges")],
+                ["verify", "walk-regularity", "--samples", "20"],
+                ["verify", "drackn", "--n", "5", "--r", "2"],
+                ["verify", "srg-cover", "--gain", str(tmp_path / "butson_3.gain")],
+                ["verify", "bipartite", "--m", "3", "--n", "3", "--r", "3"],
+                ["demo", "huang", "--n", "4", "--out", str(tmp_path / "demo")]]
+    assert {argv[1] for argv in commands if argv[0] == "verify"} == {
+        path[1] for path, _ in command_parsers(cli.build_parser()) if path[:1] == ("verify",)
+        and len(path) == 2}
     for argv in commands:
         texts = []
         for cold in (True, False):
             if cold:
                 spectral._char_poly_and_distinct.cache_clear()
                 spectral._adjacency_eigenvalues.cache_clear()
-            code, out, _ = run(argv, capsys)
+            code, _, _ = run([*argv, "--json", str(jpath)], capsys)
             assert code == 0
-            payload = json.loads(out)
+            payload = json.loads(jpath.read_text())
             payload.pop("meta", None)
             texts.append(json.dumps(payload, indent=2, sort_keys=True))
         assert texts[0] == texts[1], argv
+
+
+def test_a_search_past_the_vertex_limit_exits_1_before_any_row(capsys, monkeypatch):
+    # even a search of no rows is refused, as classify of the same cover is
+    monkeypatch.setattr(search, "fiber_two_ev", lambda *args: pytest.fail("decided a row"))
+    for budget in ("0", "1"):
+        code, out, err = run(["search", "--base", "k3", "--group", "cyclic:2000",
+                              "--mode", "random", "--budget", budget], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: a cover of 3 x 2000 vertices exceeds the limit of 4096\n"
+    code, _, err = run(["verify", "drackn", "--n", "3", "--r", "2000"], capsys)
+    assert code == 1 and "exceeds the limit of 4096" in err
 
 
 @pytest.mark.parametrize("group, identity, gain, message", [

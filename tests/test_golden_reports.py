@@ -1,7 +1,7 @@
 """Golden reports: the JSON of `classify` on the demo gains and on three
 abelian gains whose lifts are not 2ev, of `certify` on two graphs with
-irrational eigenvalues, and of three exhaustive searches, outside `meta`,
-against files in tests/data.
+irrational eigenvalues, of three exhaustive searches and of each `verify`
+property, outside `meta`, against files in tests/data.
 
 The files hold the reports with `meta` and the input path dropped. Integers,
 booleans and other strings are compared exactly; decimal float strings are
@@ -104,3 +104,24 @@ DRACKN_SEARCHES = [("k5", "z2"), ("octahedron", "z2")]
 def test_drackn_search_report_matches_its_golden_file(tmp_path, base, group):
     got = produced(["search", "--base", base, "--group", group], tmp_path)
     assert got == golden(f"search_{base}_{group}")
+
+
+# (verify property and flags, golden file stem); srg-cover reads the gain of
+# a demo: Butson's 3 x 3 matrix passes, and the signed K6 non-example is not
+# 2ev, so the theorem does not apply and its regularity is null
+VERIFIES = [
+    (["walk-regularity", "--seed", "20240817", "--samples", "20"], "walk_regularity"),
+    (["drackn", "--n", "5", "--r", "2"], "drackn_5_2"),
+    (["bipartite", "--m", "3", "--n", "3", "--r", "3"], "bipartite_3_3_3"),
+    (["srg-cover", "--gain", "butson_3.gain"], "srg_cover_butson_3"),
+    (["srg-cover", "--gain", "k3n_nonexample_2.gain"], "srg_cover_k3n_nonexample_2"),
+]
+
+
+@pytest.mark.parametrize("argv, stem", VERIFIES, ids=[stem for _, stem in VERIFIES])
+def test_verify_payload_matches_its_golden_file(tmp_path, argv, stem):
+    for demo in (["butson", "--q", "3"], ["k3n-nonexample", "--n", "2"]):
+        assert main(["demo", *demo, "--out", str(tmp_path),
+                     "--json", str(tmp_path / "demo.json")]) == 0
+    argv = [str(tmp_path / a) if a.endswith(".gain") else a for a in argv]
+    assert produced(["verify", *argv], tmp_path) == golden("verify_" + stem)

@@ -595,3 +595,71 @@ def test_complete_graph_census(n, r, certs):
             drg = h.regularity.drg
             assert (drg.b, drg.c) == intersection_array(lift(h.gain).graph)
             assert h.regularity.drackn == (n, r, (n - 2 - h.two_ev.lambda_) // r)
+
+
+def test_a_spec_past_the_vertex_limit_is_refused_before_any_row(monkeypatch):
+    # a cover of 3 x 2000 vertices would square 5997-square float64 stacks
+    decided = []
+    monkeypatch.setattr(search, "fiber_two_ev", lambda *args: decided.append(args))
+    message = "a cover of 3 x 2000 vertices exceeds the limit of 4096"
+    with pytest.raises(ParameterError, match=message):
+        run_search(SearchSpec(complete_graph(3), GroupSpec.cyclic(2000), mode=RANDOM, budget=1))
+    with pytest.raises(ParameterError, match=message):
+        verify_drackn(3, 2000)
+    with pytest.raises(ParameterError, match="a cover of 5 x 1000 vertices"):
+        verify_bipartite_cover(2, 3, 1000)
+    # every pair's spec is made before the first pair's rows are decided
+    with pytest.raises(ParameterError, match="a cover of 4 x 2000 vertices"):
+        verify_walk_regularity([complete_graph(4), complete_graph(3)],
+                               [GroupSpec.cyclic(2), GroupSpec.cyclic(2000)], budget=1)
+    assert decided == []
+    # a cover of exactly MAX_VERTICES is allowed
+    assert SearchSpec(complete_graph(4), GroupSpec.cyclic(1024), mode=RANDOM, budget=0)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(module, name): the first argument of each call that the
+    function `name` of module gets while the test runs, wherever a gaincover
+    module binds it."""
+    def count(home, name):
+        calls, real = [], getattr(home, name)
+
+        def counting(x, *args):
+            calls.append(x)
+            return real(x, *args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("gaincover") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+    return count
+
+
+def test_a_search_counts_each_lifts_eigenvalues_once(counted, tmp_path):
+    calls = counted(regularity, "_distinct_counts")
+    assert cli.main(["search", "--base", "k6", "--group", "z2",
+                     "--json", str(tmp_path / "hits.json")]) == 0
+    # each of the 14 hits' lifts, once: its regularity takes one range for
+    # the walk and the distance check
+    assert len(calls) == len({id(c) for c in calls}) == 14
+
+
+def test_a_record_takes_its_regularity_only_where_a_check_reads_it(counted, tmp_path):
+    calls = counted(regularity, "regularity_certificate")
+    out = str(tmp_path / "out.json")
+    assert cli.main(["verify", "walk-regularity", "--samples", "20", "--json", out]) == 0
+    assert calls == []
+    assert cli.main(["verify", "drackn", "--n", "5", "--r", "2", "--json", out]) == 0
+    # one connected hit of two: the disconnected one takes no certificate
+    summary = verify_drackn(5, 2)
+    assert (summary.two_ev, summary.connected_two_ev) == (2, 1)
+    assert len(calls) == 2
+    [connected] = [rec for rec in summary.records if rec.two_ev.cover_connected]
+    assert calls == [connected.gain.cover] * 2
+
+
+def test_the_walk_harness_keeps_no_records():
+    summary = verify_walk_regularity(WALKREG_BASES, WALKREG_GROUPS, budget=20, seed=1)
+    assert summary.verified == summary.two_ev > 0
+    assert summary.records == []
