@@ -657,6 +657,14 @@ def test_a_record_takes_its_regularity_only_where_a_check_reads_it(counted, tmp_
     assert len(calls) == 2
     [connected] = [rec for rec in summary.records if rec.two_ev.cover_connected]
     assert calls == [connected.gain.cover] * 2
+    # srg-cover reads its record's regularity twice, for the verdict and the
+    # payload, and takes it once; a gain the theorem does not apply to, none
+    calls.clear()
+    for f in (butson_gain(fourier_butson(3)), k3n_nonexample(2)):
+        path = tmp_path / "f.gain"
+        path.write_text(write_gain_file(f))
+        assert cli.main(["verify", "srg-cover", "--gain", str(path), "--json", out]) == 0
+    assert len(calls) == 1
 
 
 def test_the_walk_harness_keeps_no_records():
